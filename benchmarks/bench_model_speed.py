@@ -29,10 +29,12 @@ The re-timing headline is batched the same way:
 ``batch_retimed_instructions_per_sec`` is one
 :class:`~repro.timing.batch.BatchCoreModel` pass timing the cached
 ycc/mmx64 trace across all twelve paper configurations, total
-per-point instructions divided by wall time.  The scalar columnar rate
-(``retimed_instructions_per_sec``, the batch fallback path) and the
-record-at-a-time rate (``reference_retimed_instructions_per_sec``)
-ride alongside for the trajectory.
+per-point instructions divided by wall time.  The one-configuration
+rate (``retimed_instructions_per_sec``: ``simulate_trace``, a stack of
+one through the same kernel) and the record-at-a-time oracle's rate
+(``reference_retimed_instructions_per_sec``: ``CoreModel.run``, what a
+host without a C compiler falls back to) ride alongside for the
+trajectory.
 """
 
 import argparse
@@ -50,6 +52,7 @@ from repro.kernels.registry import KERNELS  # noqa: E402
 from repro.machines import get_machine  # noqa: E402
 from repro.timing.batch import BatchCoreModel  # noqa: E402
 from repro.timing.core import CoreModel  # noqa: E402
+from repro.timing.simulator import simulate_trace  # noqa: E402
 
 #: Rates measured by :func:`measure_model_speed` and guarded by the floor.
 RATE_KEYS = (
@@ -122,9 +125,7 @@ def test_timing_model_throughput(benchmark):
     cols = execute(KERNELS["ycc"], "mmx64", seed=0).trace.columns()
 
     def work():
-        model = CoreModel(get_machine("mmx64", 2).core)
-        model.hier.warm(cols)
-        return model.run(cols).cycles
+        return simulate_trace(cols, get_machine("mmx64", 2).core).cycles
 
     cycles = benchmark(work)
     assert cycles > 0
@@ -135,9 +136,7 @@ def test_vector_timing_throughput(benchmark):
     cols = execute(KERNELS["idct"], "vmmx128", seed=0).trace.columns()
 
     def work():
-        model = CoreModel(get_machine("vmmx128", 2).core)
-        model.hier.warm(cols)
-        return model.run(cols).cycles
+        return simulate_trace(cols, get_machine("vmmx128", 2).core).cycles
 
     benchmark(work)
 
@@ -183,10 +182,9 @@ def measure_model_speed(budget="ci"):
     cols = trace_holder["trace"].columns()
 
     def retime():
-        model = CoreModel(get_machine("mmx64", 2).core)
-        model.hier.warm(cols)
-        model.run(cols)
+        simulate_trace(cols, get_machine("mmx64", 2).core)
 
+    retime()  # compile/load the kernel outside the timed region
     retime_rate = _best_rate(retime, n, max(reps, 3))
 
     specs = _paper_stack()
@@ -194,13 +192,13 @@ def measure_model_speed(budget="ci"):
     def retime_batch():
         BatchCoreModel(specs).run(cols)
 
-    retime_batch()  # compile/load the kernel outside the timed region
+    retime_batch()
     batch_retime_rate = _best_rate(retime_batch, n * len(specs), max(reps, 3))
 
     def retime_reference():
         model = CoreModel(get_machine("mmx64", 2).core)
         model.hier.warm(cols)
-        model.run_reference(cols)
+        model.run(cols)
 
     reference_retime_rate = _best_rate(retime_reference, n, reps)
 

@@ -27,8 +27,7 @@ from repro.apps.profile import AppProfile
 from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import Trace, TraceRecord
 from repro.machines import get_machine
-from repro.timing.core import CoreModel
-from repro.timing.simulator import simulate_kernel
+from repro.timing.simulator import simulate_kernel, simulate_trace
 
 #: Size of the synthetic scalar trace used to estimate scalar-region IPC.
 SCALAR_TRACE_LEN = 24_000
@@ -142,9 +141,7 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
         if stored is not None:
             return float(stored["ipc"])
     trace = make_scalar_trace(smem_frac_pct / 100.0, sctrl_frac_pct / 100.0)
-    model = CoreModel(config)
-    model.hier.warm(trace)
-    result = model.run(trace)
+    result = simulate_trace(trace, config)
     if key is not None:
         save_payload(store, "scalar-ipc", key, {"ipc": result.ipc})
     return result.ipc

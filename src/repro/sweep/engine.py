@@ -469,11 +469,11 @@ def compute_points(
     resolved configurations is timed against its one columnar trace
     through :class:`~repro.timing.batch.BatchCoreModel`, so a warm
     fig. 4 sweep walks a handful of batched passes instead of 132
-    sequential constraint loops.  Stacks the batch path cannot time
-    exactly (env gates, no compiled kernel) fall back to the scalar
-    model per point inside :func:`~repro.timing.simulator.simulate_trace_stack`.
+    per-point passes.  Under ``REPRO_TIMING_REFERENCE=1``, or with no
+    compiled kernel, :func:`~repro.timing.simulator.simulate_trace_stack`
+    times each point through the reference model instead.
 
-    A bounded compute budget keeps the scalar per-point path so
+    A bounded compute budget keeps the per-point path so
     :class:`SweepInterrupted` fires at exactly the budgeted point.
     """
     from repro.kernels.registry import KERNELS

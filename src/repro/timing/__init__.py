@@ -3,8 +3,11 @@
 Machine descriptions live in the :mod:`repro.machines` registry
 (``get_machine(name, way)`` resolves any registered family and width);
 this package times :class:`~repro.isa.trace.ColumnarTrace` streams on
-them -- one configuration at a time (:class:`CoreModel`) or a whole
-stack per pass (:class:`~repro.timing.batch.BatchCoreModel`).
+them.  One engine does the timing: the compiled
+:class:`~repro.timing.batch.BatchCoreModel`, which times a whole stack of
+configurations per pass (:func:`simulate_trace` is a stack of one).  The
+record-at-a-time :class:`CoreModel` is its oracle, and the fallback when
+``REPRO_TIMING_REFERENCE=1`` is set or no timing kernel can be loaded.
 """
 
 from repro.machines import MachineSpec, SimdGeometry, get_machine

@@ -1,44 +1,36 @@
-"""Batch re-timing: one trace against a stack of configurations per pass.
+"""The production timing engine: one trace against a stack of configurations.
 
 The sweep workload is exactly the paper's methodology: one dynamic trace
 per (kernel, version, seed), re-timed across many machine widths and
-resource ablations.  The scalar :class:`~repro.timing.core.CoreModel`
-walks its sequential constraint loop once per configuration -- a warm
-fig. 4 sweep is 132 Python-interpreter walks over the *same* cached
-:class:`~repro.isa.trace.ColumnarTrace`.
-
-:class:`BatchCoreModel` times a whole *stack* of P configurations
-sharing one trace in a single pass, mirroring :mod:`repro.emu.batch`'s
-seed axis on the timing side:
+resource ablations.  :class:`BatchCoreModel` times a whole *stack* of P
+configurations sharing one trace in a single pass, mirroring
+:mod:`repro.emu.batch`'s seed axis on the timing side; a single
+configuration is simply a stack of one.
 
 * every pure per-instruction derivation is computed once per stack (the
-  shared pre-pass helpers in :mod:`repro.timing.core`: branch-predictor
+  pre-pass helpers in :mod:`repro.timing.core`: branch-predictor
   outcomes and cache hit/miss resolution are configuration-independent
   within a stack that shares cache geometry, and the per-point SIMD and
   port occupancies are NumPy expressions over the columns, widened by a
   leading point axis -- SoA ``(P, n)`` arrays);
 * the genuinely order-dependent scoreboard walk (dependences, issue
   slots, FU pools, ports, ROB, commit) runs in a small C kernel
-  (``kernel.c``, an exact transcription of the scalar loop) compiled
-  on first use with the system C compiler and driven through
-  :mod:`ctypes`; the per-point scoreboard state lives in flat arrays
-  reset between points, so the Python interpreter cost of the loop is
-  paid zero times instead of P times.
+  (``kernel.c``) compiled on first use with the system C compiler and
+  driven through :mod:`ctypes`; the per-point scoreboard state lives in
+  flat arrays reset between points, so the walk pays no Python
+  interpreter cost per instruction.
 
 Stacks whose configurations disagree on cache-state geometry are split
 into sub-stacks internally (masked/pivoted updates would change results,
-not just cost, so sharing is only ever exact).  Anything the batch
-cannot time identically to the scalar path -- the compiled kernel being
-unavailable, or an SSA id space too sparse for the flat scoreboard --
-raises :class:`BatchTimingDivergence` and the caller falls back to the
-scalar :class:`~repro.timing.core.CoreModel` per point.  Setting
-``REPRO_TIMING_REFERENCE=1`` keeps forcing every simulation through the
-record-at-a-time reference (the batch refuses to run at all), and
-``REPRO_TIMING_NO_KERNEL=1`` disables just the compiled kernel -- the
-differential-testing escape hatches.  The differential suite
-(``tests/test_batch_timing.py``) pins value-identical
-:class:`~repro.timing.core.SimResult`\\ s against the scalar path across
-random configuration stacks.
+not just cost, so sharing is only ever exact).  The engine raises
+:class:`BatchTimingDivergence` for exactly two reasons --
+``REPRO_TIMING_REFERENCE=1`` is set, or no timing kernel can be loaded
+-- and :func:`~repro.timing.simulator.simulate_trace_stack` then times
+each point through the record-at-a-time
+:class:`~repro.timing.core.CoreModel`, the oracle.  The differential
+suites (``tests/test_batch_timing.py``,
+``tests/test_timing_reference.py``) pin value-identical
+:class:`~repro.timing.core.SimResult`\\ s against that oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +41,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,11 +62,6 @@ from repro.timing.core import (
     vector_access_mask,
 )
 
-#: Disables the compiled constraint-loop kernel (batch timing then
-#: diverges and callers fall back to the scalar model) without touching
-#: the wider ``REPRO_TIMING_REFERENCE`` switch.
-KERNEL_ENV = "REPRO_TIMING_NO_KERNEL"
-
 #: Overrides the directory the compiled kernel is cached in.
 CACHE_ENV = "REPRO_TIMING_KERNEL_CACHE"
 
@@ -84,23 +72,13 @@ ConfigPair = Tuple[CoreConfig, MemHierConfig]
 
 
 class BatchTimingDivergence(Exception):
-    """The stack cannot be batch-timed identically to the scalar path.
+    """The compiled engine may not or cannot time the stack.
 
-    Raised when batch timing is disabled (``REPRO_TIMING_REFERENCE=1``
-    forces the record-at-a-time reference; ``REPRO_TIMING_NO_KERNEL=1``
-    disables the compiled kernel), when no C compiler / loadable kernel
-    is available, or when a trace's SSA register-id space is too sparse
-    for the kernel's flat scoreboard.  The caller falls back to timing
-    each point through the scalar :class:`~repro.timing.core.CoreModel`.
+    Raised when ``REPRO_TIMING_REFERENCE=1`` forces the record-at-a-time
+    reference, or when no C compiler / loadable kernel is available.
+    The caller falls back to timing each point through the reference
+    :class:`~repro.timing.core.CoreModel`.
     """
-
-
-def batch_enabled() -> bool:
-    """Whether batched re-timing may be used (no env gate is set)."""
-    return (
-        os.environ.get(REFERENCE_ENV, "") != "1"
-        and os.environ.get(KERNEL_ENV, "") != "1"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +146,9 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     """The compiled constraint-loop kernel, or ``None`` if unbuildable.
 
     The first failure is remembered: a host without a compiler pays the
-    probe once per process, not once per stack.
+    probe once per process, not once per stack.  It is also announced
+    once, with a :class:`RuntimeWarning`: every simulation then runs on
+    the record-at-a-time reference, which is about 40x slower.
     """
     global _lib, _lib_error
     if _lib is None and _lib_error is None:
@@ -176,6 +156,12 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             _lib = _compile_and_load()
         except BaseException as exc:  # noqa: BLE001 -- any failure => fallback
             _lib_error = exc
+            warnings.warn(
+                f"timing kernel unavailable ({exc!r}); timing now runs on "
+                "the record-at-a-time reference model, about 40x slower",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return _lib
 
 
@@ -203,11 +189,11 @@ class BatchCoreModel:
     """Times one trace against a stack of configurations in one pass.
 
     ``specs`` is a sequence of ``(CoreConfig, MemHierConfig)`` pairs --
-    the same pair the scalar :class:`~repro.timing.core.CoreModel` takes
-    -- typically the resolved configurations of every warm sweep point
+    the same pair the reference :class:`~repro.timing.core.CoreModel`
+    takes -- typically the resolved configurations of every sweep point
     sharing a trace key.  :meth:`run` returns one
     :class:`~repro.timing.core.SimResult` per pair, in order,
-    value-identical to timing each pair through a fresh scalar model.
+    value-identical to timing each pair through a fresh reference model.
     """
 
     def __init__(self, specs: Sequence[ConfigPair]) -> None:
@@ -216,16 +202,14 @@ class BatchCoreModel:
     def run(self, trace, warm: bool = True) -> List[SimResult]:
         """Time ``trace`` on every configuration of the stack.
 
-        Raises :class:`BatchTimingDivergence` when the batch path may
-        not (env gates) or cannot (kernel unavailable, sparse SSA ids)
-        reproduce the scalar results exactly.
+        Raises :class:`BatchTimingDivergence` when the engine may not
+        (``REPRO_TIMING_REFERENCE=1``) or cannot (no loadable kernel)
+        run.
         """
         if os.environ.get(REFERENCE_ENV, "") == "1":
             raise BatchTimingDivergence(
                 f"{REFERENCE_ENV}=1 forces the record-at-a-time reference"
             )
-        if os.environ.get(KERNEL_ENV, "") == "1":
-            raise BatchTimingDivergence(f"{KERNEL_ENV}=1 disables the kernel")
         lib = load_kernel()
         if lib is None:
             raise BatchTimingDivergence(f"timing kernel unavailable: {_lib_error}")
@@ -264,14 +248,18 @@ class BatchCoreModel:
             n_regs = int(src_ids.max()) + 1
         if len(dst_ids):
             n_regs = max(n_regs, int(dst_ids.max()) + 1)
-        # The kernel scoreboards register readiness in a flat array; the
-        # trace IR's SSA ids are dense, so this only trips on hand-built
-        # traces with huge sparse ids -- scalar fallback handles those.
-        if n_regs > 4 * (len(src_ids) + len(dst_ids)) + 1024:
-            raise BatchTimingDivergence(
-                f"SSA register ids too sparse for the flat scoreboard "
-                f"({n_regs} ids for {len(dst_ids)} writes)"
+        # The kernel scoreboards register readiness in a flat array
+        # indexed by SSA id.  Emulated traces number their ids densely;
+        # hand-built ones may not, so sparse ids are renumbered densely
+        # (dependences only ever compare ids for equality).
+        n_src = len(src_ids)
+        if n_regs > 4 * (n_src + len(dst_ids)) + 1024:
+            ids, dense = np.unique(
+                np.concatenate([src_ids, dst_ids]), return_inverse=True
             )
+            src_ids = np.ascontiguousarray(dense[:n_src], dtype=np.int64)
+            dst_ids = np.ascontiguousarray(dense[n_src:], dtype=np.int64)
+            n_regs = len(ids)
 
         # --- shared pre-passes (configuration-independent in-stack) ----
         bpred = BimodalPredictor()
@@ -350,7 +338,7 @@ class BatchCoreModel:
                 if rc == -1:
                     # An issue cycle outran the scoreboard window (long
                     # chains of main-memory misses); widen and re-run,
-                    # mirroring the scalar path's spill dictionaries.
+                    # as the reference's per-cycle counters are unbounded.
                     cap *= 2
                     continue
                 raise MemoryError("timing kernel allocation failed")
@@ -380,9 +368,7 @@ class BatchCoreModel:
 
 __all__ = [
     "CACHE_ENV",
-    "KERNEL_ENV",
     "BatchCoreModel",
     "BatchTimingDivergence",
-    "batch_enabled",
     "load_kernel",
 ]

@@ -150,8 +150,8 @@ class MemoryHierarchy:
         """Resolve every memory access of a columnar trace in trace order.
 
         Batched equivalent of calling :meth:`scalar_access` /
-        :meth:`vector_access` once per record (the columnar timing
-        core's pre-pass): writes each access's latency and occupancy
+        :meth:`vector_access` once per record (the compiled timing
+        engine's pre-pass): writes each access's latency and occupancy
         into ``lat_out[i]`` / ``occ_out[i]``.  Avoids a result-object
         allocation and two method dispatches per dynamic memory
         instruction; the differential tests pin it against the

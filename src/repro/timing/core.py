@@ -16,21 +16,22 @@ of the Table III machines in O(1) amortised time:
   full width for stride-one and one row per cycle otherwise;
 * in-order commit of ``commit_width`` per cycle.
 
-The model walks the *columnar* trace IR (:mod:`repro.isa.trace`): every
-pure per-instruction derivation -- SIMD functional-unit occupancy
-``ceil(rows/lanes)``, cache access latencies and port-byte occupancies,
-branch-predictor outcomes, and the Fig. 6/7 category tallies -- is
-computed in a NumPy / batched pre-pass over the columns, so the
-sequential constraint loop only resolves the genuinely order-dependent
-resources (dependences, issue slots, ports, ROB, commit) over plain
-precomputed arrays.  The two passes are legal because cache and
-predictor state evolve in *trace order*, independent of the issue
-cycles the loop assigns.
+The model has one production engine and one oracle:
 
-The original record-at-a-time implementation is retained as
-:meth:`CoreModel.run_reference` -- it is the executable specification
-the columnar path is differentially tested against, and setting
-``REPRO_TIMING_REFERENCE=1`` forces every simulation through it.
+* the compiled engine, :class:`~repro.timing.batch.BatchCoreModel`,
+  computes every pure per-instruction derivation -- SIMD functional-unit
+  occupancy ``ceil(rows/lanes)``, cache access latencies and port-byte
+  occupancies, branch-predictor outcomes, and the Fig. 6/7 category
+  tallies -- in a NumPy pre-pass over the columnar trace IR
+  (:mod:`repro.isa.trace`), with the helpers below, and resolves the
+  genuinely order-dependent resources (dependences, issue slots, ports,
+  ROB, commit) in a C kernel.  The split is legal because cache and
+  predictor state evolve in *trace order*, independent of the issue
+  cycles the constraint walk assigns;
+* :class:`CoreModel` walks every constraint one record at a time.  It
+  is the executable specification the engine is differentially tested
+  against, and the fallback when ``REPRO_TIMING_REFERENCE=1`` is set or
+  no timing kernel can be loaded.
 
 Each committed instruction attributes the cycles since the previous
 commit to its category, which yields the scalar/vector cycle breakdown of
@@ -39,7 +40,6 @@ the paper's Fig. 6 directly.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -47,12 +47,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import CAT_CODE, CATEGORIES, FU_CODE, as_columns
+from repro.isa.trace import CAT_CODE, CATEGORIES, FU_CODE
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.caches import BimodalPredictor, MemoryHierarchy
 
-#: Environment variable gating the retained record-at-a-time reference
-#: implementation (``1`` routes every ``run`` call through it).
+#: Environment variable forcing every simulation through the
+#: record-at-a-time :class:`CoreModel` (``1`` makes the compiled engine
+#: refuse to run).
 REFERENCE_ENV = "REPRO_TIMING_REFERENCE"
 
 _MEM_CODE = FU_CODE[FUClass.MEM]
@@ -62,12 +63,12 @@ _VMEM_CODE = CAT_CODE[Category.VMEM]
 
 
 # ---------------------------------------------------------------------------
-# Shared pre-pass: pure per-instruction derivations over the columns.
+# Pre-pass: pure per-instruction derivations over the columns.
 #
 # Everything here is a function of the trace and the configuration alone
-# -- independent of the issue cycles the constraint loop later assigns --
-# so the scalar path and the batch path (:mod:`repro.timing.batch`)
-# compute them through the same code.
+# -- independent of the issue cycles the constraint walk later assigns --
+# so the compiled engine (:mod:`repro.timing.batch`) computes it once per
+# stack, ahead of the kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -159,317 +160,40 @@ class SimResult:
         return sum(self.cat_cycles.get(cat, 0) for cat in ("vmem", "varith"))
 
 
+def default_mem_config(config: CoreConfig) -> MemHierConfig:
+    """The registry hierarchy of ``config``'s machine at its width.
+
+    Registered machine names (including non-paper widths such as
+    16-way) resolve through :func:`repro.machines.get_machine`;
+    ad-hoc names fall back to the paper hierarchy of the width.
+    """
+    from repro.machines import get_machine, is_registered
+
+    name = config.isa if is_registered(config.isa) else "mmx64"
+    return get_machine(name, config.way).mem
+
+
 class CoreModel:
-    """Trace-driven timing model for one processor configuration."""
+    """Record-at-a-time timing model for one processor configuration.
+
+    The executable specification of the timing model: the compiled
+    engine (:class:`~repro.timing.batch.BatchCoreModel`) must produce the
+    same :class:`SimResult`, cycle for cycle.
+    """
 
     def __init__(
         self, config: CoreConfig, mem_config: Optional[MemHierConfig] = None
     ) -> None:
         self.config = config
-        self.mem_config = mem_config or self._default_mem_config(config)
+        self.mem_config = mem_config or default_mem_config(config)
         self.hier = MemoryHierarchy(self.mem_config)
         self.bpred = BimodalPredictor()
         #: Capability, not a name check: machines whose geometry declares
         #: the matrix flag route SIMD memory through the vector cache.
         self.vector_memory = config.vector_memory
 
-    @staticmethod
-    def _default_mem_config(config: CoreConfig) -> MemHierConfig:
-        """The registry hierarchy of ``config``'s machine at its width.
-
-        Registered machine names (including non-paper widths such as
-        16-way) resolve through :func:`repro.machines.get_machine`;
-        ad-hoc names fall back to the paper hierarchy of the width.
-        """
-        from repro.machines import get_machine, is_registered
-
-        name = config.isa if is_registered(config.isa) else "mmx64"
-        return get_machine(name, config.way).mem
-
     def run(self, trace) -> SimResult:
         """Time one dynamic trace (columnar IR or any record iterable)."""
-        if os.environ.get(REFERENCE_ENV) == "1":
-            return self.run_reference(trace)
-        return self._run_columnar(as_columns(trace))
-
-    # ------------------------------------------------------------------
-    # Columnar implementation: vectorised pre-pass + constraint loop.
-    # ------------------------------------------------------------------
-
-    def _run_columnar(self, cols) -> SimResult:
-        cfg = self.config
-        n_total = len(cols)
-        fu = cols.fu
-
-        # --- pure per-instruction derivations (batched) ----------------
-        occ = simd_occupancies(cols, cfg)
-
-        # Memory accesses: cache tag state evolves in trace order and is
-        # independent of issue timing, so resolve every access up front.
-        is_memfu = fu == _MEM_CODE
-        use_vec = vector_access_mask(cols, self.vector_memory)
-        addr_l = cols.addr.tolist()
-        rowb_l = cols.row_bytes.tolist()
-        rows_l = cols.rows.tolist()
-        stride_l = cols.stride.tolist()
-        use_vec_l = use_vec.tolist()
-        mem_lat_l = [0] * n_total
-        mem_occ_l = [0] * n_total
-        hier = self.hier
-        hier.resolve_accesses(
-            np.nonzero(is_memfu)[0].tolist(),
-            use_vec_l,
-            addr_l,
-            rowb_l,
-            rows_l,
-            stride_l,
-            mem_lat_l,
-            mem_occ_l,
-        )
-
-        # Branch outcomes: the bimodal predictor is a pure function of
-        # the (site, taken) sequence, also trace-ordered.
-        bpred = self.bpred
-        mispredict = branch_outcome_mask(cols, bpred)
-
-        # --- sequential constraint loop over precomputed arrays --------
-        fu_l = fu.tolist()
-        lat_l = cols.latency.tolist()
-        occ_l = occ.tolist()
-        src_off_l = cols.src_off.tolist()
-        src_ids_l = cols.src_ids.tolist()
-        dst_off_l = cols.dst_off.tolist()
-        dst_ids_l = cols.dst_ids.tolist()
-
-        reg_ready: Dict[int, int] = {}
-        # Per-cycle issue counters as flat lists indexed by cycle: the
-        # loop touches them on every instruction, and list indexing
-        # beats dict hashing.  Realistic traces finish within a few
-        # cycles per instruction, so the dense window covers them; a
-        # pathological trace (long chains of main-memory misses can
-        # push issue cycles to ~500 per instruction) spills into dicts
-        # beyond the window instead of allocating O(cycles) lists.
-        cap = 4 * n_total + 2048
-        issue_total = [0] * cap
-        class_int = [0] * cap
-        class_fp = [0] * cap
-        class_simd = [0] * cap
-        spill_issue: Dict[int, int] = {}
-        spill_class: Dict[int, int] = {}  # keyed t * 4 + class code
-
-        simd_units = [0] * cfg.simd_fu_groups
-        l1_ports = [0] * cfg.mem_ports
-        l2_ports = [0] * self.mem_config.l2.ports
-        rob_size = cfg.rob_size
-        commit_ring = [0] * rob_size
-        simd_inflight = cfg.simd_inflight
-        simd_ring = [0] * simd_inflight
-        simd_writes = 0
-        fetch_cycle = 1
-        fetched = 0
-        fetch_barrier = 0
-        last_commit = 0
-        fetch_width = cfg.fetch_width
-        commit_width = cfg.commit_width
-        branch_penalty = cfg.branch_penalty
-        int_fus = cfg.int_fus
-        fp_fus = cfg.fp_fus
-        simd_issue = cfg.simd_issue
-        commits = [0] * n_total
-
-        for i in range(n_total):
-            # ----- fetch / dispatch --------------------------------------
-            if fetch_cycle < fetch_barrier:
-                fetch_cycle = fetch_barrier
-                fetched = 0
-            if fetched >= fetch_width:
-                fetch_cycle += 1
-                fetched = 0
-                if fetch_cycle < fetch_barrier:
-                    fetch_cycle = fetch_barrier
-            # ROB occupancy: instruction i needs instr (i - rob_size) gone.
-            if i >= rob_size:
-                rob_free = commit_ring[i % rob_size] + 1
-                if rob_free > fetch_cycle:
-                    fetch_cycle = rob_free
-                    fetched = 0
-            # SIMD physical registers: writers in flight are bounded.
-            fui = fu_l[i]
-            d0 = dst_off_l[i]
-            d1 = dst_off_l[i + 1]
-            is_simd_writer = fui == _SIMD_CODE and d1 > d0
-            if is_simd_writer and simd_writes >= simd_inflight:
-                free_at = simd_ring[simd_writes % simd_inflight] + 1
-                if free_at > fetch_cycle:
-                    fetch_cycle = free_at
-                    fetched = 0
-            dispatch = fetch_cycle
-            fetched += 1
-
-            # ----- operand ready ------------------------------------------
-            ready = dispatch
-            s0 = src_off_l[i]
-            s1 = src_off_l[i + 1]
-            if s1 > s0:
-                for src in src_ids_l[s0:s1]:
-                    when = reg_ready.get(src)
-                    if when is not None and when > ready:
-                        ready = when
-
-            # ----- issue: total width, class slots, unit occupancy --------
-            t = ready
-            if fui == _MEM_CODE:
-                ports = l2_ports if use_vec_l[i] else l1_ports
-                if len(ports) == 1:
-                    # Single port: its next-free time is the only choice.
-                    while True:
-                        used = issue_total[t] if t < cap else spill_issue.get(t, 0)
-                        if used >= fetch_width:
-                            t += 1
-                            continue
-                        if ports[0] > t:
-                            t = ports[0]
-                            continue
-                        break
-                    port = 0
-                else:
-                    while True:
-                        used = issue_total[t] if t < cap else spill_issue.get(t, 0)
-                        if used >= fetch_width:
-                            t += 1
-                            continue
-                        free_at = min(ports)
-                        if free_at > t:
-                            t = free_at
-                            continue
-                        port = ports.index(free_at)
-                        break
-                ports[port] = t + mem_occ_l[i]
-                complete = t + mem_lat_l[i] + mem_occ_l[i] - 1
-            elif fui == _SIMD_CODE:
-                occupancy = occ_l[i]
-                if len(simd_units) == 1:
-                    while True:
-                        used = issue_total[t] if t < cap else spill_issue.get(t, 0)
-                        if used >= fetch_width:
-                            t += 1
-                            continue
-                        slots = class_simd[t] if t < cap else spill_class.get(t * 4 + 2, 0)
-                        if slots >= simd_issue:
-                            t += 1
-                            continue
-                        if simd_units[0] > t:
-                            t = simd_units[0]
-                            continue
-                        break
-                    unit = 0
-                else:
-                    while True:
-                        used = issue_total[t] if t < cap else spill_issue.get(t, 0)
-                        if used >= fetch_width:
-                            t += 1
-                            continue
-                        slots = class_simd[t] if t < cap else spill_class.get(t * 4 + 2, 0)
-                        if slots >= simd_issue:
-                            t += 1
-                            continue
-                        free_at = min(simd_units)
-                        if free_at > t:
-                            t = free_at
-                            continue
-                        unit = simd_units.index(free_at)
-                        break
-                if t < cap:
-                    class_simd[t] += 1
-                else:
-                    spill_class[t * 4 + 2] = spill_class.get(t * 4 + 2, 0) + 1
-                simd_units[unit] = t + occupancy
-                complete = t + lat_l[i] + occupancy - 1
-            else:
-                if fui == _INT_CODE:
-                    fu_cap = int_fus
-                    fu_class = class_int
-                    ckey = 0
-                else:
-                    fu_cap = fp_fus
-                    fu_class = class_fp
-                    ckey = 1
-                while True:
-                    used = issue_total[t] if t < cap else spill_issue.get(t, 0)
-                    if used >= fetch_width:
-                        t += 1
-                        continue
-                    slots = fu_class[t] if t < cap else spill_class.get(t * 4 + ckey, 0)
-                    if slots >= fu_cap:
-                        t += 1
-                        continue
-                    break
-                if t < cap:
-                    fu_class[t] += 1
-                else:
-                    spill_class[t * 4 + ckey] = spill_class.get(t * 4 + ckey, 0) + 1
-                complete = t + lat_l[i]
-            if t < cap:
-                issue_total[t] += 1
-            else:
-                spill_issue[t] = spill_issue.get(t, 0) + 1
-
-            # ----- branches (mispredict is only ever set on branches) -----
-            if mispredict[i]:
-                barrier = complete + branch_penalty
-                if barrier > fetch_barrier:
-                    fetch_barrier = barrier
-
-            # ----- writeback ----------------------------------------------
-            if d1 > d0:
-                for dst in dst_ids_l[d0:d1]:
-                    reg_ready[dst] = complete
-
-            # ----- in-order commit ----------------------------------------
-            commit = complete
-            if commit < last_commit:
-                commit = last_commit
-            if i >= commit_width:
-                floor = commit_ring[(i - commit_width) % rob_size] + 1
-                if commit < floor:
-                    commit = floor
-            commit_ring[i % rob_size] = commit
-            if is_simd_writer:
-                simd_ring[simd_writes % simd_inflight] = commit
-                simd_writes += 1
-            commits[i] = commit
-            last_commit = commit
-
-        # --- Fig. 6/7 category tallies (vectorised) --------------------
-        cat_instrs, cat_cycles = category_tallies(
-            cols.category, np.asarray(commits, dtype=np.int64)
-        )
-
-        hier_stats = hier.stats()
-        return SimResult(
-            config_name=cfg.name,
-            cycles=last_commit,
-            instructions=n_total,
-            cat_instructions=cat_instrs,
-            cat_cycles=cat_cycles,
-            branch_lookups=bpred.lookups,
-            branch_mispredicts=bpred.mispredicts,
-            l1_accesses=hier_stats["l1"].accesses,
-            l1_misses=hier_stats["l1"].misses,
-            l2_accesses=hier_stats["l2"].accesses,
-            l2_misses=hier_stats["l2"].misses,
-        )
-
-    # ------------------------------------------------------------------
-    # Reference implementation: record at a time, the executable spec.
-    # ------------------------------------------------------------------
-
-    def run_reference(self, records) -> SimResult:
-        """Record-at-a-time timing (the pre-columnar implementation).
-
-        Kept as the differential-testing oracle: it must produce the
-        same :class:`SimResult`, cycle for cycle, as the columnar path.
-        """
         cfg = self.config
         reg_ready: Dict[int, int] = {}
         issue_total: Dict[int, int] = defaultdict(int)
@@ -490,7 +214,7 @@ class CoreModel:
         cat_cycles: Dict[str, int] = defaultdict(int)
         vector_mem = self.vector_memory
 
-        for rec in records:
+        for rec in trace:
             # ----- fetch / dispatch --------------------------------------
             if fetch_cycle < fetch_barrier:
                 fetch_cycle = fetch_barrier

@@ -1,7 +1,11 @@
-/* Sequential constraint loop of the timing model, one trace against a
- * stack of P configurations.  Exact transcription of
- * CoreModel._run_columnar's loop: every binding constraint, in the same
- * order, with the same tie-breaking (first minimal pool slot).
+/* Sequential constraint walk of the timing model, one trace against a
+ * stack of P configurations: the production engine behind
+ * repro.timing.batch.BatchCoreModel.  It applies every binding
+ * constraint of the record-at-a-time oracle, CoreModel.run, in the same
+ * order and with the same tie-breaking (first minimal pool slot), over
+ * per-instruction arrays precomputed in Python.  Per-cycle issue
+ * counters live in a window of `cap` cycles; an issue cycle beyond it
+ * returns -1 and the caller re-runs with a wider window.
  */
 #include <stdint.h>
 #include <stdlib.h>

@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.isa.trace import ColumnarTrace, Trace
 from repro.machines.spec import CoreConfig, MemHierConfig
-from repro.timing.batch import BatchCoreModel, ConfigPair, batch_enabled
-from repro.timing.core import CoreModel, SimResult
+from repro.timing.batch import BatchCoreModel, BatchTimingDivergence, ConfigPair
+from repro.timing.core import CoreModel, SimResult, default_mem_config
 
 
 def simulate_trace(
@@ -33,12 +33,10 @@ def simulate_trace(
     from the result store's ``trace`` records).  ``warm`` pre-touches
     the caches with the trace footprint so results reflect the steady
     state (the regime the paper's full-application simulations measure
-    kernels in).
+    kernels in).  This is :func:`simulate_trace_stack` on a stack of one.
     """
-    model = CoreModel(config, mem_config)
-    if warm:
-        model.hier.warm(trace)
-    return model.run(trace)
+    mem_config = mem_config or default_mem_config(config)
+    return simulate_trace_stack(trace, [(config, mem_config)], warm=warm)[0]
 
 
 def simulate_trace_stack(
@@ -48,24 +46,26 @@ def simulate_trace_stack(
 ) -> List[SimResult]:
     """Time one trace on a whole stack of configurations.
 
-    The batched counterpart of calling :func:`simulate_trace` once per
-    ``(config, mem_config)`` pair, and value-identical to doing so: the
-    stack runs through :class:`~repro.timing.batch.BatchCoreModel` in
-    one pass where permitted, and any
-    :class:`~repro.timing.batch.BatchTimingDivergence` (env gates, no
-    usable compiled kernel) falls back to the scalar model per point.
+    The stack runs through the compiled engine,
+    :class:`~repro.timing.batch.BatchCoreModel`, in one pass.  When the
+    engine refuses (``REPRO_TIMING_REFERENCE=1``) or cannot run (no
+    loadable kernel) it raises
+    :class:`~repro.timing.batch.BatchTimingDivergence`, and each
+    ``(config, mem_config)`` pair is timed by the record-at-a-time
+    reference :class:`~repro.timing.core.CoreModel` instead, with
+    identical results.
     """
-    if batch_enabled() and len(specs) > 1:
-        from repro.timing.batch import BatchTimingDivergence
-
-        try:
-            return BatchCoreModel(specs).run(trace, warm=warm)
-        except BatchTimingDivergence:
-            pass
-    return [
-        simulate_trace(trace, config, mem_config, warm=warm)
-        for config, mem_config in specs
-    ]
+    try:
+        return BatchCoreModel(specs).run(trace, warm=warm)
+    except BatchTimingDivergence:
+        pass
+    results = []
+    for config, mem_config in specs:
+        model = CoreModel(config, mem_config)
+        if warm:
+            model.hier.warm(trace)
+        results.append(model.run(trace))
+    return results
 
 
 @dataclass

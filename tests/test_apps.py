@@ -6,7 +6,8 @@ import pytest
 from repro.apps.gsm import decode_speech, encode_speech
 from repro.apps.jpeg import decode_image, encode_image
 from repro.apps.mpeg2 import decode_video, encode_video
-from repro.workloads import speech_signal, test_image, video_clip
+from repro.workloads import speech_signal, video_clip
+from repro.workloads import test_image as make_image
 
 
 def psnr(a, b):
@@ -17,7 +18,7 @@ def psnr(a, b):
 class TestJpeg:
     @pytest.fixture(scope="class")
     def artifacts(self):
-        img = test_image(96, 64, seed=4)
+        img = make_image(96, 64, seed=4)
         bits, enc_profile = encode_image(img, quality=75)
         planes, dec_profile = decode_image(bits)
         return img, bits, planes, enc_profile, dec_profile
@@ -38,13 +39,13 @@ class TestJpeg:
             assert plane.dtype == np.uint8
 
     def test_quality_knob_trades_size(self):
-        img = test_image(96, 64, seed=4)
+        img = make_image(96, 64, seed=4)
         high, _ = encode_image(img, quality=95)
         low, _ = encode_image(img, quality=20)
         assert low.size_bytes < high.size_bytes
 
     def test_higher_quality_higher_psnr(self):
-        img = test_image(96, 64, seed=4)
+        img = make_image(96, 64, seed=4)
         out = {}
         for q in (25, 90):
             bits, _ = encode_image(img, quality=q)
@@ -66,7 +67,7 @@ class TestJpeg:
         assert enc_profile.kernel_items["fdct"] == pytest.approx(1.5 * npx / 64)
 
     def test_deterministic(self):
-        img = test_image(96, 64, seed=4)
+        img = make_image(96, 64, seed=4)
         a, _ = encode_image(img, quality=60)
         b, _ = encode_image(img, quality=60)
         assert a.data == b.data

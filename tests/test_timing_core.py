@@ -2,7 +2,9 @@
 
 Hand-built micro-traces verify each binding constraint independently:
 dependences, issue widths, FU pools, lane occupancy, memory ports, ROB,
-physical registers, branch mispredictions and commit ordering.
+physical registers, branch mispredictions and commit ordering.  They
+run through :func:`repro.timing.simulate_trace`, so they exercise the
+production engine.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import pytest
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import Trace, TraceRecord
 from repro.machines import get_machine
-from repro.timing.core import CoreModel
+from repro.timing import simulate_trace
 
 
 def alu(dst, srcs=(), latency=1):
@@ -50,10 +52,7 @@ def run(records, isa="mmx64", way=2, warm=True, **overrides):
     trace = Trace()
     for r in records:
         trace.append(r)
-    model = CoreModel(config)
-    if warm:
-        model.hier.warm(trace)
-    return model.run(trace)
+    return simulate_trace(trace, config, warm=warm)
 
 
 class TestDataflow:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import Trace, TraceRecord
 from repro.machines import get_machine
-from repro.timing.core import CoreModel
+from repro.timing import simulate_trace
 
 
 @st.composite
@@ -71,9 +71,7 @@ def simulate(trace, isa="mmx64", way=2, **overrides):
     config = get_machine(isa, way).core
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    model = CoreModel(config)
-    model.hier.warm(trace)
-    return model.run(trace)
+    return simulate_trace(trace, config)
 
 
 class TestTimingLaws:

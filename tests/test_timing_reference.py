@@ -1,18 +1,20 @@
-"""Differential tests: columnar timing core vs the reference model.
+"""Differential tests: the compiled timing engine vs the reference model.
 
-The columnar implementation in :mod:`repro.timing.core` must produce
+The production engine (:class:`repro.timing.batch.BatchCoreModel`, a C
+constraint walk behind :func:`repro.timing.simulate_trace`) must produce
 *identical* ``SimResult`` objects -- cycles, per-category attribution,
-branch and cache statistics -- to the retained record-at-a-time
-reference implementation, on any trace.  Hypothesis generates adversarial
-random traces mixing every instruction kind; a second set of cases runs
-real emulated kernel traces through both paths.
+branch and cache statistics -- to the record-at-a-time reference,
+:meth:`repro.timing.core.CoreModel.run`, on any trace.  Hypothesis
+generates adversarial random traces mixing every instruction kind; a
+second set of cases runs real emulated kernel traces through both.
 
-``REPRO_TIMING_REFERENCE=1`` routes every ``CoreModel.run`` call through
-the reference implementation, which is how these tests (and any future
-debugging session) exercise it without touching call sites.
+``REPRO_TIMING_REFERENCE=1`` routes every simulation through the
+reference, which is how any debugging session compares the two without
+touching call sites.
 """
 
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import Trace, TraceRecord
 from repro.machines import get_machine
+from repro.timing import simulate_trace
+from repro.timing.batch import BatchCoreModel
 from repro.timing.core import REFERENCE_ENV, CoreModel
 
 
@@ -85,16 +89,23 @@ def random_trace(draw, max_len=110):
     return trace
 
 
-def both_results(trace, isa, way):
-    results = []
-    for use_reference in (False, True):
-        model = CoreModel(get_machine(isa, way).core)
+def engine_result(trace, machine, warm=True):
+    """The compiled engine's result, even under REPRO_TIMING_REFERENCE=1."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop(REFERENCE_ENV, None)
+        return BatchCoreModel([(machine.core, machine.mem)]).run(trace, warm=warm)[0]
+
+
+def reference_result(trace, machine, warm=True):
+    model = CoreModel(machine.core, machine.mem)
+    if warm:
         model.hier.warm(trace)
-        if use_reference:
-            results.append(model.run_reference(trace))
-        else:
-            results.append(model.run(trace))
-    return results
+    return model.run(trace)
+
+
+def both_results(trace, isa, way):
+    machine = get_machine(isa, way)
+    return engine_result(trace, machine), reference_result(trace, machine)
 
 
 class TestDifferential:
@@ -135,9 +146,10 @@ class TestDifferential:
 
 
 class TestCounterSpill:
-    def test_high_latency_chain_exceeding_dense_window(self):
-        """Dependent cold misses push issue cycles far past the dense
-        per-cycle counter window; the spill path must stay cycle-exact."""
+    def test_high_latency_chain_exceeding_dense_window(self, monkeypatch):
+        """Dependent cold misses push issue cycles far past the kernel's
+        initial per-cycle counter window (4n + 2048 cycles); the widened
+        re-runs must stay cycle-exact."""
         trace = Trace()
         for i in range(40):
             trace.append(
@@ -147,17 +159,19 @@ class TestCounterSpill:
                     addr=(1 << 20) + (1 << 15) * i, row_bytes=8,
                 )
             )
-        columnar_model = CoreModel(get_machine("mmx64", 2).core)
-        reference_model = CoreModel(get_machine("mmx64", 2).core)
-        columnar = columnar_model.run(trace)          # cold: no warm()
-        reference = reference_model.run_reference(trace)
-        assert columnar == reference
-        assert columnar.cycles > 40 * 400  # the chain really serialised
+        monkeypatch.delenv(REFERENCE_ENV, raising=False)
+        machine = get_machine("mmx64", 2)
+        engine = simulate_trace(trace, machine.core, warm=False)
+        reference = reference_result(trace, machine, warm=False)
+        assert engine == reference
+        assert engine.cycles > 40 * 400  # the chain really serialised
+        assert engine.cycles > 4 * (4 * len(trace) + 2048)
 
 
 class TestReferenceGate:
     def test_env_routes_run_through_reference(self, monkeypatch):
-        """REPRO_TIMING_REFERENCE=1 makes run() use the reference path."""
+        """REPRO_TIMING_REFERENCE=1 makes simulate_trace use the
+        reference model; by default it never does."""
         calls = []
         trace = Trace()
         trace.append(
@@ -166,20 +180,20 @@ class TestReferenceGate:
                 latency=1, dsts=(1,),
             )
         )
-        model = CoreModel(get_machine("mmx64", 2).core)
-        original = CoreModel.run_reference
+        config = get_machine("mmx64", 2).core
+        original = CoreModel.run
 
         def spy(self, records):
             calls.append(1)
             return original(self, records)
 
-        monkeypatch.setattr(CoreModel, "run_reference", spy)
+        monkeypatch.setattr(CoreModel, "run", spy)
         monkeypatch.setenv(REFERENCE_ENV, "1")
-        gated = model.run(trace)
+        gated = simulate_trace(trace, config)
         assert calls == [1]
         monkeypatch.delenv(REFERENCE_ENV)
-        model2 = CoreModel(get_machine("mmx64", 2).core)
-        assert model2.run(trace) == gated
+        assert simulate_trace(trace, config) == gated
+        assert calls == [1]
 
     def test_gate_off_by_default(self):
         assert os.environ.get(REFERENCE_ENV) != "1"

@@ -12,9 +12,9 @@ Two ways to run:
   micro-benchmarks (needs ``pytest-benchmark``).
 * ``python benchmarks/bench_model_speed.py [--budget ci|full]
   [--json PATH] [--check-floor benchmarks/perf_floor.json]`` -- the
-  self-contained CLI used by the CI perf-smoke step: measures both
-  rates (and, with ``--budget full``, a cold + warm-trace Fig. 4 kernel
-  sweep), writes them to the benchmark JSON so the perf trajectory is
+  self-contained CLI used by the CI perf-smoke step: measures the
+  rates below (and, with ``--budget full``, a cold + warm-trace Fig. 4
+  kernel sweep), writes them to the benchmark JSON so the perf trajectory is
   tracked over time, and fails when a rate drops below the checked-in
   floor (floors are set to roughly one-third of the rates measured when
   they were last raised, so slower CI hardware has headroom).
@@ -35,6 +35,11 @@ one through the same kernel) and the record-at-a-time oracle's rate
 (``reference_retimed_instructions_per_sec``: ``CoreModel.run``, what a
 host without a C compiler falls back to) ride alongside for the
 trajectory.
+
+``scalar_trace_instructions_per_sec`` is the build rate of the
+synthetic scalar-region trace the application figures price their
+scalar code with: one paper mix at ``SCALAR_TRACE_LEN`` instructions
+from :func:`~repro.apps.appmodel.make_scalar_trace`, best of the reps.
 """
 
 import argparse
@@ -47,6 +52,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
+from repro.apps.appmodel import SCALAR_TRACE_LEN, make_scalar_trace  # noqa: E402
 from repro.kernels.base import execute, execute_batch  # noqa: E402
 from repro.kernels.registry import KERNELS  # noqa: E402
 from repro.machines import get_machine  # noqa: E402
@@ -59,7 +65,12 @@ RATE_KEYS = (
     "emulated_instructions_per_sec",
     "batch_retimed_instructions_per_sec",
     "retimed_instructions_per_sec",
+    "scalar_trace_instructions_per_sec",
 )
+
+#: The scalar mix (smem, sctrl fractions) whose trace build is timed:
+#: jpegenc's, the first the application figures price.
+SCALAR_MIX = (0.31, 0.04)
 
 #: ``fig4_sweep`` wall-clock ceilings guarded by the floor file (seconds;
 #: the smoke fails when a measured time *exceeds* the ceiling).
@@ -202,6 +213,13 @@ def measure_model_speed(budget="ci"):
 
     reference_retime_rate = _best_rate(retime_reference, n, reps)
 
+    def build_scalar_trace():
+        make_scalar_trace(*SCALAR_MIX)
+
+    scalar_trace_rate = _best_rate(
+        build_scalar_trace, SCALAR_TRACE_LEN, max(reps, 3)
+    )
+
     results = {
         "budget": budget,
         "trace_instructions": n,
@@ -212,6 +230,7 @@ def measure_model_speed(budget="ci"):
         "batch_retimed_instructions_per_sec": round(batch_retime_rate),
         "retimed_instructions_per_sec": round(retime_rate),
         "reference_retimed_instructions_per_sec": round(reference_retime_rate),
+        "scalar_trace_instructions_per_sec": round(scalar_trace_rate),
     }
     if budget == "full":
         results["fig4_sweep"] = _measure_fig4_sweep()

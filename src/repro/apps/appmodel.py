@@ -25,26 +25,60 @@ import numpy as np
 
 from repro.apps.profile import AppProfile
 from repro.isa.opcodes import Category, FUClass, Latency
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import CAT_CODE, FU_CODE, ColumnarTrace
 from repro.machines import get_machine
 from repro.timing.simulator import simulate_kernel, simulate_trace
 
 #: Size of the synthetic scalar trace used to estimate scalar-region IPC.
 SCALAR_TRACE_LEN = 24_000
 
+#: Per-kind column values of the synthetic scalar trace, indexed by the
+#: kind draw: 0 = load, 1 = branch, 2 = ALU operation.
+_KIND_NAMES = ("ld", "br", "alu")
+_KIND_CATEGORY = np.array(
+    [CAT_CODE[Category.SMEM], CAT_CODE[Category.SCTRL], CAT_CODE[Category.SARITH]],
+    dtype=np.uint8,
+)
+_KIND_FU = np.array(
+    [FU_CODE[FUClass.MEM], FU_CODE[FUClass.INT], FU_CODE[FUClass.INT]],
+    dtype=np.uint8,
+)
+_KIND_LATENCY = np.array([0, Latency.BRANCH, Latency.INT_ALU], dtype=np.int32)
+
+#: How many of the latest produced values a source may reach back to.
+_DEP_WINDOW = 64
+
+
+def _offsets(mask: np.ndarray) -> np.ndarray:
+    """CSR offsets for one optional register id per record."""
+    return np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+
 
 def make_scalar_trace(
     smem_frac: float, sctrl_frac: float, seed: int = 7, length: int = SCALAR_TRACE_LEN
-) -> Trace:
+) -> ColumnarTrace:
     """A synthetic scalar trace with a given category mix.
 
     Dependences have geometric distance (plentiful but finite ILP),
     branches are 85%-taken loop-shaped over 16 static sites, and loads
     walk a 24KB working set with a 3% L2-resident tail -- the behaviour
     of the protocol/entropy-coding scalar code around the kernels.
+
+    The columns are built directly from the random draws.  Loads and
+    ALU operations each produce one SSA value; a source is the value
+    produced ``dist`` producers back (the seed id 0 standing before the
+    first), or nothing when ``dist`` reaches past the seed or the 64
+    latest values.
+
+    SSA ids keep a quirk the goldens depend on: each producer takes the
+    next id and each branch gives one back, so the producer after a
+    branch reuses the latest id (an older one after several branches in
+    a row), and a trace that opens with branches numbers its first
+    producers 0, -1, ...  fig5, fig5x, fig5v and fig6 were measured on
+    exactly this stream, so changing the generator is a model change
+    that needs ``--regen-goldens``.
     """
     rng = np.random.default_rng(seed)
-    trace = Trace(f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}")
     kinds = rng.choice(
         3, size=length, p=[smem_frac, sctrl_frac, 1.0 - smem_frac - sctrl_frac]
     )
@@ -55,52 +89,48 @@ def make_scalar_trace(
     addr_wave = rng.integers(0, 24 * 1024, size=length)
     addr_l2 = rng.integers(0, 256 * 1024, size=length)
     sites = rng.integers(1, 17, size=length)
-    mem_stream = 4 * 1024 * 1024
-    next_id = 1
-    recent = [0]
-    for i in range(length):
-        srcs = ()
-        dist = int(dep_dist[i])
-        if dist <= len(recent):
-            srcs = (recent[-dist],)
-        kind = kinds[i]
-        if kind == 0:
-            if is_mem[i]:
-                mem_stream += 128
-                addr = mem_stream
-            elif is_l2[i]:
-                addr = int(addr_l2[i])
-            else:
-                addr = int(addr_wave[i])
-            trace.append(
-                TraceRecord(
-                    name="ld", category=Category.SMEM, fu=FUClass.MEM,
-                    latency=0, dsts=(next_id,), srcs=srcs, addr=64 + addr,
-                    row_bytes=4,
-                )
-            )
-        elif kind == 1:
-            trace.append(
-                TraceRecord(
-                    name="br", category=Category.SCTRL, fu=FUClass.INT,
-                    latency=Latency.BRANCH, srcs=srcs, is_branch=True,
-                    taken=bool(taken[i]), pc=int(sites[i]),
-                )
-            )
-            next_id -= 1  # branches produce no value
-        else:
-            trace.append(
-                TraceRecord(
-                    name="alu", category=Category.SARITH, fu=FUClass.INT,
-                    latency=Latency.INT_ALU, dsts=(next_id,), srcs=srcs,
-                )
-            )
-        if kind != 1:
-            recent.append(next_id)
-            if len(recent) > 64:
-                recent.pop(0)
-            next_id += 1
-    return trace
+
+    is_ld = kinds == 0
+    is_br = kinds == 1
+    produces = ~is_br
+    producers_before = np.cumsum(produces) - produces
+    # 1 + producers before it - branches before it.
+    ssa = 1 + 2 * producers_before - np.arange(length)
+    # window[j + 1] is producer j's id; window[0] is the seed id.
+    window = np.concatenate(([0], ssa[produces]))
+    has_src = dep_dist <= np.minimum(producers_before + 1, _DEP_WINDOW)
+    src_ids = window[(producers_before + 1 - dep_dist)[has_src]]
+
+    # Streaming misses walk forward 128 bytes per miss from 4MB.
+    stream = 4 * 1024 * 1024 + 128 * np.cumsum(is_ld & is_mem)
+    addr = np.where(is_mem, stream, np.where(is_l2, addr_l2, addr_wave))
+
+    # The mnemonic pool in first-appearance order, as a builder interns it.
+    kinds_present, first = np.unique(kinds, return_index=True)
+    pool_order = kinds_present[np.argsort(first)]
+    name_of_kind = np.zeros(len(_KIND_NAMES), dtype=np.uint32)
+    name_of_kind[pool_order] = np.arange(len(pool_order))
+
+    return ColumnarTrace(
+        f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}",
+        tuple(_KIND_NAMES[k] for k in pool_order),
+        name_id=name_of_kind[kinds],
+        category=_KIND_CATEGORY[kinds],
+        fu=_KIND_FU[kinds],
+        latency=_KIND_LATENCY[kinds],
+        addr=np.where(is_ld, 64 + addr, -1),
+        row_bytes=np.where(is_ld, 4, 0).astype(np.int32),
+        rows=np.ones(length, dtype=np.int32),
+        stride=np.zeros(length, dtype=np.int64),
+        pc=np.where(is_br, sites, 0),
+        is_store=np.zeros(length, dtype=bool),
+        is_branch=is_br,
+        taken=is_br & taken,
+        src_off=_offsets(has_src),
+        src_ids=src_ids,
+        dst_off=_offsets(produces),
+        dst_ids=ssa[produces],
+    )
 
 
 @lru_cache(maxsize=None)

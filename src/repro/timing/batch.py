@@ -243,23 +243,22 @@ class BatchCoreModel:
         src_ids = np.ascontiguousarray(cols.src_ids, dtype=np.int64)
         dst_off = np.ascontiguousarray(cols.dst_off, dtype=np.int64)
         dst_ids = np.ascontiguousarray(cols.dst_ids, dtype=np.int64)
-        n_regs = 0
-        if len(src_ids):
-            n_regs = int(src_ids.max()) + 1
-        if len(dst_ids):
-            n_regs = max(n_regs, int(dst_ids.max()) + 1)
         # The kernel scoreboards register readiness in a flat array
-        # indexed by SSA id.  Emulated traces number their ids densely;
-        # hand-built ones may not, so sparse ids are renumbered densely
+        # indexed by SSA id.  Emulated traces number their ids densely
+        # from zero; hand-built and synthetic ones may not (sparse ids,
+        # or negative ones), so those are renumbered densely from zero
         # (dependences only ever compare ids for equality).
+        id_cols = [ids for ids in (src_ids, dst_ids) if len(ids)]
+        n_regs = max((int(ids.max()) + 1 for ids in id_cols), default=0)
+        lowest = min((int(ids.min()) for ids in id_cols), default=0)
         n_src = len(src_ids)
-        if n_regs > 4 * (n_src + len(dst_ids)) + 1024:
-            ids, dense = np.unique(
+        if lowest < 0 or n_regs > 4 * (n_src + len(dst_ids)) + 1024:
+            unique_ids, dense = np.unique(
                 np.concatenate([src_ids, dst_ids]), return_inverse=True
             )
             src_ids = np.ascontiguousarray(dense[:n_src], dtype=np.int64)
             dst_ids = np.ascontiguousarray(dense[n_src:], dtype=np.int64)
-            n_regs = len(ids)
+            n_regs = len(unique_ids)
 
         # --- shared pre-passes (configuration-independent in-stack) ----
         bpred = BimodalPredictor()

@@ -1,11 +1,93 @@
 """Tests for application profiling and timing composition."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
-from repro.apps.appmodel import make_scalar_trace, scalar_ipc
+from repro.apps.appmodel import SCALAR_TRACE_LEN, make_scalar_trace, scalar_ipc
 from repro.apps.profile import AppProfile, COSTS, tally_cost
-from repro.isa.opcodes import Category
+from repro.isa.opcodes import Category, FUClass, Latency
+from repro.isa.trace import Trace, TraceRecord
+
+#: The scalar mixes (smem, sctrl) the paper applications are priced at.
+PAPER_MIXES = [(0.31, 0.04), (0.29, 0.04), (0.31, 0.06), (0.28, 0.09), (0.40, 0.00)]
+
+
+def reference_scalar_trace(
+    smem_frac, sctrl_frac, seed=7, length=SCALAR_TRACE_LEN
+):
+    """The record-at-a-time generator ``make_scalar_trace`` must equal.
+
+    One record per instruction from the same random draws, keeping a
+    running SSA id and a window of the 64 latest produced values.
+    """
+    rng = np.random.default_rng(seed)
+    trace = Trace(f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}")
+    kinds = rng.choice(
+        3, size=length, p=[smem_frac, sctrl_frac, 1.0 - smem_frac - sctrl_frac]
+    )
+    dep_dist = rng.geometric(0.18, size=length)
+    taken = rng.random(length) < 0.85
+    is_l2 = rng.random(length) < 0.03
+    is_mem = rng.random(length) < 0.002
+    addr_wave = rng.integers(0, 24 * 1024, size=length)
+    addr_l2 = rng.integers(0, 256 * 1024, size=length)
+    sites = rng.integers(1, 17, size=length)
+    mem_stream = 4 * 1024 * 1024
+    next_id = 1
+    recent = [0]
+    for i in range(length):
+        srcs = ()
+        dist = int(dep_dist[i])
+        if dist <= len(recent):
+            srcs = (recent[-dist],)
+        kind = kinds[i]
+        if kind == 0:
+            if is_mem[i]:
+                mem_stream += 128
+                addr = mem_stream
+            elif is_l2[i]:
+                addr = int(addr_l2[i])
+            else:
+                addr = int(addr_wave[i])
+            trace.append(
+                TraceRecord(
+                    name="ld", category=Category.SMEM, fu=FUClass.MEM,
+                    latency=0, dsts=(next_id,), srcs=srcs, addr=64 + addr,
+                    row_bytes=4,
+                )
+            )
+        elif kind == 1:
+            trace.append(
+                TraceRecord(
+                    name="br", category=Category.SCTRL, fu=FUClass.INT,
+                    latency=Latency.BRANCH, srcs=srcs, is_branch=True,
+                    taken=bool(taken[i]), pc=int(sites[i]),
+                )
+            )
+            next_id -= 1  # branches produce no value
+        else:
+            trace.append(
+                TraceRecord(
+                    name="alu", category=Category.SARITH, fu=FUClass.INT,
+                    latency=Latency.INT_ALU, dsts=(next_id,), srcs=srcs,
+                )
+            )
+        if kind != 1:
+            recent.append(next_id)
+            if len(recent) > 64:
+                recent.pop(0)
+            next_id += 1
+    return trace.columns()
+
+
+def assert_matches_reference(smem_frac, sctrl_frac, seed=7, length=SCALAR_TRACE_LEN):
+    got = make_scalar_trace(smem_frac, sctrl_frac, seed=seed, length=length)
+    want = reference_scalar_trace(smem_frac, sctrl_frac, seed=seed, length=length)
+    assert got.to_bytes() == want.to_bytes()
+    return got
 
 
 class TestAppProfile:
@@ -67,8 +149,51 @@ class TestScalarTrace:
     def test_deterministic(self):
         a = make_scalar_trace(0.25, 0.04, length=2000)
         b = make_scalar_trace(0.25, 0.04, length=2000)
-        assert [r.name for r in a] == [r.name for r in b]
-        assert [r.addr for r in a] == [r.addr for r in b]
+        assert a.to_bytes() == b.to_bytes()
+
+
+class TestScalarTraceMatchesReference:
+    """The column builder against the record-at-a-time generator."""
+
+    @pytest.mark.parametrize("smem,sctrl", PAPER_MIXES)
+    def test_paper_mixes(self, smem, sctrl):
+        assert_matches_reference(smem, sctrl)
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_shortest_traces(self, length):
+        assert len(assert_matches_reference(0.3, 0.3, length=length)) == length
+
+    def test_no_branches(self):
+        t = assert_matches_reference(0.3, 0.0, length=500)
+        assert "br" not in t.mnemonics
+
+    def test_only_branches(self):
+        t = assert_matches_reference(0.0, 1.0, length=200)
+        assert t.mnemonics == ("br",)
+        assert len(t.dst_ids) == 0
+
+    def test_only_loads(self):
+        t = assert_matches_reference(1.0, 0.0, length=500)
+        assert t.mnemonics == ("ld",)
+
+    @pytest.mark.parametrize("seed", [1, 6, 8, 24])
+    def test_opening_branches(self, seed):
+        """A trace opening with branches numbers producers 0, -1, ..."""
+        t = assert_matches_reference(0.3, 0.3, seed=seed, length=400)
+        assert t.dst_ids.min() <= 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        smem_pct=st.integers(0, 100),
+        sctrl_pct=st.integers(0, 100),
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 300),
+    )
+    def test_random_mixes(self, smem_pct, sctrl_pct, seed, length):
+        assume(smem_pct + sctrl_pct <= 100)
+        smem, sctrl = smem_pct / 100.0, sctrl_pct / 100.0
+        assume(1.0 - smem - sctrl >= 0.0)
+        assert_matches_reference(smem, sctrl, seed=seed, length=length)
 
 
 class TestScalarIPC:

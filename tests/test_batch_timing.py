@@ -9,7 +9,8 @@ every kernel on every paper configuration against it would dominate the
 suite; the guarantee is split instead:
 
 * short traces -- a few small kernels, a 2-D vector trace, cold caches,
-  sparse register ids -- are compared with the oracle directly;
+  sparse and negative register ids -- are compared with the oracle
+  directly;
 * the whole kernel grid and random ablation stacks are pinned by *stack
   invariance*: a P-configuration stack equals P one-configuration runs,
   the engine path the oracle comparisons here and in
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.appmodel import make_scalar_trace
 from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import Trace
 from repro.kernels.base import execute
@@ -240,6 +242,21 @@ class TestDifferential:
         )
         cols = t.columns()
         specs = paper_stack()[:2]
+        assert_results_identical(
+            run_batch(specs, cols), reference_results(cols, specs)
+        )
+
+    @pytest.mark.parametrize("seed", [1, 6, 8, 24])
+    def test_negative_ssa_ids_match_reference(self, seed):
+        """Synthetic scalar traces that open with branches number their
+        first producers 0, -1, ...; the flat scoreboard must renumber
+        them instead of indexing below its buffer."""
+        cols = make_scalar_trace(0.3, 0.3, seed=seed, length=400)
+        assert cols.dst_ids.min() < 0
+        specs = [
+            (get_machine("mmx64", way).core, get_machine("mmx64", way).mem)
+            for way in (2, 8)
+        ]
         assert_results_identical(
             run_batch(specs, cols), reference_results(cols, specs)
         )

@@ -740,10 +740,7 @@ def _cmd_campaign(args) -> int:
 
     try:
         executor = make_executor(
-            manifest.executor,
-            hosts=manifest.hosts,
-            transport=manifest.transport,
-            root=manifest.root,
+            manifest,
             poll_interval=args.poll_interval,
             timeout=args.timeout,
             heartbeat_window=args.heartbeat_window,
@@ -994,18 +991,18 @@ def build_parser() -> argparse.ArgumentParser:
         verb_parser.add_argument(
             "--executor", default=None, metavar="NAME",
             help="shard launcher: 'local' (in-process, default), "
-                 "'subprocess' (one python -m repro sweep worker per "
-                 "shard), 'ssh' (workers on fleet hosts; needs --hosts) "
-                 "or 'kubernetes' (stub; needs an injected transport)")
+                 "'subprocess' (one supervised python -m repro sweep "
+                 "worker slot per shard on this machine) or 'ssh' "
+                 "(workers on fleet hosts; needs --hosts)")
         verb_parser.add_argument(
             "--hosts", default=None, metavar="A,B,C",
-            help="comma-separated fleet hosts for remote executors "
+            help="comma-separated fleet hosts for the ssh executor "
                  "(anything your ssh config resolves; shards round-robin "
                  "over them and dead hosts' work rebalances onto "
                  "survivors)")
         verb_parser.add_argument(
             "--transport", default=None, metavar="NAME",
-            help="how remote executors reach hosts: 'ssh' (default) or "
+            help="how the ssh executor reaches hosts: 'ssh' (default) or "
                  "'loopback' (hosts are local scratch directories -- "
                  "exercises the full fleet path with zero infrastructure)")
         verb_parser.add_argument(

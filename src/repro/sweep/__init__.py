@@ -14,9 +14,10 @@ object:
   grid across pluggable executors, supervise/retry the workers, and
   merge + verify + promote the per-shard stores;
 * :mod:`repro.sweep.remote` / :mod:`repro.sweep.transport` -- the
-  multi-host tier: ssh (and stub k8s) executors dispatching shards over
-  pluggable transports, with heartbeat supervision, tarballed store
-  shipping and elastic rebalancing of dead hosts' unfinished work.
+  supervised worker executor: shards on local worker slots or fleet
+  hosts over pluggable transports, with heartbeat supervision,
+  tarballed store shipping and elastic rebalancing of dead hosts'
+  unfinished work.
 
 ``python -m repro sweep`` and ``python -m repro campaign`` are the CLI
 front ends.
@@ -30,19 +31,15 @@ from repro.sweep.dispatch import (
     LocalExecutor,
     ShardOutcome,
     ShardStatus,
-    SubprocessExecutor,
     campaign_status,
     load_fleet,
     make_executor,
     run_campaign,
     shard_command,
 )
-from repro.sweep.remote import (
-    KubernetesExecutor,
-    RemoteExecutor,
-    SshExecutor,
-)
+from repro.sweep.remote import RemoteExecutor
 from repro.sweep.transport import (
+    LocalTransport,
     LoopbackTransport,
     SshTransport,
     TRANSPORTS,
@@ -135,8 +132,8 @@ __all__ = [
     "Executor",
     "GcStats",
     "ImportStats",
-    "KubernetesExecutor",
     "LocalExecutor",
+    "LocalTransport",
     "LoopbackTransport",
     "MergeStats",
     "RemoteExecutor",
@@ -144,9 +141,7 @@ __all__ = [
     "ShardOutcome",
     "ShardProgress",
     "ShardStatus",
-    "SshExecutor",
     "SshTransport",
-    "SubprocessExecutor",
     "SweepInterrupted",
     "SweepPoint",
     "SweepReport",

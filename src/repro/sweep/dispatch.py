@@ -14,13 +14,13 @@ The moving parts:
   policy), written to ``<root>/campaign.json`` so a killed orchestrator
   restarts idempotently from the manifest plus the per-shard
   checkpoints.
-* :class:`LocalExecutor` / :class:`SubprocessExecutor` -- pluggable
-  shard launchers.  ``local`` runs each shard in-process through the
-  existing sweep engine (its process pool included); ``subprocess``
-  spawns ``python -m repro sweep --shard i/N --store-root ... --resume``
-  workers and supervises them -- the seam a future SSH/k8s/remote
-  executor plugs into, since a worker is just that command line on some
-  host plus a store shipped back via ``export``/``import``.
+* :class:`LocalExecutor` / :class:`~repro.sweep.remote.RemoteExecutor`
+  -- the shard launchers :func:`make_executor` builds from the
+  manifest.  ``local`` runs each shard in-process through the existing
+  sweep engine (its process pool included); ``subprocess`` and ``ssh``
+  run the ``python -m repro sweep --shard i/N --store-root ... --resume``
+  line :func:`shard_command` builds as supervised workers, on worker
+  slots of this machine or on fleet hosts.
 * :func:`run_campaign` -- the orchestrator: skips shards whose stores
   are already complete, launches the rest, retries failures up to the
   manifest's ``max_attempts`` (every attempt *resumes* -- completed
@@ -46,7 +46,6 @@ import dataclasses
 import json
 import os
 import shutil
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -82,8 +81,8 @@ STAGING_DIR = "merged.staging"
 #: Per-shard log directory under the campaign root.
 LOG_DIR = "logs"
 
-#: Fleet-state file a remote executor maintains under the campaign root
-#: (which host ran which shard, who is dead).  Telemetry for
+#: Fleet-state file the worker executors maintain under the campaign
+#: root (which host or slot ran which shard, who is dead).  Telemetry for
 #: ``campaign status`` -- never consulted as truth.
 FLEET_NAME = "fleet.json"
 
@@ -93,9 +92,6 @@ CAMPAIGN_HOME_ENV = "REPRO_CAMPAIGN_HOME"
 #: Default campaign-root parent when neither ``--root`` nor the
 #: environment names one.
 DEFAULT_CAMPAIGN_HOME = os.path.join("~", ".cache", "repro-campaigns")
-
-#: One progress line per shard at most this often (seconds).
-HEARTBEAT_LOG_INTERVAL = 5.0
 
 EchoFn = Callable[[str], None]
 
@@ -130,8 +126,8 @@ class CampaignManifest:
     paper's ways, seed 0) at construction time, so the manifest on disk
     is always explicit.
 
-    ``hosts`` and ``transport`` are the fleet policy the remote
-    executors read: the host list shards are dispatched over, and the
+    ``hosts`` and ``transport`` are the fleet policy the ``ssh``
+    executor reads: the host list shards are dispatched over, and the
     registered transport name (see
     :data:`repro.sweep.transport.TRANSPORTS`) that reaches them.  Like
     the executor they are policy, not identity -- the same campaign may
@@ -152,18 +148,16 @@ class CampaignManifest:
     transport: str = "ssh"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
-                or self.shards < 1:
-            raise CampaignError(
-                f"shards must be a positive integer, got {self.shards!r}"
-            )
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
-            raise CampaignError(
-                f"max_attempts must be a positive integer, got "
-                f"{self.max_attempts!r}"
-            )
-        if self.jobs < 1:
-            raise CampaignError(f"jobs must be positive, got {self.jobs!r}")
+        # These may arrive from campaign.json, where ``true`` or ``1.5``
+        # would otherwise reach every worker's command line (a bool is
+        # an int to isinstance).
+        for name in ("shards", "jobs", "max_attempts"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 1:
+                raise CampaignError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
         if self.executor not in EXECUTORS:
             raise CampaignError(
                 f"unknown executor {self.executor!r}; "
@@ -179,9 +173,9 @@ class CampaignManifest:
                 f"unknown transport {self.transport!r}; available: "
                 f"{', '.join(sorted(TRANSPORTS))}"
             )
-        if self.executor in REMOTE_EXECUTORS and not self.hosts:
+        if self.executor == "ssh" and not self.hosts:
             raise CampaignError(
-                f"the {self.executor} executor needs hosts; pass "
+                "the ssh executor needs hosts; pass "
                 "--hosts a,b,c or set \"hosts\" in the campaign manifest"
             )
         object.__setattr__(self, "kernels", tuple(self.kernels))
@@ -386,7 +380,7 @@ class ShardOutcome:
     ok: bool
     elapsed: float = 0.0
     error: Optional[str] = None
-    #: Fleet host the attempt ran on (remote executors only).
+    #: Host or worker slot the attempt ran on (worker executors only).
     host: Optional[str] = None
 
 
@@ -397,16 +391,13 @@ class Executor:
     this manifest, report per-shard success -- because everything
     stateful (results, checkpoints, progress) lives in the per-shard
     stores.  An executor that loses a worker mid-flight loses nothing:
-    the orchestrator retries and the sweep resumes from the store.  A
-    remote executor (SSH, k8s, a batch queue) implements
+    the orchestrator retries and the sweep resumes from the store.
+    :class:`~repro.sweep.remote.RemoteExecutor` implements
     :meth:`run_shards` by running the exact ``python -m repro sweep``
-    command :func:`shard_command` builds on another host and shipping
-    the shard store back (``python -m repro store export`` /
-    ``import``).
+    command :func:`shard_command` builds on a worker host and, when that
+    host has its own filesystem, shipping the shard store back
+    (``python -m repro store export`` / ``import``).
     """
-
-    #: Registry name (the manifest's ``executor`` field).
-    name = "abstract"
 
     def run_shards(
         self,
@@ -427,8 +418,6 @@ class LocalExecutor(Executor):
     cleared between shards, mirroring the distributed reality that
     every shard starts cold -- per-shard stores stay self-contained.
     """
-
-    name = "local"
 
     def run_shards(self, manifest, indices, points, log):
         from repro.sweep import clear_memory_caches
@@ -478,10 +467,10 @@ def shard_command(
     Exactly what a human would type on the worker host: the axes are
     spelled the way ``python -m repro sweep`` takes them, ``--resume``
     makes retries free, and ``--store-root`` routes the shard into the
-    campaign layout ``store merge`` expects.  Remote executors run this
-    verbatim -- passing ``store_root`` to aim the worker at a scratch
-    campaign root on *its* filesystem (the store comes back by tarball,
-    not by shared disk).
+    campaign layout ``store merge`` expects.  The worker executors run
+    this verbatim -- a host with its own filesystem gets ``store_root``
+    aimed at a scratch campaign root there (the store comes back by
+    tarball, not by shared disk).
     """
     cmd = [sys.executable, "-m", "repro", "sweep"]
     if manifest.grid is not None:
@@ -503,227 +492,43 @@ def shard_command(
     return cmd
 
 
-class SubprocessExecutor(Executor):
-    """Spawn one ``python -m repro sweep`` worker process per shard.
+#: The manifest's ``executor`` values :func:`make_executor` builds.
+EXECUTORS = ("local", "subprocess", "ssh")
 
-    All requested shards run concurrently; the supervisor polls worker
-    liveness and reads each shard's progress from its checkpoint
-    records (see :func:`repro.sweep.engine.keys_progress`), appending
-    heartbeat lines to the shard log.  ``timeout`` (seconds, wall
-    clock per attempt) kills a runaway worker so the retry loop can
-    take over; worker stdout/stderr stream into the shard log.
 
-    ``heartbeat_window`` (seconds) bounds checkpoint silence: a worker
-    whose checkpoint record has not been touched for longer is killed
-    and the attempt declared dead.  Crucially the window also applies
-    *before the first checkpoint exists*: a worker that hangs during
-    import or trace emulation never writes one, which used to make it
-    invisible to mtime-based heartbeats entirely -- only a wall-clock
-    ``timeout`` (sized for the whole shard, not one point) would ever
-    fire.  The first-heartbeat grace deadline closes that blind spot.
+def make_executor(
+    manifest: CampaignManifest,
+    *,
+    poll_interval: Optional[float] = None,
+    timeout: Optional[float] = None,
+    heartbeat_window: Optional[float] = None,
+) -> Executor:
+    """The executor ``manifest.executor`` names, over the manifest's fleet.
+
+    ``local`` runs shards in-process.  ``subprocess`` and ``ssh`` are
+    one :class:`~repro.sweep.remote.RemoteExecutor`: ``subprocess``
+    over a :class:`~repro.sweep.transport.LocalTransport` with one
+    worker slot per shard (``local-1`` .. ``local-N``), ``ssh`` over the
+    manifest's hosts and transport.  The supervision knobs (seconds;
+    ``None`` means the executor default) apply to both; ``local``
+    ignores them.
     """
+    if manifest.executor == "local":
+        return LocalExecutor()
+    # Imported here: repro.sweep.remote imports this module.
+    from repro.sweep.remote import RemoteExecutor
+    from repro.sweep.transport import LocalTransport, resolve_transport
 
-    name = "subprocess"
-
-    def __init__(
-        self,
-        poll_interval: float = 0.5,
-        timeout: Optional[float] = None,
-        heartbeat_window: Optional[float] = None,
-    ) -> None:
-        self.poll_interval = poll_interval
-        self.timeout = timeout
-        self.heartbeat_window = heartbeat_window
-
-    def _worker_env(self) -> Dict[str, str]:
-        """Child environment: the running ``repro`` wins the import race."""
-        from repro.sweep.transport import worker_env
-
-        return worker_env()
-
-    def _overdue(self, manifest, index, keys, elapsed) -> Optional[str]:
-        """Why the still-running shard ``index`` must be killed, or None."""
-        if self.timeout is not None and elapsed > self.timeout:
-            return f"timed out after {self.timeout:.0f}s (killed)"
-        if self.heartbeat_window is None:
-            return None
-        from repro.sweep.engine import checkpoint_key
-
-        store = ResultStore(manifest.shard_root(index))
-        path = store.path_for(
-            checkpoint_key(keys, (index, manifest.shards))
-        )
-        try:
-            beat = path.stat().st_mtime
-        except OSError:
-            beat = None
-        if beat is None:
-            if elapsed > self.heartbeat_window:
-                return (
-                    f"no first heartbeat within "
-                    f"{self.heartbeat_window:.1f}s of launch (worker wrote "
-                    "no checkpoint -- hung during import or trace "
-                    "emulation); attempt declared dead"
-                )
-            return None
-        age = time.time() - beat
-        if age > self.heartbeat_window:
-            return (
-                f"heartbeat stalled: checkpoint untouched for {age:.1f}s "
-                f"(window {self.heartbeat_window:.1f}s); attempt "
-                "declared dead"
-            )
-        return None
-
-    def run_shards(self, manifest, indices, points, log):
-        assignment = shard_assignment(points, manifest.shards)
-        keys = {i: [point_key(p) for p in assignment[i]] for i in indices}
-        env = self._worker_env()
-        procs: Dict[int, subprocess.Popen] = {}
-        handles = {}
-        started = {}
-        outcomes: Dict[int, ShardOutcome] = {}
-        last_beat: Dict[int, Tuple[float, int]] = {}
-        for index in indices:
-            cmd = shard_command(manifest, index)
-            log(index, f"spawning worker: {' '.join(cmd)}")
-            handle = open(manifest.log_path(index), "a")
-            handles[index] = handle
-            started[index] = time.monotonic()
-            procs[index] = subprocess.Popen(
-                cmd, stdout=handle, stderr=subprocess.STDOUT, env=env
-            )
-        try:
-            while procs:
-                for index, proc in list(procs.items()):
-                    returncode = proc.poll()
-                    elapsed = time.monotonic() - started[index]
-                    if returncode is None:
-                        why = self._overdue(
-                            manifest, index, keys[index], elapsed
-                        )
-                        if why is not None:
-                            proc.kill()
-                            proc.wait()
-                            outcomes[index] = ShardOutcome(
-                                index, False, elapsed=elapsed, error=why,
-                            )
-                            log(index, why)
-                            del procs[index]
-                            continue
-                        self._heartbeat(manifest, index, keys[index], log,
-                                        last_beat)
-                        continue
-                    ok = returncode == 0
-                    outcomes[index] = ShardOutcome(
-                        index, ok, elapsed=elapsed,
-                        error=None if ok else f"worker exited {returncode}",
-                    )
-                    log(
-                        index,
-                        f"worker exited {returncode} after {elapsed:.1f}s",
-                    )
-                    del procs[index]
-                if procs:
-                    time.sleep(self.poll_interval)
-        finally:
-            for proc in procs.values():  # pragma: no cover - defensive
-                proc.kill()
-            for handle in handles.values():
-                handle.close()
-        return outcomes
-
-    def _heartbeat(self, manifest, index, keys, log, last_beat):
-        """Log a progress line when it is due and something moved."""
-        now = time.monotonic()
-        when, seen = last_beat.get(index, (0.0, -1))
-        if now - when < HEARTBEAT_LOG_INTERVAL:
-            return
-        progress = keys_progress(
-            ResultStore(manifest.shard_root(index)), keys,
-            (index, manifest.shards),
-        )
-        if progress.present != seen:
-            log(index, f"heartbeat: {progress.summary()}")
-        last_beat[index] = (now, progress.present)
-
-
-def _make_local(**options: Any) -> Executor:
-    return LocalExecutor()
-
-
-def _supervision_kwargs(options: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        key: options[key]
-        for key in ("poll_interval", "timeout", "heartbeat_window")
-        if options.get(key) is not None
-    }
-
-
-def _make_subprocess(**options: Any) -> Executor:
-    return SubprocessExecutor(**_supervision_kwargs(options))
-
-
-def _make_remote(executor_name: str, **options: Any) -> Executor:
-    from repro.sweep import remote
-    from repro.sweep.transport import resolve_transport
-
-    cls = {
-        "ssh": remote.SshExecutor,
-        "kubernetes": remote.KubernetesExecutor,
-    }[executor_name]
-    try:
-        transport = resolve_transport(
-            options.get("transport"), root=options.get("root")
-        )
-    except ValueError as exc:
-        raise CampaignError(str(exc)) from None
-    return cls(
-        hosts=options.get("hosts") or (),
-        transport=transport,
-        **_supervision_kwargs(options),
+    if manifest.executor == "subprocess":
+        hosts = [f"local-{i + 1}" for i in range(manifest.shards)]
+        transport = LocalTransport()
+    else:
+        hosts = manifest.hosts
+        transport = resolve_transport(manifest.transport, root=manifest.root)
+    return RemoteExecutor(
+        hosts, transport, poll_interval=poll_interval, timeout=timeout,
+        heartbeat_window=heartbeat_window,
     )
-
-
-def _make_ssh(**options: Any) -> Executor:
-    return _make_remote("ssh", **options)
-
-
-def _make_kubernetes(**options: Any) -> Executor:
-    return _make_remote("kubernetes", **options)
-
-
-#: Executor registry: the manifest's ``executor`` field resolves here.
-#: The remote executors are registered through lazy factories so the
-#: dispatch module (which :mod:`repro.sweep.remote` imports from) never
-#: imports them at module load.
-EXECUTORS: Dict[str, Callable[..., Executor]] = {
-    "local": _make_local,
-    "subprocess": _make_subprocess,
-    "ssh": _make_ssh,
-    "kubernetes": _make_kubernetes,
-}
-
-#: Executor names that dispatch shards to fleet hosts (and therefore
-#: require a host list in the manifest).
-REMOTE_EXECUTORS = ("ssh", "kubernetes")
-
-
-def make_executor(name: str, **options: Any) -> Executor:
-    """Instantiate the registered executor ``name`` (CampaignError if none).
-
-    ``options`` is the pooled policy vocabulary -- ``poll_interval``,
-    ``timeout``, ``heartbeat_window``, ``hosts``, ``transport``,
-    ``root`` -- from which each executor takes what it understands
-    (``local`` takes nothing); ``None`` values mean "executor default".
-    """
-    factory = EXECUTORS.get(name)
-    if factory is None:
-        raise CampaignError(
-            f"unknown executor {name!r}; available: "
-            f"{', '.join(sorted(EXECUTORS))}"
-        )
-    return factory(**options)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +548,7 @@ class ShardStatus:
     state: str = "pending"
     attempts: int = 0
     error: Optional[str] = None
-    #: Fleet host the shard last ran on (remote executors only).
+    #: Host or worker slot the shard last ran on (worker executors only).
     host: Optional[str] = None
 
     def summary(self) -> str:
@@ -804,7 +609,7 @@ def _shard_keys(manifest: CampaignManifest) -> List[List[str]]:
 
 
 def load_fleet(manifest: CampaignManifest) -> Optional[Dict[str, Any]]:
-    """The ``<root>/fleet.json`` a remote executor maintains, if any.
+    """The ``<root>/fleet.json`` a worker executor maintains, if any.
 
     Telemetry only (host column for ``campaign status``): a missing or
     malformed file is simply "no fleet information", never an error.
@@ -976,12 +781,7 @@ def run_campaign(
     manifest.validate()
     manifest = ensure_manifest(manifest)
     if executor is None:
-        executor = make_executor(
-            manifest.executor,
-            hosts=manifest.hosts,
-            transport=manifest.transport,
-            root=manifest.root,
-        )
+        executor = make_executor(manifest)
     log = _make_logger(manifest, echo)
     points = manifest.points()
     assignment = shard_assignment(points, manifest.shards)

@@ -1,15 +1,17 @@
-"""Multi-host campaign executors: ssh fleets with elastic rebalancing.
+"""The supervised campaign executor: shard workers on hosts over a Transport.
 
-:class:`RemoteExecutor` runs each campaign shard on a fleet host over a
-pluggable :class:`~repro.sweep.transport.Transport`: the shard's store
-(if it already holds anything) is tarballed forward so the remote
-worker warm-starts, the exact :func:`~repro.sweep.dispatch.shard_command`
-line runs remotely, supervision polls the worker *and* the mtime of its
-remote checkpoint record (the same heartbeat the local subprocess
-executor watches, one ``stat`` away), and whatever the worker produced
--- complete or partial -- is tarballed back and imported into the local
-shard store.  Store completeness stays the only ground truth; transports
-and hosts are just where the compute happened.
+:class:`RemoteExecutor` runs each campaign shard on a host reached over
+a pluggable :class:`~repro.sweep.transport.Transport`: the shard's store
+(if it already holds anything) is tarballed forward so the worker
+warm-starts, the exact :func:`~repro.sweep.dispatch.shard_command` line
+runs on the host, supervision polls the worker *and* the mtime of its
+checkpoint record, and whatever the worker produced -- complete or
+partial -- is tarballed back and imported into the local shard store.
+Over :class:`~repro.sweep.transport.LocalTransport` (``--executor
+subprocess``) the hosts are worker slots sharing this filesystem:
+workers write the shard stores in place and nothing ships.  Store
+completeness stays the only ground truth; transports and hosts are just
+where the compute happened.
 
 A host that times out, misses its heartbeat window, or whose worker
 exits nonzero is marked **dead** for the rest of the campaign.  The
@@ -20,18 +22,16 @@ finished records arrived in the partial tarball and are never recomputed,
 and the forward-ship hands survivors the dead host's trace records, so
 failover costs zero duplicate emulations.
 
-:class:`SshExecutor` is the production face (``--executor ssh --hosts
-a,b,c``); :class:`KubernetesExecutor` is a stub sharing the whole base
--- it runs today if handed a Transport that can reach pods, and raises
-a pointed :class:`CampaignError` otherwise.  Fleet state (which host ran
-which shard, who is dead) persists to ``<root>/fleet.json`` so
-``campaign status`` can show a host column from another process.
+Fleet state (which host ran which shard, who is dead) persists to
+``<root>/fleet.json`` so ``campaign status`` can show a host column from
+another process.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import posixpath
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -77,9 +77,16 @@ class _Flight:
 
 
 class RemoteExecutor(Executor):
-    """Shared machinery of every transport-backed fleet executor."""
+    """Supervised shard workers on ``hosts``, reached over ``transport``.
 
-    name = "remote"
+    ``--executor ssh`` builds one over the manifest's hosts and
+    transport (:class:`~repro.sweep.transport.SshTransport` by
+    default); ``--executor subprocess`` builds one with a worker slot
+    per shard over :class:`~repro.sweep.transport.LocalTransport`.
+    ``timeout`` (seconds of wall clock per attempt) and
+    ``heartbeat_window`` (seconds of checkpoint silence, first
+    checkpoint included) kill a worker and mark its host dead.
+    """
 
     #: The orchestrator offers rebalancing (``run_subsets``) to
     #: executors that advertise it.
@@ -89,24 +96,23 @@ class RemoteExecutor(Executor):
         self,
         hosts: Sequence[str],
         transport: Optional[Transport] = None,
-        poll_interval: float = 0.5,
+        poll_interval: Optional[float] = None,
         timeout: Optional[float] = None,
         heartbeat_window: Optional[float] = None,
     ) -> None:
         hosts = [str(h) for h in hosts if str(h).strip()]
         if not hosts:
             raise CampaignError(
-                f"the {self.name} executor needs at least one host; pass "
-                "--hosts a,b,c or set \"hosts\" in the campaign manifest"
+                "the executor needs at least one host; pass --hosts a,b,c "
+                "or set \"hosts\" in the campaign manifest"
             )
         if len(set(hosts)) != len(hosts):
             raise CampaignError(
-                f"the {self.name} executor host list repeats a host: "
-                f"{', '.join(hosts)}"
+                f"the executor host list repeats a host: {', '.join(hosts)}"
             )
         self.hosts = hosts
-        self.transport = transport if transport is not None else self._default_transport()
-        self.poll_interval = poll_interval
+        self.transport = transport if transport is not None else SshTransport()
+        self.poll_interval = 0.5 if poll_interval is None else poll_interval
         self.timeout = timeout
         self.heartbeat_window = heartbeat_window
         #: Hosts declared dead this campaign (timeout, missed heartbeat,
@@ -115,9 +121,6 @@ class RemoteExecutor(Executor):
         self.dead_hosts: set = set()
         self._shard_hosts: Dict[int, Dict[str, str]] = {}
         self._probed = False
-
-    def _default_transport(self) -> Transport:
-        raise NotImplementedError
 
     def live_hosts(self) -> List[str]:
         """Declared hosts not yet marked dead, in manifest order."""
@@ -129,27 +132,33 @@ class RemoteExecutor(Executor):
         A cheap ``python -c pass`` round-trip per host: a host that is
         unreachable (or whose interpreter is broken) is marked dead up
         front, so no shard pays a full failed dispatch-and-supervise
-        attempt to discover it.  Runs once per campaign; hosts that die
-        *later* are still caught by supervision as before.
+        attempt to discover it.  A host that answers then gets its
+        campaign directory created, because ``scp`` creates no
+        directories and every later push lands in it.  Runs once per
+        campaign; hosts that die *later* are caught by supervision.
         """
         if self._probed:
             return
         self._probed = True
         for host in self.live_hosts():
-            try:
-                result = self.transport.run(
-                    host, [self.transport.python(host), "-c", "pass"]
-                )
-            except (TransportError, OSError) as exc:
-                self._mark_dead(
-                    host, manifest, index, f"health probe failed: {exc}", log
-                )
-                continue
-            if result.returncode != 0:
-                self._mark_dead(
-                    host, manifest, index,
-                    f"health probe exited {result.returncode}", log,
-                )
+            for command in (
+                [self.transport.python(host), "-c", "pass"],
+                ["mkdir", "-p", self._remote_root(host, manifest)],
+            ):
+                try:
+                    result = self.transport.run(host, command)
+                except (TransportError, OSError) as exc:
+                    self._mark_dead(
+                        host, manifest, index, f"health probe failed: {exc}",
+                        log,
+                    )
+                    break
+                if result.returncode != 0:
+                    self._mark_dead(
+                        host, manifest, index,
+                        f"health probe exited {result.returncode}", log,
+                    )
+                    break
 
     # -- fleet state ------------------------------------------------------
 
@@ -169,7 +178,7 @@ class RemoteExecutor(Executor):
         root = Path(os.path.expanduser(str(manifest.root)))
         payload = {
             "schema": 1,
-            "executor": self.name,
+            "executor": manifest.executor,
             "transport": getattr(self.transport, "name", "custom"),
             "hosts": list(self.hosts),
             "dead": sorted(self.dead_hosts),
@@ -198,6 +207,14 @@ class RemoteExecutor(Executor):
     # -- store shipping ---------------------------------------------------
 
     def _remote_root(self, host: str, manifest: CampaignManifest) -> str:
+        """The campaign root a worker on ``host`` writes its store under.
+
+        On a shared filesystem that is the campaign root itself, so
+        workers fill the shard stores in place; otherwise it is a
+        per-campaign directory in the host's scratch.
+        """
+        if self.transport.shares_filesystem:
+            return str(Path(os.path.expanduser(str(manifest.root))))
         return join_remote(
             self.transport.scratch_root(host),
             f"campaign-{manifest.fingerprint()[:12]}",
@@ -218,9 +235,12 @@ class RemoteExecutor(Executor):
         This is what makes retries and rebalancing free of duplicate
         work: the remote worker resumes against the shipped records
         (timings *and* traces), so it only computes what is genuinely
-        missing.  An empty local store ships nothing.
+        missing.  An empty local store ships nothing, and neither does a
+        shared filesystem, where the worker writes ``local_store`` itself.
         """
-        if not any(True for _ in local_store.iter_keys()):
+        if self.transport.shares_filesystem or not any(
+            True for _ in local_store.iter_keys()
+        ):
             return
         local_tar = Path(str(local_store.root) + ".ship.tar.gz")
         records = local_store.export(local_tar)
@@ -248,12 +268,18 @@ class RemoteExecutor(Executor):
         from a dying host is exactly what rebalancing needs (finished
         keys imported, only the remainder re-sharded).  Returns False
         when nothing could be recovered -- the shard simply recomputes,
-        correctness is untouched.
+        correctness is untouched.  On a shared filesystem the worker
+        wrote the local shard store itself, so there is nothing to ship.
         """
+        if self.transport.shares_filesystem:
+            return True
         remote_tar = flight.remote_store + ".outbound.tar.gz"
-        local_tar = Path(
-            os.path.expanduser(str(manifest.root))
-        ) / f"ship-{flight.label}.tar.gz"
+        # Named after the remote store ("shard-2-of-3",
+        # "rebalance-shard-2-piece-1"): one path component, which scp
+        # can write without creating directories.
+        local_tar = Path(os.path.expanduser(str(manifest.root))) / (
+            f"ship-{posixpath.basename(flight.remote_store)}.tar.gz"
+        )
         try:
             result = self._store_cli(
                 flight.host, flight.remote_store, "export", remote_tar
@@ -305,7 +331,9 @@ class RemoteExecutor(Executor):
                 returncode = flight.proc.poll()
                 elapsed = time.monotonic() - flight.started
                 if returncode is None:
-                    why = self._overdue(flight, elapsed)
+                    why = self._overdue(
+                        flight.host, flight.checkpoint, elapsed
+                    )
                     if why is None:
                         continue
                     flight.proc.kill()
@@ -355,13 +383,18 @@ class RemoteExecutor(Executor):
                 pass
         return outcomes
 
-    def _overdue(self, flight: _Flight, elapsed: float) -> Optional[str]:
-        """Why this still-running flight must be killed, or None."""
+    def _overdue(self, host: str, checkpoint: str,
+                 elapsed: float) -> Optional[str]:
+        """Why a worker still running on ``host`` must be killed, or None.
+
+        ``checkpoint`` is the path, on ``host``, of the worker's
+        checkpoint record; ``elapsed`` is seconds since launch.
+        """
         if self.timeout is not None and elapsed > self.timeout:
             return f"timed out after {self.timeout:.0f}s (killed)"
         if self.heartbeat_window is None:
             return None
-        beat = self.transport.mtime(flight.host, flight.checkpoint)
+        beat = self.transport.mtime(host, checkpoint)
         if beat is None:
             if elapsed > self.heartbeat_window:
                 return (
@@ -450,8 +483,9 @@ class RemoteExecutor(Executor):
         Each non-empty piece becomes a ``sweep --points-file`` worker on
         one survivor, warm-started with the dead shard's partial store
         (forward-ship), its results tarballed back into the dead shard's
-        *local* store root -- so progress accounting, merge and
-        promotion never learn that the work moved hosts.
+        *local* store root -- or, on a shared filesystem, written
+        straight into it -- so progress accounting, merge and promotion
+        never learn that the work moved hosts.
         """
         self._probe_hosts(manifest, index, log)
         live = self.live_hosts()
@@ -465,15 +499,17 @@ class RemoteExecutor(Executor):
         for j, piece in work:
             host = live[j % len(live)]
             label = f"rebalance shard {index + 1} piece {j + 1}/{len(pieces)}"
-            remote_store = join_remote(
-                self._remote_root(host, manifest),
-                f"rebalance-shard-{index + 1}-piece-{j + 1}",
-            )
-            points_file = logs_dir / (
-                f"rebalance-shard-{index + 1}-piece-{j + 1}.points.json"
-            )
+            name = f"rebalance-shard-{index + 1}-piece-{j + 1}"
+            points_file = logs_dir / f"{name}.points.json"
             write_points_file(points_file, piece)
-            remote_points = remote_store + ".points.json"
+            if self.transport.shares_filesystem:
+                remote_store = str(local_store.root)
+                remote_points = str(points_file)
+            else:
+                remote_store = join_remote(
+                    self._remote_root(host, manifest), name
+                )
+                remote_points = remote_store + ".points.json"
             try:
                 self._ship_forward(host, local_store, remote_store, index, log)
                 self.transport.push(host, str(points_file), remote_points)
@@ -505,38 +541,3 @@ class RemoteExecutor(Executor):
             ))
         return self._supervise(flights, manifest, log)
 
-
-class SshExecutor(RemoteExecutor):
-    """The production fleet executor: shards over ``ssh``, stores over ``scp``.
-
-    Hosts come from the campaign manifest (``--hosts`` on the CLI);
-    each must resolve in the local ssh config with non-interactive auth
-    and have ``repro`` importable under the transport's remote python.
-    ``docs/campaigns.md`` is the runbook.
-    """
-
-    name = "ssh"
-
-    def _default_transport(self) -> Transport:
-        return SshTransport()
-
-
-class KubernetesExecutor(RemoteExecutor):
-    """Stub: the k8s fleet executor, sharing every RemoteExecutor mechanism.
-
-    Pod scheduling, kubeconfig handling and ``kubectl exec``/``cp``
-    plumbing are not implemented; what *is* here is everything else --
-    hand it a Transport that reaches pods (``kubectl`` wrappers have
-    exactly the run/spawn/push/pull/mtime shape) and the dispatch,
-    heartbeat, ship-back and rebalance machinery works unchanged.
-    Constructed without one, it refuses loudly instead of half-working.
-    """
-
-    name = "kubernetes"
-
-    def _default_transport(self) -> Transport:
-        raise CampaignError(
-            "the kubernetes executor is a stub: no pod transport is "
-            "implemented yet -- pass a custom Transport (kubectl "
-            "exec/cp have the right shape) or use '--executor ssh'"
-        )

@@ -1,4 +1,4 @@
-"""Host transports: how a remote executor reaches a fleet machine.
+"""Host transports: how a campaign executor reaches a worker host.
 
 A :class:`Transport` answers five questions about a named host -- run a
 command to completion, spawn a long-lived worker, copy a file there,
@@ -6,18 +6,21 @@ copy a file back, and "what is the mtime of this remote path?" (the
 heartbeat primitive: shard workers touch their checkpoint record after
 every completed point, so supervision is clock math over one ``stat``).
 
-Two implementations ship:
+Three implementations ship:
 
 * :class:`SshTransport` -- real ``ssh``/``scp`` against hosts from the
   campaign manifest.  Hosts are anything the local ssh config resolves
   (``user@host``, aliases); remote scratch and the remote python are
   constructor knobs.
-* :class:`LoopbackTransport` -- hosts are *labels* mapped to local
-  scratch directories, commands run as local subprocesses, and copies
-  are file copies.  The full remote code path (ship, spawn, heartbeat,
-  tarball back) runs with zero infrastructure, which is how CI and the
-  failover tests exercise :class:`~repro.sweep.remote.SshExecutor`
-  end to end.
+* :class:`LocalTransport` -- hosts are worker slots on this machine
+  that share the orchestrator's filesystem: commands run as local
+  subprocesses and workers write the campaign's stores in place, so
+  nothing ships.  ``--executor subprocess`` runs on it.
+* :class:`LoopbackTransport` -- a :class:`LocalTransport` whose hosts
+  are *labels* mapped to disjoint local scratch directories, with
+  copies as file copies.  The full remote code path (ship, spawn,
+  heartbeat, tarball back) runs with zero infrastructure, which is how
+  CI and the failover tests exercise ``--executor ssh`` end to end.
 
 Remote "paths" are plain strings joined with POSIX separators; only the
 transport interprets them, so an executor never needs to know whether a
@@ -32,6 +35,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -63,6 +67,10 @@ class Transport:
 
     #: Registry name (the manifest's ``transport`` field).
     name = "abstract"
+
+    #: Hosts see the orchestrator's filesystem: workers write the
+    #: campaign's own stores in place and no store is shipped.
+    shares_filesystem = False
 
     def run(
         self, host: str, command: Sequence[str],
@@ -189,18 +197,61 @@ def _safe_label(host: str) -> str:
     return cleaned
 
 
-class LoopbackTransport(Transport):
+class LocalTransport(Transport):
+    """Worker slots on this machine, sharing the orchestrator's filesystem.
+
+    Hosts are slot labels (``local-1`` ...); commands run as local
+    subprocesses with the running ``repro`` first on ``PYTHONPATH``.
+    Every slot sees the campaign root, so workers write the shard
+    stores in place and :meth:`push`/:meth:`pull` have nothing to do.
+    Not a registry entry: ``--executor subprocess`` is how a campaign
+    gets one.
+    """
+
+    name = "local"
+    shares_filesystem = True
+
+    def run(self, host, command, timeout=None):
+        return subprocess.run(
+            list(command), capture_output=True, text=True,
+            timeout=timeout, env=worker_env(),
+        )
+
+    def spawn(self, host, command, stdout):
+        return subprocess.Popen(
+            list(command), stdout=stdout, stderr=subprocess.STDOUT,
+            env=worker_env(),
+        )
+
+    def push(self, host, local, remote):
+        pass
+
+    def pull(self, host, remote, local):
+        pass
+
+    def mtime(self, host, remote):
+        try:
+            return os.stat(remote).st_mtime
+        except OSError:
+            return None
+
+    def python(self, host):
+        return sys.executable
+
+
+class LoopbackTransport(LocalTransport):
     """"Remote" hosts as local scratch directories, workers as subprocesses.
 
     Every host label gets its own directory under ``base`` and its own
     store/scratch tree inside it, so a three-"host" campaign genuinely
-    ships tarballs between three disjoint stores -- the whole
-    SshExecutor code path (forward-ship, spawn, heartbeat polling,
-    tarball back, rebalance) runs unmodified with subprocesses standing
-    in for ssh sessions.
+    ships tarballs between three disjoint stores -- the whole ssh
+    executor code path (forward-ship, spawn, heartbeat polling, tarball
+    back, rebalance) runs unmodified with subprocesses standing in for
+    ssh sessions.
     """
 
     name = "loopback"
+    shares_filesystem = False
 
     def __init__(self, base: Optional[str] = None) -> None:
         self.base = Path(
@@ -212,20 +263,6 @@ class LoopbackTransport(Transport):
         path = self.base / _safe_label(host)
         path.mkdir(parents=True, exist_ok=True)
         return path
-
-    def run(self, host, command, timeout=None):
-        self.host_dir(host)
-        return subprocess.run(
-            list(command), capture_output=True, text=True,
-            timeout=timeout, env=worker_env(),
-        )
-
-    def spawn(self, host, command, stdout):
-        self.host_dir(host)
-        return subprocess.Popen(
-            list(command), stdout=stdout, stderr=subprocess.STDOUT,
-            env=worker_env(),
-        )
 
     def push(self, host, local, remote):
         try:
@@ -243,19 +280,8 @@ class LoopbackTransport(Transport):
                 f"copy from {host}:{remote} failed: {exc}"
             ) from exc
 
-    def mtime(self, host, remote):
-        try:
-            return os.stat(remote).st_mtime
-        except OSError:
-            return None
-
     def scratch_root(self, host):
         return str(self.host_dir(host) / "scratch")
-
-    def python(self, host):
-        import sys
-
-        return sys.executable
 
 
 #: Transport registry: the manifest's ``transport`` field resolves here.

@@ -20,11 +20,11 @@ from repro.sweep import (
     CampaignManifest,
     LocalExecutor,
     ResultStore,
-    SubprocessExecutor,
     campaign_status,
     clear_memory_caches,
     dedupe,
     grid,
+    make_executor,
     point_key,
     run_campaign,
     set_compute_budget,
@@ -164,6 +164,9 @@ class TestManifest:
             {"max_attempts": 0},
             {"jobs": 0},
             {"executor": "ssh"},
+            {"max_attempts": True},
+            {"jobs": True},
+            {"jobs": 1.5},
         ],
     )
     def test_bad_manifests_rejected(self, tmp_path, overrides):
@@ -385,17 +388,19 @@ class TestSubprocessCampaign:
         manifest = _manifest(
             tmp_path, ways=(2,), executor="subprocess", jobs=1
         )
-        executor = SubprocessExecutor(poll_interval=0.1)
+        executor = make_executor(manifest, poll_interval=0.1)
         report = run_campaign(manifest, executor=executor)
         assert report.ok, report.summary()
         # The worker's own output landed in the shard logs.
         log_text = manifest.log_path(0).read_text()
-        assert "spawning worker" in log_text
+        assert "dispatching to local-1" in log_text
         assert "simulated" in log_text
 
     def test_timeout_kills_and_reports(self, tmp_path, cold_caches):
-        manifest = _manifest(tmp_path, ways=(2,), max_attempts=1)
-        executor = SubprocessExecutor(poll_interval=0.05, timeout=0.0)
+        manifest = _manifest(
+            tmp_path, ways=(2,), executor="subprocess", max_attempts=1
+        )
+        executor = make_executor(manifest, poll_interval=0.05, timeout=0.0)
         report = run_campaign(manifest, executor=executor)
         assert not report.ok
         assert any(

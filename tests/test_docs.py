@@ -149,7 +149,7 @@ def test_campaign_cli_matches_dispatch_registry(cli):
     """The executors the docs/CLI talk about are the registered ones."""
     from repro.sweep.dispatch import EXECUTORS
 
-    assert set(EXECUTORS) == {"local", "subprocess", "ssh", "kubernetes"}
+    assert set(EXECUTORS) == {"local", "subprocess", "ssh"}
     _, verbs = cli
     assert verbs.get("campaign") == {"run", "status", "resume"}
     assert verbs.get("store") == {

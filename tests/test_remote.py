@@ -1,18 +1,21 @@
-"""The multi-host fleet tier: transports, shipping, failover, rebalancing.
+"""The worker executor tier: transports, shipping, failover, rebalancing.
 
 The fleet's contract extends the campaign one: a campaign that lost a
 host mid-shard must still promote a merged store byte-identical to a
 clean single-process sweep, with the unfinished work rebalanced onto
 survivors and *zero* duplicate emulations (the dead host's partial
-store -- traces included -- is tarballed back and forward-shipped).
-Everything runs over :class:`LoopbackTransport`, so the entire
-SshExecutor code path (forward-ship, spawn, heartbeat, tarball back,
-reshard) is exercised with local subprocesses standing in for ssh.
+store -- traces included -- is tarballed back and forward-shipped, or
+on local worker slots simply left in place).  Fleet tests run over
+:class:`LoopbackTransport`, so the entire ``--executor ssh`` code path
+(forward-ship, spawn, heartbeat, tarball back, reshard) is exercised
+with local subprocesses standing in for ssh; ``--executor subprocess``
+runs the same executor over :class:`LocalTransport`.
 """
 
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -23,12 +26,11 @@ from repro.__main__ import main
 from repro.sweep import (
     CampaignError,
     CampaignManifest,
-    KubernetesExecutor,
+    LocalTransport,
     LoopbackTransport,
+    RemoteExecutor,
     ResultStore,
-    SshExecutor,
     SshTransport,
-    SubprocessExecutor,
     SweepInterrupted,
     TransportError,
     clear_memory_caches,
@@ -111,7 +113,7 @@ def _fleet_executor(manifest, transport, **overrides):
         timeout=300.0,
     )
     kwargs.update(overrides)
-    return SshExecutor(**kwargs)
+    return RemoteExecutor(**kwargs)
 
 
 class TestTransports:
@@ -264,40 +266,44 @@ class TestHeartbeatGrace:
             max_attempts=1,
         )
 
+    def _checkpoint(self, manifest):
+        keys = [point_key(p) for p in manifest.points()]
+        store = ResultStore(manifest.shard_root(0))
+        return store.path_for(checkpoint_key(keys, (0, 1)))
+
     def test_silent_worker_was_invisible_without_the_grace_deadline(
         self, tmp_path
     ):
         manifest = self._subprocess_manifest(tmp_path)
-        keys = [point_key(p) for p in manifest.points()]
+        checkpoint = str(self._checkpoint(manifest))
         # The pre-fix behaviour: no checkpoint record ever appears, and
         # the mtime-based heartbeat never declares the attempt dead no
         # matter how long it has been silent.
-        blind = SubprocessExecutor(heartbeat_window=None)
-        assert blind._overdue(manifest, 0, keys, elapsed=1e9) is None
+        blind = make_executor(manifest, heartbeat_window=None)
+        assert blind._overdue("local-1", checkpoint, elapsed=1e9) is None
 
     def test_grace_deadline_catches_the_silent_worker(self, tmp_path):
         manifest = self._subprocess_manifest(tmp_path)
-        keys = [point_key(p) for p in manifest.points()]
-        ex = SubprocessExecutor(heartbeat_window=0.5)
-        assert ex._overdue(manifest, 0, keys, elapsed=0.1) is None
-        why = ex._overdue(manifest, 0, keys, elapsed=1.0)
+        checkpoint = str(self._checkpoint(manifest))
+        ex = make_executor(manifest, heartbeat_window=0.5)
+        assert isinstance(ex.transport, LocalTransport)
+        assert ex._overdue("local-1", checkpoint, elapsed=0.1) is None
+        why = ex._overdue("local-1", checkpoint, elapsed=1.0)
         assert why is not None and "no first heartbeat" in why
 
     def test_stalled_checkpoint_is_declared_dead(
         self, tmp_path, cold_caches
     ):
         manifest = self._subprocess_manifest(tmp_path)
-        points = manifest.points()
-        keys = [point_key(p) for p in points]
         store = ResultStore(manifest.shard_root(0))
-        sweep(points, store=store, shard=(0, 1), resume=True)
-        path = store.path_for(checkpoint_key(keys, (0, 1)))
+        sweep(manifest.points(), store=store, shard=(0, 1), resume=True)
+        path = self._checkpoint(manifest)
         assert path.exists()
-        ex = SubprocessExecutor(heartbeat_window=0.5)
+        ex = make_executor(manifest, heartbeat_window=0.5)
         os.utime(path)  # fresh heartbeat
-        assert ex._overdue(manifest, 0, keys, elapsed=1e9) is None
+        assert ex._overdue("local-1", str(path), elapsed=1e9) is None
         os.utime(path, (1.0, 1.0))  # decades stale
-        why = ex._overdue(manifest, 0, keys, elapsed=1e9)
+        why = ex._overdue("local-1", str(path), elapsed=1e9)
         assert why is not None and "heartbeat stalled" in why
 
     def test_hung_worker_end_to_end(
@@ -307,8 +313,8 @@ class TestHeartbeatGrace:
 
         monkeypatch.setenv(FAULT_ENV, "1:hang")
         manifest = self._subprocess_manifest(tmp_path)
-        ex = SubprocessExecutor(
-            poll_interval=0.05, timeout=120.0, heartbeat_window=1.0
+        ex = make_executor(
+            manifest, poll_interval=0.05, timeout=120.0, heartbeat_window=1.0
         )
         report = run_campaign(manifest, executor=ex)
         assert not report.ok
@@ -356,6 +362,29 @@ class UnreachableTransport(LoopbackTransport):
         return super().run(host, command, timeout=timeout)
 
 
+class ScpCopyTransport(LoopbackTransport):
+    """Loopback whose copies behave like ``scp``: no directory is created.
+
+    ``scp`` refuses a destination whose parent directory does not
+    exist.  The plain loopback creates parents, so an executor that
+    copies into a directory it never made passes on loopback and fails
+    on a real fleet; this transport fails it in the tests too.
+    """
+
+    def push(self, host, local, remote):
+        self._copy(host, local, remote)
+
+    def pull(self, host, remote, local):
+        self._copy(host, remote, local)
+
+    @staticmethod
+    def _copy(host, source, destination):
+        try:
+            shutil.copyfile(source, destination)
+        except OSError as exc:
+            raise TransportError(f"scp via {host} failed: {exc}") from exc
+
+
 class TestHostHealthProbe:
     def test_unreachable_host_is_probed_dead_before_any_dispatch(
         self, tmp_path, monkeypatch, cold_caches
@@ -396,28 +425,37 @@ class TestHostHealthProbe:
 
 
 class TestFleetFailover:
+    @pytest.mark.parametrize(
+        "executor_name,hosts",
+        [
+            ("subprocess", ["local-1", "local-2", "local-3"]),
+            ("ssh", ["alpha", "beta", "gamma"]),
+        ],
+        ids=["subprocess", "ssh"],
+    )
     def test_dead_host_rebalances_onto_survivors_byte_identical(
-        self, tmp_path, monkeypatch, cold_caches
+        self, tmp_path, monkeypatch, cold_caches, executor_name, hosts
     ):
-        """The tentpole: host beta dies after one point, campaign still
-        promotes a store byte-identical to a clean run, with zero
-        duplicate emulations on the survivors."""
+        """The tentpole: the host (or local worker slot) running shard 2
+        dies after one point, the campaign still promotes a store
+        byte-identical to a clean run, with zero duplicate emulations on
+        the survivors."""
         reference = _clean_reference(tmp_path, monkeypatch, GRID)
-        # Shard 2 (index 1) round-robins onto host beta; it dies after
-        # its first computed point, past its traces and one timing.
+        # Shard 2 (index 1) round-robins onto the second host; it dies
+        # after its first computed point, past its traces and one timing.
         monkeypatch.setenv(FAULT_ENV, "2:after_1")
-        manifest = _manifest(tmp_path)
-        executor = _fleet_executor(manifest, _loopback(tmp_path))
+        manifest = _manifest(tmp_path, executor=executor_name)
+        executor = make_executor(manifest, poll_interval=0.05, timeout=300.0)
         report = run_campaign_quiet(manifest, executor)
         assert report.ok, report.error
-        assert executor.dead_hosts == {"beta"}
+        assert executor.dead_hosts == {hosts[1]}
         merged = ResultStore(report.merged_root)
         assert _result_tree(merged) == _result_tree(reference)
         log_text = manifest.log_path(1).read_text()
         assert "rebalancing" in log_text
         assert "marked dead" in log_text
         # Zero duplicate emulations: every rebalanced worker found its
-        # traces in the forward-shipped partial store.  The only sweep
+        # traces in the dead shard's partial store.  The only sweep
         # summaries in the shard log are the rebalance workers' (the
         # dead worker never printed one).
         summaries = [
@@ -429,8 +467,35 @@ class TestFleetFailover:
         fleet = json.loads(
             (tmp_path / "campaign" / FLEET_NAME).read_text()
         )
-        assert fleet["dead"] == ["beta"]
-        assert fleet["hosts"] == ["alpha", "beta", "gamma"]
+        assert fleet["dead"] == [hosts[1]]
+        assert fleet["hosts"] == hosts
+
+    @pytest.mark.parametrize("shards", [3, 2])
+    def test_store_shipping_survives_scp_copy_semantics(
+        self, tmp_path, monkeypatch, cold_caches, shards
+    ):
+        """Copies that create no directories still ship every store.
+
+        Every ship-back pulls a tarball into the campaign root, and it
+        must be one path component there.  With 2 shards over 3 hosts
+        the rebalance also stages onto gamma, which has not run a shard
+        yet, so its campaign directory must exist before that push.
+        """
+        reference = _clean_reference(tmp_path, monkeypatch, GRID)
+        monkeypatch.setenv(FAULT_ENV, "2:after_1")
+        manifest = _manifest(tmp_path, shards=shards)
+        transport = ScpCopyTransport(str(tmp_path / "lb"))
+        executor = _fleet_executor(manifest, transport)
+        report = run_campaign_quiet(manifest, executor)
+        assert report.ok, report.error
+        assert executor.dead_hosts == {"beta"}
+        merged = ResultStore(report.merged_root)
+        assert _result_tree(merged) == _result_tree(reference)
+        leftovers = [
+            p.name for p in (tmp_path / "campaign").iterdir()
+            if p.name.startswith("ship-")
+        ]
+        assert leftovers == []
 
     def test_partial_ship_failure_recovers_by_recomputing(
         self, tmp_path, monkeypatch, cold_caches
@@ -461,29 +526,9 @@ class TestFleetFailover:
 
     def test_duplicate_or_empty_hosts_rejected(self):
         with pytest.raises(CampaignError, match="at least one host"):
-            SshExecutor(hosts=())
+            RemoteExecutor(hosts=())
         with pytest.raises(CampaignError, match="repeats"):
-            SshExecutor(hosts=("a", "a"))
-
-
-class TestKubernetesStub:
-    def test_without_transport_refuses_loudly(self):
-        with pytest.raises(CampaignError, match="stub"):
-            KubernetesExecutor(hosts=("pod-a",))
-
-    def test_with_injected_transport_runs_a_campaign(
-        self, tmp_path, cold_caches
-    ):
-        manifest = _manifest(
-            tmp_path, executor="kubernetes", shards=1, hosts=("pod-a",),
-            kernels=("addblock",), machines=("mmx64",), ways=(2,),
-        )
-        executor = KubernetesExecutor(
-            hosts=manifest.hosts, transport=_loopback(tmp_path),
-            poll_interval=0.05, timeout=300.0,
-        )
-        report = run_campaign_quiet(manifest, executor)
-        assert report.ok, report.error
+            RemoteExecutor(hosts=("a", "a"))
 
 
 def run_campaign_quiet(manifest, executor):

@@ -18,7 +18,6 @@ two regions, exactly following its §IV-B/C analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict
 
 import numpy as np
@@ -133,11 +132,10 @@ def make_scalar_trace(
     )
 
 
-@lru_cache(maxsize=None)
 def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
     """IPC of the synthetic scalar mix on a ``way``-wide core.
 
-    Cached in process and persisted in the result store (keyed by the
+    Memoised in process and persisted in the result store (keyed by the
     resolved core configuration and the simulator code digest), so warm
     runs of the application experiments skip the synthetic-trace
     simulations entirely.
@@ -145,16 +143,23 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
     import dataclasses
 
     from repro.sweep.store import (
+        MEMO,
         default_store,
         load_payload,
+        memo_key,
+        memoise,
         record_key,
         save_payload,
     )
 
+    store = default_store()
+    memo = memo_key(store, "scalar-ipc", (way, smem_frac_pct, sctrl_frac_pct))
+    hit = MEMO.get(memo)
+    if hit is not None:
+        return hit
     # Scalar resources depend only on the width; resolve through the
     # registry so non-paper ways (e.g. 16) derive from the curves.
     config = get_machine("mmx64", way).core
-    store = default_store()
     key = None
     if store is not None:
         key = record_key(
@@ -169,17 +174,12 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
         )
         stored = load_payload(store, key)
         if stored is not None:
-            return float(stored["ipc"])
+            return memoise(memo, float(stored["ipc"]))
     trace = make_scalar_trace(smem_frac_pct / 100.0, sctrl_frac_pct / 100.0)
     result = simulate_trace(trace, config)
     if key is not None:
         save_payload(store, "scalar-ipc", key, {"ipc": result.ipc})
-    return result.ipc
-
-
-def clear_scalar_ipc_memo() -> None:
-    """Drop the in-process scalar-IPC memo (the store is untouched)."""
-    scalar_ipc.cache_clear()
+    return memoise(memo, result.ipc)
 
 
 @dataclass

@@ -9,8 +9,7 @@ full-application experiments without re-executing a single codec.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.apps.profile import AppProfile
 from repro.isa.trace import ColumnarTrace, Trace
@@ -20,51 +19,33 @@ from repro.workloads import speech_signal, test_image, video_clip
 APP_NAMES = ("jpegenc", "jpegdec", "mpeg2enc", "mpeg2dec", "gsmenc", "gsmdec")
 
 
-@lru_cache(maxsize=None)
-def _jpeg_artifacts(seed: int = 0):
-    from repro.apps.jpeg import decode_image, encode_image
+def _compute_app_profile(app: str, seed: int = 0) -> Tuple[AppProfile, AppProfile]:
+    """Run the codec behind ``app`` on its standard workload (no caching).
 
-    image = test_image(128, 96, seed=seed)
-    bitstream, enc_profile = encode_image(image, quality=75)
-    _, dec_profile = decode_image(bitstream)
+    One run profiles both directions of the codec, so this returns the
+    encoder's profile and the decoder's, in that order.
+    """
+    if app in ("jpegenc", "jpegdec"):
+        from repro.apps.jpeg import decode_image, encode_image
+
+        image = test_image(128, 96, seed=seed)
+        bitstream, enc_profile = encode_image(image, quality=75)
+        _, dec_profile = decode_image(bitstream)
+    elif app in ("mpeg2enc", "mpeg2dec"):
+        from repro.apps.mpeg2 import decode_video, encode_video
+
+        clip = video_clip(64, 48, frames=4, seed=seed)
+        bits, _, enc_profile = encode_video(clip)
+        _, dec_profile = decode_video(bits)
+    elif app in ("gsmenc", "gsmdec"):
+        from repro.apps.gsm import decode_speech, encode_speech
+
+        speech = speech_signal(640, seed=seed)
+        bits, enc_profile = encode_speech(speech)
+        _, dec_profile = decode_speech(bits)
+    else:
+        raise KeyError(f"unknown application {app!r}; expected one of {APP_NAMES}")
     return enc_profile, dec_profile
-
-
-@lru_cache(maxsize=None)
-def _mpeg2_artifacts(seed: int = 0):
-    from repro.apps.mpeg2 import decode_video, encode_video
-
-    clip = video_clip(64, 48, frames=4, seed=seed)
-    bits, _, enc_profile = encode_video(clip)
-    _, dec_profile = decode_video(bits)
-    return enc_profile, dec_profile
-
-
-@lru_cache(maxsize=None)
-def _gsm_artifacts(seed: int = 0):
-    from repro.apps.gsm import decode_speech, encode_speech
-
-    speech = speech_signal(640, seed=seed)
-    bits, enc_profile = encode_speech(speech)
-    _, dec_profile = decode_speech(bits)
-    return enc_profile, dec_profile
-
-
-def _compute_app_profile(app: str, seed: int = 0) -> AppProfile:
-    """Execute one application on its standard workload (no caching)."""
-    if app == "jpegenc":
-        return _jpeg_artifacts(seed)[0]
-    if app == "jpegdec":
-        return _jpeg_artifacts(seed)[1]
-    if app == "mpeg2enc":
-        return _mpeg2_artifacts(seed)[0]
-    if app == "mpeg2dec":
-        return _mpeg2_artifacts(seed)[1]
-    if app == "gsmenc":
-        return _gsm_artifacts(seed)[0]
-    if app == "gsmdec":
-        return _gsm_artifacts(seed)[1]
-    raise KeyError(f"unknown application {app!r}; expected one of {APP_NAMES}")
 
 
 def profile_to_dict(profile: AppProfile) -> Dict[str, Any]:
@@ -88,17 +69,6 @@ def _profile_key(app: str, seed: int) -> str:
     from repro.sweep.store import record_key
 
     return record_key("app-profile", {"app": app, "seed": seed})
-
-
-_PROFILE_MEMO: Dict[Tuple[str, int], AppProfile] = {}
-
-
-def clear_profile_memo() -> None:
-    """Forget in-process profiles and codec artifacts (store untouched)."""
-    _PROFILE_MEMO.clear()
-    _jpeg_artifacts.cache_clear()
-    _mpeg2_artifacts.cache_clear()
-    _gsm_artifacts.cache_clear()
 
 
 def stream_app_kernel_traces(
@@ -136,26 +106,35 @@ def stream_app_kernel_traces(
 def run_app_profile(app: str, seed: int = 0) -> AppProfile:
     """Execute one application on its standard workload; return profile.
 
-    Answered from the in-process memo, then the result store, and only
-    then by actually running the codec (whose profile is persisted for
-    every later process).
+    Answered from the store's memo, then the store, and only then by
+    actually running the codec.  A codec run profiles both of its
+    applications (e.g. ``jpegenc`` and ``jpegdec``), and both profiles
+    are persisted and memoised, so the partner never runs it again.
     """
     if app not in APP_NAMES:
         raise KeyError(f"unknown application {app!r}; expected one of {APP_NAMES}")
-    memo_key = (app, seed)
-    hit = _PROFILE_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
-    from repro.sweep.store import default_store, load_payload, save_payload
+    from repro.sweep.store import (
+        MEMO,
+        default_store,
+        load_payload,
+        memo_key,
+        memoise,
+        save_payload,
+    )
 
     store = default_store()
-    key: Optional[str] = _profile_key(app, seed) if store is not None else None
-    stored = load_payload(store, key) if key is not None else None
+    memo = memo_key(store, "app-profile", (app, seed))
+    hit = MEMO.get(memo)
+    if hit is not None:
+        return hit
+    stored = load_payload(store, _profile_key(app, seed))
     if stored is not None:
-        profile = profile_from_dict(stored)
-    else:
-        profile = _compute_app_profile(app, seed)
-        if key is not None:
-            save_payload(store, "app-profile", key, profile_to_dict(profile))
-    _PROFILE_MEMO[memo_key] = profile
-    return profile
+        return memoise(memo, profile_from_dict(stored))
+    profiles = {p.app: p for p in _compute_app_profile(app, seed)}
+    for name, profile in profiles.items():
+        save_payload(
+            store, "app-profile", _profile_key(name, seed),
+            profile_to_dict(profile),
+        )
+        memoise(memo_key(store, "app-profile", (name, seed)), profile)
+    return profiles[app]

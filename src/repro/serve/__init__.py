@@ -17,8 +17,6 @@ origin-backed cache for many concurrent clients:
 * :mod:`repro.serve.coalesce` -- single-flight request coalescing keyed
   by the store's content addresses, so concurrent identical queries
   share one in-flight computation;
-* :mod:`repro.serve.cache` -- the bounded in-memory LRU over hot
-  deserialized traces and rendered artifact/response payloads;
 * :mod:`repro.serve.backfill` -- the background-executor job registry
   behind the 202 responses, drained on shutdown;
 * :mod:`repro.serve.metrics` -- hit/miss/coalesce counters and
@@ -30,10 +28,10 @@ endpoint reference and runbook.
 
 from repro.serve.app import ServeApp, serve_forever
 from repro.serve.backfill import BackfillJob, BackfillQueue
-from repro.serve.cache import LruCache
 from repro.serve.coalesce import SingleFlight
 from repro.serve.handlers import Api, ApiError, Response
 from repro.serve.metrics import Histogram, Metrics
+from repro.sweep.store import LruCache
 
 __all__ = [
     "Api",

@@ -25,10 +25,9 @@ import time
 import urllib.parse
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.serve.cache import LruCache
 from repro.serve.handlers import Api, ApiError, MAX_BODY_BYTES, Response
 from repro.serve.metrics import METRICS_SCHEMA, Metrics
-from repro.sweep.store import ResultStore, code_version
+from repro.sweep.store import LruCache, ResultStore, code_version
 
 #: Sentinel distinguishing "use the default store" from "no store".
 _USE_DEFAULT = object()
@@ -81,9 +80,9 @@ class ServeApp:
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-serve"
         )
-        #: Serialises every call into the sweep/timing layers: their
-        #: process-wide memos (trace memo, kernel-timing memo) are not
-        #: thread-safe, so the origin is single-flight per process.
+        #: Serialises every call into the sweep/timing layers: they
+        #: keep process-global simulation/emulation counters and the
+        #: compute budget, so the origin is single-flight per process.
         self._compute_lock = threading.Lock()
         self._inflight_requests = 0
         self._idle = asyncio.Event()

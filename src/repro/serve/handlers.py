@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.backfill import BackfillQueue
-from repro.serve.cache import LruCache
 from repro.serve.coalesce import SingleFlight
 from repro.serve.metrics import Metrics
 from repro.sweep.engine import (
@@ -35,11 +34,13 @@ from repro.sweep.engine import (
 )
 from repro.sweep.points import GRIDS, SweepPoint
 from repro.sweep.store import (
+    LruCache,
     ResultStore,
     code_version,
     peek_payload,
     stable_hash,
     trace_from_payload,
+    trace_nbytes,
 )
 
 #: Largest accepted request body (a re-timing request is a few KB).
@@ -95,17 +96,6 @@ def _parse_scalar(text: str) -> Any:
         return text
 
 
-def _trace_nbytes(cols: Any) -> int:
-    """Approximate in-memory footprint of one columnar trace."""
-    total = 0
-    for attr in getattr(type(cols), "__slots__", ()):
-        value = getattr(cols, attr, None)
-        nbytes = getattr(value, "nbytes", None)
-        if nbytes is not None:
-            total += int(nbytes)
-    return max(total, 1)
-
-
 def _artifact_points(name: str) -> Optional[List[SweepPoint]]:
     """The sweep grid behind one artifact (None: config-only, no sweep).
 
@@ -141,8 +131,8 @@ class Api:
     ``run_read`` and ``run_compute`` are the app's executor bridges:
     both run a plain function in the background thread pool, and
     ``run_compute`` additionally holds the app's compute lock (the
-    sweep/timing layers keep process-wide memos that are not
-    thread-safe, so the origin is single-flight per process; request
+    sweep/timing layers keep process-global counters and a compute
+    budget, so the origin is single-flight per process; request
     concurrency comes from cache hits and store reads, which never take
     the lock).
     """
@@ -317,7 +307,7 @@ class Api:
                 cols = trace_from_payload(payload) if payload is not None else None
                 if cols is not None:
                     self.trace_cache.put(
-                        f"trace:{tkey}", cols, _trace_nbytes(cols)
+                        f"trace:{tkey}", cols, trace_nbytes(cols)
                     )
             else:
                 self.metrics.inc("trace_cache_hits")

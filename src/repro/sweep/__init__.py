@@ -53,7 +53,6 @@ from repro.sweep.engine import (
     SweepReport,
     acquire_trace,
     checkpoint_key,
-    clear_trace_memo,
     compute_point,
     compute_points,
     default_jobs,
@@ -93,6 +92,7 @@ from repro.sweep.points import (
 from repro.sweep.store import (
     GcStats,
     ImportStats,
+    MEMO,
     MergeStats,
     ResultStore,
     VerifyReport,
@@ -109,18 +109,10 @@ from repro.sweep.store import (
 def clear_memory_caches() -> None:
     """Forget every *in-process* memoised result (the store is untouched).
 
-    Used by tests to distinguish memory warmth from store warmth, and by
-    long-lived services to bound memory without losing the on-disk
-    records.
+    Empties the store-scoped :data:`~repro.sweep.store.MEMO`.  Used by
+    tests to distinguish memory warmth from store warmth.
     """
-    from repro.apps import appmodel, runner
-    from repro.sweep import engine
-    from repro.timing import simulator
-
-    simulator.clear_kernel_memo()
-    engine.clear_trace_memo()
-    runner.clear_profile_memo()
-    appmodel.clear_scalar_ipc_memo()
+    MEMO.clear()
 
 
 __all__ = [
@@ -152,7 +144,6 @@ __all__ = [
     "campaign_status",
     "checkpoint_key",
     "clear_memory_caches",
-    "clear_trace_memo",
     "code_version",
     "compute_point",
     "compute_points",

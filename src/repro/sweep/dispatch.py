@@ -414,20 +414,15 @@ class LocalExecutor(Executor):
 
     Each shard's sweep still fans its cache misses out over the
     engine's process pool (``manifest.jobs``), so "local" means local
-    *orchestration*, not serial simulation.  In-process caches are
-    cleared between shards, mirroring the distributed reality that
-    every shard starts cold -- per-shard stores stay self-contained.
+    *orchestration*, not serial simulation.
     """
 
     def run_shards(self, manifest, indices, points, log):
-        from repro.sweep import clear_memory_caches
-
         outcomes: Dict[int, ShardOutcome] = {}
         for index in indices:
             start = time.monotonic()
             log(index, f"local attempt starting (jobs={manifest.jobs})")
             try:
-                clear_memory_caches()
                 # The shard's store travels as an argument, never via
                 # os.environ[STORE_ENV]: mutating the process-global
                 # environment raced with any concurrent store user in
@@ -453,8 +448,6 @@ class LocalExecutor(Executor):
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 log(index, f"local attempt FAILED: {type(exc).__name__}: {exc}")
-            finally:
-                clear_memory_caches()
         return outcomes
 
 

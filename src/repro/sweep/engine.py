@@ -25,11 +25,14 @@ from repro.isa.trace import ColumnarTrace
 from repro.sweep.points import SweepPoint, dedupe
 from repro.sweep.points import shard as shard_points
 from repro.sweep.store import (
+    MEMO,
     config_fingerprint,
     default_store,
     kernel_timing_from_dict,
     kernel_timing_to_dict,
     load_payload,
+    memo_key,
+    memoise,
     record_key,
     save_payload,
     store_from_root,
@@ -54,18 +57,10 @@ _SIM_COUNT = 0
 
 #: Total kernel *emulations* (dynamic-trace generations) performed by
 #: this process.  A point whose columnar trace is answered from the
-#: trace memo or the store re-times without re-emulating, so this
-#: counter rises strictly slower than :data:`_SIM_COUNT` on sweeps that
-#: share traces across machine widths or ablation overrides.
+#: memo or the store re-times without re-emulating, so this counter
+#: rises strictly slower than :data:`_SIM_COUNT` on sweeps that share
+#: traces across machine widths or ablation overrides.
 _EMU_COUNT = 0
-
-#: In-process memo of recently generated/loaded columnar traces, keyed
-#: (kernel, version, seed, vl) -- ``vl`` is ``None`` except for
-#: runtime-VL program families, whose traces depend on it.  Bounded:
-#: traces are the largest objects in the system, and the store remains
-#: the system of record.
-_TRACE_MEMO: "OrderedDict[Tuple[str, str, int, Optional[int]], ColumnarTrace]" = OrderedDict()
-_TRACE_MEMO_MAXSIZE = 32
 
 #: Test hook: remaining :func:`compute_point` calls this process may
 #: perform before :class:`SweepInterrupted` is raised (None = unlimited).
@@ -215,11 +210,6 @@ def reset_simulation_count() -> None:
     _EMU_COUNT = 0
 
 
-def clear_trace_memo() -> None:
-    """Drop every in-process columnar trace (the on-disk store remains)."""
-    _TRACE_MEMO.clear()
-
-
 def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
     """The fully-resolved machine a point runs on, overrides applied.
 
@@ -304,12 +294,23 @@ def trace_key(point: SweepPoint) -> str:
     return record_key("trace", identity)
 
 
+def _trace_memo_key(store: Any, point: SweepPoint) -> Tuple[Any, ...]:
+    """The memo key of a point's trace in ``store``.
+
+    ``vl`` is ``None`` except for runtime-VL program families, whose
+    traces depend on it.
+    """
+    return memo_key(
+        store, "trace", (point.kernel, point.version, point.seed, point.vl)
+    )
+
+
 def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace:
     """The columnar dynamic trace of a point's (kernel, version, seed).
 
-    Answered from the in-process trace memo, then the store's ``trace``
-    records, and only then by emulating the kernel -- which also runs
-    the bit-exact golden verification, so a trace is only ever persisted
+    Answered from the store's memo, then the store's ``trace`` records,
+    and only then by emulating the kernel -- which also runs the
+    bit-exact golden verification, so a trace is only ever persisted
     after its kernel version proved correct.  (The store address embeds
     the simulator code digest, so a stale trace can never be served for
     emulation code that has changed.)
@@ -317,17 +318,9 @@ def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace
     global _EMU_COUNT
     if store is _USE_DEFAULT:
         store = default_store()
-    memo_key = (point.kernel, point.version, point.seed, point.vl)
-    hit = _TRACE_MEMO.get(memo_key)
+    memo = _trace_memo_key(store, point)
+    hit = MEMO.get(memo)
     if hit is not None:
-        _TRACE_MEMO.move_to_end(memo_key)
-        if store is not None:
-            # A memo warmed against one store must still backfill the
-            # caller's store, or it would end up holding the timing
-            # records but not the trace they came from.
-            key = trace_key(point)
-            if key not in store:
-                save_payload(store, "trace", key, trace_to_payload(hit))
         return hit
     key = trace_key(point) if store is not None else None
     cols: Optional[ColumnarTrace] = None
@@ -349,22 +342,11 @@ def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace
         cols = run.trace.columns()
         if key is not None:
             save_payload(store, "trace", key, trace_to_payload(cols))
-    _memo_put(memo_key, cols)
-    return cols
-
-
-def _memo_put(
-    memo_key: Tuple[str, str, int, Optional[int]], cols: ColumnarTrace
-) -> None:
-    """Insert one trace into the in-process memo, evicting LRU entries."""
-    _TRACE_MEMO[memo_key] = cols
-    _TRACE_MEMO.move_to_end(memo_key)
-    while len(_TRACE_MEMO) > _TRACE_MEMO_MAXSIZE:
-        _TRACE_MEMO.popitem(last=False)
+    return memoise(memo, cols)
 
 
 def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> int:
-    """Batch-fill the trace memo and store for many points in one pass.
+    """Batch-fill the memo and store with many points' traces in one pass.
 
     Groups the points' distinct (kernel, version, seed) traces by kernel
     version and emulates each group's missing seeds as one vectorised
@@ -383,7 +365,7 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
         store = default_store()
     groups: Dict[Tuple[str, str, Optional[int]], Dict[int, SweepPoint]] = {}
     for point in points:
-        if (point.kernel, point.version, point.seed, point.vl) in _TRACE_MEMO:
+        if _trace_memo_key(store, point) in MEMO:
             continue
         groups.setdefault(
             (point.kernel, point.version, point.vl), {}
@@ -393,20 +375,20 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
         groups.items(), key=lambda item: (item[0][0], item[0][1], item[0][2] or 0)
     ):
         missing = []
-        for seed, point in sorted(by_seed.items()):
+        for _, point in sorted(by_seed.items()):
             key = trace_key(point) if store is not None else None
             if key is not None and key in store:
                 continue
-            missing.append((seed, key))
+            missing.append((point, key))
         if len(missing) < 2:
             continue
         from repro.kernels.base import execute_batch
         from repro.kernels.registry import KERNELS
 
         runs = execute_batch(
-            KERNELS[kernel], version, [s for s, _ in missing], vl=vl
+            KERNELS[kernel], version, [p.seed for p, _ in missing], vl=vl
         )
-        for (seed, key), run in zip(missing, runs):
+        for (point, key), run in zip(missing, runs):
             if not run.correct:
                 raise AssertionError(
                     f"kernel {kernel}/{version} failed verification "
@@ -416,7 +398,7 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
             cols = run.trace.columns()
             if key is not None:
                 save_payload(store, "trace", key, trace_to_payload(cols))
-            _memo_put((kernel, version, seed, vl), cols)
+            memoise(_trace_memo_key(store, point), cols)
             filled += 1
     return filled
 
@@ -831,10 +813,7 @@ def sweep(
 
     ``jobs=1`` runs inline; ``jobs>1`` distributes the *cache misses*
     over a process pool in deterministic contiguous chunks.  Hits are
-    always served from the store in the calling process.  Results are
-    also published into :mod:`repro.timing.simulator`'s in-process memo
-    so the experiment code that follows a prefetch sweep hits memory,
-    not disk.
+    always served from the store in the calling process.
 
     The store may be given three ways: ``store`` (a
     :class:`~repro.sweep.store.ResultStore` or ``None`` for no
@@ -992,7 +971,11 @@ def _run_sweep(
 
     if checkpoint is not None:
         checkpoint.flush()
-    _publish_to_memo(results)
+    # The experiment code that follows a prefetch sweep reads these
+    # timings through simulate_kernel: let it hit memory, not disk.
+    for point, timing in results.items():
+        if not point.core_overrides and not point.mem_overrides:
+            memoise(memo_key(store, "kernel-timing", point), timing)
     return SweepReport(
         points=list(points),
         results={p: results[p] for p in points},
@@ -1040,14 +1023,3 @@ def _pooled_chunks(
                 yield len(chunk), result["payloads"]
     except (OSError, concurrent.futures.process.BrokenProcessPool):
         return
-
-
-def _publish_to_memo(results: Dict[SweepPoint, KernelTiming]) -> None:
-    from repro.timing import simulator
-
-    for point, timing in results.items():
-        if not point.core_overrides and not point.mem_overrides:
-            simulator.memo_put(
-                point.kernel, point.version, point.way, point.seed, timing,
-                machine=point.machine, vl=point.vl,
-            )

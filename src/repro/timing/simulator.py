@@ -2,18 +2,16 @@
 
 ``simulate_kernel`` is the workhorse of the experiment harness: it runs a
 kernel version through the emulation machine to obtain its dynamic trace,
-then times that trace on a processor configuration.  Results are cached
-at two levels: a small bounded in-process memo (recently used timings
-stay hot without unbounded growth), backed by the content-addressed
-on-disk store of :mod:`repro.sweep.store` so results survive the process
-and are shared with parallel sweeps, benchmarks and the CLI.
+then times that trace on a processor configuration.  Results live in
+the content-addressed on-disk store of :mod:`repro.sweep.store`, so they
+survive the process and are shared with parallel sweeps, benchmarks and
+the CLI, behind the store's bounded in-process memo.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.isa.trace import ColumnarTrace, Trace
 from repro.machines.spec import CoreConfig, MemHierConfig
@@ -102,51 +100,6 @@ class KernelTiming:
         return self.result.instructions / self.batch
 
 
-#: Bounded in-process memo of recently used kernel timings.  The store
-#: is the system of record; this layer only saves the disk round-trip
-#: for the hot working set of an experiment run.
-_MEMO: "OrderedDict[Tuple[str, str, int, int, Optional[str], Optional[int]], KernelTiming]" = (
-    OrderedDict()
-)
-_MEMO_MAXSIZE = 512
-
-
-def set_memo_maxsize(size: int) -> int:
-    """Resize the in-process memo; returns the previous bound."""
-    global _MEMO_MAXSIZE
-    previous = _MEMO_MAXSIZE
-    _MEMO_MAXSIZE = max(1, int(size))
-    while len(_MEMO) > _MEMO_MAXSIZE:
-        _MEMO.popitem(last=False)
-    return previous
-
-
-def memo_size() -> int:
-    return len(_MEMO)
-
-
-def clear_kernel_memo() -> None:
-    """Drop every in-process kernel timing (the on-disk store remains)."""
-    _MEMO.clear()
-
-
-def memo_put(
-    kernel: str,
-    version: str,
-    way: int,
-    seed: int,
-    timing: KernelTiming,
-    machine: Optional[str] = None,
-    vl: Optional[int] = None,
-) -> None:
-    """Publish one timing into the memo (used by the sweep engine)."""
-    key = (kernel, version, way, seed, machine, vl)
-    _MEMO[key] = timing
-    _MEMO.move_to_end(key)
-    while len(_MEMO) > _MEMO_MAXSIZE:
-        _MEMO.popitem(last=False)
-
-
 def simulate_kernel(
     kernel: str,
     version: str,
@@ -170,29 +123,18 @@ def simulate_kernel(
     # KernelTiming record type.
     from repro.sweep.engine import run_point
     from repro.sweep.points import SweepPoint
+    from repro.sweep.store import MEMO, default_store, memo_key, memoise
 
     # The point constructor owns the axis normalisation (machine ==
-    # version collapses to None, a runtime-VL version defaults vl);
-    # keying the memo off the normalised fields keeps it coherent with
-    # what the sweep engine publishes.
+    # version collapses to None, a runtime-VL version defaults vl), so
+    # the memo key matches what a sweep over the same point publishes.
     point = SweepPoint(
         kernel=kernel, version=version, way=way, seed=seed,
         machine=machine, vl=vl,
     )
-    key = (point.kernel, point.version, point.way, point.seed,
-           point.machine, point.vl)
-    hit = _MEMO.get(key)
+    store = default_store()
+    key = memo_key(store, "kernel-timing", point)
+    hit = MEMO.get(key)
     if hit is not None:
-        _MEMO.move_to_end(key)
         return hit
-    timing = run_point(point)
-    memo_put(
-        point.kernel, point.version, point.way, point.seed, timing,
-        machine=point.machine, vl=point.vl,
-    )
-    return timing
-
-
-#: Backwards-compatible spelling from the ``lru_cache`` era; note it only
-#: clears the in-process layer, not the on-disk store.
-simulate_kernel.cache_clear = clear_kernel_memo
+    return memoise(key, run_point(point, store))

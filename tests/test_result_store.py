@@ -480,6 +480,77 @@ class TestDefaultStore:
         clear_memory_caches()
 
 
+class TestStoreScopedMemo:
+    """The in-process memo answers only for the store that filled it."""
+
+    def test_switching_stores_fills_the_new_store(self, tmp_path, monkeypatch):
+        """Regression: memo hits used to skip the second store's writes.
+
+        Regenerating fig6 into store A and then, in the same process,
+        into store B left B without its ``app-profile`` and
+        ``scalar-ipc`` records, so a fresh process on B re-ran a codec
+        and the scalar-trace simulations.
+        """
+        from repro.apps import appmodel, runner
+        from repro.experiments import artifact_json
+        from repro.sweep import clear_memory_caches
+
+        clear_memory_caches()
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "a"))
+        first = artifact_json("fig6")
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "b"))
+        assert artifact_json("fig6") == first
+        fresh = ResultStore(tmp_path / "a").stats()["by_kind"]
+        assert ResultStore(tmp_path / "b").stats()["by_kind"] == fresh
+        # jpegdec's codec run also stores its partner jpegenc's profile.
+        assert fresh == {
+            "app-profile": 2, "kernel-timing": 24, "scalar-ipc": 3, "trace": 8,
+        }
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            runner, "_compute_app_profile", counted(runner._compute_app_profile)
+        )
+        monkeypatch.setattr(
+            appmodel, "make_scalar_trace", counted(appmodel.make_scalar_trace)
+        )
+        clear_memory_caches()
+        before = simulation_count()
+        assert artifact_json("fig6") == first
+        assert calls == []
+        assert simulation_count() == before
+        clear_memory_caches()
+
+    def test_codec_run_stores_both_profiles(self, tmp_path, monkeypatch):
+        from repro.apps import run_app_profile, runner
+        from repro.sweep import clear_memory_caches
+
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        clear_memory_caches()
+        encoder = run_app_profile("jpegenc")
+        stored = ResultStore(tmp_path).load(runner._profile_key("jpegdec", 0))
+        assert stored is not None
+        assert stored["kind"] == "app-profile"
+
+        def no_codec(*args, **kwargs):
+            raise AssertionError("the codec ran again")
+
+        monkeypatch.setattr(runner, "_compute_app_profile", no_codec)
+        decoder = run_app_profile("jpegdec")
+        assert runner.profile_to_dict(decoder) == stored["payload"]
+        clear_memory_caches()
+        assert run_app_profile("jpegdec") == decoder
+        assert run_app_profile("jpegenc") == encoder
+        clear_memory_caches()
+
+
 # ---------------------------------------------------------------------------
 # Store maintenance: merge / gc / verify / export+import.
 # ---------------------------------------------------------------------------

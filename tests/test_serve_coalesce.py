@@ -11,6 +11,8 @@ traffic a unit suite can stage).
 import asyncio
 import concurrent.futures
 import json
+import random
+import sys
 import threading
 import time
 import urllib.error
@@ -149,6 +151,49 @@ class TestLruCache:
         cache.put("a", b"2", 50)
         assert cache.stats()["bytes"] == 50
         assert cache.get("a") == b"2"
+
+    def test_oversized_replacement_releases_old_bytes(self):
+        cache = LruCache(10, name="t")
+        cache.put("a", b"1", 6)
+        assert not cache.put("a", b"2", 20)
+        assert cache.stats()["bytes"] == 0
+        assert cache.stats()["entries"] == 0
+        assert cache.put("b", b"3", 6)
+        assert cache.get("b") == b"3"
+
+    def test_concurrent_put_get_clear_keep_accounting(self):
+        cache = LruCache(64, name="t")
+        threads, rounds = 8, 3000
+        barrier = threading.Barrier(threads)
+
+        def worker(seed: int) -> int:
+            rng = random.Random(seed)
+            gets = 0
+            barrier.wait(timeout=30)
+            for i in range(rounds):
+                key = rng.randrange(24)
+                roll = rng.random()
+                if roll < 0.5:
+                    cache.put(key, i, rng.randrange(1, 17))
+                elif roll < 0.99:
+                    cache.get(key)
+                    gets += 1
+                else:
+                    cache.clear()
+            return gets
+
+        # Switch threads as often as possible, so unguarded
+        # read-modify-write steps would interleave.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+                gets = sum(pool.map(worker, range(threads), timeout=60))
+        finally:
+            sys.setswitchinterval(previous)
+        live = sum(size for _, size in cache._entries.values())
+        assert cache.bytes == live <= cache.max_bytes
+        assert cache.hits + cache.misses == gets
 
 
 class TestHistogram:

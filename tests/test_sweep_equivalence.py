@@ -24,7 +24,12 @@ from repro.sweep import (
     simulation_count,
     sweep,
 )
-from repro.sweep.store import canonical_json, kernel_timing_to_dict
+from repro.sweep.store import (
+    MEMO,
+    MEMO_ENTRY_BYTES,
+    canonical_json,
+    kernel_timing_to_dict,
+)
 from repro.timing import simulator
 
 #: A small but representative grid: two kernels, a 1-D and a 2-D ISA.
@@ -106,44 +111,38 @@ class TestWarmStore:
         before = simulation_count()
         simulator.simulate_kernel("addblock", "mmx64", 4)
         assert simulation_count() == before
-        assert simulator.memo_size() >= len(GRID)
+        assert len(MEMO) >= len(GRID)
 
 
 class TestBoundedMemo:
-    def test_eviction_does_not_change_results(self, isolated_store):
+    def test_eviction_does_not_change_results(self, isolated_store, monkeypatch):
         reference = {
             point: kernel_timing_to_dict(
                 simulator.simulate_kernel(point.kernel, point.version, point.way)
             )
             for point in GRID
         }
-        previous = simulator.set_memo_maxsize(2)
-        try:
-            clear_memory_caches()
-            for point in GRID:
-                timing = simulator.simulate_kernel(
-                    point.kernel, point.version, point.way
-                )
-                assert kernel_timing_to_dict(timing) == reference[point]
-                assert simulator.memo_size() <= 2
-            # Revisit the first (long-evicted) point: still identical.
-            first = GRID[0]
+        monkeypatch.setattr(MEMO, "max_bytes", 2 * MEMO_ENTRY_BYTES)
+        clear_memory_caches()
+        for point in GRID:
             timing = simulator.simulate_kernel(
-                first.kernel, first.version, first.way
+                point.kernel, point.version, point.way
             )
-            assert kernel_timing_to_dict(timing) == reference[first]
-        finally:
-            simulator.set_memo_maxsize(previous)
+            assert kernel_timing_to_dict(timing) == reference[point]
+            assert len(MEMO) <= 2
+        # Revisit the first (long-evicted) point: still identical.
+        first = GRID[0]
+        timing = simulator.simulate_kernel(
+            first.kernel, first.version, first.way
+        )
+        assert kernel_timing_to_dict(timing) == reference[first]
 
-    def test_memo_respects_bound(self, isolated_store):
-        previous = simulator.set_memo_maxsize(3)
-        try:
-            clear_memory_caches()
-            for point in GRID:
-                simulator.simulate_kernel(point.kernel, point.version, point.way)
-            assert simulator.memo_size() <= 3
-        finally:
-            simulator.set_memo_maxsize(previous)
+    def test_memo_respects_bound(self, isolated_store, monkeypatch):
+        monkeypatch.setattr(MEMO, "max_bytes", 3 * MEMO_ENTRY_BYTES)
+        clear_memory_caches()
+        for point in GRID:
+            simulator.simulate_kernel(point.kernel, point.version, point.way)
+        assert len(MEMO) <= 3
 
 
 class TestSeedSeparation:

@@ -118,6 +118,7 @@ class TestFailureInjection:
     def test_broken_kernel_version_is_caught(self, monkeypatch):
         """simulate_kernel must refuse to time an incorrect kernel."""
         from repro.kernels import registry
+        from repro.sweep import clear_memory_caches
         from repro.timing import simulator
 
         spec = registry.KERNELS["comp"]
@@ -129,10 +130,10 @@ class TestFailureInjection:
         monkeypatch.setattr(spec, "versions", patched)
         # Bypass both cache layers: the verification must actually run.
         monkeypatch.setenv("REPRO_STORE", "off")
-        simulator.clear_kernel_memo()
+        clear_memory_caches()
         with pytest.raises(AssertionError):
             simulator.simulate_kernel("comp", "mmx64", 2, seed=123)
-        simulator.clear_kernel_memo()
+        clear_memory_caches()
 
     def test_timing_handles_unknown_register_sources(self):
         """Sources never written (live-ins) must not crash the model."""

@@ -64,6 +64,8 @@ def _cmd_kernel(args) -> int:
     from repro.kernels.base import execute
     from repro.kernels.registry import KERNELS
     from repro.machines import get_machine, is_registered, machine_names
+    from repro.sweep.engine import trace_source
+    from repro.sweep.points import SweepPoint
     from repro.timing.simulator import simulate_kernel
 
     if args.name not in KERNELS:
@@ -86,8 +88,11 @@ def _cmd_kernel(args) -> int:
     else:
         version = args.isa
         spec = get_machine(version, args.way)
-    spec_kernel = KERNELS[args.name]
-    run = execute(spec_kernel, version, seed=args.seed)
+    _, program, _ = trace_source(SweepPoint(
+        kernel=args.name, version=version, way=args.way, seed=args.seed,
+        machine=machine,
+    ))
+    run = execute(KERNELS[args.name], program, seed=args.seed)
     print(run.trace.summary())
     print(f"functional check: {'ok' if run.correct else 'FAILED'}")
     timing = simulate_kernel(
@@ -96,7 +101,7 @@ def _cmd_kernel(args) -> int:
     result = timing.result
     print(
         f"{args.way}-way {timing.machine_name}"
-        + (f" (executing {version} binaries)" if machine not in (None, version) else "")
+        + (f" (executing {program} binaries)" if program != timing.machine_name else "")
         + f": {result.cycles} cycles for "
         f"{result.instructions} instructions (IPC {result.ipc:.2f}), "
         f"{timing.cycles_per_invocation:.1f} cycles/invocation"

@@ -84,21 +84,26 @@ def stream_app_kernel_traces(
     ``checkpoint``/``clear`` API exists for exactly this).
 
     Each yielded segment is an immutable :class:`ColumnarTrace` ready
-    for the timing model or the result store.
+    for the timing model or the result store.  ``isa`` is ``scalar`` or
+    any registered machine name, which runs the program whose traces it
+    emits (:func:`repro.machines.trace_program`); anything else raises
+    ``ValueError``.
     """
-    from repro.emu import Memory, make_machine
+    from repro.emu import Memory, make_machine, program_geometry
     from repro.kernels.registry import KERNELS
+    from repro.machines import trace_program
 
+    if isa != "scalar":
+        program_geometry(isa)  # ValueError for an unregistered name
+    program = trace_program(isa)
     profile = run_app_profile(app, seed)
     builder = Trace(f"{app}/{isa}")
     for kernel in profile.kernel_items:
         spec = KERNELS[kernel]
-        if isa not in spec.versions:
-            continue
         mem = Memory()
         wl = spec.make_workload(mem, seed)
-        machine = make_machine(isa, mem, builder)
-        spec.versions[isa](machine, wl)
+        machine = make_machine(program, mem, builder)
+        spec.versions[program](machine, wl)
         segment = builder.checkpoint()
         yield kernel, segment
 

@@ -3,8 +3,8 @@
 Each machine couples functional execution (values in registers and
 memory) with dynamic-trace emission, playing the role of the paper's
 ATOM-instrumented emulation libraries for MMX64, MMX128, VMMX64 and
-VMMX128 plus the scalar baseline, and the post-2005 VLA and tile
-families layered on top.
+VMMX128 plus the scalar baseline.  Every other registered machine runs
+one of these programs' binaries, so it emits that program's trace.
 """
 
 from typing import Optional
@@ -14,8 +14,6 @@ from repro.emu.batch import (
     BatchMemory,
     BatchMMXMachine,
     BatchScalarMachine,
-    BatchTileMachine,
-    BatchVLAMachine,
     BatchVMMXMachine,
     PlaneMemory,
     batch_enabled,
@@ -25,10 +23,9 @@ from repro.emu.handles import AccReg, MAccReg, MReg, SReg, VReg
 from repro.emu.memory import Memory
 from repro.emu.mmx import MMXMachine
 from repro.emu.scalar import ScalarMachine
-from repro.emu.tile import TileMachine
-from repro.emu.vla import VLAMachine
 from repro.emu.vmmx import VMMXMachine
 from repro.isa.trace import Trace
+from repro.machines.spec import SimdGeometry
 
 #: The four SIMD extensions evaluated by the paper, in presentation order.
 ISA_NAMES = ("mmx64", "mmx128", "vmmx64", "vmmx128")
@@ -36,65 +33,47 @@ ISA_NAMES = ("mmx64", "mmx128", "vmmx64", "vmmx128")
 #: All machine flavours, including the pure-scalar baseline.
 VERSION_NAMES = ("scalar",) + ISA_NAMES
 
-#: Emulation machine per registry ``emu`` dispatch key (a capability of
-#: the registered family -- never inferred from the spelling of a name).
-_EMU_CLASSES = {
-    "mmx": MMXMachine,
-    "vmmx": VMMXMachine,
-    "vla": VLAMachine,
-    "tile": TileMachine,
-}
 
+def program_geometry(isa: str) -> SimdGeometry:
+    """Architected geometry of the program whose trace ``isa`` emits.
 
-def make_machine(
-    isa: str,
-    mem: Memory,
-    trace: Optional[Trace] = None,
-    vl: Optional[int] = None,
-):
-    """Instantiate the emulation machine for an ISA or machine name.
-
-    ``scalar`` builds the baseline machine; any name registered in
-    :mod:`repro.machines` builds the machine of its *program* (the
-    emulation ISA whose binaries it executes) with the geometry and
-    emulation family the registry declares.  A registered alias such as
-    ``mmx256`` therefore emulates exactly like its program (``mmx128``):
-    emulation produces the program's trace, and only the timing layer
-    distinguishes the wider machine.
-
-    ``vl`` selects the runtime vector length for ``runtime_vl``
-    families (defaulting to the geometry's maximum); passing it for any
-    other machine raises ``ValueError`` naming the axis.
+    Resolves any registered machine name through
+    :func:`repro.machines.trace_program`: an alias (``mmx256``) or a
+    family with a twin (``tile``, ``vla``) emulates as the program whose
+    binaries it runs.  Raises ``ValueError`` for unregistered names.
     """
-    if isa == "scalar":
-        if vl is not None:
-            raise ValueError("the scalar machine has no 'vl' axis")
-        return ScalarMachine(mem, trace)
-    from repro.machines import emu_of, find_geometry, program_of
+    from repro.machines import find_geometry, trace_program
 
-    program = program_of(isa)
-    geometry = find_geometry(program)
+    geometry = find_geometry(trace_program(isa))
     if geometry is None:
         raise ValueError(
             f"unknown ISA {isa!r}; expected 'scalar' or a registered "
             "machine name (see repro.machines.machine_names())"
         )
-    if vl is not None and not geometry.runtime_vl:
-        raise ValueError(
-            f"machine {isa!r} has no 'vl' axis (its geometry is not runtime_vl)"
-        )
-    cls = _EMU_CLASSES[emu_of(program)]
-    if geometry.runtime_vl:
-        return cls(mem, trace, geometry=geometry, vl=vl)
+    return geometry
+
+
+def make_machine(isa: str, mem: Memory, trace: Optional[Trace] = None):
+    """Instantiate the emulation machine for an ISA or machine name.
+
+    ``scalar`` builds the baseline machine; any name registered in
+    :mod:`repro.machines` builds the machine of the program whose trace
+    it emits (:func:`program_geometry`), MMX or VMMX by the geometry's
+    ``matrix`` flag.  ``mmx256`` therefore emulates exactly like
+    ``mmx128``: emulation produces the program's trace, and only the
+    timing layer distinguishes the wider machine.
+    """
+    if isa == "scalar":
+        return ScalarMachine(mem, trace)
+    geometry = program_geometry(isa)
+    cls = VMMXMachine if geometry.matrix else MMXMachine
     return cls(mem, trace, geometry=geometry)
 
 
 __all__ = [
     "AccReg", "BatchDivergence", "BatchMMXMachine", "BatchMemory",
-    "BatchScalarMachine", "BatchTileMachine", "BatchVLAMachine",
-    "BatchVMMXMachine", "ISA_NAMES", "MAccReg",
+    "BatchScalarMachine", "BatchVMMXMachine", "ISA_NAMES", "MAccReg",
     "MMXMachine", "MReg", "Memory", "PlaneMemory", "SReg",
-    "ScalarMachine", "TileMachine", "Trace", "VERSION_NAMES",
-    "VLAMachine", "VMMXMachine", "VReg",
+    "ScalarMachine", "Trace", "VERSION_NAMES", "VMMXMachine", "VReg",
     "batch_enabled", "make_batch_machine", "make_machine",
 ]

@@ -45,8 +45,6 @@ from repro.emu.handles import AccReg, MAccReg, MReg, SReg, VReg
 from repro.emu.memory import Memory, MemoryError_
 from repro.emu.mmx import MMXMachine
 from repro.emu.scalar import Operand, ScalarMachine, _mask64
-from repro.emu.tile import TileMachine
-from repro.emu.vla import VLAMachine
 from repro.emu.vmmx import VMMXMachine
 from repro.isa import subword as sw
 from repro.isa.opcodes import Category, FUClass, Latency
@@ -723,70 +721,25 @@ class BatchVMMXMachine(_BatchVMMXOps, VMMXMachine):
     """Batched counterpart of :class:`~repro.emu.vmmx.VMMXMachine`."""
 
 
-class BatchVLAMachine(_BatchMMXOps, VLAMachine):
-    """Batched counterpart of :class:`~repro.emu.vla.VLAMachine`.
-
-    VLA executes the width-generic MMX idioms at its runtime VL, so the
-    MMX seed-axis overrides apply verbatim.
-    """
-
-
-class BatchTileMachine(_BatchVMMXOps, TileMachine):
-    """Batched counterpart of :class:`~repro.emu.tile.TileMachine`.
-
-    The tile view helpers compose ``setvl``/``vload``/``vstore``, all of
-    which the VMMX seed-axis overrides already cover.
-    """
-
-
-def make_batch_machine(
-    isa: str,
-    mem: BatchMemory,
-    trace: Optional[Trace] = None,
-    vl: Optional[int] = None,
-):
+def make_batch_machine(isa: str, mem: BatchMemory, trace: Optional[Trace] = None):
     """Batched analogue of :func:`repro.emu.make_machine`.
 
-    Resolves the geometry and emulation family through the machine
-    registry exactly like the record-at-a-time factory, so a batch
-    machine emits the same trace its reference counterpart would.
+    Resolves the geometry through the machine registry exactly like the
+    record-at-a-time factory, so a batch machine emits the same trace
+    its reference counterpart would.
     """
     if isa == "scalar":
-        if vl is not None:
-            raise ValueError("the scalar machine has no 'vl' axis")
         return BatchScalarMachine(mem, trace)
-    from repro.machines import emu_of, find_geometry, program_of
+    from repro.emu import program_geometry
 
-    program = program_of(isa)
-    geometry = find_geometry(program)
-    if geometry is None:
-        raise ValueError(
-            f"unknown ISA {isa!r}; expected 'scalar' or a registered "
-            "machine name (see repro.machines.machine_names())"
-        )
-    if vl is not None and not geometry.runtime_vl:
-        raise ValueError(
-            f"machine {isa!r} has no 'vl' axis (its geometry is not runtime_vl)"
-        )
-    cls = _BATCH_EMU_CLASSES[emu_of(program)]
-    if geometry.runtime_vl:
-        return cls(mem, trace, geometry=geometry, vl=vl)
+    geometry = program_geometry(isa)
+    cls = BatchVMMXMachine if geometry.matrix else BatchMMXMachine
     return cls(mem, trace, geometry=geometry)
-
-
-#: Batched emulation machine per registry ``emu`` dispatch key.
-_BATCH_EMU_CLASSES = {
-    "mmx": BatchMMXMachine,
-    "vmmx": BatchVMMXMachine,
-    "vla": BatchVLAMachine,
-    "tile": BatchTileMachine,
-}
 
 
 __all__ = [
     "REFERENCE_ENV", "BatchAccReg", "BatchDivergence", "BatchMAccReg",
     "BatchMMXMachine", "BatchMReg", "BatchMemory", "BatchSReg",
-    "BatchScalarMachine", "BatchTileMachine", "BatchVLAMachine",
-    "BatchVMMXMachine", "BatchVReg", "PlaneMemory",
+    "BatchScalarMachine", "BatchVMMXMachine", "BatchVReg", "PlaneMemory",
     "batch_enabled", "make_batch_machine",
 ]

@@ -161,9 +161,9 @@ def fig5x_render() -> str:
 # ---------------------------------------------------------------------------
 
 #: Kernel columns of fig4v: (version, vl, column label).  The VLA
-#: family appears at each runtime VL it covers -- ``vla/vl8`` executes
-#: the *same binary* as ``vla/vl16``, where mmx64 and mmx128 are two
-#: distinct programs -- and the tile family is the 2-D counterpart.
+#: family appears at each runtime VL it covers -- one binary at two
+#: widths, re-timing the mmx64 and mmx128 traces on its own machine --
+#: and the tile family is the 2-D counterpart.
 VLA_TILE_COLUMNS: Tuple[Tuple[str, Optional[int], str], ...] = (
     ("mmx128", None, "mmx128"),
     ("vla", 8, "vla/vl8"),

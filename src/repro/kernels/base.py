@@ -96,21 +96,14 @@ def outputs_equal(got: Any, expected: Any) -> bool:
     return int(got) == int(expected)
 
 
-def execute(
-    spec: KernelSpec, version: str, seed: int = 0, vl: Optional[int] = None
-) -> KernelRun:
-    """Run one version of a kernel on a fresh memory/machine and verify it.
-
-    ``vl`` is the runtime vector length for ``runtime_vl`` machine
-    families (rejected for any other version, see
-    :func:`repro.emu.make_machine`).
-    """
+def execute(spec: KernelSpec, version: str, seed: int = 0) -> KernelRun:
+    """Run one version of a kernel on a fresh memory/machine and verify it."""
     if version not in spec.versions:
         raise KeyError(f"kernel {spec.name!r} has no version {version!r}")
     mem = Memory()
     wl = spec.make_workload(mem, seed)
     trace = Trace(f"{spec.name}/{version}")
-    machine = make_machine(version, mem, trace, vl=vl)
+    machine = make_machine(version, mem, trace)
     returned = spec.versions[version](machine, wl)
     output = returned if spec.returns_scalar else spec.read_output(mem, wl)
     return KernelRun(
@@ -138,9 +131,7 @@ def _seed_output(returned: Any, seed_index: int) -> Any:
     return int(returned)
 
 
-def _execute_batched(
-    spec: KernelSpec, version: str, seeds, vl: Optional[int] = None
-) -> Optional[list]:
+def _execute_batched(spec: KernelSpec, version: str, seeds) -> Optional[list]:
     """One batched pass over all seeds, or ``None`` if the batch cannot run.
 
     Returns ``None`` -- signalling the caller to fall back to
@@ -157,7 +148,7 @@ def _execute_batched(
     if any(plane.allocs != planes[0].allocs for plane in planes[1:]):
         return None
     trace = Trace(f"{spec.name}/{version}")
-    machine = make_batch_machine(version, batch_mem, trace, vl=vl)
+    machine = make_batch_machine(version, batch_mem, trace)
     try:
         returned = spec.versions[version](machine, workloads[0])
     except BatchDivergence:
@@ -183,9 +174,7 @@ def _execute_batched(
     return runs
 
 
-def execute_batch(
-    spec: KernelSpec, version: str, seeds, vl: Optional[int] = None
-) -> list:
+def execute_batch(spec: KernelSpec, version: str, seeds) -> list:
     """Run one kernel version over many seeds, batched when possible.
 
     The fast path emulates every seed in a single NumPy-vectorised pass
@@ -198,7 +187,7 @@ def execute_batch(
     """
     seeds = list(seeds)
     if len(seeds) >= 2 and batch_enabled():
-        runs = _execute_batched(spec, version, seeds, vl=vl)
+        runs = _execute_batched(spec, version, seeds)
         if runs is not None:
             return runs
-    return [execute(spec, version, seed, vl=vl) for seed in seeds]
+    return [execute(spec, version, seed) for seed in seeds]

@@ -84,7 +84,7 @@ def golden_sad_halved(wl: Workload) -> List[int]:
 
 
 def _golden_motion1_for(wl: Workload, version: str) -> List[int]:
-    if version in ("mmx64", "mmx128", "vla"):
+    if version in ("mmx64", "mmx128"):
         return golden_sad_halved(wl)
     return golden_sad(wl)
 

@@ -21,18 +21,6 @@ KERNELS = {
     )
 }
 
-# The post-2005 families run the paper's binaries unchanged: vla
-# executes the width-generic mmx functions at its runtime VL (they read
-# ``m.width``), tile the vmmx functions on a deeper register file (they
-# set ``vl`` explicitly).  Registering the shared function objects under
-# the new version names makes vla/tile first-class programs -- their
-# traces get their own store records and the differential suites iterate
-# them automatically.
-for _spec in KERNELS.values():
-    _spec.versions.setdefault("vla", _spec.versions["mmx128"])
-    _spec.versions.setdefault("tile", _spec.versions["vmmx128"])
-del _spec
-
 #: The ten kernels shown in the paper's Fig. 4, in x-axis order.
 FIG4_KERNELS = (
     "idct", "motion1", "motion2", "comp", "addblock",

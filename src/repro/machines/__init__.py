@@ -24,7 +24,6 @@ from repro.machines.registry import (
     MachineFamily,
     UnknownMachineError,
     WAYS,
-    emu_of,
     find_geometry,
     get_family,
     get_machine,
@@ -34,6 +33,7 @@ from repro.machines.registry import (
     program_of,
     register_machine,
     registered_machines,
+    trace_program,
     unregister_machine,
 )
 from repro.machines.scaling import (
@@ -68,7 +68,6 @@ __all__ = [
     "WAYS",
     "build_core",
     "build_mem",
-    "emu_of",
     "find_geometry",
     "get_family",
     "get_machine",
@@ -79,5 +78,6 @@ __all__ = [
     "program_of",
     "register_machine",
     "registered_machines",
+    "trace_program",
     "unregister_machine",
 ]

@@ -71,21 +71,16 @@ class MachineFamily:
     ways: Tuple[int, ...] = (2, 4, 8)
     description: str = ""
     paper: bool = False     # part of the original twelve-machine study
-    #: Which emulation machine class executes this family's binaries --
-    #: a plain string key (``"mmx"``, ``"vmmx"``, ``"vla"``, ``"tile"``)
-    #: that :func:`repro.emu.make_machine` maps to a class, so the
-    #: registry stays import-independent of the emulation layer and
-    #: dispatch never sniffs ISA name spellings.  Defaults from the
-    #: geometry: matrix families emulate as ``"vmmx"``, 1-D as ``"mmx"``.
-    emu: str = ""
+    #: The fixed-width program whose binaries this family runs unchanged,
+    #: so that its traces *are* that program's (see :func:`trace_program`).
+    #: Empty when the family's traces are its program's own.  A runtime-VL
+    #: family needs no entry: at each ``vl`` its twin is the 1-D program
+    #: whose ``row_bytes`` equals ``vl``.
+    twin: str = ""
 
     def __post_init__(self) -> None:
         if not self.program:
             object.__setattr__(self, "program", self.name)
-        if not self.emu:
-            object.__setattr__(
-                self, "emu", "vmmx" if self.geometry.matrix else "mmx"
-            )
         if not self.ways or any(
             not isinstance(w, int) or w < 1 for w in self.ways
         ):
@@ -110,7 +105,8 @@ def register_machine(family: MachineFamily, replace: bool = False) -> MachineFam
 
     The program must be resolvable: either the family itself or an
     already-registered family that is its own program (one level of
-    binary aliasing -- a machine cannot alias an alias).  Registering
+    binary aliasing -- a machine cannot alias an alias).  A declared
+    ``twin`` must be such a family too.  Registering
     an existing name raises :class:`DuplicateMachineError` unless
     ``replace=True``.
     """
@@ -119,14 +115,16 @@ def register_machine(family: MachineFamily, replace: bool = False) -> MachineFam
             f"machine {family.name!r} is already registered; "
             "pass replace=True to override it"
         )
-    if family.program != family.name:
-        target = _FAMILIES.get(family.program)
+    for role, target_name in (("program", family.program), ("twin", family.twin)):
+        if target_name in ("", family.name):
+            continue
+        target = _FAMILIES.get(target_name)
         if target is None:
-            raise UnknownMachineError(family.program, _FAMILIES)
+            raise UnknownMachineError(target_name, _FAMILIES)
         if target.program != target.name:
             raise ValueError(
-                f"machine {family.name!r}: program {family.program!r} is "
-                f"itself an alias of {target.program!r}; programs must be "
+                f"machine {family.name!r}: {role} {target_name!r} is "
+                f"itself an alias of {target.program!r}; {role}s must be "
                 "architected families"
             )
     _FAMILIES[family.name] = family
@@ -140,11 +138,12 @@ def unregister_machine(name: str) -> None:
     if name not in _FAMILIES:
         raise UnknownMachineError(name, _FAMILIES)
     dependents = [
-        f.name for f in _FAMILIES.values() if f.program == name and f.name != name
+        f.name for f in _FAMILIES.values()
+        if name in (f.program, f.twin) and f.name != name
     ]
     if dependents:
         raise ValueError(
-            f"cannot unregister {name!r}: it is the program of "
+            f"cannot unregister {name!r}: it is the program or twin of "
             f"{', '.join(dependents)}"
         )
     del _FAMILIES[name]
@@ -181,16 +180,36 @@ def program_of(name: str) -> str:
     return name if family is None else family.program
 
 
-def emu_of(name: str) -> Optional[str]:
-    """The emulation-class key of a machine's *program*, or None.
+def trace_program(name: str, vl: Optional[int] = None) -> str:
+    """The program whose emulation produces ``name``'s traces at ``vl``.
 
-    Resolves the machine axis first (an alias emulates exactly like its
-    program), then hands back the registered family's declared ``emu``
-    key.  The emulation layer maps the key to a class; unregistered
-    names yield ``None`` so callers can fall back or fail loudly.
+    A trace depends on the binary and the width it runs at, not on the
+    family's name.  An alias emits its program's trace; a family with a
+    declared ``twin`` emits the twin's (``tile`` runs the ``vmmx128``
+    binaries); a runtime-VL family at ``vl`` (default: its maximum) runs
+    its one binary at that width, which is the fixed-width 1-D program
+    whose ``row_bytes`` is ``vl`` (``vla`` at 8 is ``mmx64``).
+    Unregistered names come back unchanged.
     """
     family = _FAMILIES.get(program_of(name))
-    return None if family is None else family.emu
+    if family is None:
+        return name
+    if family.twin:
+        return family.twin
+    if not family.geometry.runtime_vl:
+        return family.name
+    width = family.geometry.row_bytes if vl is None else vl
+    for twin in _FAMILIES.values():
+        geometry = twin.geometry
+        if (
+            twin.program == twin.name and not twin.twin
+            and not geometry.matrix and not geometry.runtime_vl
+            and geometry.row_bytes == width
+        ):
+            return twin.name
+    raise ValueError(
+        f"machine {name!r} has no fixed-width 1-D program at vl={width!r}"
+    )
 
 
 def get_machine(name: str, way: int) -> MachineSpec:
@@ -382,17 +401,17 @@ def _register_builtin() -> None:
     ))
 
     # ---- beyond the paper: post-2005 ISA designs ---------------------
-    # Both are *native programs* (their kernel versions are registered
-    # program binaries, aliased in the kernel registry to the shared
-    # width-generic implementations), so their traces are first-class
-    # store records rather than re-timings of a paper family's trace.
+    # Both keep their own point spelling (``version="vla", vl=8``,
+    # ``version="tile"``) and timing records, but run the paper's
+    # binaries unchanged, so they re-time their twins' traces
+    # (:func:`trace_program`): vla at each vl the fixed-width 1-D
+    # program of that width, tile the vmmx128 program.
     register_machine(MachineFamily(
         name="vla",
         geometry=VLA_GEOMETRY,
         core_scaling=MMX_CORE_SCALING,
         mem_scaling=PAPER_MEM_SCALING,
         ways=(2, 4, 8, 16),
-        emu="vla",
         description=(
             "RISC-V-V-style vector-length-agnostic 1-D extension: one "
             "binary, runtime VL up to 128 bits (paper-anchored 1-D "
@@ -414,7 +433,7 @@ def _register_builtin() -> None:
             ),
         ),
         ways=(2, 4, 8, 16),
-        emu="tile",
+        twin="vmmx128",
         description=(
             "2-D tile/matrix extension beyond VMMX: rectangular 32-row "
             "x 128-bit tiles, 8 lanes, doubled tile-file bandwidth"
@@ -444,7 +463,6 @@ __all__ = [
     "UnknownMachineError",
     "VLA_GEOMETRY",
     "VMMX_CORE_SCALING",
-    "emu_of",
     "find_geometry",
     "get_family",
     "get_machine",
@@ -454,5 +472,6 @@ __all__ = [
     "program_of",
     "register_machine",
     "registered_machines",
+    "trace_program",
     "unregister_machine",
 ]

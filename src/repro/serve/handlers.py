@@ -31,6 +31,7 @@ from repro.sweep.engine import (
     retime_stack,
     run_point,
     trace_key,
+    trace_source,
 )
 from repro.sweep.points import GRIDS, SweepPoint
 from repro.sweep.store import (
@@ -316,8 +317,7 @@ class Api:
 
                 store = self.store
                 return self._backfill(
-                    tkey, "trace",
-                    f"{base.kernel}/{base.version}/seed{base.seed}",
+                    tkey, "trace", "{}/{}/seed{}".format(*trace_source(base)),
                     lambda: acquire_trace(base, store),
                     missing=1,
                 )

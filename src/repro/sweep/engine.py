@@ -263,50 +263,52 @@ def point_key(point: SweepPoint) -> str:
     return record_key("kernel-timing", identity)
 
 
+def trace_source(point: SweepPoint) -> Tuple[str, str, int]:
+    """The ``(kernel, program, seed)`` whose emulation is a point's trace.
+
+    The program is :func:`repro.machines.trace_program` of the point's
+    version at its ``vl``: a trace is a function of the binary and the
+    width it runs at, so ``vla`` at vl 8 re-times the ``mmx64`` trace
+    and ``tile`` the ``vmmx128`` one.  Every grouping of points by
+    trace, and every trace address, goes through here.
+    """
+    from repro.machines import trace_program
+
+    return point.kernel, trace_program(point.version, point.vl), point.seed
+
+
 def trace_key(point: SweepPoint) -> str:
     """Content address of a point's *dynamic trace* record.
 
-    Traces depend only on (kernel, program version, seed) and the
+    Traces depend only on the point's :func:`trace_source` and that
     program's architected register geometry -- never on the machine
     width, the ``machine`` axis or configuration overrides the point
     times them on -- so every way/machine/ablation variant of a kernel
-    shares one stored trace (``mmx256`` points re-time the ``mmx128``
-    trace), while editing a registered geometry re-addresses the traces
-    it produced.
-
-    Runtime-VL families are the one exception: their emitted stream
-    depends on the vector length the program ran at, so the key grows a
-    ``vl`` axis for them -- and only for them, keeping every legacy
-    fixed-width trace address byte-stable.
+    shares one stored trace (``mmx256`` and ``vla`` at vl 16 re-time
+    the ``mmx128`` trace), while editing a registered geometry
+    re-addresses the traces it produced.
     """
     from repro.machines import find_geometry
 
+    kernel, program, seed = trace_source(point)
     identity: Dict[str, Any] = {
-        "kernel": point.kernel,
-        "version": point.version,
-        "seed": point.seed,
+        "kernel": kernel,
+        "version": program,
+        "seed": seed,
     }
-    geometry = find_geometry(point.version)
+    geometry = find_geometry(program)
     if geometry is not None:
         identity["geometry"] = geometry.to_dict()
-        if geometry.runtime_vl:
-            identity["vl"] = point.vl
     return record_key("trace", identity)
 
 
 def _trace_memo_key(store: Any, point: SweepPoint) -> Tuple[Any, ...]:
-    """The memo key of a point's trace in ``store``.
-
-    ``vl`` is ``None`` except for runtime-VL program families, whose
-    traces depend on it.
-    """
-    return memo_key(
-        store, "trace", (point.kernel, point.version, point.seed, point.vl)
-    )
+    """The memo key of a point's trace in ``store``."""
+    return memo_key(store, "trace", trace_source(point))
 
 
 def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace:
-    """The columnar dynamic trace of a point's (kernel, version, seed).
+    """The columnar dynamic trace of a point's :func:`trace_source`.
 
     Answered from the store's memo, then the store's ``trace`` records,
     and only then by emulating the kernel -- which also runs the
@@ -330,13 +332,11 @@ def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace
         from repro.kernels.base import execute
         from repro.kernels.registry import KERNELS
 
-        run = execute(
-            KERNELS[point.kernel], point.version, seed=point.seed, vl=point.vl
-        )
+        kernel, program, seed = trace_source(point)
+        run = execute(KERNELS[kernel], program, seed=seed)
         if not run.correct:
             raise AssertionError(
-                f"kernel {point.kernel}/{point.version} failed verification "
-                "during timing"
+                f"kernel {kernel}/{program} failed verification during timing"
             )
         _EMU_COUNT += 1
         cols = run.trace.columns()
@@ -348,8 +348,8 @@ def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace
 def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> int:
     """Batch-fill the memo and store with many points' traces in one pass.
 
-    Groups the points' distinct (kernel, version, seed) traces by kernel
-    version and emulates each group's missing seeds as one vectorised
+    Groups the points' distinct :func:`trace_source` traces by kernel
+    program and emulates each group's missing seeds as one vectorised
     batch (:func:`repro.kernels.base.execute_batch`), so a cold sweep or
     campaign shard pays the per-instruction interpretation cost once per
     kernel version rather than once per seed.  Traces already memoised
@@ -363,17 +363,14 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
     global _EMU_COUNT
     if store is _USE_DEFAULT:
         store = default_store()
-    groups: Dict[Tuple[str, str, Optional[int]], Dict[int, SweepPoint]] = {}
+    groups: Dict[Tuple[str, str], Dict[int, SweepPoint]] = {}
     for point in points:
         if _trace_memo_key(store, point) in MEMO:
             continue
-        groups.setdefault(
-            (point.kernel, point.version, point.vl), {}
-        )[point.seed] = point
+        kernel, program, seed = trace_source(point)
+        groups.setdefault((kernel, program), {})[seed] = point
     filled = 0
-    for (kernel, version, vl), by_seed in sorted(
-        groups.items(), key=lambda item: (item[0][0], item[0][1], item[0][2] or 0)
-    ):
+    for (kernel, program), by_seed in sorted(groups.items()):
         missing = []
         for _, point in sorted(by_seed.items()):
             key = trace_key(point) if store is not None else None
@@ -385,13 +382,11 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
         from repro.kernels.base import execute_batch
         from repro.kernels.registry import KERNELS
 
-        runs = execute_batch(
-            KERNELS[kernel], version, [p.seed for p, _ in missing], vl=vl
-        )
+        runs = execute_batch(KERNELS[kernel], program, [p.seed for p, _ in missing])
         for (point, key), run in zip(missing, runs):
             if not run.correct:
                 raise AssertionError(
-                    f"kernel {kernel}/{version} failed verification "
+                    f"kernel {kernel}/{program} failed verification "
                     "during timing"
                 )
             _EMU_COUNT += 1
@@ -446,8 +441,8 @@ def compute_points(
 
     The batched counterpart of calling :func:`compute_point` per point,
     with identical results (the differential suite pins value-equality):
-    points are grouped by trace identity -- the same (kernel, version,
-    seed) grouping the sharding layer uses -- and each group's stack of
+    points are grouped by :func:`trace_source` -- the trace identity the
+    sharding layer groups by too -- and each group's stack of
     resolved configurations is timed against its one columnar trace
     through :class:`~repro.timing.batch.BatchCoreModel`, so a warm
     fig. 4 sweep walks a handful of batched passes instead of 132
@@ -464,11 +459,9 @@ def compute_points(
     if _COMPUTE_BUDGET is not None:
         return [compute_point(p, store) for p in points]
 
-    groups: Dict[Tuple[str, str, int, Optional[int]], List[int]] = {}
+    groups: Dict[Tuple[str, str, int], List[int]] = {}
     for idx, point in enumerate(points):
-        groups.setdefault(
-            (point.kernel, point.version, point.seed, point.vl), []
-        ).append(idx)
+        groups.setdefault(trace_source(point), []).append(idx)
     timings: List[Optional[KernelTiming]] = [None] * len(points)
     for indices in groups.values():
         group = [points[i] for i in indices]
@@ -521,9 +514,9 @@ def retime_stack(
     """Time one shared trace against many points in a single dispatch.
 
     The serving layer's batched re-timing primitive: every point must
-    share the trace identity ``cols`` was produced from (same kernel,
-    version and seed -- the caller owns that invariant; the machine
-    axis and ablation overrides are exactly what may vary), the whole
+    share the :func:`trace_source` ``cols`` was produced from (the
+    caller owns that invariant; the machine axis and ablation overrides
+    are exactly what may vary), the whole
     resolved config stack goes through one
     :func:`~repro.timing.simulator.simulate_trace_stack` call, and each
     resulting timing record is persisted under its
@@ -537,7 +530,7 @@ def retime_stack(
         store = default_store()
     if not points:
         return []
-    identities = {(p.kernel, p.version, p.seed, p.vl) for p in points}
+    identities = {trace_source(p) for p in points}
     if len(identities) > 1:
         raise ValueError(
             "retime_stack points must share one trace identity, got "
@@ -947,11 +940,9 @@ def _run_sweep(
         if _COMPUTE_BUDGET is None:
             # Whole shared-trace groups go through one batched timing
             # pass each; results land (and checkpoint) per point.
-            grouped: "OrderedDict[Tuple[str, str, int, Optional[int]], List[Tuple[SweepPoint, Optional[str]]]]" = OrderedDict()
+            grouped: "OrderedDict[Tuple[str, str, int], List[Tuple[SweepPoint, Optional[str]]]]" = OrderedDict()
             for point, key in pending:
-                grouped.setdefault(
-                    (point.kernel, point.version, point.seed, point.vl), []
-                ).append((point, key))
+                grouped.setdefault(trace_source(point), []).append((point, key))
             for group in grouped.values():
                 timings = compute_points([p for p, _ in group], store)
                 for (point, key), timing in zip(group, timings):

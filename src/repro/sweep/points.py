@@ -324,8 +324,9 @@ def shard(points: Iterable[SweepPoint], index: int, count: int) -> List[SweepPoi
     """Deterministic shard ``index`` (0-based) of ``count`` shards.
 
     Points sharing a dynamic trace (same
-    :func:`~repro.sweep.engine.trace_key`: kernel, program version,
-    seed) always land in the same shard, so a campaign split across N
+    :func:`~repro.sweep.engine.trace_key`, i.e. the same
+    :func:`~repro.sweep.engine.trace_source`) always land in the same
+    shard, so a campaign split across N
     hosts emulates each kernel exactly once *somewhere* instead of once
     per host -- trace-cache locality is what dominates cold sweep
     wall-clock.  Trace groups are balanced greedily by point count

@@ -204,6 +204,26 @@ class TestStreamedKernelTraces:
             assert len(seg) > 0
         assert len(lengths) >= 2
 
+    def test_machine_alias_streams_its_programs_segments(self):
+        """A registered alias streams exactly its program's segments."""
+        from repro.apps.runner import stream_app_kernel_traces
+
+        def contents(isa):
+            return [
+                (kernel, seg.content_digest())
+                for kernel, seg in stream_app_kernel_traces("jpegdec", isa=isa)
+            ]
+
+        wide = contents("mmx256")
+        assert [kernel for kernel, _ in wide] == ["h2v2", "ycc"]
+        assert wide == contents("mmx128")
+
+    def test_unknown_isa_raises(self):
+        from repro.apps.runner import stream_app_kernel_traces
+
+        with pytest.raises(ValueError, match="bogus"):
+            list(stream_app_kernel_traces("jpegdec", isa="bogus"))
+
     def test_segments_are_timeable(self):
         from repro.apps.runner import stream_app_kernel_traces
         from repro.machines import get_machine

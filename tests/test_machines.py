@@ -405,6 +405,17 @@ class TestMachinesCli:
         out = capsys.readouterr().out
         assert "4-way mmx256 (executing mmx128 binaries)" in out
 
+    @pytest.mark.parametrize(
+        "machine,twin", [("vla", "mmx128"), ("tile", "vmmx128")]
+    )
+    def test_kernel_on_twinned_family(self, machine, twin, capsys):
+        from repro.__main__ import main as cli_main
+
+        assert cli_main(["kernel", "idct", "--machine", machine]) == 0
+        out = capsys.readouterr().out
+        assert "functional check: ok" in out
+        assert f"2-way {machine} (executing {twin} binaries)" in out
+
     def test_kernel_unknown_machine(self, capsys):
         from repro.__main__ import main as cli_main
 

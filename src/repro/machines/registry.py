@@ -188,8 +188,9 @@ def trace_program(name: str, vl: Optional[int] = None) -> str:
     declared ``twin`` emits the twin's (``tile`` runs the ``vmmx128``
     binaries); a runtime-VL family at ``vl`` (default: its maximum) runs
     its one binary at that width, which is the fixed-width 1-D program
-    whose ``row_bytes`` is ``vl`` (``vla`` at 8 is ``mmx64``).
-    Unregistered names come back unchanged.
+    whose ``row_bytes`` is ``vl`` (``vla`` at 8 is ``mmx64``); a ``vl``
+    that is not such a width raises ``ValueError``.  Unregistered names
+    come back unchanged.
     """
     family = _FAMILIES.get(program_of(name))
     if family is None:
@@ -199,6 +200,11 @@ def trace_program(name: str, vl: Optional[int] = None) -> str:
     if not family.geometry.runtime_vl:
         return family.name
     width = family.geometry.row_bytes if vl is None else vl
+    if isinstance(width, bool) or not isinstance(width, int):
+        raise ValueError(
+            f"machine {name!r} vl must be an integer number of bytes, "
+            f"got {width!r}"
+        )
     for twin in _FAMILIES.values():
         geometry = twin.geometry
         if (

@@ -14,10 +14,11 @@ Two ways to run:
   [--json PATH] [--check-floor benchmarks/perf_floor.json]`` -- the
   self-contained CLI used by the CI perf-smoke step: measures the
   rates below (and, with ``--budget full``, a cold + warm-trace Fig. 4
-  kernel sweep), writes them to the benchmark JSON so the perf trajectory is
-  tracked over time, and fails when a rate drops below the checked-in
-  floor (floors are set to roughly one-third of the rates measured when
-  they were last raised, so slower CI hardware has headroom).
+  kernel sweep and a cold 4-seed one), writes them to the benchmark JSON
+  so the perf trajectory is tracked over time, and fails when a rate
+  drops below the checked-in floor (floors are set to roughly one-third
+  of the rates measured when they were last raised, so slower CI
+  hardware has headroom) or a full-budget sweep exceeds its ceiling.
 
 The emulation headline is the *batched* rate: ``execute_batch`` over
 ``emulation_batch_seeds`` seeds of ycc/mmx64, total emulated dynamic
@@ -43,6 +44,7 @@ from :func:`~repro.apps.appmodel.make_scalar_trace`, best of the reps.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -72,12 +74,19 @@ RATE_KEYS = (
 #: jpegenc's, the first the application figures price.
 SCALAR_MIX = (0.31, 0.04)
 
-#: ``fig4_sweep`` wall-clock ceilings guarded by the floor file (seconds;
-#: the smoke fails when a measured time *exceeds* the ceiling).
-MAX_SECONDS_KEYS = {"fig4_warm_sweep_seconds_max": "warm_trace_seconds"}
+#: Full-budget sweep wall-clock ceilings guarded by the floor file, as
+#: ceiling key -> (results block, field) (seconds; the smoke fails when
+#: a measured time *exceeds* the ceiling).
+MAX_SECONDS_KEYS = {
+    "fig4_warm_sweep_seconds_max": ("fig4_sweep", "warm_trace_seconds"),
+    "fig4_seeds_sweep_seconds_max": ("fig4_seeds_sweep", "seconds"),
+}
 
 #: Seeds per batched-emulation pass (the headline emulation rate).
 BATCH_SEEDS = 16
+
+#: Seeds of the cold multi-seed Fig. 4 sweep.
+SWEEP_SEEDS = (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,40 @@ def measure_model_speed(budget="ci"):
     }
     if budget == "full":
         results["fig4_sweep"] = _measure_fig4_sweep()
+        results["fig4_seeds_sweep"] = _measure_fig4_seeds_sweep()
     return results
+
+
+@contextlib.contextmanager
+def _fresh_store():
+    """An empty private store as ``REPRO_STORE``, memo cleared around it."""
+    import shutil
+    import tempfile
+
+    from repro.sweep import clear_memory_caches
+
+    store_root = tempfile.mkdtemp(prefix="repro-bench-store-")
+    previous = os.environ.get("REPRO_STORE")
+    os.environ["REPRO_STORE"] = store_root
+    try:
+        clear_memory_caches()
+        yield store_root
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_STORE", None)
+        else:
+            os.environ["REPRO_STORE"] = previous
+        clear_memory_caches()
+        shutil.rmtree(store_root, ignore_errors=True)
+
+
+def _fig4_grid(seeds):
+    """The Fig. 4 kernels on all four extensions at every paper width."""
+    from repro.kernels.registry import FIG4_KERNELS
+    from repro.machines import ISAS, WAYS
+    from repro.sweep.points import grid
+
+    return grid(FIG4_KERNELS + ("fdct",), ISAS, WAYS, seeds)
 
 
 def _measure_fig4_sweep():
@@ -248,20 +290,11 @@ def _measure_fig4_sweep():
     regime.
     """
     import pathlib
-    import shutil
-    import tempfile
 
-    from repro.kernels.registry import FIG4_KERNELS
     from repro.sweep import clear_memory_caches, emulation_count, sweep
-    from repro.sweep.points import grid
-    from repro.machines import ISAS, WAYS
 
-    store_root = tempfile.mkdtemp(prefix="repro-bench-store-")
-    previous = os.environ.get("REPRO_STORE")
-    os.environ["REPRO_STORE"] = store_root
-    try:
-        clear_memory_caches()
-        points = grid(FIG4_KERNELS + ("fdct",), ISAS, WAYS, (0,))
+    with _fresh_store() as store_root:
+        points = _fig4_grid((0,))
         t0 = time.perf_counter()
         report = sweep(points)
         cold = time.perf_counter() - t0
@@ -284,13 +317,43 @@ def _measure_fig4_sweep():
             "warm_trace_instructions_per_sec": round(instructions / warm),
             "warm_trace_emulations": emulation_count() - emulations_before,
         }
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_STORE", None)
-        else:
-            os.environ["REPRO_STORE"] = previous
-        clear_memory_caches()
-        shutil.rmtree(store_root, ignore_errors=True)
+
+
+def _measure_fig4_seeds_sweep():
+    """A cold sweep of the Fig. 4 grid over :data:`SWEEP_SEEDS`.
+
+    Every kernel but ltppar emits the same trace for every seed, so the
+    engine times each distinct (trace content, configuration) once and
+    encodes each distinct trace once: ``distinct_timings`` and
+    ``trace_encodes`` record how much of the point and trace count that
+    saved, ``seconds`` the wall clock of the whole cold sweep.
+    """
+    from repro.sweep import engine, sweep
+
+    encodes = []
+    encode = engine.trace_to_payload
+
+    def counting_encode(cols):
+        encodes.append(1)
+        return encode(cols)
+
+    with _fresh_store():
+        points = _fig4_grid(SWEEP_SEEDS)
+        engine.trace_to_payload = counting_encode
+        try:
+            t0 = time.perf_counter()
+            report = sweep(points)
+            seconds = time.perf_counter() - t0
+        finally:
+            engine.trace_to_payload = encode
+        return {
+            "points": len(points),
+            "seeds": len(SWEEP_SEEDS),
+            "distinct_timings": report.distinct_timings,
+            "emulations": report.emulated,
+            "trace_encodes": len(encodes),
+            "seconds": round(seconds, 3),
+        }
 
 
 def check_floor(results, floor_path):
@@ -314,10 +377,9 @@ def check_floor(results, floor_path):
         print(f"{key}: {rate:,.0f}/s (floor {floor:,.0f}) {status}")
         if rate < floor:
             ok = False
-    sweep = results.get("fig4_sweep", {})
-    for key, field in MAX_SECONDS_KEYS.items():
+    for key, (block, field) in MAX_SECONDS_KEYS.items():
         ceiling = floors.get(key)
-        seconds = sweep.get(field)
+        seconds = results.get(block, {}).get(field)
         if ceiling is None or seconds is None:
             continue
         status = "ok" if seconds <= ceiling else "REGRESSION"

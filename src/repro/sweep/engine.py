@@ -2,11 +2,14 @@
 
 :func:`sweep` takes a list of :class:`~repro.sweep.points.SweepPoint`,
 answers every point it can from the content-addressed result store, and
-simulates the rest -- serially for ``jobs=1``, or across a
-``concurrent.futures`` process pool with deterministic contiguous
-chunking otherwise.  Results are byte-identical regardless of ``jobs``
-because every point's simulation is independent and deterministic, and
-because both paths normalise results through the same JSON record form.
+simulates the rest -- serially for ``jobs=1``, streamed one kernel
+program at a time, or across a ``concurrent.futures`` process pool with
+deterministic contiguous chunking otherwise.  Either way
+:func:`compute_points` times each distinct (trace content,
+configuration) once and gives every point its own record.  Results are
+byte-identical regardless of ``jobs`` because every point's simulation
+is independent and deterministic, and because both paths normalise
+results through the same JSON record form.
 
 The module also exposes :func:`run_point`, the store-aware single-point
 entry that :func:`repro.timing.simulator.simulate_kernel` routes
@@ -41,6 +44,7 @@ from repro.sweep.store import (
 )
 from repro.machines import get_machine
 from repro.machines.spec import CoreConfig, MemHierConfig
+from repro.timing.core import SimResult
 from repro.timing.simulator import (
     KernelTiming,
     simulate_trace,
@@ -61,6 +65,12 @@ _SIM_COUNT = 0
 #: rises strictly slower than :data:`_SIM_COUNT` on sweeps that share
 #: traces across machine widths or ablation overrides.
 _EMU_COUNT = 0
+
+#: Distinct (trace content, configuration) timings this process (plus,
+#: for parallel sweeps, its workers) computed: :func:`compute_points`
+#: times points that share both once, so this rises no faster than
+#: :data:`_SIM_COUNT`.
+_TIMING_COUNT = 0
 
 #: Test hook: remaining :func:`compute_point` calls this process may
 #: perform before :class:`SweepInterrupted` is raised (None = unlimited).
@@ -205,9 +215,10 @@ def emulation_count() -> int:
 
 
 def reset_simulation_count() -> None:
-    global _SIM_COUNT, _EMU_COUNT
+    global _SIM_COUNT, _EMU_COUNT, _TIMING_COUNT
     _SIM_COUNT = 0
     _EMU_COUNT = 0
+    _TIMING_COUNT = 0
 
 
 def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
@@ -307,42 +318,104 @@ def _trace_memo_key(store: Any, point: SweepPoint) -> Tuple[Any, ...]:
     return memo_key(store, "trace", trace_source(point))
 
 
-def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace:
-    """The columnar dynamic trace of a point's :func:`trace_source`.
+#: A trace together with its payload digest (None until one is known).
+_DigestedTrace = Tuple[ColumnarTrace, Optional[str]]
 
-    Answered from the store's memo, then the store's ``trace`` records,
-    and only then by emulating the kernel -- which also runs the
-    bit-exact golden verification, so a trace is only ever persisted
-    after its kernel version proved correct.  (The store address embeds
-    the simulator code digest, so a stale trace can never be served for
-    emulation code that has changed.)
+
+def _emulate(
+    kernel: str,
+    program: str,
+    missing: Sequence[Tuple[SweepPoint, Optional[str]]],
+    store: Any,
+) -> List[_DigestedTrace]:
+    """Emulate the missing seeds of one kernel program; persist and memoise.
+
+    ``missing`` pairs each point with its :func:`trace_key` (None
+    without a store).  Two or more seeds emulate as one vectorised batch
+    (:func:`repro.kernels.base.execute_batch`), a single seed record at
+    a time.  Every run passes the bit-exact golden verification before
+    its trace is persisted.  A batch over data-independent control flow
+    returns one trace object for all its seeds: that trace is encoded
+    once and the same payload saved under every seed's key.  Returns
+    each point's trace with the digest of its stored payload (None
+    without a store).
     """
     global _EMU_COUNT
-    if store is _USE_DEFAULT:
-        store = default_store()
-    memo = _trace_memo_key(store, point)
-    hit = MEMO.get(memo)
-    if hit is not None:
-        return hit
-    key = trace_key(point) if store is not None else None
-    cols: Optional[ColumnarTrace] = None
-    if key is not None:
-        cols = trace_from_payload(load_payload(store, key))
-    if cols is None:
-        from repro.kernels.base import execute
-        from repro.kernels.registry import KERNELS
+    from repro.kernels.base import execute, execute_batch
+    from repro.kernels.registry import KERNELS
 
-        kernel, program, seed = trace_source(point)
-        run = execute(KERNELS[kernel], program, seed=seed)
+    seeds = [point.seed for point, _ in missing]
+    if len(seeds) > 1:
+        runs = execute_batch(KERNELS[kernel], program, seeds)
+    else:
+        runs = [execute(KERNELS[kernel], program, seed=seeds[0])]
+    # Keyed by object identity: ``runs`` keeps every trace alive.
+    payloads: Dict[int, Dict[str, Any]] = {}
+    traces: List[_DigestedTrace] = []
+    for (point, key), run in zip(missing, runs):
         if not run.correct:
             raise AssertionError(
                 f"kernel {kernel}/{program} failed verification during timing"
             )
         _EMU_COUNT += 1
         cols = run.trace.columns()
+        digest = None
         if key is not None:
-            save_payload(store, "trace", key, trace_to_payload(cols))
-    return memoise(memo, cols)
+            payload = payloads.get(id(cols))
+            if payload is None:
+                payload = payloads[id(cols)] = trace_to_payload(cols)
+            save_payload(store, "trace", key, payload)
+            digest = payload["digest"]
+        traces.append((memoise(_trace_memo_key(store, point), cols), digest))
+    return traces
+
+
+def _program_traces(
+    kernel: str, program: str, points: Sequence[SweepPoint], store: Any
+) -> Dict[int, _DigestedTrace]:
+    """Every seed's trace of one kernel program, keyed by seed.
+
+    Each seed is answered from the memo (digest not yet known), then
+    from the store's ``trace`` record (its payload carries the digest),
+    and the rest by one :func:`_emulate` call.  (The store address
+    embeds the simulator code digest, so a stale trace can never be
+    served for emulation code that has changed.)
+    """
+    traces: Dict[int, _DigestedTrace] = {}
+    missing: Dict[int, Tuple[SweepPoint, Optional[str]]] = {}
+    for point in points:
+        if point.seed in traces or point.seed in missing:
+            continue
+        memo = _trace_memo_key(store, point)
+        cols = MEMO.get(memo)
+        if cols is not None:
+            traces[point.seed] = (cols, None)
+            continue
+        key = trace_key(point) if store is not None else None
+        payload = load_payload(store, key) if key is not None else None
+        cols = trace_from_payload(payload) if payload is not None else None
+        if cols is not None:
+            traces[point.seed] = (memoise(memo, cols), payload.get("digest"))
+        else:
+            missing[point.seed] = (point, key)
+    if missing:
+        emulated = _emulate(kernel, program, list(missing.values()), store)
+        traces.update(zip(missing, emulated))
+    return traces
+
+
+def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace:
+    """The columnar dynamic trace of a point's :func:`trace_source`.
+
+    Answered from the store's memo, then the store's ``trace`` records,
+    and only then by emulating the kernel -- which also runs the
+    bit-exact golden verification, so a trace is only ever persisted
+    after its kernel version proved correct.
+    """
+    if store is _USE_DEFAULT:
+        store = default_store()
+    kernel, program, seed = trace_source(point)
+    return _program_traces(kernel, program, [point], store)[seed][0]
 
 
 def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> int:
@@ -360,7 +433,6 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
     suite pins the digest equality), so warm sweeps and the jobs-parity
     guarantee are unaffected.
     """
-    global _EMU_COUNT
     if store is _USE_DEFAULT:
         store = default_store()
     groups: Dict[Tuple[str, str], Dict[int, SweepPoint]] = {}
@@ -377,24 +449,8 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
             if key is not None and key in store:
                 continue
             missing.append((point, key))
-        if len(missing) < 2:
-            continue
-        from repro.kernels.base import execute_batch
-        from repro.kernels.registry import KERNELS
-
-        runs = execute_batch(KERNELS[kernel], program, [p.seed for p, _ in missing])
-        for (point, key), run in zip(missing, runs):
-            if not run.correct:
-                raise AssertionError(
-                    f"kernel {kernel}/{program} failed verification "
-                    "during timing"
-                )
-            _EMU_COUNT += 1
-            cols = run.trace.columns()
-            if key is not None:
-                save_payload(store, "trace", key, trace_to_payload(cols))
-            memoise(_trace_memo_key(store, point), cols)
-            filled += 1
+        if len(missing) >= 2:
+            filled += len(_emulate(kernel, program, missing, store))
     return filled
 
 
@@ -408,79 +464,114 @@ def compute_point(point: SweepPoint, store: Any = _USE_DEFAULT) -> KernelTiming:
     serialisation round-trip tests), so results cannot depend on where
     the trace came from.
     """
-    from repro.kernels.registry import KERNELS
-
-    global _SIM_COUNT, _COMPUTE_BUDGET
+    global _SIM_COUNT, _TIMING_COUNT, _COMPUTE_BUDGET
     if _COMPUTE_BUDGET is not None:
         if _COMPUTE_BUDGET <= 0:
             raise SweepInterrupted(
                 f"compute budget exhausted before point {point.label!r}"
             )
         _COMPUTE_BUDGET -= 1
-    spec = KERNELS[point.kernel]
     cols = acquire_trace(point, store)
     config, mem = resolve_configs(point)
     result = simulate_trace(cols, config, mem)
     _SIM_COUNT += 1
+    _TIMING_COUNT += 1
+    return _kernel_timing(point, result)
+
+
+def _kernel_timing(point: SweepPoint, result: SimResult) -> KernelTiming:
+    """The :class:`KernelTiming` record of ``point`` around ``result``."""
+    from repro.kernels.registry import KERNELS
+
     return KernelTiming(
         kernel=point.kernel,
         version=point.version,
         way=point.way,
         result=result,
-        batch=spec.batch,
+        batch=KERNELS[point.kernel].batch,
         seed=point.seed,
         machine=point.machine,
         vl=point.vl,
     )
 
 
+def _timing_identity(
+    point: SweepPoint, config: CoreConfig, mem: MemHierConfig
+) -> Tuple[Any, ...]:
+    """What a point's timing depends on besides its trace's content.
+
+    The resolved configuration pair, plus the name and type of every
+    override: frozen-dataclass equality holds ``lanes=4`` and
+    ``lanes=4.0`` equal, but the reference model times them apart.
+    """
+    overrides = point.core_overrides + point.mem_overrides
+    return config, mem, tuple((name, type(value)) for name, value in overrides)
+
+
 def compute_points(
     points: Sequence[SweepPoint], store: Any = _USE_DEFAULT
 ) -> List[KernelTiming]:
-    """Time many points, batching every shared-trace group into one pass.
+    """Time many points, each distinct (trace content, configuration) once.
 
     The batched counterpart of calling :func:`compute_point` per point,
-    with identical results (the differential suite pins value-equality):
-    points are grouped by :func:`trace_source` -- the trace identity the
-    sharding layer groups by too -- and each group's stack of
-    resolved configurations is timed against its one columnar trace
-    through :class:`~repro.timing.batch.BatchCoreModel`, so a warm
-    fig. 4 sweep walks a handful of batched passes instead of 132
-    per-point passes.  Under ``REPRO_TIMING_REFERENCE=1``, or with no
-    compiled kernel, :func:`~repro.timing.simulator.simulate_trace_stack`
-    times each point through the reference model instead.
+    with byte-identical records (the differential suite pins it).
+    Points are grouped by kernel program, and each program's traces come
+    from the memo, the store, or one batched emulation of its missing
+    seeds.  Seeds whose traces have equal payload digests -- every seed
+    of a kernel whose control flow does not depend on its input data --
+    form one content bucket, and each bucket's *distinct* resolved
+    configurations are timed in one
+    :func:`~repro.timing.simulator.simulate_trace_stack` pass
+    (:class:`~repro.timing.batch.BatchCoreModel`, or the reference model
+    under ``REPRO_TIMING_REFERENCE=1`` or with no compiled kernel).
+    Every point then gets its own :class:`KernelTiming` -- its seed,
+    machine and vl -- around a copy of the shared result.
 
     A bounded compute budget keeps the per-point path so
     :class:`SweepInterrupted` fires at exactly the budgeted point.
     """
-    from repro.kernels.registry import KERNELS
-
-    global _SIM_COUNT
+    global _SIM_COUNT, _TIMING_COUNT
     if _COMPUTE_BUDGET is not None:
         return [compute_point(p, store) for p in points]
+    if store is _USE_DEFAULT:
+        store = default_store()
 
-    groups: Dict[Tuple[str, str, int], List[int]] = {}
+    programs: Dict[Tuple[str, str], List[int]] = {}
     for idx, point in enumerate(points):
-        groups.setdefault(trace_source(point), []).append(idx)
+        kernel, program, _ = trace_source(point)
+        programs.setdefault((kernel, program), []).append(idx)
     timings: List[Optional[KernelTiming]] = [None] * len(points)
-    for indices in groups.values():
-        group = [points[i] for i in indices]
-        spec = KERNELS[group[0].kernel]
-        cols = acquire_trace(group[0], store)
-        configs = [resolve_configs(p) for p in group]
-        results = simulate_trace_stack(cols, configs)
-        _SIM_COUNT += len(group)
-        for i, point, result in zip(indices, group, results):
-            timings[i] = KernelTiming(
-                kernel=point.kernel,
-                version=point.version,
-                way=point.way,
-                result=result,
-                batch=spec.batch,
-                seed=point.seed,
-                machine=point.machine,
-                vl=point.vl,
-            )
+    for (kernel, program), indices in programs.items():
+        traces = _program_traces(
+            kernel, program, [points[i] for i in indices], store
+        )
+        # Digest per distinct trace object (``traces`` keeps each alive):
+        # from its payload where one was read or written, else computed.
+        digests = {id(cols): d for cols, d in traces.values() if d is not None}
+        # Content digest -> (trace, timing identity -> (configs, askers)).
+        buckets: Dict[str, Tuple[ColumnarTrace, Dict[Any, Any]]] = {}
+        for i in indices:
+            point = points[i]
+            cols, _ = traces[point.seed]
+            if id(cols) not in digests:
+                digests[id(cols)] = cols.digest()
+            config, mem = resolve_configs(point)
+            _, questions = buckets.setdefault(digests[id(cols)], (cols, {}))
+            identity = _timing_identity(point, config, mem)
+            questions.setdefault(identity, ((config, mem), []))[1].append(i)
+        for cols, questions in buckets.values():
+            asked = list(questions.values())
+            results = simulate_trace_stack(cols, [pair for pair, _ in asked])
+            _TIMING_COUNT += len(results)
+            for (_, askers), result in zip(asked, results):
+                for i in askers:
+                    copy = dataclasses.replace(
+                        result,
+                        cat_instructions=dict(result.cat_instructions),
+                        cat_cycles=dict(result.cat_cycles),
+                    )
+                    timings[i] = _kernel_timing(points[i], copy)
+        _SIM_COUNT += len(indices)
     return timings  # type: ignore[return-value]
 
 
@@ -523,8 +614,6 @@ def retime_stack(
     :func:`point_key` so the interactive exploration a service performs
     leaves the same store records a sweep would have.
     """
-    from repro.kernels.registry import KERNELS
-
     global _SIM_COUNT
     if store is _USE_DEFAULT:
         store = default_store()
@@ -541,18 +630,7 @@ def retime_stack(
     _SIM_COUNT += len(points)
     timings = []
     for point, result in zip(points, results):
-        spec = KERNELS[point.kernel]
-        timing = KernelTiming(
-            kernel=point.kernel,
-            version=point.version,
-            way=point.way,
-            result=result,
-            batch=spec.batch,
-            seed=point.seed,
-            machine=point.machine,
-            vl=point.vl,
-        )
-        payload = kernel_timing_to_dict(timing)
+        payload = kernel_timing_to_dict(_kernel_timing(point, result))
         if store is not None:
             save_payload(store, "kernel-timing", point_key(point), payload)
         timings.append(kernel_timing_from_dict(payload))
@@ -597,14 +675,19 @@ def _worker_chunk(
     The parent's store choice arrives as ``store_root`` -- data, not
     environment -- so every worker reads/writes exactly the store the
     calling :func:`sweep` resolved, whatever the child environment says.
-    Also reports how many *emulations* the chunk performed (workers are
-    reused across chunks, so the count is a delta), letting the parent
-    keep :func:`emulation_count` truthful for pooled sweeps.
+    Also reports how many *emulations* and distinct timings the chunk
+    performed (workers are reused across chunks, so the counts are
+    deltas), letting the parent keep :func:`emulation_count` and
+    :attr:`SweepReport.distinct_timings` truthful for pooled sweeps.
     """
     store = store_from_root(store_root)
-    emulations_before = _EMU_COUNT
+    emulations_before, timings_before = _EMU_COUNT, _TIMING_COUNT
     payloads = [kernel_timing_to_dict(t) for t in compute_points(points, store)]
-    return {"payloads": payloads, "emulations": _EMU_COUNT - emulations_before}
+    return {
+        "payloads": payloads,
+        "emulations": _EMU_COUNT - emulations_before,
+        "timings": _TIMING_COUNT - timings_before,
+    }
 
 
 def _chunks(items: Sequence, jobs: int) -> List[Sequence]:
@@ -634,6 +717,9 @@ class SweepReport:
     resumed: int = 0
     #: Kernel emulations this call performed (trace-cache misses).
     emulated: int = 0
+    #: Distinct (trace content, configuration) timings this call
+    #: computed: simulated points sharing both share one timing.
+    distinct_timings: int = 0
 
     @property
     def total(self) -> int:
@@ -645,7 +731,8 @@ class SweepReport:
     def summary(self) -> str:
         where = self.store_root or "<no store>"
         text = (
-            f"{self.total} points: {self.simulated} simulated, "
+            f"{self.total} points: {self.simulated} simulated "
+            f"({self.distinct_timings} distinct timings), "
             f"{self.emulated} emulated, "
             f"{self.cached} from store ({where}), jobs={self.jobs}"
         )
@@ -877,7 +964,7 @@ def _run_sweep(
     total = len(points)
     keys = [point_key(p) for p in points] if store is not None else [None] * total
     checkpoint = _Checkpoint(store, keys, shard) if resume else None
-    emulations_before = _EMU_COUNT
+    emulations_before, timings_before = _EMU_COUNT, _TIMING_COUNT
 
     results: Dict[SweepPoint, KernelTiming] = {}
     sources: Dict[SweepPoint, str] = {}
@@ -915,19 +1002,21 @@ def _run_sweep(
             progress(done, total, point, "sim")
 
     if misses:
-        # Batch-emulate every missing trace up front (one vectorised
-        # pass per kernel version) so neither pooled workers nor the
-        # inline path fall back to record-at-a-time emulation.  The
-        # resolved ``store`` is threaded explicitly here and to the
-        # pooled workers below (as a root string, reconstructed per
+        # The resolved ``store`` is threaded explicitly to every step and
+        # to the pooled workers (as a root string, reconstructed per
         # worker), so the jobs-parity guarantee -- store trees
-        # byte-identical for any ``jobs`` -- holds for *whichever*
-        # store the caller selected, without ever mutating the process
+        # byte-identical for any ``jobs`` -- holds for *whichever* store
+        # the caller selected, without ever mutating the process
         # environment.
-        acquire_traces(misses, store)
-        worker_root = str(store.root) if store is not None else None
         pending = list(zip(misses, miss_keys))
+        if jobs > 1 or _COMPUTE_BUDGET is not None:
+            # Batch-emulate every missing trace up front (one vectorised
+            # pass per kernel program): forked workers then never
+            # emulate, and the per-point budget path never falls back
+            # to record-at-a-time emulation.
+            acquire_traces(misses, store)
         if jobs > 1:
+            worker_root = str(store.root) if store is not None else None
             for n_done, payloads in _pooled_chunks(misses, jobs, worker_root):
                 for (point, key), payload in zip(pending[:n_done], payloads):
                     finish(point, key, payload)
@@ -938,11 +1027,15 @@ def _run_sweep(
         # worker crashed mid-campaign) complete inline, against the
         # same store the workers were handed.
         if _COMPUTE_BUDGET is None:
-            # Whole shared-trace groups go through one batched timing
-            # pass each; results land (and checkpoint) per point.
-            grouped: "OrderedDict[Tuple[str, str, int], List[Tuple[SweepPoint, Optional[str]]]]" = OrderedDict()
+            # Streamed one kernel program at a time: compute_points
+            # batch-emulates the program's missing seeds, times each
+            # distinct (trace content, configuration) once, and the
+            # results land (and checkpoint) per point before the next
+            # program's traces are made.
+            grouped: "OrderedDict[Tuple[str, str], List[Tuple[SweepPoint, Optional[str]]]]" = OrderedDict()
             for point, key in pending:
-                grouped.setdefault(trace_source(point), []).append((point, key))
+                kernel, program, _ = trace_source(point)
+                grouped.setdefault((kernel, program), []).append((point, key))
             for group in grouped.values():
                 timings = compute_points([p for p, _ in group], store)
                 for (point, key), timing in zip(group, timings):
@@ -978,6 +1071,7 @@ def _run_sweep(
         shard=shard,
         resumed=resumed,
         emulated=_EMU_COUNT - emulations_before,
+        distinct_timings=_TIMING_COUNT - timings_before,
     )
 
 
@@ -993,7 +1087,7 @@ def _pooled_chunks(
     mid-campaign simply stops the stream; the caller completes the
     remainder inline.
     """
-    global _SIM_COUNT, _EMU_COUNT
+    global _SIM_COUNT, _EMU_COUNT, _TIMING_COUNT
     import concurrent.futures
     import functools
     import multiprocessing
@@ -1011,6 +1105,7 @@ def _pooled_chunks(
             for chunk, result in zip(chunks, pool.map(worker, chunks)):
                 _SIM_COUNT += len(chunk)
                 _EMU_COUNT += result["emulations"]
+                _TIMING_COUNT += result["timings"]
                 yield len(chunk), result["payloads"]
     except (OSError, concurrent.futures.process.BrokenProcessPool):
         return

@@ -6,7 +6,10 @@ Pins the properties the refactor relies on:
 * both match the pre-existing serial ``simulate_kernel`` path;
 * a warm store answers without re-simulating (simulation-count hook);
 * the bounded in-process memo may evict freely without changing results;
-* distinct seeds produce distinct records (no silent collision).
+* distinct seeds produce distinct records (no silent collision);
+* a sweep times each distinct (trace content, configuration) once and
+  encodes each distinct trace once, with records byte-identical to a
+  per-point pass.
 """
 
 import os
@@ -24,16 +27,32 @@ from repro.sweep import (
     simulation_count,
     sweep,
 )
+from repro.sweep import engine
 from repro.sweep.store import (
     MEMO,
     MEMO_ENTRY_BYTES,
     canonical_json,
     kernel_timing_to_dict,
+    save_payload,
 )
 from repro.timing import simulator
 
 #: A small but representative grid: two kernels, a 1-D and a 2-D ISA.
 GRID = grid(("ycc", "addblock"), ("mmx64", "vmmx128"), (2, 4))
+
+#: Four seeds of a kernel whose trace ignores its input data (ycc) and
+#: of one whose control flow depends on it (ltppar).
+SEEDS = (0, 1, 2, 3)
+BUCKET_WAYS = (2, 4)
+BUCKET_GRID = grid(("ycc", "ltppar"), ("mmx64", "vmmx128"), BUCKET_WAYS, SEEDS)
+
+#: The bucket grid again under a set of lanes overrides.
+ABLATION_GRID = BUCKET_GRID + [
+    point
+    for lanes in (1, 2, 8)
+    for point in grid(("ycc", "ltppar"), ("mmx64", "vmmx128"), BUCKET_WAYS,
+                      SEEDS, core_overrides={"lanes": lanes})
+]
 
 
 @pytest.fixture()
@@ -190,3 +209,110 @@ class TestCli:
         assert main(["sweep", "--grid", "fig4", "--seeds", "0,1"]) == 1
         out = capsys.readouterr().out
         assert "--grid fig4 defines its own axes" in out and "--seeds" in out
+
+
+@pytest.fixture(scope="module")
+def distinct_traces():
+    """Distinct per-seed trace digests of each (kernel, version), by execute."""
+    from repro.kernels.base import execute
+    from repro.kernels.registry import KERNELS
+
+    return {
+        (kernel, version): {
+            execute(KERNELS[kernel], version, seed=seed).trace.columns().digest()
+            for seed in SEEDS
+        }
+        for kernel, version in sorted({(p.kernel, p.version) for p in BUCKET_GRID})
+    }
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """Every trace the engine encodes, in call order."""
+    calls = []
+    real = engine.trace_to_payload
+
+    def counting(cols):
+        calls.append(cols)
+        return real(cols)
+
+    monkeypatch.setattr(engine, "trace_to_payload", counting)
+    return calls
+
+
+def _store_bytes(store):
+    return {key: store.path_for(key).read_bytes() for key in store.iter_keys()}
+
+
+class TestContentBuckets:
+    def test_cold_sweep_times_each_distinct_question_once(
+        self, tmp_path, isolated_store, distinct_traces, encodes
+    ):
+        contents = sum(len(digests) for digests in distinct_traces.values())
+        assert contents == 10  # ycc: one per version; ltppar: one per seed
+        report = sweep(BUCKET_GRID, store=ResultStore(tmp_path / "cold"))
+        assert report.simulated == len(BUCKET_GRID) == 32
+        assert report.distinct_timings == contents * len(BUCKET_WAYS) == 20
+        assert len(encodes) == contents
+        assert report.emulated == len(distinct_traces) * len(SEEDS) == 16
+        assert report.summary().startswith(
+            "32 points: 32 simulated (20 distinct timings), 16 emulated, "
+        )
+
+    def test_storeless_sweep_buckets_by_computed_digest(
+        self, isolated_store, distinct_traces, encodes
+    ):
+        report = sweep(BUCKET_GRID, store=None)
+        contents = sum(len(digests) for digests in distinct_traces.values())
+        assert report.distinct_timings == contents * len(BUCKET_WAYS)
+        assert encodes == []
+
+    def test_records_match_per_point_pass_and_pool(self, tmp_path, isolated_store):
+        swept = ResultStore(tmp_path / "swept")
+        report = sweep(ABLATION_GRID, store=swept)
+        assert report.simulated == len(ABLATION_GRID)
+        assert report.distinct_timings < len(ABLATION_GRID)
+
+        clear_memory_caches()
+        per_point = ResultStore(tmp_path / "per-point")
+        for point in ABLATION_GRID:
+            timing = engine.compute_point(point, per_point)
+            save_payload(per_point, "kernel-timing", point_key(point),
+                         kernel_timing_to_dict(timing))
+
+        clear_memory_caches()
+        pooled = ResultStore(tmp_path / "pooled")
+        assert sweep(ABLATION_GRID, jobs=2, store=pooled).simulated == len(
+            ABLATION_GRID
+        )
+
+        kinds = {swept.load(key)["kind"] for key in swept.iter_keys()}
+        assert kinds == {"kernel-timing", "trace"}
+        assert _store_bytes(swept) == _store_bytes(per_point)
+        assert _store_bytes(swept) == _store_bytes(pooled)
+
+    def test_shared_trace_stored_under_every_seed_key(
+        self, tmp_path, isolated_store, encodes
+    ):
+        store = ResultStore(tmp_path / "traces")
+        points = grid(("ycc",), ("mmx64",), (2,), SEEDS)
+        assert engine.acquire_traces(points, store) == len(SEEDS)
+        assert len(encodes) == 1
+        keys = {engine.trace_key(p) for p in points}
+        assert len(keys) == len(SEEDS)
+        payloads = {canonical_json(store.load(key)["payload"]) for key in keys}
+        assert len(payloads) == 1
+
+    def test_override_types_are_timed_apart(self, isolated_store, monkeypatch):
+        # The reference model times lanes=4 and lanes=4.0 differently,
+        # so equal dataclasses must not share a timing.
+        monkeypatch.setenv("REPRO_TIMING_REFERENCE", "1")
+        points = [
+            SweepPoint("ycc", "vmmx128", 2, core_overrides={"lanes": lanes})
+            for lanes in (4, 4.0)
+        ]
+        batched = engine.compute_points(points, store=None)
+        single = [engine.compute_point(p, store=None) for p in points]
+        assert [canonical_json(kernel_timing_to_dict(t)) for t in batched] == [
+            canonical_json(kernel_timing_to_dict(t)) for t in single
+        ]

@@ -44,7 +44,7 @@ from repro.sweep.store import (
 )
 from repro.machines import get_machine
 from repro.machines.spec import CoreConfig, MemHierConfig
-from repro.timing.core import SimResult
+from repro.timing.core import SimResult, check_config
 from repro.timing.simulator import (
     KernelTiming,
     simulate_trace,
@@ -228,7 +228,10 @@ def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
     name (its ``version`` unless the ``machine`` axis is set) yields a
     :class:`~repro.machines.MachineSpec` at any positive way, whose
     program must match the point's kernel version -- timing a binary on
-    a machine that does not execute it is a caller error.
+    a machine that does not execute it is a caller error.  An overridden
+    pair must pass :func:`repro.timing.core.check_config`, so an override
+    the timing model cannot time (a zero ROB, an L1 smaller than one set)
+    raises :class:`ValueError` here, before any key or simulation.
     """
     spec = get_machine(point.machine_name, point.way)
     if spec.program != point.version:
@@ -248,6 +251,11 @@ def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
             mem = dataclasses.replace(mem, **{head: level})
         else:
             mem = dataclasses.replace(mem, **{head: value})
+    if point.core_overrides or point.mem_overrides:
+        # Registered machines time as they are (a test pins every one);
+        # an override can break that, and the warm path keys many
+        # points without one.
+        check_config(config, mem)
     return config, mem
 
 

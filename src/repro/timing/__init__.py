@@ -14,7 +14,7 @@ from repro.machines import MachineSpec, SimdGeometry, get_machine
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.batch import BatchCoreModel, BatchTimingDivergence
 from repro.timing.caches import BimodalPredictor, Cache, MemoryHierarchy
-from repro.timing.core import CoreModel, SimResult
+from repro.timing.core import CoreModel, SimResult, check_config
 from repro.timing.simulator import (
     simulate_kernel,
     simulate_trace,
@@ -24,6 +24,7 @@ from repro.timing.simulator import (
 __all__ = [
     "BatchCoreModel", "BatchTimingDivergence", "BimodalPredictor", "Cache",
     "CoreConfig", "CoreModel", "MachineSpec", "MemHierConfig",
-    "MemoryHierarchy", "SimdGeometry", "SimResult", "get_machine",
-    "simulate_kernel", "simulate_trace", "simulate_trace_stack",
+    "MemoryHierarchy", "SimdGeometry", "SimResult", "check_config",
+    "get_machine", "simulate_kernel", "simulate_trace",
+    "simulate_trace_stack",
 ]

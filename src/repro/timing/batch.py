@@ -5,20 +5,26 @@ per (kernel, version, seed), re-timed across many machine widths and
 resource ablations.  :class:`BatchCoreModel` times a whole *stack* of P
 configurations sharing one trace in a single pass, mirroring
 :mod:`repro.emu.batch`'s seed axis on the timing side; a single
-configuration is simply a stack of one.
+configuration is simply a stack of one.  The work splits three ways:
 
-* every pure per-instruction derivation is computed once per stack (the
-  pre-pass helpers in :mod:`repro.timing.core`: branch-predictor
-  outcomes and cache hit/miss resolution are configuration-independent
-  within a stack that shares cache geometry, and the per-point SIMD and
-  port occupancies are NumPy expressions over the columns, widened by a
-  leading point axis -- SoA ``(P, n)`` arrays);
+* the configuration-independent trace-order walks -- the cache warm,
+  the L1/L2 resolution of every memory access and the bimodal
+  branch-predictor walk -- run once per stack sharing cache geometry, in
+  the ``prepass`` entry point of a small C kernel (``kernel.c``);
+* the per-point SIMD and port occupancies and the Fig. 6/7 category
+  tallies are NumPy expressions over the columns (the helpers in
+  :mod:`repro.timing.core`), widened by a leading point axis -- SoA
+  ``(P, n)`` arrays;
 * the genuinely order-dependent scoreboard walk (dependences, issue
-  slots, FU pools, ports, ROB, commit) runs in a small C kernel
-  (``kernel.c``) compiled on first use with the system C compiler and
-  driven through :mod:`ctypes`; the per-point scoreboard state lives in
-  flat arrays reset between points, so the walk pays no Python
-  interpreter cost per instruction.
+  slots, FU pools, ports, ROB, commit) runs in the kernel's
+  ``run_stack``, over per-point scoreboard state in flat arrays reset
+  between points.
+
+The kernel is compiled on first use with the system C compiler, cached
+by source digest and driven through :mod:`ctypes`, so neither walk pays
+Python interpreter cost per instruction.  Every configuration passes
+:func:`~repro.timing.core.check_config` first: the kernel itself never
+checks for a zero-sized pool or cache.
 
 Stacks whose configurations disagree on cache-state geometry are split
 into sub-stacks internally (masked/pivoted updates would change results,
@@ -27,7 +33,9 @@ not just cost, so sharing is only ever exact).  The engine raises
 ``REPRO_TIMING_REFERENCE=1`` is set, or no timing kernel can be loaded
 -- and :func:`~repro.timing.simulator.simulate_trace_stack` then times
 each point through the record-at-a-time
-:class:`~repro.timing.core.CoreModel`, the oracle.  The differential
+:class:`~repro.timing.core.CoreModel`, the oracle, with its
+:class:`~repro.timing.caches.MemoryHierarchy` and
+:class:`~repro.timing.caches.BimodalPredictor`.  The differential
 suites (``tests/test_batch_timing.py``,
 ``tests/test_timing_reference.py``) pin value-identical
 :class:`~repro.timing.core.SimResult`\\ s against that oracle.
@@ -49,15 +57,14 @@ import numpy as np
 
 from repro.isa.trace import as_columns
 from repro.machines.spec import CoreConfig, MemHierConfig
-from repro.timing.caches import BimodalPredictor, MemoryHierarchy
 from repro.timing.core import (
     REFERENCE_ENV,
     SimResult,
     _INT_CODE,
     _MEM_CODE,
     _SIMD_CODE,
-    branch_outcome_mask,
     category_tallies,
+    check_config,
     simd_occupancies,
     vector_access_mask,
 )
@@ -127,6 +134,16 @@ def _compile_and_load() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(so_path))
+    lib.prepass.restype = ctypes.c_int64
+    lib.prepass.argtypes = [
+        ctypes.c_int64,                       # n
+        _U8, _U8,                             # fu, use_vec
+        _I64, _I64, _I64, _I64,               # addr, row_bytes, rows, stride
+        _U8, _U8, _I64, ctypes.c_int64,       # is_branch, taken, site, n_sites
+        _I64,                                 # cache geometry and latencies
+        ctypes.c_int64, ctypes.c_int64,       # warm, mem code
+        _I64, _U8, _I64,                      # mem_lat, mispredict, stats out
+    ]
     lib.run_stack.restype = ctypes.c_int64
     lib.run_stack.argtypes = [
         ctypes.c_int64,                       # n
@@ -170,7 +187,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
 # ---------------------------------------------------------------------------
 
 def _shared_state_key(core: CoreConfig, mem: MemHierConfig):
-    """What must agree for two points to share cache/branch pre-passes.
+    """What must agree for two points to share one cache/branch pre-pass.
 
     Hit/miss resolution (hence access latencies and cache statistics)
     depends on the tag geometry, the level latencies and which accesses
@@ -204,8 +221,12 @@ class BatchCoreModel:
 
         Raises :class:`BatchTimingDivergence` when the engine may not
         (``REPRO_TIMING_REFERENCE=1``) or cannot (no loadable kernel)
-        run.
+        run, and :class:`ValueError` (from
+        :func:`~repro.timing.core.check_config`) for a configuration the
+        model cannot time.
         """
+        for core, mem in self.specs:
+            check_config(core, mem)
         if os.environ.get(REFERENCE_ENV, "") == "1":
             raise BatchTimingDivergence(
                 f"{REFERENCE_ENV}=1 forces the record-at-a-time reference"
@@ -218,7 +239,7 @@ class BatchCoreModel:
 
         cols = as_columns(trace)
         # One sub-stack per cache-state signature: sharing the memory
-        # and branch pre-passes is only sound where it is exact.
+        # and branch pre-pass is only sound where it is exact.
         groups: dict = {}
         for idx, (core, mem) in enumerate(self.specs):
             groups.setdefault(_shared_state_key(core, mem), []).append(idx)
@@ -260,38 +281,40 @@ class BatchCoreModel:
             dst_ids = np.ascontiguousarray(dense[n_src:], dtype=np.int64)
             n_regs = len(unique_ids)
 
-        # --- shared pre-passes (configuration-independent in-stack) ----
-        bpred = BimodalPredictor()
-        mispredict = branch_outcome_mask(cols, bpred)
-        mis8 = np.frombuffer(bytes(mispredict), dtype=np.uint8)
-
+        # --- shared pre-pass, in C: warm, cache resolution, predictor --
         use_vec = vector_access_mask(cols, core0.vector_memory)
-        use_vec8 = np.ascontiguousarray(use_vec, dtype=np.uint8)
-        is_memfu = cols.fu == _MEM_CODE
-
-        hier = MemoryHierarchy(mem0)
-        if warm:
-            hier.warm(cols)
-        mem_lat_l = [0] * n
-        mem_occ_l = [0] * n
-        hier.resolve_accesses(
-            np.nonzero(is_memfu)[0].tolist(),
-            use_vec.tolist(),
-            cols.addr.tolist(),
-            cols.row_bytes.tolist(),
-            cols.rows.tolist(),
-            cols.stride.tolist(),
-            mem_lat_l,
-            mem_occ_l,
+        use_vec8 = use_vec.view(np.uint8)
+        addr = np.ascontiguousarray(cols.addr, dtype=np.int64)
+        rows64 = cols.rows.astype(np.int64)
+        rowb64 = cols.row_bytes.astype(np.int64)
+        stride64 = np.ascontiguousarray(cols.stride, dtype=np.int64)
+        is_branch = np.ascontiguousarray(cols.is_branch)
+        sites, site_of = np.unique(cols.pc[is_branch], return_inverse=True)
+        site = np.zeros(n, dtype=np.int64)
+        site[is_branch] = site_of
+        l1, l2 = mem0.l1, mem0.l2
+        geometry = np.array(
+            [l1.size // (l1.line * l1.assoc), l1.assoc, l1.line, l1.latency,
+             l2.size // (l2.line * l2.assoc), l2.assoc, l2.line, l2.latency,
+             mem0.main_latency],
+            dtype=np.int64,
         )
-        mem_lat = np.asarray(mem_lat_l, dtype=np.int64)
-        hier_stats = hier.stats()
+        mem_lat = np.empty(n, dtype=np.int64)
+        mis8 = np.empty(n, dtype=np.uint8)
+        stats = np.zeros(6, dtype=np.int64)
+        if lib.prepass(
+            n, fu8, use_vec8, addr, rowb64, rows64, stride64,
+            is_branch.view(np.uint8),
+            np.ascontiguousarray(cols.taken).view(np.uint8),
+            site, len(sites), geometry, int(warm), _MEM_CODE,
+            mem_lat, mis8, stats,
+        ):
+            raise MemoryError("timing kernel allocation failed")
+        (l1_accesses, l1_misses, l2_accesses, l2_misses,
+         branch_lookups, branch_mispredicts) = stats.tolist()
 
         # --- per-point derivations, widened by the point axis ----------
         P = len(specs)
-        rows64 = cols.rows.astype(np.int64)
-        rowb64 = cols.row_bytes.astype(np.int64)
-        stride64 = cols.stride.astype(np.int64)
         scalar_bytes = np.maximum(rowb64, 1)
         unit_stride = stride64 == rowb64
         elements = rows64 * np.maximum(1, -(-rowb64 // 8))
@@ -300,10 +323,11 @@ class BatchCoreModel:
         params = np.empty((P, 11), dtype=np.int64)
         for p, (core, mem) in enumerate(specs):
             occ[p] = simd_occupancies(cols, core)
-            # Port occupancies, mirroring resolve_accesses cycle for
-            # cycle: scalar/MMX accesses move l1.port_bytes per cycle;
-            # unit-stride vector accesses move l2.port_bytes per cycle;
-            # other strides move strided_rows_per_cycle element rows.
+            # Port occupancies, mirroring the oracle's scalar_access and
+            # vector_access: scalar/MMX accesses move l1.port_bytes per
+            # cycle; unit-stride vector accesses move l2.port_bytes per
+            # cycle; other strides move strided_rows_per_cycle element
+            # rows.
             occ_scalar = np.maximum(1, -(-scalar_bytes // mem.l1.port_bytes))
             if use_vec.any():
                 occ_unit = np.maximum(1, -(-(rows64 * rowb64) // mem.l2.port_bytes))
@@ -354,12 +378,12 @@ class BatchCoreModel:
                     instructions=n,
                     cat_instructions=cat_instrs,
                     cat_cycles=cat_cycles,
-                    branch_lookups=bpred.lookups,
-                    branch_mispredicts=bpred.mispredicts,
-                    l1_accesses=hier_stats["l1"].accesses,
-                    l1_misses=hier_stats["l1"].misses,
-                    l2_accesses=hier_stats["l2"].accesses,
-                    l2_misses=hier_stats["l2"].misses,
+                    branch_lookups=branch_lookups,
+                    branch_mispredicts=branch_mispredicts,
+                    l1_accesses=l1_accesses,
+                    l1_misses=l1_misses,
+                    l2_accesses=l2_accesses,
+                    l2_misses=l2_misses,
                 )
             )
         return results

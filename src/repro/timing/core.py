@@ -19,15 +19,16 @@ of the Table III machines in O(1) amortised time:
 The model has one production engine and one oracle:
 
 * the compiled engine, :class:`~repro.timing.batch.BatchCoreModel`,
-  computes every pure per-instruction derivation -- SIMD functional-unit
-  occupancy ``ceil(rows/lanes)``, cache access latencies and port-byte
-  occupancies, branch-predictor outcomes, and the Fig. 6/7 category
-  tallies -- in a NumPy pre-pass over the columnar trace IR
-  (:mod:`repro.isa.trace`), with the helpers below, and resolves the
+  runs the configuration-independent trace-order walks -- the cache
+  warm, the L1/L2 resolution of every access and the branch-predictor
+  walk -- once per cache-compatible stack in its C kernel's pre-pass,
+  computes the per-point SIMD and port occupancies and the Fig. 6/7
+  category tallies as NumPy expressions over the columnar trace IR
+  (:mod:`repro.isa.trace`) with the helpers below, and resolves the
   genuinely order-dependent resources (dependences, issue slots, ports,
-  ROB, commit) in a C kernel.  The split is legal because cache and
-  predictor state evolve in *trace order*, independent of the issue
-  cycles the constraint walk assigns;
+  ROB, commit) in the kernel's constraint walk.  The split is legal
+  because cache and predictor state evolve in *trace order*,
+  independent of the issue cycles the constraint walk assigns;
 * :class:`CoreModel` walks every constraint one record at a time.  It
   is the executable specification the engine is differentially tested
   against, and the fallback when ``REPRO_TIMING_REFERENCE=1`` is set or
@@ -40,6 +41,7 @@ the paper's Fig. 6 directly.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -63,12 +65,12 @@ _VMEM_CODE = CAT_CODE[Category.VMEM]
 
 
 # ---------------------------------------------------------------------------
-# Pre-pass: pure per-instruction derivations over the columns.
+# Per-instruction derivations over the columns.
 #
 # Everything here is a function of the trace and the configuration alone
 # -- independent of the issue cycles the constraint walk later assigns --
-# so the compiled engine (:mod:`repro.timing.batch`) computes it once per
-# stack, ahead of the kernel.
+# so the compiled engine (:mod:`repro.timing.batch`) computes it in NumPy
+# ahead of the kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -88,23 +90,6 @@ def vector_access_mask(cols, vector_memory: bool) -> np.ndarray:
     if vector_memory:
         return (cols.fu == _MEM_CODE) & (cols.category == _VMEM_CODE)
     return np.zeros(len(cols), dtype=bool)
-
-
-def branch_outcome_mask(cols, bpred: BimodalPredictor) -> bytearray:
-    """Per-instruction mispredict flags from one predictor walk.
-
-    The bimodal predictor is a pure function of the trace's
-    (site, taken) sequence -- configuration-independent -- so a stack of
-    configurations timing the same trace shares one walk.
-    """
-    n_total = len(cols)
-    mispredict = bytearray(n_total)
-    taken_l = cols.taken.tolist()
-    pc_l = cols.pc.tolist()
-    for i in np.nonzero(cols.is_branch)[0].tolist():
-        if not bpred.predict_and_update(pc_l[i], taken_l[i]):
-            mispredict[i] = 1
-    return mispredict
 
 
 def category_tallies(cat: np.ndarray, commits: np.ndarray):
@@ -158,6 +143,58 @@ class SimResult:
     @property
     def vector_cycles(self) -> int:
         return sum(self.cat_cycles.get(cat, 0) for cat in ("vmem", "varith"))
+
+
+#: Core fields that size a pool, a ring or a divisor: each must be >= 1.
+_CORE_COUNTS = (
+    "fetch_width", "commit_width", "int_fus", "fp_fus", "simd_issue",
+    "simd_fu_groups", "lanes", "mem_ports", "rob_size",
+)
+#: The same, per cache level (``size`` is also checked against one set).
+_LEVEL_COUNTS = ("size", "ports", "port_bytes", "line", "assoc")
+
+
+def _require(name: str, value, least, strict: bool = False) -> None:
+    try:
+        ok = (least < value if strict else least <= value) and value < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
+        bound = f"> {least}" if strict else f">= {least}"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_config(config: CoreConfig, mem: MemHierConfig) -> None:
+    """Refuse a configuration the timing model cannot time.
+
+    Every unit count, port count, ring size and cache geometry field
+    must be at least 1, each cache level must hold at least one set
+    (``size >= line * assoc``), the strided vector rate must be positive,
+    and latencies, the branch penalty and the vector start-up must not
+    be negative.  Every value must be a finite number; floats are
+    accepted (``lanes=4.0`` times as 4).
+
+    Raises :class:`ValueError` naming the field and its value.  The
+    compiled engine runs this before every stack, so its kernel never
+    divides by zero or indexes an empty pool;
+    :func:`repro.sweep.engine.resolve_configs` runs it on overridden
+    points, so a bad override is refused when a point is keyed.
+    """
+    for name in _CORE_COUNTS:
+        _require(name, getattr(config, name), 1)
+    _require("branch_penalty", config.branch_penalty, 0)
+    _require("vector_startup", config.vector_startup, 0)
+    for prefix, level in (("l1", mem.l1), ("l2", mem.l2)):
+        for name in _LEVEL_COUNTS:
+            _require(f"{prefix}.{name}", getattr(level, name), 1)
+        _require(f"{prefix}.latency", level.latency, 0)
+        if level.size < level.line * level.assoc:
+            raise ValueError(
+                f"{prefix}.size must be at least line x assoc = "
+                f"{level.line * level.assoc}, got {level.size!r}"
+            )
+    _require("main_latency", mem.main_latency, 0)
+    _require("strided_rows_per_cycle", mem.strided_rows_per_cycle, 0, strict=True)
 
 
 def default_mem_config(config: CoreConfig) -> MemHierConfig:

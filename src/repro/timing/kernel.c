@@ -1,15 +1,219 @@
-/* Sequential constraint walk of the timing model, one trace against a
- * stack of P configurations: the production engine behind
- * repro.timing.batch.BatchCoreModel.  It applies every binding
- * constraint of the record-at-a-time oracle, CoreModel.run, in the same
- * order and with the same tie-breaking (first minimal pool slot), over
- * per-instruction arrays precomputed in Python.  Per-cycle issue
- * counters live in a window of `cap` cycles; an issue cycle beyond it
- * returns -1 and the caller re-runs with a wider window.
+/* The compiled timing engine behind repro.timing.batch.BatchCoreModel:
+ * one trace against a stack of P configurations, in two entry points.
+ *
+ * prepass() runs the configuration-independent, trace-order walks of a
+ * cache-compatible sub-stack: the cache warm, the L1/L2 resolution of
+ * every memory access (latency and access/miss counters), and the
+ * bimodal branch-predictor walk.  It reproduces the oracle's
+ * MemoryHierarchy.warm / scalar_access / vector_access and
+ * BimodalPredictor exactly: true-LRU tag arrays indexed with Python's
+ * floor division, so accesses below address zero resolve as they do
+ * there.
+ *
+ * run_stack() is the sequential constraint walk.  It applies every
+ * binding constraint of the record-at-a-time oracle, CoreModel.run, in
+ * the same order and with the same tie-breaking (first minimal pool
+ * slot), over per-instruction arrays: the pre-pass outputs above plus
+ * per-point occupancies computed in NumPy.  Per-cycle issue counters
+ * live in a window of `cap` cycles; an issue cycle beyond it returns -1
+ * and the caller re-runs with a wider window.
+ *
+ * Both return -2 when an allocation fails.  Neither checks its
+ * configuration: repro.timing.core.check_config refuses every value
+ * that would divide by zero or overrun an array here before it is
+ * called.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* ---- cache and branch pre-pass ------------------------------------- */
+
+static int64_t floor_div(int64_t a, int64_t b)
+{
+    int64_t q = a / b;
+    if ((a % b != 0) && ((a < 0) != (b < 0)))
+        q -= 1;
+    return q;
+}
+
+/* One true-LRU tag array: set s holds fill[s] tags, oldest first, in
+ * tags[s * assoc ...]. */
+typedef struct {
+    int64_t n_sets, assoc, line;
+    int64_t *tags;
+    int64_t *fill;
+    int64_t accesses, misses;
+} cache_t;
+
+static int cache_init(cache_t *c, const int64_t *geom)
+{
+    c->n_sets = geom[0];
+    c->assoc = geom[1];
+    c->line = geom[2];
+    c->accesses = c->misses = 0;
+    c->tags = malloc((size_t)(c->n_sets * c->assoc) * sizeof(int64_t));
+    c->fill = calloc((size_t)c->n_sets, sizeof(int64_t));
+    return c->tags != NULL && c->fill != NULL;
+}
+
+/* Touch one line; returns 1 on a hit.  A hit moves the tag to
+ * most-recent; a miss appends it and drops the oldest beyond assoc. */
+static int touch_line(cache_t *c, int64_t line_no)
+{
+    const int64_t tag = floor_div(line_no, c->n_sets);
+    const int64_t set = line_no - tag * c->n_sets;
+    int64_t *ways = c->tags + set * c->assoc;
+    const int64_t k = c->fill[set];
+    for (int64_t w = k - 1; w >= 0; w--) {
+        if (ways[w] == tag) {
+            memmove(ways + w, ways + w + 1,
+                    (size_t)(k - w - 1) * sizeof(int64_t));
+            ways[k - 1] = tag;
+            return 1;
+        }
+    }
+    if (k < c->assoc) {
+        ways[k] = tag;
+        c->fill[set] = k + 1;
+    } else {
+        memmove(ways, ways + 1, (size_t)(k - 1) * sizeof(int64_t));
+        ways[k - 1] = tag;
+    }
+    return 0;
+}
+
+/* Cache.access: every line of [addr, addr + max(nbytes, 1)), counted
+ * per line; returns the lines missed. */
+static int64_t cache_access(cache_t *c, int64_t addr, int64_t nbytes)
+{
+    const int64_t first = floor_div(addr, c->line);
+    const int64_t last = floor_div(addr + (nbytes > 1 ? nbytes : 1) - 1, c->line);
+    int64_t missed = 0;
+    for (int64_t line_no = first; line_no <= last; line_no++) {
+        if (!touch_line(c, line_no))
+            missed += 1;
+    }
+    c->accesses += last - first + 1;
+    c->misses += missed;
+    return missed;
+}
+
+/* geom: l1 (n_sets, assoc, line, latency), l2 (the same), main latency.
+ * site[i] is branch i's dense site index in [0, n_sites).
+ * stats out: l1 accesses, l1 misses, l2 accesses, l2 misses, branch
+ * lookups, branch mispredicts. */
+int64_t prepass(
+    int64_t n,
+    const uint8_t *fu,
+    const uint8_t *use_vec,
+    const int64_t *addr,
+    const int64_t *row_bytes,
+    const int64_t *rows,
+    const int64_t *stride,
+    const uint8_t *is_branch,
+    const uint8_t *taken,
+    const int64_t *site,
+    int64_t n_sites,
+    const int64_t *geom,
+    int64_t warm,
+    int64_t mem_code,
+    int64_t *mem_lat,        /* n out */
+    uint8_t *mispredict,     /* n out */
+    int64_t *stats           /* 6 out */
+) {
+    cache_t l1, l2;
+    const int ok1 = cache_init(&l1, geom);
+    const int ok2 = cache_init(&l2, geom + 4);
+    uint8_t *counters = malloc((size_t)(n_sites > 0 ? n_sites : 1));
+    int64_t rc = 0;
+    if (!ok1 || !ok2 || !counters) {
+        rc = -2;
+        goto done;
+    }
+    const int64_t l1_lat = geom[3], l2_lat = geom[7], main_lat = geom[8];
+
+    /* warm: every record with an address; counters discarded */
+    if (warm) {
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t base = addr[i];
+            if (base < 0)
+                continue;
+            if (rows[i] > 1) {
+                const int64_t step = stride[i] ? stride[i] : row_bytes[i];
+                for (int64_t r = 0; r < rows[i]; r++) {
+                    cache_access(&l1, base + r * step, row_bytes[i]);
+                    cache_access(&l2, base + r * step, row_bytes[i]);
+                }
+            } else {
+                cache_access(&l1, base, row_bytes[i]);
+                cache_access(&l2, base, row_bytes[i]);
+            }
+        }
+        l1.accesses = l1.misses = l2.accesses = l2.misses = 0;
+    }
+
+    /* resolution: every memory record, in trace order */
+    for (int64_t i = 0; i < n; i++) {
+        if (fu[i] != mem_code) {
+            mem_lat[i] = 0;
+            continue;
+        }
+        const int64_t base = addr[i], nbytes = row_bytes[i];
+        if (use_vec[i]) {
+            /* the L2 vector cache, bypassing L1 */
+            const int64_t n_rows = rows[i] > 1 ? rows[i] : 1;
+            int64_t missed = 0;
+            if (stride[i] == nbytes) {
+                missed = cache_access(&l2, base, n_rows * nbytes);
+            } else {
+                for (int64_t r = 0; r < n_rows; r++)
+                    missed += cache_access(&l2, base + r * stride[i], nbytes);
+            }
+            mem_lat[i] = l2_lat + (missed ? main_lat : 0);
+        } else if (cache_access(&l1, base, nbytes)) {
+            mem_lat[i] = l1_lat + (cache_access(&l2, base, nbytes) ? main_lat : l2_lat);
+        } else {
+            mem_lat[i] = l1_lat;
+        }
+    }
+
+    /* bimodal predictor: 2-bit counters per site, weakly taken */
+    memset(counters, 2, (size_t)(n_sites > 0 ? n_sites : 1));
+    int64_t lookups = 0, mispredicts = 0;
+    for (int64_t i = 0; i < n; i++) {
+        mispredict[i] = 0;
+        if (!is_branch[i])
+            continue;
+        uint8_t *counter = counters + site[i];
+        const int predicted = *counter >= 2;
+        if (taken[i]) {
+            if (*counter < 3)
+                *counter += 1;
+        } else if (*counter > 0) {
+            *counter -= 1;
+        }
+        lookups += 1;
+        if (predicted != (taken[i] != 0)) {
+            mispredict[i] = 1;
+            mispredicts += 1;
+        }
+    }
+
+    stats[0] = l1.accesses;
+    stats[1] = l1.misses;
+    stats[2] = l2.accesses;
+    stats[3] = l2.misses;
+    stats[4] = lookups;
+    stats[5] = mispredicts;
+done:
+    free(l1.tags); free(l1.fill);
+    free(l2.tags); free(l2.fill);
+    free(counters);
+    return rc;
+}
+
+/* ---- constraint walk ------------------------------------------------ */
 
 #define FW(p)      params[(p) * 11 + 0]
 #define ROB(p)     params[(p) * 11 + 1]

@@ -38,6 +38,7 @@ from repro.kernels.registry import KERNELS
 from repro.machines import ISAS, WAYS, get_machine
 from repro.timing import simulate_trace, simulate_trace_stack
 from repro.timing.batch import BatchCoreModel, BatchTimingDivergence, load_kernel
+from repro.timing.caches import BimodalPredictor, Cache
 from repro.timing.core import REFERENCE_ENV, CoreModel
 
 #: Kernels whose mmx64 traces are short enough to time on the reference
@@ -260,6 +261,32 @@ class TestDifferential:
         assert_results_identical(
             run_batch(specs, cols), reference_results(cols, specs)
         )
+
+
+class TestCompiledPrePass:
+    def test_engine_walks_no_python_cache_or_predictor(self, monkeypatch):
+        """The warm, the cache resolution and the predictor walk all run
+        in the kernel: with the oracle's cache and predictor patched to
+        raise, stacks with vector and scalar memory paths and branches
+        still time to the oracle's results, warm and cold."""
+        cases = []
+        for kernel, version in (("ycc", "vmmx128"), ("comp", "mmx64")):
+            cols = trace_of(kernel, version)
+            assert cols.is_branch.any()
+            specs = paper_stack()[::3]
+            for warm in (True, False):
+                cases.append(
+                    (cols, specs, warm, reference_results(cols, specs, warm))
+                )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the engine walked a Python cache or predictor")
+
+        monkeypatch.setattr(Cache, "access", boom)
+        monkeypatch.setattr(Cache, "touch", boom)
+        monkeypatch.setattr(BimodalPredictor, "predict_and_update", boom)
+        for cols, specs, warm, want in cases:
+            assert_results_identical(run_batch(specs, cols, warm=warm), want)
 
 
 # ---------------------------------------------------------------------------

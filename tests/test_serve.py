@@ -254,6 +254,8 @@ class TestPoints:
         ("kernel=addblock&machine=nope", "unknown machine"),
         ("kernel=addblock&version=mmx64&way=zero", "integers"),
         ("kernel=addblock&version=mmx64&way=0", "positive"),
+        ("kernel=addblock&version=mmx64&way=2&core.rob_size=0", "rob_size"),
+        ("kernel=addblock&version=mmx64&way=2&mem.l1.assoc=0", "l1.assoc"),
     ])
     def test_bad_point_requests_400(self, store, query, fragment):
         (r,) = drive(app_for(store), ("GET", f"/v1/point?{query}"))
@@ -382,6 +384,23 @@ class TestRetime:
         (r,) = drive(app_for(store), ("POST", "/v1/retime", body))
         assert r.status == 400
         assert fragment in json.loads(r.body)["error"]
+
+    def test_untimeable_override_is_400_and_server_lives(self, warm_store):
+        """A zero ROB is refused when the variant is keyed, before any
+        timing, and the next request is served as usual."""
+        bad = json.dumps({
+            "kernel": "addblock", "version": "mmx64",
+            "variants": [{"way": 2, "core": {"rob_size": 0}}],
+        }).encode()
+        refused, served = drive(
+            app_for(warm_store),
+            ("POST", "/v1/retime", bad),
+            ("POST", "/v1/retime", self.retime_body([2, 4])),
+        )
+        assert refused.status == 400
+        assert "rob_size" in json.loads(refused.body)["error"]
+        assert served.status == 200
+        assert len(json.loads(served.body)["results"]) == 2
 
     def test_variant_cap_enforced(self, store):
         body = self.retime_body(range(1, 1030))

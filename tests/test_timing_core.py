@@ -8,13 +8,21 @@ production engine.
 """
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import Trace, TraceRecord
-from repro.machines import get_machine
-from repro.timing import simulate_trace
+from repro.machines import get_machine, machine_names
+from repro.sweep.engine import compute_point
+from repro.sweep.points import SweepPoint
+from repro.timing import check_config, simulate_trace
 
 
 def alu(dst, srcs=(), latency=1):
@@ -240,3 +248,132 @@ class TestAccounting:
         base = [alu(i + 1) for i in range(20)]
         longer = base + [alu(100 + i) for i in range(20)]
         assert run(longer, way=2).cycles >= run(base, way=2).cycles
+
+
+def _replace_level(mem, level, **fields):
+    return dataclasses.replace(
+        mem, **{level: dataclasses.replace(getattr(mem, level), **fields)}
+    )
+
+
+class TestCheckConfig:
+    """A configuration the model cannot time is refused, naming the field.
+
+    Without the check the compiled kernel divides by zero on a zero ROB
+    (a signal that kills the process) and reads empty port and unit pools
+    on zero ports or groups, returning garbage cycle counts.
+    """
+
+    @pytest.mark.parametrize("core, mem, field", [
+        ({"mem_ports": 0}, {}, "mem_ports"),
+        ({"simd_fu_groups": 0}, {}, "simd_fu_groups"),
+        ({}, {"l1.assoc": 0}, "l1.assoc"),
+        ({}, {"l1.size": 1}, "l1.size"),
+    ])
+    def test_bad_override_raises_before_timing(self, core, mem, field):
+        point = SweepPoint(
+            kernel="addblock", version="mmx64", way=2,
+            core_overrides=core, mem_overrides=mem,
+        )
+        with pytest.raises(ValueError, match=field):
+            compute_point(point, store=None)
+
+    def test_zero_rob_raises_instead_of_a_signal(self):
+        """Run in a child: a regression dies by SIGFPE there, and fails
+        this test by its return code instead of killing the suite."""
+        script = textwrap.dedent("""
+            import dataclasses
+            from repro.kernels.base import execute
+            from repro.kernels.registry import KERNELS
+            from repro.machines import get_machine
+            from repro.sweep.engine import compute_point
+            from repro.sweep.points import SweepPoint
+            from repro.timing.batch import BatchCoreModel
+
+            point = SweepPoint(
+                kernel="addblock", version="mmx64", way=2,
+                core_overrides={"rob_size": 0},
+            )
+            try:
+                compute_point(point, store=None)
+            except ValueError as exc:
+                assert "rob_size" in str(exc), exc
+            else:
+                raise SystemExit("compute_point accepted rob_size=0")
+
+            machine = get_machine("mmx64", 2)
+            core = dataclasses.replace(machine.core, rob_size=0)
+            cols = execute(KERNELS["addblock"], "mmx64", 0).trace.columns()
+            try:
+                BatchCoreModel([(core, machine.mem)]).run(cols)
+            except ValueError as exc:
+                assert "rob_size" in str(exc), exc
+            else:
+                raise SystemExit("BatchCoreModel accepted rob_size=0")
+        """)
+        env = dict(os.environ)
+        env.pop("REPRO_TIMING_REFERENCE", None)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"fetch_width": 0}, "fetch_width"),
+        ({"commit_width": 0}, "commit_width"),
+        ({"int_fus": 0}, "int_fus"),
+        ({"fp_fus": 0}, "fp_fus"),
+        ({"simd_issue": 0}, "simd_issue"),
+        ({"lanes": 0.5}, "lanes"),
+        ({"rob_size": math.nan}, "rob_size"),
+        ({"rob_size": "32"}, "rob_size"),
+        ({"branch_penalty": -1}, "branch_penalty"),
+        ({"vector_startup": -1}, "vector_startup"),
+    ])
+    def test_core_fields(self, fields, field):
+        machine = get_machine("vmmx128", 4)
+        core = dataclasses.replace(machine.core, **fields)
+        with pytest.raises(ValueError, match=field):
+            check_config(core, machine.mem)
+
+    @pytest.mark.parametrize("level, fields, field", [
+        ("l1", {"ports": 0}, "l1.ports"),
+        ("l2", {"ports": 0}, "l2.ports"),
+        ("l2", {"port_bytes": 0}, "l2.port_bytes"),
+        ("l2", {"line": 0}, "l2.line"),
+        ("l2", {"size": 63}, "l2.size"),
+        ("l1", {"latency": -1}, "l1.latency"),
+    ])
+    def test_level_fields(self, level, fields, field):
+        machine = get_machine("vmmx128", 4)
+        mem = _replace_level(machine.mem, level, **fields)
+        with pytest.raises(ValueError, match=field):
+            check_config(machine.core, mem)
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"main_latency": -1}, "main_latency"),
+        ({"strided_rows_per_cycle": 0}, "strided_rows_per_cycle"),
+        ({"strided_rows_per_cycle": math.inf}, "strided_rows_per_cycle"),
+    ])
+    def test_hierarchy_fields(self, fields, field):
+        machine = get_machine("vmmx128", 4)
+        mem = dataclasses.replace(machine.mem, **fields)
+        with pytest.raises(ValueError, match=field):
+            check_config(machine.core, mem)
+
+    def test_float_counts_and_one_set_caches_pass(self):
+        machine = get_machine("vmmx128", 4)
+        core = dataclasses.replace(machine.core, lanes=4.0, branch_penalty=0)
+        mem = _replace_level(machine.mem, "l1", size=64 * 2, line=64, assoc=2)
+        check_config(core, mem)
+
+    @pytest.mark.parametrize("name", machine_names())
+    def test_every_registered_machine_passes(self, name):
+        for way in range(1, 17):
+            machine = get_machine(name, way)
+            check_config(machine.core, machine.mem)

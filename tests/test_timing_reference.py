@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import Trace, TraceRecord
 from repro.machines import get_machine
+from repro.machines.spec import CacheConfig, MemHierConfig
 from repro.timing import simulate_trace
 from repro.timing.batch import BatchCoreModel
 from repro.timing.core import REFERENCE_ENV, CoreModel
@@ -89,15 +90,103 @@ def random_trace(draw, max_len=110):
     return trace
 
 
-def engine_result(trace, machine, warm=True):
+@st.composite
+def tiny_level(draw, latency):
+    """A cache level of 1-4 sets, small enough that traces evict."""
+    n_sets = draw(st.integers(1, 4))
+    assoc = draw(st.sampled_from([1, 2, 3]))
+    line = draw(st.sampled_from([8, 32, 64]))
+    return CacheConfig(
+        size=n_sets * assoc * line, assoc=assoc, line=line, latency=latency,
+        ports=draw(st.integers(1, 2)), port_bytes=draw(st.sampled_from([8, 16])),
+    )
+
+
+@st.composite
+def tiny_hierarchy(draw):
+    return MemHierConfig(
+        l1=draw(tiny_level(latency=draw(st.sampled_from([0, 1, 3])))),
+        l2=draw(tiny_level(latency=draw(st.sampled_from([6, 12])))),
+        main_latency=draw(st.sampled_from([20, 500])),
+        strided_rows_per_cycle=draw(st.sampled_from([1.0, 2.0])),
+    )
+
+
+@st.composite
+def cache_walk_trace(draw, max_len=60):
+    """Traces aimed at the cache and branch-predictor walks.
+
+    Unaligned accesses that straddle lines, ``row_bytes`` from 0 to three
+    of the widest lines, multi-row accesses at stride 0, negative strides
+    and strides equal to and different from ``row_bytes``, memory records
+    below address zero, non-memory records that carry an address (the
+    warm touches them too), and branch sites that are sparse, negative
+    or beyond 2**40.
+    """
+    n = draw(st.integers(1, max_len))
+    sites = draw(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**62), 2**62),
+                st.integers(2**40, 2**40 + 3),
+                st.integers(-3, 3),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    trace = Trace()
+    for i in range(n):
+        srcs = (draw(st.integers(1, i)),) if i and draw(st.booleans()) else ()
+        kind = draw(st.integers(0, 3))
+        if kind < 2:
+            row_bytes = draw(st.integers(0, 192))
+            stride = draw(
+                st.one_of(
+                    st.just(0),
+                    st.just(row_bytes),
+                    st.integers(-300, -1),
+                    st.integers(1, 300),
+                )
+            )
+            trace.append(
+                TraceRecord(
+                    name="ld", category=Category.VMEM if kind else Category.SMEM,
+                    fu=FUClass.MEM, latency=0, dsts=(i + 1,), srcs=srcs,
+                    addr=draw(st.integers(-256, 2048)), row_bytes=row_bytes,
+                    rows=draw(st.integers(0, 4)), stride=stride,
+                )
+            )
+        elif kind == 2:
+            trace.append(
+                TraceRecord(
+                    name="br", category=Category.SCTRL, fu=FUClass.INT,
+                    latency=1, srcs=srcs, is_branch=True,
+                    taken=draw(st.booleans()), pc=draw(st.sampled_from(sites)),
+                )
+            )
+        else:
+            trace.append(
+                TraceRecord(
+                    name="alu", category=Category.SARITH, fu=FUClass.INT,
+                    latency=1, dsts=(i + 1,), srcs=srcs,
+                    addr=draw(st.one_of(st.just(-1), st.integers(0, 2048))),
+                    row_bytes=draw(st.integers(0, 64)),
+                    rows=draw(st.integers(1, 3)), stride=draw(st.integers(-64, 64)),
+                )
+            )
+    return trace
+
+
+def engine_result(trace, core, mem, warm=True):
     """The compiled engine's result, even under REPRO_TIMING_REFERENCE=1."""
     with mock.patch.dict(os.environ):
         os.environ.pop(REFERENCE_ENV, None)
-        return BatchCoreModel([(machine.core, machine.mem)]).run(trace, warm=warm)[0]
+        return BatchCoreModel([(core, mem)]).run(trace, warm=warm)[0]
 
 
-def reference_result(trace, machine, warm=True):
-    model = CoreModel(machine.core, machine.mem)
+def reference_result(trace, core, mem, warm=True):
+    model = CoreModel(core, mem)
     if warm:
         model.hier.warm(trace)
     return model.run(trace)
@@ -105,7 +194,10 @@ def reference_result(trace, machine, warm=True):
 
 def both_results(trace, isa, way):
     machine = get_machine(isa, way)
-    return engine_result(trace, machine), reference_result(trace, machine)
+    return (
+        engine_result(trace, machine.core, machine.mem),
+        reference_result(trace, machine.core, machine.mem),
+    )
 
 
 class TestDifferential:
@@ -145,6 +237,22 @@ class TestDifferential:
         assert columnar == reference
 
 
+class TestCacheWalkDifferential:
+    @given(
+        trace=cache_walk_trace(),
+        mem=tiny_hierarchy(),
+        isa=st.sampled_from(["mmx64", "vmmx128"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tiny_hierarchies_equal_reference(self, trace, mem, isa):
+        """The kernel's warm, tag arrays and predictor against the
+        oracle's, warm and cold, on hierarchies that evict constantly."""
+        core = get_machine(isa, 2).core
+        for warm in (True, False):
+            engine = engine_result(trace, core, mem, warm=warm)
+            assert engine == reference_result(trace, core, mem, warm=warm), warm
+
+
 class TestCounterSpill:
     def test_high_latency_chain_exceeding_dense_window(self, monkeypatch):
         """Dependent cold misses push issue cycles far past the kernel's
@@ -162,7 +270,7 @@ class TestCounterSpill:
         monkeypatch.delenv(REFERENCE_ENV, raising=False)
         machine = get_machine("mmx64", 2)
         engine = simulate_trace(trace, machine.core, warm=False)
-        reference = reference_result(trace, machine, warm=False)
+        reference = reference_result(trace, machine.core, machine.mem, warm=False)
         assert engine == reference
         assert engine.cycles > 40 * 400  # the chain really serialised
         assert engine.cycles > 4 * (4 * len(trace) + 2048)

@@ -26,6 +26,7 @@ from repro.apps.profile import AppProfile
 from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import CAT_CODE, FU_CODE, ColumnarTrace
 from repro.machines import get_machine
+from repro.machines.spec import core_config_to_dict
 from repro.timing.simulator import simulate_kernel, simulate_trace
 
 #: Size of the synthetic scalar trace used to estimate scalar-region IPC.
@@ -140,8 +141,6 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
     runs of the application experiments skip the synthetic-trace
     simulations entirely.
     """
-    import dataclasses
-
     from repro.sweep.store import (
         MEMO,
         default_store,
@@ -169,7 +168,7 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
                 "smem_pct": smem_frac_pct,
                 "sctrl_pct": sctrl_frac_pct,
                 "trace_len": SCALAR_TRACE_LEN,
-                "config": dataclasses.asdict(config),
+                "config": core_config_to_dict(config),
             },
         )
         stored = load_payload(store, key)

@@ -28,10 +28,12 @@ timing layer); the differential suite asserts byte-identical
 
 NumPy int64 arithmetic wraps with two's-complement semantics, matching
 the reference machines' explicit ``_mask64``; the subword helpers in
-:mod:`repro.isa.subword` compute exactly in int64 and are shape-generic,
-so element-wise intrinsics inherit unchanged.  Only intrinsics whose
-reference implementation reduces, reshapes or indexes along what is now
-the seed axis are overridden here.
+:mod:`repro.isa.subword` are element-wise and shape-generic (they
+compute in the lanes' storage type, or int32/uint16 where a lane result
+needs headroom, and are differential-tested against int64 formulas on
+``(B, n)`` batches), so element-wise intrinsics inherit unchanged.  Only
+intrinsics whose reference implementation reduces, reshapes or indexes
+along what is now the seed axis are overridden here.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.emu.handles import AccReg, MAccReg, MReg, SReg, VReg
-from repro.emu.memory import Memory, MemoryError_
+from repro.emu.memory import Memory, MemoryError_, zeroed_plane
 from repro.emu.mmx import MMXMachine
 from repro.emu.scalar import Operand, ScalarMachine, _mask64
 from repro.emu.vmmx import VMMXMachine
@@ -87,6 +89,8 @@ def _uniform(arr: np.ndarray, what: str):
 class BatchSReg(SReg):
     """A scalar register carrying one int64 value per seed."""
 
+    __slots__ = ()
+
     def __int__(self) -> int:
         return int(_uniform(self.val, "scalar register value"))
 
@@ -94,17 +98,25 @@ class BatchSReg(SReg):
 class BatchVReg(VReg):
     """A 1-D SIMD register: (nseeds, row_bytes) bytes."""
 
+    __slots__ = ()
+
 
 class BatchMReg(MReg):
     """A matrix register: (nseeds, max_vl, row_bytes) bytes."""
+
+    __slots__ = ()
 
 
 class BatchAccReg(AccReg):
     """A packed reduction accumulator: (nseeds,) int64 running totals."""
 
+    __slots__ = ()
+
 
 class BatchMAccReg(MAccReg):
     """A matrix MAC accumulator: (nseeds, max_vl, cols) int64 lanes."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +129,9 @@ class BatchMemory:
 
     Allocation happens per seed through :meth:`plane` views (so workload
     generators run unmodified); the batch machines access all planes at
-    one uniform address per instruction.  The buffer is ``np.zeros``, so
-    the pages of the mostly-untouched 16 MiB planes are never committed.
+    one uniform address per instruction.  The buffer is one anonymous
+    private mapping (:func:`~repro.emu.memory.zeroed_plane`), so the
+    pages of the mostly-untouched 16 MiB planes are never committed.
     """
 
     def __init__(self, nseeds: int, size: int = 1 << 24) -> None:
@@ -126,7 +139,7 @@ class BatchMemory:
             raise ValueError(f"batch needs at least one seed, got {nseeds}")
         self.nseeds = nseeds
         self.size = size
-        self.buf = np.zeros((nseeds, size), dtype=np.uint8)
+        self.buf = zeroed_plane(nseeds * size).reshape(nseeds, size)
 
     def plane(self, index: int) -> "PlaneMemory":
         """Seed ``index``'s address space as an ordinary :class:`Memory`."""
@@ -219,7 +232,7 @@ class _BatchScalarOps:
                 arr = np.ascontiguousarray(
                     np.broadcast_to(arr, (self.nseeds,))
                 )
-        return BatchSReg(self._new_id(), arr)
+        return BatchSReg(next(self._ids), arr)
 
     def _ea(self, addr: Operand, offset: int) -> int:
         """Uniform effective address (per-seed addressing cannot batch)."""
@@ -297,12 +310,14 @@ class _BatchMMXOps(_BatchScalarOps):
     """
 
     def _vreg(self, data: np.ndarray) -> BatchVReg:
-        data = np.ascontiguousarray(data).view(np.uint8).reshape(self.nseeds, -1)
+        if data.ndim != 2 or data.shape[0] != self.nseeds or not data.flags.c_contiguous:
+            data = np.ascontiguousarray(data).reshape(self.nseeds, -1)
+        data = data.view(sw.STORAGE["u8"])
         if data.shape[1] != self.width:
             raise ValueError(
                 f"register payload must be {self.width} bytes, got {data.shape[1]}"
             )
-        return BatchVReg(self._new_id(), data.copy())
+        return BatchVReg(next(self._ids), data.copy())
 
     # -- SIMD memory ------------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class SReg:
     """A scalar (integer) register value."""
 
@@ -27,7 +27,7 @@ class SReg:
         return int(self.val)
 
 
-@dataclass
+@dataclass(slots=True)
 class VReg:
     """A 1-D SIMD register value.
 
@@ -44,7 +44,7 @@ class VReg:
         return self.data.view(dtype)
 
 
-@dataclass
+@dataclass(slots=True)
 class MReg:
     """A 2-D matrix register value.
 
@@ -61,7 +61,7 @@ class MReg:
         return self.data.view(dtype)
 
 
-@dataclass
+@dataclass(slots=True)
 class AccReg:
     """A packed reduction accumulator (MOM-style).
 
@@ -73,7 +73,7 @@ class AccReg:
     total: int
 
 
-@dataclass
+@dataclass(slots=True)
 class MAccReg:
     """A matrix multiply-accumulate register: (max_vl, cols) int64 lanes."""
 

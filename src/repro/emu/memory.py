@@ -9,6 +9,8 @@ deallocation because every kernel/application run uses a fresh
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 
@@ -16,12 +18,25 @@ class MemoryError_(Exception):
     """Raised on out-of-range accesses or allocation failures."""
 
 
+def zeroed_plane(nbytes: int) -> np.ndarray:
+    """A writable, zero-filled uint8 buffer of ``nbytes``.
+
+    It comes from an anonymous private mapping of its own, not from the
+    allocator: the pages are committed only when written, and freeing
+    the buffer unmaps them, so a 16 MiB address space neither raises
+    glibc's dynamic mmap threshold nor leaves freed heap resident.
+    The mapping is private (copy-on-write), so a worker process forked
+    while a buffer is alive cannot write into the parent's pages.
+    """
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype=np.uint8)
+
+
 class Memory:
     """A flat little-endian address space backed by a numpy byte buffer."""
 
     def __init__(self, size: int = 1 << 24) -> None:
         self.size = size
-        self.buf = np.zeros(size, dtype=np.uint8)
+        self.buf = zeroed_plane(size)
         self._brk = 64  # keep address 0 invalid
 
     def alloc(self, nbytes: int, align: int = 64) -> int:

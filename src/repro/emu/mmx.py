@@ -70,14 +70,19 @@ class MMXMachine(ScalarMachine):
     # -- plumbing ----------------------------------------------------------
 
     def _vreg(self, data: np.ndarray) -> VReg:
-        data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        # The copy stays even for a fresh 1-D result: ``const`` hands in
+        # an array that can alias its caller's.
+        if data.ndim != 1 or not data.flags.c_contiguous:
+            data = np.ascontiguousarray(data).reshape(-1)
         if data.nbytes != self.width:
             raise ValueError(f"register payload must be {self.width} bytes, got {data.nbytes}")
-        return VReg(self._new_id(), data.copy())
+        return VReg(next(self._ids), data.view(sw.STORAGE["u8"]).copy())
 
-    def _vemit(self, name: str, latency: int, dst: VReg, *srcs, **kw) -> VReg:
-        ids = tuple(s.rid for s in srcs if isinstance(s, (VReg, SReg)))
-        self._emit(name, Category.VARITH, FUClass.SIMD, latency, (dst.rid,), ids, **kw)
+    def _vemit(self, name: str, latency: int, dst: VReg, *srcs: VReg, **kw) -> VReg:
+        self._emit(
+            name, Category.VARITH, FUClass.SIMD, latency,
+            (dst.rid,), tuple([s.rid for s in srcs]), **kw,
+        )
         return dst
 
     # -- SIMD memory -------------------------------------------------------
@@ -127,7 +132,8 @@ class MMXMachine(ScalarMachine):
     # -- packed arithmetic ---------------------------------------------------
 
     def _binary(self, name: str, a: VReg, b: VReg, fn, dtype: str, latency: int) -> VReg:
-        out = fn(a.view(sw.STORAGE[dtype]), b.view(sw.STORAGE[dtype]), dtype)
+        lane = sw.STORAGE[dtype]
+        out = fn(a.data.view(lane), b.data.view(lane), dtype)
         return self._vemit(name, latency, self._vreg(out), a, b)
 
     def zero(self) -> VReg:
@@ -153,19 +159,23 @@ class MMXMachine(ScalarMachine):
         return self._binary("psub" + ("s" if sat else ""), a, b, fn, dtype, Latency.SIMD_ALU)
 
     def pmullw(self, a: VReg, b: VReg) -> VReg:
-        out = sw.mul_lo(a.view(np.int16), b.view(np.int16), "s16")
+        s16 = sw.STORAGE["s16"]
+        out = sw.mul_lo(a.data.view(s16), b.data.view(s16), "s16")
         return self._vemit("pmullw", Latency.SIMD_MUL, self._vreg(out), a, b)
 
     def pmulhw(self, a: VReg, b: VReg) -> VReg:
-        out = sw.mul_hi_s16(a.view(np.int16), b.view(np.int16))
+        s16 = sw.STORAGE["s16"]
+        out = sw.mul_hi_s16(a.data.view(s16), b.data.view(s16))
         return self._vemit("pmulhw", Latency.SIMD_MUL, self._vreg(out), a, b)
 
     def pmaddwd(self, a: VReg, b: VReg) -> VReg:
-        out = sw.madd_s16(a.view(np.int16), b.view(np.int16))
+        s16 = sw.STORAGE["s16"]
+        out = sw.madd_s16(a.data.view(s16), b.data.view(s16))
         return self._vemit("pmaddwd", Latency.SIMD_MAC, self._vreg(out), a, b)
 
     def pavgb(self, a: VReg, b: VReg) -> VReg:
-        out = sw.avg_round_u8(a.view(np.uint8), b.view(np.uint8))
+        u8 = sw.STORAGE["u8"]
+        out = sw.avg_round_u8(a.data.view(u8), b.data.view(u8))
         return self._vemit("pavgb", Latency.SIMD_ALU, self._vreg(out), a, b)
 
     def pand(self, a: VReg, b: VReg) -> VReg:
@@ -178,26 +188,25 @@ class MMXMachine(ScalarMachine):
         return self._vemit("pxor", Latency.SIMD_ALU, self._vreg(a.data ^ b.data), a, b)
 
     def psll(self, a: VReg, count: int, dtype: str = "s16") -> VReg:
-        out = sw.shift_left(a.view(sw.STORAGE[dtype]), count, dtype)
+        out = sw.shift_left(a.data.view(sw.STORAGE[dtype]), count, dtype)
         return self._vemit("psll", Latency.SIMD_SHIFT, self._vreg(out), a)
 
     def psrl(self, a: VReg, count: int, dtype: str = "u16") -> VReg:
-        out = sw.shift_right_logical(a.view(sw.STORAGE[dtype]), count, dtype)
+        out = sw.shift_right_logical(a.data.view(sw.STORAGE[dtype]), count, dtype)
         return self._vemit("psrl", Latency.SIMD_SHIFT, self._vreg(out), a)
 
     def psra(self, a: VReg, count: int, dtype: str = "s16") -> VReg:
-        out = sw.shift_right_arith(a.view(sw.STORAGE[dtype]), count, dtype)
+        out = sw.shift_right_arith(a.data.view(sw.STORAGE[dtype]), count, dtype)
         return self._vemit("psra", Latency.SIMD_SHIFT, self._vreg(out), a)
 
     # -- pack / unpack -------------------------------------------------------
 
     def packus(self, a: VReg, b: VReg, src_dtype: str = "s16") -> VReg:
         """``PACKUSWB``: saturate two s16 registers into one u8 register."""
-        out = sw.pack_sat(
-            np.concatenate([a.view(sw.STORAGE[src_dtype]), b.view(sw.STORAGE[src_dtype])])[: self.width],
-            np.array([], dtype=np.int64),
-            "u8",
-        )
+        merged = np.concatenate(
+            [a.view(sw.STORAGE[src_dtype]), b.view(sw.STORAGE[src_dtype])]
+        )[: self.width]
+        out = sw.saturate(merged, "u8")
         return self._vemit("packuswb", Latency.SIMD_PACK, self._vreg(out), a, b)
 
     def packss(self, a: VReg, b: VReg) -> VReg:

@@ -57,10 +57,10 @@ class ScalarMachine:
 
     @staticmethod
     def _src_ids(*xs: Operand) -> Tuple[int, ...]:
-        return tuple(x.rid for x in xs if isinstance(x, SReg))
+        return tuple([x.rid for x in xs if isinstance(x, SReg)])
 
     def _sreg(self, value: int) -> SReg:
-        return SReg(self._new_id(), _mask64(value))
+        return SReg(next(self._ids), _mask64(value))
 
     def value(self, x: Operand):
         """Architectural value of an operand, outside the traced program.

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.emu.handles import AccReg, MAccReg, MReg, SReg, VReg
+from repro.emu.handles import AccReg, MAccReg, MReg, SReg
 from repro.emu.memory import Memory
 from repro.emu.scalar import Operand, ScalarMachine
 from repro.isa import subword as sw
@@ -80,13 +80,13 @@ class VMMXMachine(ScalarMachine):
         data = np.zeros((self.max_vl, self.row_bytes), dtype=np.uint8)
         rows = np.ascontiguousarray(rows).view(np.uint8).reshape(-1, self.row_bytes)
         data[: rows.shape[0]] = rows
-        return MReg(self._new_id(), data)
+        return MReg(next(self._ids), data)
 
     def _vemit(self, name: str, latency: int, dst_ids, *srcs, rows=None, **kw):
-        ids = tuple(s.rid for s in srcs if isinstance(s, (MReg, SReg, AccReg, MAccReg, VReg)))
         self._emit(
             name, Category.VARITH, FUClass.SIMD, latency,
-            tuple(dst_ids), ids, rows=(self.vl if rows is None else rows), **kw,
+            tuple(dst_ids), tuple([s.rid for s in srcs]),
+            rows=(self.vl if rows is None else rows), **kw,
         )
 
     def _cols(self, dtype: str) -> int:

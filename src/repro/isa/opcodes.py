@@ -25,6 +25,11 @@ class Category(enum.Enum):
     VMEM = "vmem"
     VARITH = "varith"
 
+    #: Members are singletons that compare by identity, so they hash by
+    #: identity too: the trace builder looks up two enum codes per
+    #: emitted instruction, and ``Enum.__hash__`` runs in Python.
+    __hash__ = object.__hash__
+
     @property
     def is_vector(self) -> bool:
         """Whether the category belongs to the SIMD/vector portion."""
@@ -38,6 +43,9 @@ class FUClass(enum.Enum):
     FP = "fp"
     MEM = "mem"
     SIMD = "simd"
+
+    #: Identity hash, as for :class:`Category`.
+    __hash__ = object.__hash__
 
 
 class Latency:

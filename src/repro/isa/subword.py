@@ -1,9 +1,33 @@
 """Packed subword arithmetic with MMX/SSE semantics.
 
-Every helper operates on numpy integer arrays, computes exactly in int64
-and then narrows with either wrap-around (modulo) or saturating semantics.
-These functions define the *functional* meaning of the SIMD instructions;
-the emulation machines in :mod:`repro.emu` wrap them with trace emission.
+Every helper operates on numpy integer arrays and returns lanes of the
+subword type's storage dtype with either wrap-around (modulo) or
+saturating semantics.  These functions define the *functional* meaning
+of the SIMD instructions; the emulation machines in :mod:`repro.emu`
+wrap them with trace emission.
+
+Each helper computes in the narrowest type that is exact for lanes of
+the subword type's storage dtype (:data:`STORAGE`), which is what every
+machine intrinsic passes:
+
+* wrapping add, sub and low multiply, and the three shifts, run in the
+  storage dtype itself -- NumPy integer array arithmetic wraps modulo
+  ``2**bits``, and NumPy shifts by counts at or above the lane width
+  give 0 (sign fill for arithmetic right shifts of signed lanes);
+* saturating add and sub on lanes of 16 bits or fewer, ``mul_hi_s16``
+  and ``madd_s16`` run in int32 (int16 products fit, and the pmaddwd
+  pair sum wraps in int32 exactly as the hardware does);
+* ``avg_round_u8`` runs in uint16;
+* ``saturate`` clamps in the input's own dtype when that dtype holds
+  both bounds (int32 lanes to s16, int16 lanes to u8, int64 to any
+  32-bit or narrower type).
+
+Inputs of any other dtype -- the golden references pass int64 arrays --
+take the exact int64 route, as do ``wrap``, ``pack_sat``,
+``round_shift``, the reductions, and saturating add and sub on 32-bit
+lanes.  The int64
+formulas of every helper are kept in ``tests/test_subword.py`` as the
+oracle that the narrow routes are differential-tested against.
 
 The fixed-point behaviour is deliberately explicit so that the scalar,
 MMX64, MMX128, VMMX64 and VMMX128 versions of every kernel can be proven
@@ -25,19 +49,36 @@ BOUNDS = {
     "u64": (0, 18446744073709551615),
 }
 
-#: numpy dtype used to *store* each subword type.
+#: numpy dtype used to *store* each subword type.  These are dtype
+#: objects rather than scalar types, so a view, cast or dtype comparison
+#: through them converts nothing per call.
 STORAGE = {
-    "u8": np.uint8,
-    "s8": np.int8,
-    "u16": np.uint16,
-    "s16": np.int16,
-    "u32": np.uint32,
-    "s32": np.int32,
-    "u64": np.uint64,
+    "u8": np.dtype(np.uint8),
+    "s8": np.dtype(np.int8),
+    "u16": np.dtype(np.uint16),
+    "s16": np.dtype(np.int16),
+    "u32": np.dtype(np.uint32),
+    "s32": np.dtype(np.int32),
+    "u64": np.dtype(np.uint64),
 }
 
 #: Width of each subword type in bytes.
 WIDTH = {"u8": 1, "s8": 1, "u16": 2, "s16": 2, "u32": 4, "s32": 4, "u64": 8}
+
+#: The unsigned dtype of the same width, through which a logical right
+#: shift of signed lanes runs.
+_UNSIGNED = {"s8": STORAGE["u8"], "s16": STORAGE["u16"], "s32": STORAGE["u32"]}
+
+#: (input dtype, subword type) pairs where the input dtype holds both
+#: bounds of the subword type, so :func:`saturate` clamps in place.
+#: Other inputs (uint64, floats, the u64 type) take the int64 route.
+_CLAMPS_IN_PLACE = frozenset(
+    (dt, name)
+    for dt in (*STORAGE.values(), np.dtype(np.int64))
+    if dt != STORAGE["u64"]
+    for name, (lo, hi) in BOUNDS.items()
+    if np.iinfo(dt).min <= lo and hi <= np.iinfo(dt).max
+)
 
 
 def _wide(a: np.ndarray) -> np.ndarray:
@@ -45,8 +86,22 @@ def _wide(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
+def _is_lanes(a, dtype: str) -> bool:
+    """Whether ``a`` is an array of ``dtype``'s storage type."""
+    return type(a) is np.ndarray and a.dtype == STORAGE[dtype]
+
+
+def _clamp(a: np.ndarray, dtype: str) -> np.ndarray:
+    """Clamp to ``dtype``'s bounds (which ``a``'s dtype must hold) and narrow."""
+    lo, hi = BOUNDS[dtype]
+    return np.minimum(np.maximum(a, lo), hi).astype(STORAGE[dtype])
+
+
 def saturate(a: np.ndarray, dtype: str) -> np.ndarray:
     """Clamp ``a`` to the range of ``dtype`` and narrow to its storage type."""
+    a = np.asarray(a)
+    if (a.dtype, dtype) in _CLAMPS_IN_PLACE:
+        return _clamp(a, dtype)
     lo, hi = BOUNDS[dtype]
     return np.clip(_wide(a), lo, hi).astype(STORAGE[dtype])
 
@@ -58,31 +113,43 @@ def wrap(a: np.ndarray, dtype: str) -> np.ndarray:
 
 def add_wrap(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PADDB/PADDW/PADDD``: element-wise add with wrap-around."""
+    if _is_lanes(a, dtype) and _is_lanes(b, dtype):
+        return a + b
     return wrap(_wide(a) + _wide(b), dtype)
 
 
 def add_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PADDSB/PADDSW/PADDUSB/PADDUSW``: element-wise saturating add."""
+    if WIDTH[dtype] <= 2 and _is_lanes(a, dtype) and _is_lanes(b, dtype):
+        return _clamp(a.astype(np.int32) + b, dtype)
     return saturate(_wide(a) + _wide(b), dtype)
 
 
 def sub_wrap(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PSUBB/PSUBW``: element-wise subtract with wrap-around."""
+    if _is_lanes(a, dtype) and _is_lanes(b, dtype):
+        return a - b
     return wrap(_wide(a) - _wide(b), dtype)
 
 
 def sub_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PSUBSB/PSUBSW/PSUBUSB``: element-wise saturating subtract."""
+    if WIDTH[dtype] <= 2 and _is_lanes(a, dtype) and _is_lanes(b, dtype):
+        return _clamp(a.astype(np.int32) - b, dtype)
     return saturate(_wide(a) - _wide(b), dtype)
 
 
 def mul_lo(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PMULLW``: element-wise multiply keeping the low half (wraps)."""
+    if _is_lanes(a, dtype) and _is_lanes(b, dtype):
+        return a * b
     return wrap(_wide(a) * _wide(b), dtype)
 
 
 def mul_hi_s16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``PMULHW``: signed 16x16 multiply keeping the high 16 bits."""
+    if _is_lanes(a, "s16") and _is_lanes(b, "s16"):
+        return ((a.astype(np.int32) * b) >> 16).astype(np.int16)
     prod = _wide(a) * _wide(b)
     return ((prod >> 16) & 0xFFFF).astype(np.uint16).view(np.int16).astype(np.int16)
 
@@ -90,11 +157,15 @@ def mul_hi_s16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def madd_s16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``PMADDWD``: multiply signed 16-bit pairs and add adjacent products.
 
-    ``a`` and ``b`` are flat arrays of signed 16-bit lanes with even length;
-    the result has half as many signed 32-bit lanes, lane ``i`` holding
-    ``a[2i]*b[2i] + a[2i+1]*b[2i+1]`` computed exactly and wrapped to 32
-    bits (the hardware wraps only in the pathological all -32768 case).
+    ``a`` and ``b`` are arrays of signed 16-bit lanes with an even total
+    count; the result is a flat array of half as many signed 32-bit
+    lanes, lane ``i`` holding ``a[2i]*b[2i] + a[2i+1]*b[2i+1]`` (over the
+    flattened inputs) computed exactly and wrapped to 32 bits (the
+    hardware wraps only in the pathological all -32768 case).
     """
+    if _is_lanes(a, "s16") and _is_lanes(b, "s16"):
+        pairs = (a.astype(np.int32) * b).reshape(-1, 2)
+        return pairs[:, 0] + pairs[:, 1]
     prod = _wide(a) * _wide(b)
     pairs = prod.reshape(-1, 2).sum(axis=1)
     return wrap(pairs, "s32")
@@ -113,22 +184,33 @@ def sq_diff_sum_u8(a: np.ndarray, b: np.ndarray) -> int:
 
 def avg_round_u8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``PAVGB``: element-wise rounded average ``(a + b + 1) >> 1``."""
+    if _is_lanes(a, "u8") and _is_lanes(b, "u8"):
+        return ((a.astype(np.uint16) + b + 1) >> 1).astype(np.uint8)
     return ((_wide(a) + _wide(b) + 1) >> 1).astype(np.uint8)
 
 
 def shift_right_logical(a: np.ndarray, count: int, dtype: str) -> np.ndarray:
     """``PSRLW/PSRLD``: element-wise logical right shift."""
+    if _is_lanes(a, dtype):
+        unsigned = _UNSIGNED.get(dtype)
+        if unsigned is None:
+            return a >> count
+        return (a.view(unsigned) >> count).view(a.dtype)
     mask = (1 << (8 * WIDTH[dtype])) - 1
     return wrap((_wide(a) & mask) >> count, dtype)
 
 
 def shift_right_arith(a: np.ndarray, count: int, dtype: str) -> np.ndarray:
     """``PSRAW/PSRAD``: element-wise arithmetic right shift."""
+    if _is_lanes(a, dtype):
+        return a >> count
     return wrap(_wide(a) >> count, dtype)
 
 
 def shift_left(a: np.ndarray, count: int, dtype: str) -> np.ndarray:
     """``PSLLW/PSLLD``: element-wise left shift (wraps)."""
+    if _is_lanes(a, dtype):
+        return a << count
     return wrap(_wide(a) << count, dtype)
 
 
@@ -160,7 +242,8 @@ def round_shift(a: np.ndarray, shift: int, dtype: str = "s32") -> np.ndarray:
 
     This is the canonical rounding used by every DCT/colour-conversion
     kernel in the repository; defining it once keeps all five ISA versions
-    of each kernel bit-identical.
+    of each kernel bit-identical.  Its callers pass int64 accumulators,
+    and it computes in int64.
     """
     if shift == 0:
         return wrap(_wide(a), dtype)

@@ -134,10 +134,10 @@ class CoreConfig:
 
     The field set of this dataclass is part of the result-store contract:
     :func:`repro.sweep.store.config_fingerprint` hashes
-    ``dataclasses.asdict`` of it, so adding or renaming a field
-    re-addresses every stored record.  Capabilities that do not change
-    the fingerprint belong in properties (resolved through the machine
-    registry), not fields.
+    :func:`core_config_to_dict` of it (every field, by name), so
+    adding or renaming a field re-addresses every stored record.
+    Capabilities that do not change the fingerprint belong in properties
+    (resolved through the machine registry), not fields.
     """
 
     isa: str
@@ -190,8 +190,18 @@ class CoreConfig:
         return max(2, self.phys_simd_regs - self.logical_simd_regs)
 
 
+#: Field names of the config dataclasses, in declaration order.  The
+#: ``*_to_dict`` helpers walk these instead of calling
+#: ``dataclasses.asdict``, which deep-copies every leaf: every field is
+#: a scalar or a nested config, so the walk yields an equal dict at a
+#: fraction of the cost on the store-key path.
+_CACHE_FIELDS = tuple(f.name for f in dataclasses.fields(CacheConfig))
+_MEM_FIELDS = tuple(f.name for f in dataclasses.fields(MemHierConfig))
+_CORE_FIELDS = tuple(f.name for f in dataclasses.fields(CoreConfig))
+
+
 def _cache_to_dict(cache: CacheConfig) -> Dict[str, Any]:
-    return dataclasses.asdict(cache)
+    return {name: getattr(cache, name) for name in _CACHE_FIELDS}
 
 
 def _cache_from_dict(data: Dict[str, Any]) -> CacheConfig:
@@ -199,7 +209,10 @@ def _cache_from_dict(data: Dict[str, Any]) -> CacheConfig:
 
 
 def mem_config_to_dict(mem: MemHierConfig) -> Dict[str, Any]:
-    return dataclasses.asdict(mem)
+    data = {name: getattr(mem, name) for name in _MEM_FIELDS}
+    data["l1"] = _cache_to_dict(mem.l1)
+    data["l2"] = _cache_to_dict(mem.l2)
+    return data
 
 
 def mem_config_from_dict(data: Dict[str, Any]) -> MemHierConfig:
@@ -212,7 +225,7 @@ def mem_config_from_dict(data: Dict[str, Any]) -> MemHierConfig:
 
 
 def core_config_to_dict(config: CoreConfig) -> Dict[str, Any]:
-    return dataclasses.asdict(config)
+    return {name: getattr(config, name) for name in _CORE_FIELDS}
 
 
 def core_config_from_dict(data: Dict[str, Any]) -> CoreConfig:

@@ -36,7 +36,6 @@ still reads -- and fills -- the new store.
 from __future__ import annotations
 
 import base64
-import dataclasses
 import gzip
 import hashlib
 import io
@@ -55,7 +54,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.isa.trace import ColumnarTrace
 from repro.machines.spec import canonical_json, stable_hash
-from repro.machines.spec import CoreConfig, MemHierConfig
+from repro.machines.spec import (
+    CoreConfig,
+    MemHierConfig,
+    core_config_to_dict,
+    mem_config_to_dict,
+)
 from repro.timing.core import SimResult
 from repro.timing.simulator import KernelTiming
 
@@ -109,7 +113,7 @@ def code_version() -> str:
 def config_fingerprint(config: CoreConfig, mem: MemHierConfig) -> str:
     """Stable hash of one fully-resolved machine description."""
     return stable_hash(
-        {"core": dataclasses.asdict(config), "mem": dataclasses.asdict(mem)}
+        {"core": core_config_to_dict(config), "mem": mem_config_to_dict(mem)}
     )
 
 

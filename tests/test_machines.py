@@ -213,6 +213,49 @@ class TestSpecSerialisation:
             )
 
 
+class TestConfigDicts:
+    """The field-walk ``*_to_dict`` helpers equal ``dataclasses.asdict``."""
+
+    @staticmethod
+    def _assert_walk_equals_asdict(core, mem):
+        from repro.machines.spec import core_config_to_dict, mem_config_to_dict
+
+        for got, want in (
+            (core_config_to_dict(core), dataclasses.asdict(core)),
+            (mem_config_to_dict(mem), dataclasses.asdict(mem)),
+        ):
+            assert got == want
+            assert list(got) == list(want)
+            # Equal values of another type (4 vs 4.0) hash apart.
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("name", machine_names())
+    def test_every_machine_every_way(self, name):
+        for way in range(1, 17):
+            spec = get_machine(name, way)
+            self._assert_walk_equals_asdict(spec.core, spec.mem)
+
+    @pytest.mark.parametrize(
+        "core_overrides, mem_overrides",
+        [
+            ({"lanes": 4.0}, {}),
+            ({"lanes": 4, "mem_ports": 3}, {}),
+            ({}, {"l1.assoc": 8}),
+            ({"rob_size": 96}, {"l2.latency": 20, "main_latency": 300}),
+            ({}, {"strided_rows_per_cycle": 2}),
+        ],
+    )
+    def test_overridden_configs(self, core_overrides, mem_overrides):
+        from repro.sweep.engine import resolve_configs
+        from repro.sweep.points import SweepPoint
+
+        point = SweepPoint(
+            kernel="idct", version="vmmx128", way=4,
+            core_overrides=core_overrides, mem_overrides=mem_overrides,
+        )
+        self._assert_walk_equals_asdict(*resolve_configs(point))
+
+
 class TestManifest:
     """The checked-in fingerprint manifest matches the live registry."""
 

@@ -1,10 +1,16 @@
 """Tests for the flat emulated memory."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.emu.batch import BatchMemory
 from repro.emu.memory import Memory, MemoryError_
 
 
@@ -114,3 +120,56 @@ class TestRows:
         mem = Memory(size=256)
         with pytest.raises(MemoryError_):
             mem.read_rows(200, 8, 8, 16)
+
+
+class TestPlane:
+    """The byte plane is a zeroed private mapping of its own."""
+
+    def test_zeroed_writable_and_independent(self):
+        a, b = Memory(), Memory()
+        assert a.buf.shape == (a.size,) and a.buf.dtype == np.uint8
+        assert not a.buf.any()
+        a.write_u8(4096, 7)
+        assert a.read_u8(4096) == 7
+        assert b.read_u8(4096) == 0
+
+    def test_batch_planes_zeroed_and_independent(self):
+        batch = BatchMemory(3, size=1 << 16)
+        assert batch.buf.shape == (3, 1 << 16)
+        assert not batch.buf.any()
+        batch.plane(1).write_u8(100, 9)
+        assert batch.buf[:, 100].tolist() == [0, 9, 0]
+        assert not BatchMemory(3, size=1 << 16).buf.any()
+
+    def test_forked_child_writes_stay_private(self):
+        """A child forked while a plane is alive cannot write into it.
+
+        Runs in a subprocess: forking the pytest process itself, whose
+        other threads may be running, warns on Python 3.12 (an error
+        under ``-W error``).  A shared mapping fails this test.
+        """
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.emu.batch import BatchMemory
+            from repro.emu.memory import Memory
+
+            mem, batch = Memory(), BatchMemory(2, size=1 << 16)
+            pid = os.fork()
+            if pid == 0:
+                mem.buf[4096] = 1
+                batch.buf[1, 4096] = 1
+                os._exit(0)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            print(int(mem.buf[4096]), int(batch.buf[1, 4096]))
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.split()
+        assert out == ["0", "0"]

@@ -221,3 +221,249 @@ class TestRoundShift:
         out = int(sw.round_shift(np.array([value]), shift)[0])
         exact = value / (1 << shift)
         assert abs(out - exact) <= 0.5
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the int64 formulas
+# ---------------------------------------------------------------------------
+#
+# Every helper used to widen its inputs to int64, compute exactly and then
+# narrow.  The helpers now compute in the narrowest exact type for lanes
+# of the subword type's storage dtype and keep the int64 route for any
+# other input; the int64 formulas below are the reference both routes
+# must match in value, dtype and shape.
+
+
+def _wide(a):
+    return np.asarray(a, dtype=np.int64)
+
+
+def ref_saturate(a, dtype):
+    lo, hi = sw.BOUNDS[dtype]
+    return np.clip(_wide(a), lo, hi).astype(sw.STORAGE[dtype])
+
+
+def ref_wrap(a, dtype):
+    return _wide(a).astype(sw.STORAGE[dtype])
+
+
+def ref_add_wrap(a, b, dtype):
+    return ref_wrap(_wide(a) + _wide(b), dtype)
+
+
+def ref_add_sat(a, b, dtype):
+    return ref_saturate(_wide(a) + _wide(b), dtype)
+
+
+def ref_sub_wrap(a, b, dtype):
+    return ref_wrap(_wide(a) - _wide(b), dtype)
+
+
+def ref_sub_sat(a, b, dtype):
+    return ref_saturate(_wide(a) - _wide(b), dtype)
+
+
+def ref_mul_lo(a, b, dtype):
+    return ref_wrap(_wide(a) * _wide(b), dtype)
+
+
+def ref_mul_hi_s16(a, b):
+    prod = _wide(a) * _wide(b)
+    return ((prod >> 16) & 0xFFFF).astype(np.uint16).view(np.int16).astype(np.int16)
+
+
+def ref_madd_s16(a, b):
+    prod = _wide(a) * _wide(b)
+    return ref_wrap(prod.reshape(-1, 2).sum(axis=1), "s32")
+
+
+def ref_avg_round_u8(a, b):
+    return ((_wide(a) + _wide(b) + 1) >> 1).astype(np.uint8)
+
+
+def ref_shift_right_logical(a, count, dtype):
+    mask = (1 << (8 * sw.WIDTH[dtype])) - 1
+    return ref_wrap((_wide(a) & mask) >> count, dtype)
+
+
+def ref_shift_right_arith(a, count, dtype):
+    return ref_wrap(_wide(a) >> count, dtype)
+
+
+def ref_shift_left(a, count, dtype):
+    return ref_wrap(_wide(a) << count, dtype)
+
+
+def ref_pack_sat(a, b, dtype):
+    return ref_saturate(np.concatenate([_wide(a), _wide(b)]), dtype)
+
+
+def ref_round_shift(a, shift, dtype="s32"):
+    if shift == 0:
+        return ref_wrap(_wide(a), dtype)
+    return ref_wrap((_wide(a) + (1 << (shift - 1))) >> shift, dtype)
+
+
+#: Input dtypes drawn for the helpers the golden references call: every
+#: lane storage type plus int64, which is what the goldens pass.
+GOLDEN_INPUTS = [sw.STORAGE[t] for t in INT_TYPES] + [np.int64]
+
+
+def _edges(dtype, targets=()):
+    """Values of ``dtype`` worth forcing: its bounds, 0, +-1, and the
+    bounds (and one past them) of each target subword type."""
+    info = np.iinfo(dtype)
+    out = {info.min, info.max, 0, 1}
+    if info.min < 0:
+        out.add(-1)
+    for target in targets:
+        lo, hi = sw.BOUNDS[target]
+        out.update(v for v in (lo - 1, lo, hi, hi + 1) if info.min <= v <= info.max)
+    return sorted(out)
+
+
+@st.composite
+def shapes(draw, even=False):
+    """One register's lanes ``(n,)`` or a seed batch of them ``(B, n)``."""
+    n = draw(st.integers(1, 8)) * 2 if even else draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        return (n,)
+    return (draw(st.integers(1, 4)), n)
+
+
+@st.composite
+def arrays_of(draw, dtype, shape, targets=()):
+    """Full-range values of ``dtype`` in ``shape``, both bounds forced in.
+
+    The lanes are drawn as raw bytes (every bit pattern of the dtype is
+    reachable); up to four lanes are then set to edge values.
+    """
+    dtype = np.dtype(dtype)
+    info = np.iinfo(dtype)
+    size = int(np.prod(shape))
+    nbytes = size * dtype.itemsize
+    out = np.frombuffer(draw(st.binary(min_size=nbytes, max_size=nbytes)), dtype).copy()
+    index = st.integers(0, size - 1)
+    for value in draw(st.lists(st.sampled_from(_edges(dtype, targets)), max_size=4)):
+        out[draw(index)] = value
+    out[draw(index)] = info.min
+    out[draw(index)] = info.max
+    return out.reshape(shape)
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+ORACLE_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+class TestInt64Oracle:
+    """Every helper the machines or goldens call matches its int64 formula."""
+
+    @pytest.mark.parametrize(
+        "helper, oracle",
+        [
+            (sw.add_wrap, ref_add_wrap),
+            (sw.add_sat, ref_add_sat),
+            (sw.sub_wrap, ref_sub_wrap),
+            (sw.sub_sat, ref_sub_sat),
+            (sw.mul_lo, ref_mul_lo),
+        ],
+        ids=lambda f: getattr(f, "__name__", ""),
+    )
+    @pytest.mark.parametrize("dtype", INT_TYPES)
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_lane_arithmetic(self, helper, oracle, dtype, data):
+        shape = data.draw(shapes())
+        a = data.draw(arrays_of(sw.STORAGE[dtype], shape))
+        b = data.draw(arrays_of(sw.STORAGE[dtype], shape))
+        assert_same(helper(a, b, dtype), oracle(a, b, dtype))
+
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_mul_hi_s16(self, data):
+        shape = data.draw(shapes())
+        a = data.draw(arrays_of(np.int16, shape))
+        b = data.draw(arrays_of(np.int16, shape))
+        assert_same(sw.mul_hi_s16(a, b), ref_mul_hi_s16(a, b))
+
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_madd_s16(self, data):
+        shape = data.draw(shapes(even=True))
+        a = data.draw(arrays_of(np.int16, shape))
+        b = data.draw(arrays_of(np.int16, shape))
+        assert_same(sw.madd_s16(a, b), ref_madd_s16(a, b))
+
+    def test_madd_s16_wraps_all_min_pair(self):
+        a = np.array([-32768, -32768], np.int16)
+        assert sw.madd_s16(a, a).tolist() == [-(2**31)]
+
+    @pytest.mark.parametrize("src", [np.uint8, np.int64])
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_avg_round_u8(self, src, data):
+        shape = data.draw(shapes())
+        a = data.draw(arrays_of(src, shape))
+        b = data.draw(arrays_of(src, shape))
+        assert_same(sw.avg_round_u8(a, b), ref_avg_round_u8(a, b))
+
+    @pytest.mark.parametrize(
+        "helper, oracle",
+        [
+            (sw.shift_left, ref_shift_left),
+            (sw.shift_right_logical, ref_shift_right_logical),
+            (sw.shift_right_arith, ref_shift_right_arith),
+        ],
+        ids=lambda f: getattr(f, "__name__", ""),
+    )
+    @pytest.mark.parametrize("dtype", INT_TYPES)
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_shifts(self, helper, oracle, dtype, data):
+        bits = 8 * sw.WIDTH[dtype]
+        a = data.draw(arrays_of(sw.STORAGE[dtype], data.draw(shapes())))
+        count = data.draw(st.integers(0, bits + 8))
+        assert_same(helper(a, count, dtype), oracle(a, count, dtype))
+
+    @pytest.mark.parametrize("dtype", INT_TYPES)
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_saturate(self, dtype, data):
+        src = data.draw(st.sampled_from(GOLDEN_INPUTS))
+        a = data.draw(arrays_of(src, data.draw(shapes()), targets=(dtype,)))
+        assert_same(sw.saturate(a, dtype), ref_saturate(a, dtype))
+
+    @pytest.mark.parametrize("dtype", INT_TYPES)
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_wrap(self, dtype, data):
+        src = data.draw(st.sampled_from(GOLDEN_INPUTS))
+        a = data.draw(arrays_of(src, data.draw(shapes()), targets=(dtype,)))
+        assert_same(sw.wrap(a, dtype), ref_wrap(a, dtype))
+
+    @pytest.mark.parametrize("dtype", INT_TYPES)
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_pack_sat(self, dtype, data):
+        shape = data.draw(shapes())
+        a = data.draw(
+            arrays_of(data.draw(st.sampled_from(GOLDEN_INPUTS)), shape, (dtype,))
+        )
+        b = data.draw(
+            arrays_of(data.draw(st.sampled_from(GOLDEN_INPUTS)), shape, (dtype,))
+        )
+        assert_same(sw.pack_sat(a, b, dtype), ref_pack_sat(a, b, dtype))
+
+    @pytest.mark.parametrize("dtype", INT_TYPES)
+    @given(data=st.data())
+    @ORACLE_SETTINGS
+    def test_round_shift(self, dtype, data):
+        src = data.draw(st.sampled_from(GOLDEN_INPUTS))
+        a = data.draw(arrays_of(src, data.draw(shapes()), targets=(dtype,)))
+        shift = data.draw(st.integers(0, 8 * sw.WIDTH[dtype] + 8))
+        assert_same(sw.round_shift(a, shift, dtype), ref_round_shift(a, shift, dtype))

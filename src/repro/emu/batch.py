@@ -493,7 +493,7 @@ class _BatchVMMXOps(_BatchScalarOps):
             self.nseeds, -1, self.row_bytes
         )
         data[:, : rows.shape[1]] = rows
-        return BatchMReg(self._new_id(), data)
+        return BatchMReg(next(self._ids), data)
 
     def _active(self, m: MReg, dtype: str) -> np.ndarray:
         return m.data[:, : self.vl].view(sw.STORAGE[dtype])
@@ -660,7 +660,7 @@ class _BatchVMMXOps(_BatchScalarOps):
     # -- packed reduction accumulators ------------------------------------
 
     def acc_zero(self) -> BatchAccReg:
-        acc = BatchAccReg(self._new_id(), np.zeros(self.nseeds, dtype=np.int64))
+        acc = BatchAccReg(next(self._ids), np.zeros(self.nseeds, dtype=np.int64))
         self._vemit("vacc.clr", Latency.SIMD_ALU, (acc.rid,), rows=1)
         return acc
 
@@ -668,7 +668,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         av = self._active(a, "u8").astype(np.int64)
         bv = self._active(b, "u8").astype(np.int64)
         total = np.abs(av - bv).sum(axis=(1, 2))
-        out = BatchAccReg(self._new_id(), acc.total + total)
+        out = BatchAccReg(next(self._ids), acc.total + total)
         self._vemit("vsad.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
         return out
 
@@ -677,13 +677,13 @@ class _BatchVMMXOps(_BatchScalarOps):
         bv = self._active(b, "u8").astype(np.int64)
         d = av - bv
         total = (d * d).sum(axis=(1, 2))
-        out = BatchAccReg(self._new_id(), acc.total + total)
+        out = BatchAccReg(next(self._ids), acc.total + total)
         self._vemit("vsqd.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
         return out
 
     def vdot_acc(self, acc: AccReg, a: MReg, b: MReg, dtype: str = "s16") -> BatchAccReg:
         prod = self._active(a, dtype).astype(np.int64) * self._active(b, dtype).astype(np.int64)
-        out = BatchAccReg(self._new_id(), acc.total + prod.sum(axis=(1, 2)))
+        out = BatchAccReg(next(self._ids), acc.total + prod.sum(axis=(1, 2)))
         self._vemit("vdot.acc", Latency.SIMD_MAC, (out.rid,), acc, a, b)
         return out
 
@@ -691,7 +691,7 @@ class _BatchVMMXOps(_BatchScalarOps):
 
     def macc_zero(self, dtype: str = "s16") -> BatchMAccReg:
         macc = BatchMAccReg(
-            self._new_id(),
+            next(self._ids),
             np.zeros((self.nseeds, self.max_vl, self._cols(dtype)), dtype=np.int64),
         )
         self._vemit("vmacc.clr", Latency.SIMD_ALU, (macc.rid,), rows=1)
@@ -702,7 +702,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         b_lanes = b.data.view(sw.STORAGE[dtype]).reshape(self.nseeds, self.max_vl, -1).astype(np.int64)
         parts = macc.parts.copy()
         parts[:, : self.vl] += a_lanes[:, :, col][:, :, None] * b_lanes[:, row][:, None, :]
-        out = BatchMAccReg(self._new_id(), parts)
+        out = BatchMAccReg(next(self._ids), parts)
         self._vemit("vmac.b", Latency.SIMD_MAC, (out.rid,), macc, a, b)
         return out
 
@@ -711,7 +711,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         b_lanes = self._active(b, dtype).astype(np.int64)
         parts = macc.parts.copy()
         parts[:, : self.vl] += a_lanes * b_lanes
-        out = BatchMAccReg(self._new_id(), parts)
+        out = BatchMAccReg(next(self._ids), parts)
         self._vemit("vmac.e", Latency.SIMD_MAC, (out.rid,), macc, a, b)
         return out
 

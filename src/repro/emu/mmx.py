@@ -203,10 +203,8 @@ class MMXMachine(ScalarMachine):
 
     def packus(self, a: VReg, b: VReg, src_dtype: str = "s16") -> VReg:
         """``PACKUSWB``: saturate two s16 registers into one u8 register."""
-        merged = np.concatenate(
-            [a.view(sw.STORAGE[src_dtype]), b.view(sw.STORAGE[src_dtype])]
-        )[: self.width]
-        out = sw.saturate(merged, "u8")
+        lane = sw.STORAGE[src_dtype]
+        out = sw.pack_sat(a.view(lane), b.view(lane), "u8")[: self.width]
         return self._vemit("packuswb", Latency.SIMD_PACK, self._vreg(out), a, b)
 
     def packss(self, a: VReg, b: VReg) -> VReg:

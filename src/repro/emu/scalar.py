@@ -48,9 +48,6 @@ class ScalarMachine:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _new_id(self) -> int:
-        return next(self._ids)
-
     @staticmethod
     def _val(x: Operand) -> int:
         return int(x.val) if isinstance(x, SReg) else int(x)

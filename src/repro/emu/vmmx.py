@@ -302,28 +302,28 @@ class VMMXMachine(ScalarMachine):
     # -- packed reduction accumulators ---------------------------------------
 
     def acc_zero(self) -> AccReg:
-        acc = AccReg(self._new_id(), 0)
+        acc = AccReg(next(self._ids), 0)
         self._vemit("vacc.clr", Latency.SIMD_ALU, (acc.rid,), rows=1)
         return acc
 
     def vsad_acc(self, acc: AccReg, a: MReg, b: MReg) -> AccReg:
         """``ACC += Sum(|a - b|)`` over all active rows (packed accumulator)."""
         total = sw.abs_diff_sum_u8(self._active(a, "u8"), self._active(b, "u8"))
-        out = AccReg(self._new_id(), acc.total + total)
+        out = AccReg(next(self._ids), acc.total + total)
         self._vemit("vsad.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
         return out
 
     def vsqd_acc(self, acc: AccReg, a: MReg, b: MReg) -> AccReg:
         """``ACC += Sum((a - b)^2)`` over all active rows."""
         total = sw.sq_diff_sum_u8(self._active(a, "u8"), self._active(b, "u8"))
-        out = AccReg(self._new_id(), acc.total + total)
+        out = AccReg(next(self._ids), acc.total + total)
         self._vemit("vsqd.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
         return out
 
     def vdot_acc(self, acc: AccReg, a: MReg, b: MReg, dtype: str = "s16") -> AccReg:
         """``ACC += Sum(a * b)`` over all active rows (packed MAC)."""
         prod = self._active(a, dtype).astype(np.int64) * self._active(b, dtype).astype(np.int64)
-        out = AccReg(self._new_id(), acc.total + int(prod.sum()))
+        out = AccReg(next(self._ids), acc.total + int(prod.sum()))
         self._vemit("vdot.acc", Latency.SIMD_MAC, (out.rid,), acc, a, b)
         return out
 
@@ -339,7 +339,7 @@ class VMMXMachine(ScalarMachine):
     # -- matrix multiply-accumulate ------------------------------------------
 
     def macc_zero(self, dtype: str = "s16") -> MAccReg:
-        macc = MAccReg(self._new_id(), np.zeros((self.max_vl, self._cols(dtype)), dtype=np.int64))
+        macc = MAccReg(next(self._ids), np.zeros((self.max_vl, self._cols(dtype)), dtype=np.int64))
         self._vemit("vmacc.clr", Latency.SIMD_ALU, (macc.rid,), rows=1)
         return macc
 
@@ -356,7 +356,7 @@ class VMMXMachine(ScalarMachine):
         b_lanes = b.data.view(sw.STORAGE[dtype]).reshape(self.max_vl, -1).astype(np.int64)
         parts = macc.parts.copy()
         parts[: self.vl] += np.outer(a_lanes[:, col], b_lanes[row])
-        out = MAccReg(self._new_id(), parts)
+        out = MAccReg(next(self._ids), parts)
         self._vemit("vmac.b", Latency.SIMD_MAC, (out.rid,), macc, a, b)
         return out
 
@@ -366,7 +366,7 @@ class VMMXMachine(ScalarMachine):
         b_lanes = self._active(b, dtype).reshape(self.vl, -1).astype(np.int64)
         parts = macc.parts.copy()
         parts[: self.vl] += a_lanes * b_lanes
-        out = MAccReg(self._new_id(), parts)
+        out = MAccReg(next(self._ids), parts)
         self._vemit("vmac.e", Latency.SIMD_MAC, (out.rid,), macc, a, b)
         return out
 

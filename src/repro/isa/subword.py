@@ -6,28 +6,31 @@ saturating semantics.  These functions define the *functional* meaning
 of the SIMD instructions; the emulation machines in :mod:`repro.emu`
 wrap them with trace emission.
 
-Each helper computes in the narrowest type that is exact for lanes of
-the subword type's storage dtype (:data:`STORAGE`), which is what every
-machine intrinsic passes:
+Each helper computes in the narrowest type that is exact for its
+inputs:
 
-* wrapping add, sub and low multiply, and the three shifts, run in the
-  storage dtype itself -- NumPy integer array arithmetic wraps modulo
-  ``2**bits``, and NumPy shifts by counts at or above the lane width
-  give 0 (sign fill for arithmetic right shifts of signed lanes);
-* saturating add and sub on lanes of 16 bits or fewer, ``mul_hi_s16``
-  and ``madd_s16`` run in int32 (int16 products fit, and the pmaddwd
-  pair sum wraps in int32 exactly as the hardware does);
-* ``avg_round_u8`` runs in uint16;
+* wrapping add, sub and low multiply, ``mul_hi_s16``, ``madd_s16`` and
+  the three shifts take lanes of the subword type's storage dtype
+  (:data:`STORAGE`), which is what every machine intrinsic passes: it
+  views its register bytes through that dtype.  The wrapping ops and
+  the shifts run in the storage dtype itself -- NumPy integer array
+  arithmetic wraps modulo ``2**bits``, and NumPy shifts by counts at or
+  above the lane width give 0 (sign fill for arithmetic right shifts
+  of signed lanes).  ``mul_hi_s16`` and ``madd_s16`` run in int32
+  (int16 products fit, and the pmaddwd pair sum wraps in int32 exactly
+  as the hardware does);
+* saturating add and sub on lanes of 16 bits or fewer run in int32,
+  and ``avg_round_u8`` on uint8 lanes runs in uint16; any other input
+  (32-bit lanes, the golden references' int64 arrays) takes the exact
+  int64 route, chosen by the input's dtype;
 * ``saturate`` clamps in the input's own dtype when that dtype holds
   both bounds (int32 lanes to s16, int16 lanes to u8, int64 to any
-  32-bit or narrower type).
+  32-bit or narrower type) and in int64 otherwise; ``pack_sat``
+  concatenates in the inputs' own dtype and saturates;
+* ``wrap``, ``round_shift`` and the reductions compute in int64.
 
-Inputs of any other dtype -- the golden references pass int64 arrays --
-take the exact int64 route, as do ``wrap``, ``pack_sat``,
-``round_shift``, the reductions, and saturating add and sub on 32-bit
-lanes.  The int64
-formulas of every helper are kept in ``tests/test_subword.py`` as the
-oracle that the narrow routes are differential-tested against.
+``tests/test_subword.py`` keeps the int64 formulas of every helper as
+the oracle the helpers are differential-tested against.
 
 The fixed-point behaviour is deliberately explicit so that the scalar,
 MMX64, MMX128, VMMX64 and VMMX128 versions of every kernel can be proven
@@ -113,9 +116,7 @@ def wrap(a: np.ndarray, dtype: str) -> np.ndarray:
 
 def add_wrap(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PADDB/PADDW/PADDD``: element-wise add with wrap-around."""
-    if _is_lanes(a, dtype) and _is_lanes(b, dtype):
-        return a + b
-    return wrap(_wide(a) + _wide(b), dtype)
+    return a + b
 
 
 def add_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
@@ -127,9 +128,7 @@ def add_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
 
 def sub_wrap(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PSUBB/PSUBW``: element-wise subtract with wrap-around."""
-    if _is_lanes(a, dtype) and _is_lanes(b, dtype):
-        return a - b
-    return wrap(_wide(a) - _wide(b), dtype)
+    return a - b
 
 
 def sub_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
@@ -141,17 +140,12 @@ def sub_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
 
 def mul_lo(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PMULLW``: element-wise multiply keeping the low half (wraps)."""
-    if _is_lanes(a, dtype) and _is_lanes(b, dtype):
-        return a * b
-    return wrap(_wide(a) * _wide(b), dtype)
+    return a * b
 
 
 def mul_hi_s16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``PMULHW``: signed 16x16 multiply keeping the high 16 bits."""
-    if _is_lanes(a, "s16") and _is_lanes(b, "s16"):
-        return ((a.astype(np.int32) * b) >> 16).astype(np.int16)
-    prod = _wide(a) * _wide(b)
-    return ((prod >> 16) & 0xFFFF).astype(np.uint16).view(np.int16).astype(np.int16)
+    return ((a.astype(np.int32) * b) >> 16).astype(np.int16)
 
 
 def madd_s16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,12 +157,8 @@ def madd_s16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     flattened inputs) computed exactly and wrapped to 32 bits (the
     hardware wraps only in the pathological all -32768 case).
     """
-    if _is_lanes(a, "s16") and _is_lanes(b, "s16"):
-        pairs = (a.astype(np.int32) * b).reshape(-1, 2)
-        return pairs[:, 0] + pairs[:, 1]
-    prod = _wide(a) * _wide(b)
-    pairs = prod.reshape(-1, 2).sum(axis=1)
-    return wrap(pairs, "s32")
+    pairs = (a.astype(np.int32) * b).reshape(-1, 2)
+    return pairs[:, 0] + pairs[:, 1]
 
 
 def abs_diff_sum_u8(a: np.ndarray, b: np.ndarray) -> int:
@@ -191,32 +181,25 @@ def avg_round_u8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def shift_right_logical(a: np.ndarray, count: int, dtype: str) -> np.ndarray:
     """``PSRLW/PSRLD``: element-wise logical right shift."""
-    if _is_lanes(a, dtype):
-        unsigned = _UNSIGNED.get(dtype)
-        if unsigned is None:
-            return a >> count
-        return (a.view(unsigned) >> count).view(a.dtype)
-    mask = (1 << (8 * WIDTH[dtype])) - 1
-    return wrap((_wide(a) & mask) >> count, dtype)
+    unsigned = _UNSIGNED.get(dtype)
+    if unsigned is None:
+        return a >> count
+    return (a.view(unsigned) >> count).view(a.dtype)
 
 
 def shift_right_arith(a: np.ndarray, count: int, dtype: str) -> np.ndarray:
     """``PSRAW/PSRAD``: element-wise arithmetic right shift."""
-    if _is_lanes(a, dtype):
-        return a >> count
-    return wrap(_wide(a) >> count, dtype)
+    return a >> count
 
 
 def shift_left(a: np.ndarray, count: int, dtype: str) -> np.ndarray:
     """``PSLLW/PSLLD``: element-wise left shift (wraps)."""
-    if _is_lanes(a, dtype):
-        return a << count
-    return wrap(_wide(a) << count, dtype)
+    return a << count
 
 
 def pack_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
     """``PACKUSWB/PACKSSWB``: concatenate and saturate to a narrower type."""
-    return saturate(np.concatenate([_wide(a), _wide(b)]), dtype)
+    return saturate(np.concatenate([a, b]), dtype)
 
 
 def interleave_lo(a: np.ndarray, b: np.ndarray) -> np.ndarray:

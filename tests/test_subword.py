@@ -227,11 +227,10 @@ class TestRoundShift:
 # Differential oracle: the int64 formulas
 # ---------------------------------------------------------------------------
 #
-# Every helper used to widen its inputs to int64, compute exactly and then
-# narrow.  The helpers now compute in the narrowest exact type for lanes
-# of the subword type's storage dtype and keep the int64 route for any
-# other input; the int64 formulas below are the reference both routes
-# must match in value, dtype and shape.
+# The reference formulas below widen every input to int64, compute exactly
+# and then narrow.  The helpers compute in the narrowest type that is exact
+# for their inputs (see the ``repro.isa.subword`` module docstring) and
+# must match these in value, dtype and shape.
 
 
 def _wide(a):

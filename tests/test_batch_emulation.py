@@ -16,6 +16,7 @@ batched ``acquire_traces`` store fill.
 """
 
 import importlib.util
+import json
 import os
 import pathlib
 
@@ -38,8 +39,33 @@ ALL_CASES = [
 ]
 
 
+#: ``ColumnarTrace.digest()`` of every reference trace the differential
+#: test below emulates, keyed ``kernel/version/seed``.  The batch and
+#: reference paths share ``emit`` and ``columns()``, so only this pin
+#: catches a change to the trace bytes both of them would make.
+TRACE_GOLDENS = pathlib.Path(__file__).parent / "goldens" / "traces.json"
+
+
 def _digest(run):
     return run.trace.columns().digest()
+
+
+def _check_trace_goldens(request, digests):
+    """Assert ``digests`` against :data:`TRACE_GOLDENS`.
+
+    With ``--regen-goldens`` the entries are written into the file
+    instead, as the artefact fixtures are.
+    """
+    pinned = json.loads(TRACE_GOLDENS.read_text()) if TRACE_GOLDENS.is_file() else {}
+    if request.config.getoption("--regen-goldens"):
+        pinned.update(digests)
+        TRACE_GOLDENS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+        return
+    for key, digest in digests.items():
+        assert pinned.get(key) == digest, (
+            f"trace {key} deviates from tests/goldens/traces.json; if the "
+            "change is intentional, rerun with --regen-goldens"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +75,22 @@ def _digest(run):
 
 class TestDifferential:
     @pytest.mark.parametrize("kernel,version", ALL_CASES)
-    def test_all_kernels_all_isas_digest_identical(self, kernel, version):
-        """Batched traces are byte-identical to per-seed reference traces."""
+    def test_all_kernels_all_isas_digest_identical(self, kernel, version, request):
+        """Batched traces are byte-identical to per-seed reference traces,
+        and those to the pinned digests."""
         spec = KERNELS[kernel]
         seeds = [0, 1]
         runs = execute_batch(spec, version, seeds)
         assert len(runs) == len(seeds)
+        digests = {}
         for seed, run in zip(seeds, runs):
             ref = execute(spec, version, seed)
             assert run.correct, (kernel, version, seed)
             assert ref.correct, (kernel, version, seed)
             assert outputs_equal(run.output, ref.output)
             assert _digest(run) == _digest(ref), (kernel, version, seed)
+            digests[f"{kernel}/{version}/{seed}"] = _digest(ref)
+        _check_trace_goldens(request, digests)
 
     def test_batched_runs_share_one_trace(self, monkeypatch):
         """The batch fast path emits one shared instruction stream."""

@@ -9,10 +9,9 @@ full-application experiments without re-executing a single codec.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.apps.profile import AppProfile
-from repro.isa.trace import ColumnarTrace, Trace
 from repro.workloads import speech_signal, test_image, video_clip
 
 #: The six Mediabench applications of Table II, presentation order.
@@ -69,43 +68,6 @@ def _profile_key(app: str, seed: int) -> str:
     from repro.sweep.store import record_key
 
     return record_key("app-profile", {"app": app, "seed": seed})
-
-
-def stream_app_kernel_traces(
-    app: str, isa: str = "mmx64", seed: int = 0
-) -> Iterator[Tuple[str, ColumnarTrace]]:
-    """Yield ``(kernel, trace segment)`` for every kernel an app invokes.
-
-    Emulates each kernel the application's profile calls, all through
-    *one* shared trace builder, checkpointing between kernels: the
-    builder's buffer only ever holds the segment currently being
-    generated, so a long application run streams in bounded memory
-    instead of accumulating the whole dynamic trace (the builder's
-    ``checkpoint``/``clear`` API exists for exactly this).
-
-    Each yielded segment is an immutable :class:`ColumnarTrace` ready
-    for the timing model or the result store.  ``isa`` is ``scalar`` or
-    any registered machine name, which runs the program whose traces it
-    emits (:func:`repro.machines.trace_program`); anything else raises
-    ``ValueError``.
-    """
-    from repro.emu import Memory, make_machine, program_geometry
-    from repro.kernels.registry import KERNELS
-    from repro.machines import trace_program
-
-    if isa != "scalar":
-        program_geometry(isa)  # ValueError for an unregistered name
-    program = trace_program(isa)
-    profile = run_app_profile(app, seed)
-    builder = Trace(f"{app}/{isa}")
-    for kernel in profile.kernel_items:
-        spec = KERNELS[kernel]
-        mem = Memory()
-        wl = spec.make_workload(mem, seed)
-        machine = make_machine(program, mem, builder)
-        spec.versions[program](machine, wl)
-        segment = builder.checkpoint()
-        yield kernel, segment
 
 
 def run_app_profile(app: str, seed: int = 0) -> AppProfile:

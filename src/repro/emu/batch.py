@@ -6,7 +6,8 @@ batch machines here subclass them and widen every architectural value by
 one leading *seed axis* (structure-of-arrays, seed-major):
 
 * a scalar register holds a ``(B,)`` int64 array,
-* a 1-D SIMD register holds ``(B, row_bytes)`` bytes,
+* a 1-D SIMD register holds ``(B, lanes)`` lanes, ``row_bytes`` per
+  seed, in its producer's dtype (as :class:`~repro.emu.handles.VReg`),
 * a matrix register holds ``(B, max_vl, row_bytes)`` bytes,
 * memory is one ``(B, size)`` byte plane per batch
   (:class:`BatchMemory`), each seed's workload living in its own
@@ -48,8 +49,8 @@ from repro.emu.memory import Memory, MemoryError_, zeroed_plane
 from repro.emu.mmx import MMXMachine
 from repro.emu.scalar import Operand, ScalarMachine, _mask64
 from repro.emu.vmmx import VMMXMachine
+from repro.isa import opcodes as op
 from repro.isa import subword as sw
-from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import Trace
 
 #: Routes every batched execution through the record-at-a-time reference
@@ -96,7 +97,7 @@ class BatchSReg(SReg):
 
 
 class BatchVReg(VReg):
-    """A 1-D SIMD register: (nseeds, row_bytes) bytes."""
+    """A 1-D SIMD register: (nseeds, lanes) lanes, row_bytes per seed."""
 
     __slots__ = ()
 
@@ -244,41 +245,35 @@ class _BatchScalarOps:
     # -- scalar ALU ops whose reference body reduces to Python scalars ----
 
     def min_(self, a: Operand, b: Operand) -> BatchSReg:
-        return self._alu("min", a, b, np.minimum(self._val(a), self._val(b)))
+        return self._alu(op.MIN, a, b, np.minimum(self._val(a), self._val(b)))
 
     def max_(self, a: Operand, b: Operand) -> BatchSReg:
-        return self._alu("max", a, b, np.maximum(self._val(a), self._val(b)))
+        return self._alu(op.MAX, a, b, np.maximum(self._val(a), self._val(b)))
 
     def cmplt(self, a: Operand, b: Operand) -> BatchSReg:
         return self._alu(
-            "cmplt", a, b, np.less(self._val(a), self._val(b)).astype(np.int64)
+            op.CMPLT, a, b, np.less(self._val(a), self._val(b)).astype(np.int64)
         )
 
     # -- scalar memory ----------------------------------------------------
 
-    def _load(self, name: str, addr: Operand, offset: int, nbytes: int, signed: bool) -> BatchSReg:
+    def _load(self, opcode: int, addr: Operand, offset: int, nbytes: int, signed: bool) -> BatchSReg:
         ea = self._ea(addr, offset)
         raw = self.mem.read(ea, nbytes)  # (nseeds, nbytes)
         dt = np.dtype(f"<{'i' if signed else 'u'}{nbytes}")
         value = raw.view(dt).reshape(self.nseeds).astype(np.int64)
         dst = self._sreg(value)
-        self._emit(
-            name, Category.SMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
-        )
+        self._emit(opcode, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes)
         return dst
 
-    def _store(self, name: str, value: Operand, addr: Operand, offset: int, nbytes: int) -> None:
+    def _store(self, opcode: int, value: Operand, addr: Operand, offset: int, nbytes: int) -> None:
         ea = self._ea(addr, offset)
         v = np.asarray(self._val(value), dtype=np.int64)
         if v.shape != (self.nseeds,):
             v = np.broadcast_to(v, (self.nseeds,))
         data = v.astype(np.dtype(f"<u{nbytes}")).view(np.uint8).reshape(self.nseeds, nbytes)
         self.mem.write(ea, data)
-        self._emit(
-            name, Category.SMEM, FUClass.MEM, 0,
-            (), self._src_ids(value, addr), addr=ea, row_bytes=nbytes, is_store=True,
-        )
+        self._emit(opcode, (), self._src_ids(value, addr), addr=ea, row_bytes=nbytes)
 
     # -- control ----------------------------------------------------------
 
@@ -312,31 +307,26 @@ class _BatchMMXOps(_BatchScalarOps):
     def _vreg(self, data: np.ndarray) -> BatchVReg:
         if data.ndim != 2 or data.shape[0] != self.nseeds or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data).reshape(self.nseeds, -1)
-        data = data.view(sw.STORAGE["u8"])
-        if data.shape[1] != self.width:
+        if data.nbytes != self.nseeds * self.width:
             raise ValueError(
-                f"register payload must be {self.width} bytes, got {data.shape[1]}"
+                f"register payload must be {self.width} bytes, "
+                f"got {data.nbytes // self.nseeds}"
             )
-        return BatchVReg(next(self._ids), data.copy())
+        return BatchVReg(next(self._ids), data)
 
     # -- SIMD memory ------------------------------------------------------
 
     def load(self, addr: Operand, offset: int = 0) -> BatchVReg:
         ea = self._ea(addr, offset)
         dst = self._vreg(self.mem.read(ea, self.width))
-        self._emit(
-            "vld", Category.VMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=self.width,
-        )
+        self._emit(op.VLD, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=self.width)
         return dst
 
     def store(self, v: VReg, addr: Operand, offset: int = 0) -> None:
         ea = self._ea(addr, offset)
         self.mem.write(ea, v.data)
         self._emit(
-            "vst", Category.VMEM, FUClass.MEM, 0,
-            (), (v.rid,) + self._src_ids(addr), addr=ea, row_bytes=self.width,
-            is_store=True,
+            op.VST, (), (v.rid,) + self._src_ids(addr), addr=ea, row_bytes=self.width,
         )
 
     def load_low(self, addr: Operand, nbytes: int, offset: int = 0) -> BatchVReg:
@@ -344,31 +334,26 @@ class _BatchMMXOps(_BatchScalarOps):
         data = np.zeros((self.nseeds, self.width), dtype=np.uint8)
         data[:, :nbytes] = self.mem.read(ea, nbytes)
         dst = self._vreg(data)
-        self._emit(
-            "vld.p", Category.VMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
-        )
+        self._emit(op.VLD_P, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes)
         return dst
 
     def store_low(self, v: VReg, addr: Operand, nbytes: int, offset: int = 0) -> None:
         ea = self._ea(addr, offset)
-        self.mem.write(ea, v.data[:, :nbytes])
+        self.mem.write(ea, v.view(sw.STORAGE["u8"])[:, :nbytes])
         self._emit(
-            "vst.p", Category.VMEM, FUClass.MEM, 0,
-            (), (v.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
-            is_store=True,
+            op.VST_P, (), (v.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
         )
 
     # -- constants --------------------------------------------------------
 
     def zero(self) -> BatchVReg:
         dst = self._vreg(np.zeros((self.nseeds, self.width), dtype=np.uint8))
-        return self._vemit("pxor", Latency.SIMD_ALU, dst)
+        return self._vemit(op.PXOR, dst)
 
     def const(self, values: np.ndarray, dtype: str = "s16") -> BatchVReg:
-        data = np.asarray(values, dtype=sw.STORAGE[dtype])
+        data = np.array(values, dtype=sw.STORAGE[dtype])
         data = np.broadcast_to(data, (self.nseeds,) + data.shape)
-        return self._vemit("pconst", Latency.SIMD_ALU, self._vreg(data))
+        return self._vemit(op.PCONST, self._vreg(data))
 
     # -- pack / unpack (reference bodies index the lane axis) -------------
 
@@ -377,12 +362,12 @@ class _BatchMMXOps(_BatchScalarOps):
             [a.view(sw.STORAGE[src_dtype]), b.view(sw.STORAGE[src_dtype])], axis=1
         )[:, : self.width]
         out = sw.saturate(merged, "u8")
-        return self._vemit("packuswb", Latency.SIMD_PACK, self._vreg(out), a, b)
+        return self._vemit(op.PACKUSWB, self._vreg(out), a, b)
 
     def packss(self, a: VReg, b: VReg) -> BatchVReg:
         merged = np.concatenate([a.view(np.int32), b.view(np.int32)], axis=1)
         out = sw.saturate(merged, "s16")
-        return self._vemit("packssdw", Latency.SIMD_PACK, self._vreg(out), a, b)
+        return self._vemit(op.PACKSSDW, self._vreg(out), a, b)
 
     def _interleave(self, a: VReg, b: VReg, dtype: str, lo: bool) -> np.ndarray:
         av = a.view(sw.STORAGE[dtype])
@@ -396,24 +381,24 @@ class _BatchMMXOps(_BatchScalarOps):
 
     def punpcklo(self, a: VReg, b: VReg, dtype: str = "u8") -> BatchVReg:
         out = self._interleave(a, b, dtype, lo=True)
-        return self._vemit("punpckl", Latency.SIMD_PACK, self._vreg(out), a, b)
+        return self._vemit(op.PUNPCKL, self._vreg(out), a, b)
 
     def punpckhi(self, a: VReg, b: VReg, dtype: str = "u8") -> BatchVReg:
         out = self._interleave(a, b, dtype, lo=False)
-        return self._vemit("punpckh", Latency.SIMD_PACK, self._vreg(out), a, b)
+        return self._vemit(op.PUNPCKH, self._vreg(out), a, b)
 
     def unpack_u8_to_u16_lo(self, a: VReg) -> BatchVReg:
         half = a.view(np.uint8)[:, : self.width // 2].astype(np.uint16)
-        return self._vemit("punpcklbw", Latency.SIMD_PACK, self._vreg(half), a)
+        return self._vemit(op.PUNPCKLBW, self._vreg(half), a)
 
     def unpack_u8_to_u16_hi(self, a: VReg) -> BatchVReg:
         half = a.view(np.uint8)[:, self.width // 2:].astype(np.uint16)
-        return self._vemit("punpckhbw", Latency.SIMD_PACK, self._vreg(half), a)
+        return self._vemit(op.PUNPCKHBW, self._vreg(half), a)
 
     def pshufw(self, a: VReg, order, dtype: str = "s16") -> BatchVReg:
         lanes = a.view(sw.STORAGE[dtype])
         out = lanes[:, list(order)]
-        return self._vemit("pshufw", Latency.SIMD_PACK, self._vreg(out), a)
+        return self._vemit(op.PSHUFW, self._vreg(out), a)
 
     def pshufb(self, a: VReg, indices) -> BatchVReg:
         src = a.view(np.uint8)
@@ -421,7 +406,7 @@ class _BatchMMXOps(_BatchScalarOps):
         for lane, idx in enumerate(indices):
             if idx >= 0:
                 out[:, lane] = src[:, idx]
-        return self._vemit("pshufb", Latency.SIMD_PACK, self._vreg(out), a)
+        return self._vemit(op.PSHUFB, self._vreg(out), a)
 
     # -- reductions and transfers (reference bodies reduce to one int) ----
 
@@ -429,7 +414,7 @@ class _BatchMMXOps(_BatchScalarOps):
         total = np.abs(a.view(np.int8).astype(np.int64)).sum(axis=1)
         out = np.zeros((self.nseeds, self.width // 2), dtype=np.uint16)
         out[:, 0] = total & 0xFFFF
-        return self._vemit("psumabs", Latency.SIMD_SAD, self._vreg(out), a)
+        return self._vemit(op.PSUMABS, self._vreg(out), a)
 
     def psadbw(self, a: VReg, b: VReg) -> BatchVReg:
         groups = self.width // 8
@@ -439,24 +424,24 @@ class _BatchMMXOps(_BatchScalarOps):
         for g in range(groups):
             sad = np.abs(av[:, 8 * g: 8 * g + 8] - bv[:, 8 * g: 8 * g + 8]).sum(axis=1)
             out[:, 4 * g] = sad & 0xFFFF
-        return self._vemit("psadbw", Latency.SIMD_SAD, self._vreg(out), a, b)
+        return self._vemit(op.PSADBW, self._vreg(out), a, b)
 
     def hsum_u16(self, a: VReg) -> BatchVReg:
         total = a.view(np.uint16).astype(np.int64).sum(axis=1)
         out = np.zeros((self.nseeds, self.width // 2), dtype=np.uint16)
         out[:, 0] = total & 0xFFFF
-        return self._vemit("hsum", Latency.SIMD_REDUCE, self._vreg(out), a)
+        return self._vemit(op.HSUM, self._vreg(out), a)
 
     def hsum_s32(self, a: VReg) -> BatchVReg:
         total = a.view(np.int32).astype(np.int64).sum(axis=1)
         out = np.zeros((self.nseeds, self.width // 4), dtype=np.int32)
         out[:, 0] = sw.wrap(total, "s32")
-        return self._vemit("hsum.d", Latency.SIMD_REDUCE, self._vreg(out), a)
+        return self._vemit(op.HSUM_D, self._vreg(out), a)
 
     def movd_to_scalar(self, a: VReg, dtype: str = "u16", lane: int = 0) -> BatchSReg:
         value = a.view(sw.STORAGE[dtype])[:, lane].astype(np.int64)
         dst = self._sreg(value)
-        self._emit("movd", Category.VARITH, FUClass.SIMD, Latency.SIMD_ALU, (dst.rid,), (a.rid,))
+        self._emit(op.MOVD, (dst.rid,), (a.rid,))
         return dst
 
     def movd_from_scalar(self, s: Operand, dtype: str = "s16") -> BatchVReg:
@@ -466,7 +451,7 @@ class _BatchMMXOps(_BatchScalarOps):
             v = np.broadcast_to(v, (self.nseeds,))
         data = np.repeat(v.astype(sw.STORAGE[dtype])[:, None], lanes, axis=1)
         dst = self._vreg(data)
-        self._emit("movd.b", Category.VARITH, FUClass.SIMD, Latency.SIMD_ALU, (dst.rid,), self._src_ids(s))
+        self._emit(op.MOVD_B, (dst.rid,), self._src_ids(s))
         return dst
 
 
@@ -517,7 +502,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         if not 1 <= value <= self.max_vl:
             raise ValueError(f"vector length {value} outside [1, {self.max_vl}]")
         self.vl = value
-        self._emit("setvl", Category.SARITH, FUClass.INT, Latency.INT_ALU, (), self._src_ids(length))
+        self._emit(op.SETVL, (), self._src_ids(length))
 
     # -- vector memory ----------------------------------------------------
 
@@ -535,8 +520,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         rows = self.mem.read_rows(ea, self.vl, self.row_bytes, stride_v)
         dst = self._mreg(rows)
         self._emit(
-            "vld", Category.VMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
+            op.VLD, (dst.rid,), self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
             addr=ea, row_bytes=self.row_bytes, rows=self.vl, stride=stride_v,
         )
         return dst
@@ -546,10 +530,8 @@ class _BatchVMMXOps(_BatchScalarOps):
         stride_v = self._stride_val(stride, self.row_bytes)
         self.mem.write_rows(ea, m.data[:, : self.vl], stride_v)
         self._emit(
-            "vst", Category.VMEM, FUClass.MEM, 0,
-            (), (m.rid,) + self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
+            op.VST, (), (m.rid,) + self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
             addr=ea, row_bytes=self.row_bytes, rows=self.vl, stride=stride_v,
-            is_store=True,
         )
 
     def vload_part(self, addr: Operand, nbytes: int, stride=None, offset: int = 0) -> BatchMReg:
@@ -559,8 +541,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         rows[:, :, :nbytes] = self.mem.read_rows(ea, self.vl, nbytes, stride_v)
         dst = self._mreg(rows)
         self._emit(
-            "vld.p", Category.VMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
+            op.VLD_P, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
             rows=self.vl, stride=stride_v,
         )
         return dst
@@ -570,23 +551,22 @@ class _BatchVMMXOps(_BatchScalarOps):
         stride_v = self._stride_val(stride, nbytes)
         self.mem.write_rows(ea, m.data[:, : self.vl, :nbytes], stride_v)
         self._emit(
-            "vst.p", Category.VMEM, FUClass.MEM, 0,
-            (), (m.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
-            rows=self.vl, stride=stride_v, is_store=True,
+            op.VST_P, (), (m.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
+            rows=self.vl, stride=stride_v,
         )
 
     # -- element-wise matrix arithmetic -----------------------------------
 
     def vzero(self) -> BatchMReg:
         dst = self._mreg(np.zeros((self.nseeds, self.vl, self.row_bytes), dtype=np.uint8))
-        self._vemit("vxor", Latency.SIMD_ALU, (dst.rid,))
+        self._vemit(op.VXOR, (dst.rid,))
         return dst
 
     def vconst_rows(self, rows: np.ndarray, dtype: str = "s16") -> BatchMReg:
         data = np.asarray(rows, dtype=sw.STORAGE[dtype])
         data = np.broadcast_to(data, (self.nseeds,) + data.shape)
         dst = self._mreg(data)
-        self._vemit("vconst", Latency.SIMD_ALU, (dst.rid,))
+        self._vemit(op.VCONST, (dst.rid,))
         return dst
 
     def vmul_round_q15(self, a: MReg, coeff: Operand) -> BatchMReg:
@@ -597,7 +577,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         product = (lanes * c + (1 << 14)) >> 15
         out = sw.saturate(product, "s16")
         dst = self._mreg(out)
-        self._vemit("vmulr.vs", Latency.SIMD_MUL, (dst.rid,), a, coeff if isinstance(coeff, SReg) else a)
+        self._vemit(op.VMULR_VS, (dst.rid,), a, coeff if isinstance(coeff, SReg) else a)
         return dst
 
     def vmadd_s16(self, a: MReg, b: MReg) -> BatchMReg:
@@ -607,7 +587,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         pairs = prod.reshape(self.nseeds, self.vl, -1, 2).sum(axis=3)
         out = sw.wrap(pairs, "s32")
         dst = self._mreg(out)
-        self._vemit("vmaddwd", Latency.SIMD_MAC, (dst.rid,), a, b)
+        self._vemit(op.VMADDWD, (dst.rid,), a, b)
         return dst
 
     def vinterleave(self, a: MReg, b: MReg, dtype: str = "u16", half: str = "lo") -> BatchMReg:
@@ -619,7 +599,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         out[:, :, 0::2] = a_rows[:, :, sel]
         out[:, :, 1::2] = b_rows[:, :, sel]
         dst = self._mreg(out)
-        self._vemit("vunpck." + half, Latency.SIMD_PACK, (dst.rid,), a, b)
+        self._vemit(op.VUNPCK_LO if half == "lo" else op.VUNPCK_HI, (dst.rid,), a, b)
         return dst
 
     def vpack_s32_to_s16(self, a: MReg, b: Optional[MReg] = None) -> BatchMReg:
@@ -632,7 +612,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         out = self._pad_rows(sw.saturate(merged, "s16"))
         dst = self._mreg(out)
         srcs = (a, b) if b is not None else (a,)
-        self._vemit("vpackssdw", Latency.SIMD_PACK, (dst.rid,), *srcs)
+        self._vemit(op.VPACKSSDW, (dst.rid,), *srcs)
         return dst
 
     def vunpack_u8_to_u16(self, a: MReg, half: str = "lo") -> BatchMReg:
@@ -641,7 +621,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         sel = rows[:, :, :cols] if half == "lo" else rows[:, :, cols:]
         out = sel.astype(np.uint16)
         dst = self._mreg(out)
-        self._vemit("vunpck" + half, Latency.SIMD_PACK, (dst.rid,), a)
+        self._vemit(op.VUNPCKLO if half == "lo" else op.VUNPCKHI, (dst.rid,), a)
         return dst
 
     def vpack_u16_to_u8(self, a: MReg, b: Optional[MReg] = None, sat: bool = True) -> BatchMReg:
@@ -654,14 +634,14 @@ class _BatchVMMXOps(_BatchScalarOps):
         out = self._pad_rows(sw.saturate(merged, "u8") if sat else sw.wrap(merged, "u8"))
         dst = self._mreg(out)
         srcs = (a, b) if b is not None else (a,)
-        self._vemit("vpackus", Latency.SIMD_PACK, (dst.rid,), *srcs)
+        self._vemit(op.VPACKUS, (dst.rid,), *srcs)
         return dst
 
     # -- packed reduction accumulators ------------------------------------
 
     def acc_zero(self) -> BatchAccReg:
         acc = BatchAccReg(next(self._ids), np.zeros(self.nseeds, dtype=np.int64))
-        self._vemit("vacc.clr", Latency.SIMD_ALU, (acc.rid,), rows=1)
+        self._vemit(op.VACC_CLR, (acc.rid,), rows=1)
         return acc
 
     def vsad_acc(self, acc: AccReg, a: MReg, b: MReg) -> BatchAccReg:
@@ -669,7 +649,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         bv = self._active(b, "u8").astype(np.int64)
         total = np.abs(av - bv).sum(axis=(1, 2))
         out = BatchAccReg(next(self._ids), acc.total + total)
-        self._vemit("vsad.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
+        self._vemit(op.VSAD_ACC, (out.rid,), acc, a, b)
         return out
 
     def vsqd_acc(self, acc: AccReg, a: MReg, b: MReg) -> BatchAccReg:
@@ -678,13 +658,13 @@ class _BatchVMMXOps(_BatchScalarOps):
         d = av - bv
         total = (d * d).sum(axis=(1, 2))
         out = BatchAccReg(next(self._ids), acc.total + total)
-        self._vemit("vsqd.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
+        self._vemit(op.VSQD_ACC, (out.rid,), acc, a, b)
         return out
 
     def vdot_acc(self, acc: AccReg, a: MReg, b: MReg, dtype: str = "s16") -> BatchAccReg:
         prod = self._active(a, dtype).astype(np.int64) * self._active(b, dtype).astype(np.int64)
         out = BatchAccReg(next(self._ids), acc.total + prod.sum(axis=(1, 2)))
-        self._vemit("vdot.acc", Latency.SIMD_MAC, (out.rid,), acc, a, b)
+        self._vemit(op.VDOT_ACC, (out.rid,), acc, a, b)
         return out
 
     # -- matrix multiply-accumulate ---------------------------------------
@@ -694,7 +674,7 @@ class _BatchVMMXOps(_BatchScalarOps):
             next(self._ids),
             np.zeros((self.nseeds, self.max_vl, self._cols(dtype)), dtype=np.int64),
         )
-        self._vemit("vmacc.clr", Latency.SIMD_ALU, (macc.rid,), rows=1)
+        self._vemit(op.VMACC_CLR, (macc.rid,), rows=1)
         return macc
 
     def vmac_bcast(self, macc: MAccReg, a: MReg, col: int, b: MReg, row: int, dtype: str = "s16") -> BatchMAccReg:
@@ -703,7 +683,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         parts = macc.parts.copy()
         parts[:, : self.vl] += a_lanes[:, :, col][:, :, None] * b_lanes[:, row][:, None, :]
         out = BatchMAccReg(next(self._ids), parts)
-        self._vemit("vmac.b", Latency.SIMD_MAC, (out.rid,), macc, a, b)
+        self._vemit(op.VMAC_B, (out.rid,), macc, a, b)
         return out
 
     def vmac_elem(self, macc: MAccReg, a: MReg, b: MReg, dtype: str = "s16") -> BatchMAccReg:
@@ -712,14 +692,14 @@ class _BatchVMMXOps(_BatchScalarOps):
         parts = macc.parts.copy()
         parts[:, : self.vl] += a_lanes * b_lanes
         out = BatchMAccReg(next(self._ids), parts)
-        self._vemit("vmac.e", Latency.SIMD_MAC, (out.rid,), macc, a, b)
+        self._vemit(op.VMAC_E, (out.rid,), macc, a, b)
         return out
 
     def macc_pack_rs(self, macc: MAccReg, shift: int, dtype: str = "s16", sat: bool = True) -> BatchMReg:
         shifted = sw.round_shift(macc.parts[:, : self.vl], shift, "s32").astype(np.int64)
         packed = sw.saturate(shifted, dtype) if sat else sw.wrap(shifted, dtype)
         dst = self._mreg(packed)
-        self._vemit("vmacc.pack", Latency.SIMD_REDUCE, (dst.rid,), macc)
+        self._vemit(op.VMACC_PACK, (dst.rid,), macc)
         return dst
 
     # -- row extraction ----------------------------------------------------
@@ -728,7 +708,7 @@ class _BatchVMMXOps(_BatchScalarOps):
         lanes = m.data.view(sw.STORAGE[dtype]).reshape(self.nseeds, self.max_vl, -1)
         value = lanes[:, row, lane].astype(np.int64)
         dst = self._sreg(value)
-        self._emit("vext", Category.VARITH, FUClass.SIMD, Latency.SIMD_ALU, (dst.rid,), (m.rid,))
+        self._emit(op.VEXT, (dst.rid,), (m.rid,))
         return dst
 
 

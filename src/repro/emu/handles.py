@@ -31,17 +31,27 @@ class SReg:
 class VReg:
     """A 1-D SIMD register value.
 
-    The byte length is the owning machine's
-    :attr:`~repro.machines.SimdGeometry.row_bytes` (8 for MMX64, 16 for
-    MMX128, wider for registered custom geometries).
+    ``data`` holds the lanes in the dtype of the instruction that
+    produced them -- 1-D, contiguous, ``nbytes`` equal to the owning
+    machine's :attr:`~repro.machines.SimdGeometry.row_bytes` (8 for
+    MMX64, 16 for MMX128, wider for registered custom geometries).
+    Consumers read it through :meth:`view` only, so no intrinsic
+    depends on which dtype its producer chose.  A register is never
+    written after it is created, so two registers may share one buffer.
     """
 
     rid: int
-    data: np.ndarray  # uint8, length == geometry.row_bytes
+    data: np.ndarray  # lanes, nbytes == geometry.row_bytes
 
     def view(self, dtype: np.dtype) -> np.ndarray:
-        """Reinterpret the register bytes as packed lanes of ``dtype``."""
-        return self.data.view(dtype)
+        """The register as packed lanes of ``dtype``.
+
+        ``data`` itself when it already holds ``dtype`` lanes (pass the
+        :data:`repro.isa.subword.STORAGE` dtype objects to hit this),
+        otherwise a view reinterpreting its bytes.
+        """
+        data = self.data
+        return data if data.dtype is dtype else data.view(dtype)
 
 
 @dataclass(slots=True)

@@ -5,8 +5,9 @@ integer instructions (loads, stores, ALU ops, branches) that appear as
 loop/pointer overhead around the SIMD code, exactly as in the paper's
 Fig. 3 listings.  Each intrinsic computes the functional result and emits
 one dynamic instruction straight into the columnar trace builder
-(:class:`~repro.isa.trace.TraceBuilder`) -- no per-instruction record
-object is constructed on the hot path.
+(:class:`~repro.isa.trace.TraceBuilder`): the opcode's id from
+:mod:`repro.isa.opcodes` plus the fields that vary per execution -- no
+per-instruction record object is constructed on the hot path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.emu.handles import SReg
 from repro.emu.memory import Memory
-from repro.isa.opcodes import Category, FUClass, Latency
+from repro.isa import opcodes as op
 from repro.isa.trace import Trace
 
 #: Many intrinsics accept either a register handle or a Python immediate.
@@ -75,50 +76,50 @@ class ScalarMachine:
     def li(self, value: int) -> SReg:
         """Load immediate."""
         dst = self._sreg(value)
-        self._emit("li", Category.SARITH, FUClass.INT, Latency.INT_ALU, (dst.rid,))
+        self._emit(op.LI, (dst.rid,))
         return dst
 
-    def _alu(self, name: str, a: Operand, b: Operand, result: int, latency: int = Latency.INT_ALU) -> SReg:
+    def _alu(self, opcode: int, a: Operand, b: Operand, result: int) -> SReg:
         dst = self._sreg(result)
-        self._emit(name, Category.SARITH, FUClass.INT, latency, (dst.rid,), self._src_ids(a, b))
+        self._emit(opcode, (dst.rid,), self._src_ids(a, b))
         return dst
 
     def add(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("add", a, b, self._val(a) + self._val(b))
+        return self._alu(op.ADD, a, b, self._val(a) + self._val(b))
 
     def sub(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("sub", a, b, self._val(a) - self._val(b))
+        return self._alu(op.SUB, a, b, self._val(a) - self._val(b))
 
     def mul(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("mul", a, b, self._val(a) * self._val(b), Latency.INT_MUL)
+        return self._alu(op.MUL, a, b, self._val(a) * self._val(b))
 
     def sll(self, a: Operand, count: Operand) -> SReg:
-        return self._alu("sll", a, count, self._val(a) << self._val(count))
+        return self._alu(op.SLL, a, count, self._val(a) << self._val(count))
 
     def sra(self, a: Operand, count: Operand) -> SReg:
-        return self._alu("sra", a, count, self._val(a) >> self._val(count))
+        return self._alu(op.SRA, a, count, self._val(a) >> self._val(count))
 
     def and_(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("and", a, b, self._val(a) & self._val(b))
+        return self._alu(op.AND, a, b, self._val(a) & self._val(b))
 
     def or_(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("or", a, b, self._val(a) | self._val(b))
+        return self._alu(op.OR, a, b, self._val(a) | self._val(b))
 
     def xor(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("xor", a, b, self._val(a) ^ self._val(b))
+        return self._alu(op.XOR, a, b, self._val(a) ^ self._val(b))
 
     def abs_(self, a: Operand) -> SReg:
         """Absolute value (cmovl idiom, one ALU op as on Alpha)."""
-        return self._alu("abs", a, 0, abs(self._val(a)))
+        return self._alu(op.ABS, a, 0, abs(self._val(a)))
 
     def min_(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("min", a, b, min(self._val(a), self._val(b)))
+        return self._alu(op.MIN, a, b, min(self._val(a), self._val(b)))
 
     def max_(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("max", a, b, max(self._val(a), self._val(b)))
+        return self._alu(op.MAX, a, b, max(self._val(a), self._val(b)))
 
     def cmplt(self, a: Operand, b: Operand) -> SReg:
-        return self._alu("cmplt", a, b, int(self._val(a) < self._val(b)))
+        return self._alu(op.CMPLT, a, b, int(self._val(a) < self._val(b)))
 
     def clamp(self, a: Operand, lo: int, hi: int) -> SReg:
         """Two-op clamp (min+max) counted as two ALU instructions."""
@@ -126,46 +127,40 @@ class ScalarMachine:
 
     # -- scalar memory -----------------------------------------------------
 
-    def _load(self, name: str, addr: Operand, offset: int, nbytes: int, signed: bool) -> SReg:
+    def _load(self, opcode: int, addr: Operand, offset: int, nbytes: int, signed: bool) -> SReg:
         ea = self._val(addr) + offset
         raw = self.mem.read(ea, nbytes)
         value = int.from_bytes(raw.tobytes(), "little", signed=signed)
         dst = self._sreg(value)
-        self._emit(
-            name, Category.SMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
-        )
+        self._emit(opcode, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes)
         return dst
 
     def load_u8(self, addr: Operand, offset: int = 0) -> SReg:
-        return self._load("ldbu", addr, offset, 1, signed=False)
+        return self._load(op.LDBU, addr, offset, 1, signed=False)
 
     def load_s16(self, addr: Operand, offset: int = 0) -> SReg:
-        return self._load("ldw", addr, offset, 2, signed=True)
+        return self._load(op.LDW, addr, offset, 2, signed=True)
 
     def load_u16(self, addr: Operand, offset: int = 0) -> SReg:
-        return self._load("ldwu", addr, offset, 2, signed=False)
+        return self._load(op.LDWU, addr, offset, 2, signed=False)
 
     def load_s32(self, addr: Operand, offset: int = 0) -> SReg:
-        return self._load("ldl", addr, offset, 4, signed=True)
+        return self._load(op.LDL, addr, offset, 4, signed=True)
 
-    def _store(self, name: str, value: Operand, addr: Operand, offset: int, nbytes: int) -> None:
+    def _store(self, opcode: int, value: Operand, addr: Operand, offset: int, nbytes: int) -> None:
         ea = self._val(addr) + offset
         raw = (self._val(value) & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
         self.mem.write(ea, np.frombuffer(raw, dtype=np.uint8))
-        self._emit(
-            name, Category.SMEM, FUClass.MEM, 0,
-            (), self._src_ids(value, addr), addr=ea, row_bytes=nbytes, is_store=True,
-        )
+        self._emit(opcode, (), self._src_ids(value, addr), addr=ea, row_bytes=nbytes)
 
     def store_u8(self, value: Operand, addr: Operand, offset: int = 0) -> None:
-        self._store("stb", value, addr, offset, 1)
+        self._store(op.STB, value, addr, offset, 1)
 
     def store_s16(self, value: Operand, addr: Operand, offset: int = 0) -> None:
-        self._store("stw", value, addr, offset, 2)
+        self._store(op.STW, value, addr, offset, 2)
 
     def store_s32(self, value: Operand, addr: Operand, offset: int = 0) -> None:
-        self._store("stl", value, addr, offset, 4)
+        self._store(op.STL, value, addr, offset, 4)
 
     # -- control -----------------------------------------------------------
 
@@ -175,10 +170,7 @@ class ScalarMachine:
         ``site`` identifies the static branch for the branch predictor; 0
         is a shared bucket for ad-hoc data-dependent branches.
         """
-        self._emit(
-            "br", Category.SCTRL, FUClass.INT, Latency.BRANCH,
-            (), self._src_ids(*srcs), is_branch=True, taken=taken, pc=site,
-        )
+        self._emit(op.BR, (), self._src_ids(*srcs), taken=taken, pc=site)
 
     def new_branch_site(self) -> int:
         """Allocate a stable static-branch identity for the predictor."""

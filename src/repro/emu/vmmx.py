@@ -22,10 +22,18 @@ import numpy as np
 from repro.emu.handles import AccReg, MAccReg, MReg, SReg
 from repro.emu.memory import Memory
 from repro.emu.scalar import Operand, ScalarMachine
+from repro.isa import opcodes as op
 from repro.isa import subword as sw
-from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import Trace
 from repro.machines.spec import SimdGeometry
+
+
+#: ``vshift`` kinds: opcode and lane helper.
+_SHIFTS = {
+    "sll": (op.VSLL, sw.shift_left),
+    "srl": (op.VSRL, sw.shift_right_logical),
+    "sra": (op.VSRA, sw.shift_right_arith),
+}
 
 
 class VMMXMachine(ScalarMachine):
@@ -82,11 +90,10 @@ class VMMXMachine(ScalarMachine):
         data[: rows.shape[0]] = rows
         return MReg(next(self._ids), data)
 
-    def _vemit(self, name: str, latency: int, dst_ids, *srcs, rows=None, **kw):
+    def _vemit(self, opcode: int, dst_ids, *srcs, rows=None):
         self._emit(
-            name, Category.VARITH, FUClass.SIMD, latency,
-            tuple(dst_ids), tuple([s.rid for s in srcs]),
-            rows=(self.vl if rows is None else rows), **kw,
+            opcode, tuple(dst_ids), tuple([s.rid for s in srcs]),
+            rows=(self.vl if rows is None else rows),
         )
 
     def _cols(self, dtype: str) -> int:
@@ -114,7 +121,7 @@ class VMMXMachine(ScalarMachine):
         if not 1 <= value <= self.max_vl:
             raise ValueError(f"vector length {value} outside [1, {self.max_vl}]")
         self.vl = value
-        self._emit("setvl", Category.SARITH, FUClass.INT, Latency.INT_ALU, (), self._src_ids(length))
+        self._emit(op.SETVL, (), self._src_ids(length))
 
     # -- vector memory -----------------------------------------------------
 
@@ -125,8 +132,7 @@ class VMMXMachine(ScalarMachine):
         rows = self.mem.read_rows(ea, self.vl, self.row_bytes, stride_v)
         dst = self._mreg(rows)
         self._emit(
-            "vld", Category.VMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
+            op.VLD, (dst.rid,), self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
             addr=ea, row_bytes=self.row_bytes, rows=self.vl, stride=stride_v,
         )
         return dst
@@ -137,10 +143,8 @@ class VMMXMachine(ScalarMachine):
         stride_v = self.row_bytes if stride is None else self._val(stride)
         self.mem.write_rows(ea, m.data[: self.vl], stride_v)
         self._emit(
-            "vst", Category.VMEM, FUClass.MEM, 0,
-            (), (m.rid,) + self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
+            op.VST, (), (m.rid,) + self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
             addr=ea, row_bytes=self.row_bytes, rows=self.vl, stride=stride_v,
-            is_store=True,
         )
 
     def vload_part(self, addr: Operand, nbytes: int, stride: Optional[Union[int, SReg]] = None, offset: int = 0) -> MReg:
@@ -156,8 +160,7 @@ class VMMXMachine(ScalarMachine):
         rows[:, :nbytes] = self.mem.read_rows(ea, self.vl, nbytes, stride_v)
         dst = self._mreg(rows)
         self._emit(
-            "vld.p", Category.VMEM, FUClass.MEM, 0,
-            (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
+            op.VLD_P, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
             rows=self.vl, stride=stride_v,
         )
         return dst
@@ -168,57 +171,53 @@ class VMMXMachine(ScalarMachine):
         stride_v = nbytes if stride is None else self._val(stride)
         self.mem.write_rows(ea, m.data[: self.vl, :nbytes], stride_v)
         self._emit(
-            "vst.p", Category.VMEM, FUClass.MEM, 0,
-            (), (m.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
-            rows=self.vl, stride=stride_v, is_store=True,
+            op.VST_P, (), (m.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
+            rows=self.vl, stride=stride_v,
         )
 
     # -- element-wise matrix arithmetic -------------------------------------
 
-    def _binary(self, name: str, a: MReg, b: MReg, fn, dtype: str, latency: int) -> MReg:
+    def _binary(self, opcode: int, a: MReg, b: MReg, fn, dtype: str) -> MReg:
         out_rows = fn(self._active(a, dtype), self._active(b, dtype), dtype)
         dst = self._mreg(out_rows)
-        self._vemit(name, latency, (dst.rid,), a, b)
+        self._vemit(opcode, (dst.rid,), a, b)
         return dst
 
     def vzero(self) -> MReg:
         dst = self._mreg(np.zeros((self.vl, self.row_bytes), dtype=np.uint8))
-        self._vemit("vxor", Latency.SIMD_ALU, (dst.rid,))
+        self._vemit(op.VXOR, (dst.rid,))
         return dst
 
     def vconst_rows(self, rows: np.ndarray, dtype: str = "s16") -> MReg:
         """Materialise a constant matrix (charged as one vector ALU op)."""
         data = np.asarray(rows, dtype=sw.STORAGE[dtype])
         dst = self._mreg(data)
-        self._vemit("vconst", Latency.SIMD_ALU, (dst.rid,))
+        self._vemit(op.VCONST, (dst.rid,))
         return dst
 
     def vadd(self, a: MReg, b: MReg, dtype: str = "s16", sat: bool = False) -> MReg:
-        fn = sw.add_sat if sat else sw.add_wrap
-        return self._binary("vadd" + ("s" if sat else ""), a, b, fn, dtype, Latency.SIMD_ALU)
+        if sat:
+            return self._binary(op.VADDS, a, b, sw.add_sat, dtype)
+        return self._binary(op.VADD, a, b, sw.add_wrap, dtype)
 
     def vsub(self, a: MReg, b: MReg, dtype: str = "s16", sat: bool = False) -> MReg:
-        fn = sw.sub_sat if sat else sw.sub_wrap
-        return self._binary("vsub" + ("s" if sat else ""), a, b, fn, dtype, Latency.SIMD_ALU)
+        if sat:
+            return self._binary(op.VSUBS, a, b, sw.sub_sat, dtype)
+        return self._binary(op.VSUB, a, b, sw.sub_wrap, dtype)
 
     def vmul_lo(self, a: MReg, b: MReg, dtype: str = "s16") -> MReg:
-        return self._binary("vmullw", a, b, sw.mul_lo, dtype, Latency.SIMD_MUL)
+        return self._binary(op.VMULLW, a, b, sw.mul_lo, dtype)
 
     def vavg_u8(self, a: MReg, b: MReg) -> MReg:
         out = sw.avg_round_u8(self._active(a, "u8"), self._active(b, "u8"))
         dst = self._mreg(out)
-        self._vemit("vavgb", Latency.SIMD_ALU, (dst.rid,), a, b)
+        self._vemit(op.VAVGB, (dst.rid,), a, b)
         return dst
 
     def vshift(self, a: MReg, count: int, kind: str = "sra", dtype: str = "s16") -> MReg:
-        fns = {
-            "sll": sw.shift_left,
-            "srl": sw.shift_right_logical,
-            "sra": sw.shift_right_arith,
-        }
-        out = fns[kind](self._active(a, dtype), count, dtype)
-        dst = self._mreg(out)
-        self._vemit("v" + kind, Latency.SIMD_SHIFT, (dst.rid,), a)
+        opcode, fn = _SHIFTS[kind]
+        dst = self._mreg(fn(self._active(a, dtype), count, dtype))
+        self._vemit(opcode, (dst.rid,), a)
         return dst
 
     def vmul_round_q15(self, a: MReg, coeff: Operand) -> MReg:
@@ -230,7 +229,7 @@ class VMMXMachine(ScalarMachine):
         product = (lanes * self._val(coeff) + (1 << 14)) >> 15
         out = sw.saturate(product, "s16")
         dst = self._mreg(out)
-        self._vemit("vmulr.vs", Latency.SIMD_MUL, (dst.rid,), a, coeff if isinstance(coeff, SReg) else a)
+        self._vemit(op.VMULR_VS, (dst.rid,), a, coeff if isinstance(coeff, SReg) else a)
         return dst
 
     def vmadd_s16(self, a: MReg, b: MReg) -> MReg:
@@ -241,7 +240,7 @@ class VMMXMachine(ScalarMachine):
         pairs = prod.reshape(self.vl, -1, 2).sum(axis=2)
         out = sw.wrap(pairs, "s32")
         dst = self._mreg(out)
-        self._vemit("vmaddwd", Latency.SIMD_MAC, (dst.rid,), a, b)
+        self._vemit(op.VMADDWD, (dst.rid,), a, b)
         return dst
 
     def vinterleave(self, a: MReg, b: MReg, dtype: str = "u16", half: str = "lo") -> MReg:
@@ -254,7 +253,7 @@ class VMMXMachine(ScalarMachine):
         out[:, 0::2] = a_rows[:, sel]
         out[:, 1::2] = b_rows[:, sel]
         dst = self._mreg(out)
-        self._vemit("vunpck." + half, Latency.SIMD_PACK, (dst.rid,), a, b)
+        self._vemit(op.VUNPCK_LO if half == "lo" else op.VUNPCK_HI, (dst.rid,), a, b)
         return dst
 
     def vpack_s32_to_s16(self, a: MReg, b: Optional[MReg] = None) -> MReg:
@@ -272,7 +271,7 @@ class VMMXMachine(ScalarMachine):
         out = self._pad_rows(sw.saturate(merged, "s16"))
         dst = self._mreg(out)
         srcs = (a, b) if b is not None else (a,)
-        self._vemit("vpackssdw", Latency.SIMD_PACK, (dst.rid,), *srcs)
+        self._vemit(op.VPACKSSDW, (dst.rid,), *srcs)
         return dst
 
     def vunpack_u8_to_u16(self, a: MReg, half: str = "lo") -> MReg:
@@ -282,7 +281,7 @@ class VMMXMachine(ScalarMachine):
         sel = rows[:, :cols] if half == "lo" else rows[:, cols:]
         out = sel.astype(np.uint16)
         dst = self._mreg(out)
-        self._vemit("vunpck" + half, Latency.SIMD_PACK, (dst.rid,), a)
+        self._vemit(op.VUNPCKLO if half == "lo" else op.VUNPCKHI, (dst.rid,), a)
         return dst
 
     def vpack_u16_to_u8(self, a: MReg, b: Optional[MReg] = None, sat: bool = True) -> MReg:
@@ -296,51 +295,48 @@ class VMMXMachine(ScalarMachine):
         out = self._pad_rows(sw.saturate(merged, "u8") if sat else sw.wrap(merged, "u8"))
         dst = self._mreg(out)
         srcs = (a, b) if b is not None else (a,)
-        self._vemit("vpackus", Latency.SIMD_PACK, (dst.rid,), *srcs)
+        self._vemit(op.VPACKUS, (dst.rid,), *srcs)
         return dst
 
     # -- packed reduction accumulators ---------------------------------------
 
     def acc_zero(self) -> AccReg:
         acc = AccReg(next(self._ids), 0)
-        self._vemit("vacc.clr", Latency.SIMD_ALU, (acc.rid,), rows=1)
+        self._vemit(op.VACC_CLR, (acc.rid,), rows=1)
         return acc
 
     def vsad_acc(self, acc: AccReg, a: MReg, b: MReg) -> AccReg:
         """``ACC += Sum(|a - b|)`` over all active rows (packed accumulator)."""
         total = sw.abs_diff_sum_u8(self._active(a, "u8"), self._active(b, "u8"))
         out = AccReg(next(self._ids), acc.total + total)
-        self._vemit("vsad.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
+        self._vemit(op.VSAD_ACC, (out.rid,), acc, a, b)
         return out
 
     def vsqd_acc(self, acc: AccReg, a: MReg, b: MReg) -> AccReg:
         """``ACC += Sum((a - b)^2)`` over all active rows."""
         total = sw.sq_diff_sum_u8(self._active(a, "u8"), self._active(b, "u8"))
         out = AccReg(next(self._ids), acc.total + total)
-        self._vemit("vsqd.acc", Latency.SIMD_SAD, (out.rid,), acc, a, b)
+        self._vemit(op.VSQD_ACC, (out.rid,), acc, a, b)
         return out
 
     def vdot_acc(self, acc: AccReg, a: MReg, b: MReg, dtype: str = "s16") -> AccReg:
         """``ACC += Sum(a * b)`` over all active rows (packed MAC)."""
         prod = self._active(a, dtype).astype(np.int64) * self._active(b, dtype).astype(np.int64)
         out = AccReg(next(self._ids), acc.total + int(prod.sum()))
-        self._vemit("vdot.acc", Latency.SIMD_MAC, (out.rid,), acc, a, b)
+        self._vemit(op.VDOT_ACC, (out.rid,), acc, a, b)
         return out
 
     def acc_read(self, acc: AccReg) -> SReg:
         """Final cross-lane reduction of an accumulator into a scalar."""
         dst = self._sreg(acc.total)
-        self._emit(
-            "vred", Category.VARITH, FUClass.SIMD, Latency.SIMD_REDUCE,
-            (dst.rid,), (acc.rid,),
-        )
+        self._emit(op.VRED, (dst.rid,), (acc.rid,))
         return dst
 
     # -- matrix multiply-accumulate ------------------------------------------
 
     def macc_zero(self, dtype: str = "s16") -> MAccReg:
         macc = MAccReg(next(self._ids), np.zeros((self.max_vl, self._cols(dtype)), dtype=np.int64))
-        self._vemit("vmacc.clr", Latency.SIMD_ALU, (macc.rid,), rows=1)
+        self._vemit(op.VMACC_CLR, (macc.rid,), rows=1)
         return macc
 
     def vmac_bcast(self, macc: MAccReg, a: MReg, col: int, b: MReg, row: int, dtype: str = "s16") -> MAccReg:
@@ -357,7 +353,7 @@ class VMMXMachine(ScalarMachine):
         parts = macc.parts.copy()
         parts[: self.vl] += np.outer(a_lanes[:, col], b_lanes[row])
         out = MAccReg(next(self._ids), parts)
-        self._vemit("vmac.b", Latency.SIMD_MAC, (out.rid,), macc, a, b)
+        self._vemit(op.VMAC_B, (out.rid,), macc, a, b)
         return out
 
     def vmac_elem(self, macc: MAccReg, a: MReg, b: MReg, dtype: str = "s16") -> MAccReg:
@@ -367,7 +363,7 @@ class VMMXMachine(ScalarMachine):
         parts = macc.parts.copy()
         parts[: self.vl] += a_lanes * b_lanes
         out = MAccReg(next(self._ids), parts)
-        self._vemit("vmac.e", Latency.SIMD_MAC, (out.rid,), macc, a, b)
+        self._vemit(op.VMAC_E, (out.rid,), macc, a, b)
         return out
 
     def macc_pack_rs(self, macc: MAccReg, shift: int, dtype: str = "s16", sat: bool = True) -> MReg:
@@ -375,7 +371,7 @@ class VMMXMachine(ScalarMachine):
         shifted = sw.round_shift(macc.parts[: self.vl], shift, "s32").astype(np.int64)
         packed = sw.saturate(shifted, dtype) if sat else sw.wrap(shifted, dtype)
         dst = self._mreg(packed)
-        self._vemit("vmacc.pack", Latency.SIMD_REDUCE, (dst.rid,), macc)
+        self._vemit(op.VMACC_PACK, (dst.rid,), macc)
         return dst
 
     # -- row extraction -------------------------------------------------------
@@ -384,5 +380,5 @@ class VMMXMachine(ScalarMachine):
         """Move one lane of one row to the scalar register file."""
         value = int(m.data.view(sw.STORAGE[dtype]).reshape(self.max_vl, -1)[row, lane])
         dst = self._sreg(value)
-        self._emit("vext", Category.VARITH, FUClass.SIMD, Latency.SIMD_ALU, (dst.rid,), (m.rid,))
+        self._emit(op.VEXT, (dst.rid,), (m.rid,))
         return dst

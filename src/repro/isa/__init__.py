@@ -7,7 +7,8 @@ This subpackage defines the three layers everything else builds on:
   sum-of-absolute-differences, saturating packs).
 * :mod:`repro.isa.opcodes` -- the dynamic-instruction taxonomy used by the
   paper (scalar memory / scalar arithmetic / control / vector memory /
-  vector arithmetic), functional-unit classes and execution latencies.
+  vector arithmetic), functional-unit classes, execution latencies and
+  the static descriptor of every opcode the emulation machines emit.
 * :mod:`repro.isa.trace` -- the columnar dynamic-trace IR produced by the
   emulation machines and consumed by the timing model, mirroring the
   ATOM-generated traces the paper fed to the Jinks simulator

@@ -12,9 +12,13 @@ the representation is *columnar*: parallel NumPy arrays, one per field
 (structure of arrays), rather than one Python object per instruction.
 
 * :class:`TraceBuilder` (aliased :class:`Trace`, the name every machine
-  and kernel uses) is the append-oriented producer with amortised
-  growth.  ``emit`` writes raw fields straight into the columns -- no
-  per-instruction object is ever constructed on the hot path.
+  and kernel uses) is the append-oriented producer.  ``emit`` records
+  an opcode id and the fields that vary per execution -- registers,
+  address, footprint, branch outcome; the fields fixed per opcode
+  (mnemonic, category, FU, latency, ``is_store``, ``is_branch``) live
+  once in :data:`repro.isa.opcodes.DESCRIPTORS` and are expanded when
+  the builder is snapshotted.  No per-instruction object is ever
+  constructed on the hot path.
 * :class:`ColumnarTrace` is the frozen snapshot the timing core walks:
   exact-length arrays plus packed CSR-style src/dst SSA-id columns.  It
   serialises to a compact binary form (:meth:`ColumnarTrace.to_bytes`)
@@ -30,12 +34,12 @@ import hashlib
 import json
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.opcodes import Category, FUClass
+from repro.isa.opcodes import DESCRIPTORS, Category, FUClass
 
 #: Stable category/FU codes used by the columnar encoding.  Order is part
 #: of the serialised format -- append only.
@@ -43,6 +47,16 @@ CATEGORIES: Tuple[Category, ...] = tuple(Category)
 CAT_CODE = {cat: code for code, cat in enumerate(CATEGORIES)}
 FUNITS: Tuple[FUClass, ...] = tuple(FUClass)
 FU_CODE = {fu: code for code, fu in enumerate(FUNITS)}
+
+#: The static columns of :data:`repro.isa.opcodes.DESCRIPTORS`, indexed
+#: by opcode id: :meth:`TraceBuilder.columns` expands each with one
+#: take over the opcode column.
+OP_MNEMONIC: Tuple[str, ...] = tuple(d[0] for d in DESCRIPTORS)
+OP_CATEGORY = np.array([CAT_CODE[d[1]] for d in DESCRIPTORS], dtype=np.uint8)
+OP_FU = np.array([FU_CODE[d[2]] for d in DESCRIPTORS], dtype=np.uint8)
+OP_LATENCY = np.array([d[3] for d in DESCRIPTORS], dtype=np.int32)
+OP_IS_STORE = np.array([d[4] for d in DESCRIPTORS], dtype=bool)
+OP_IS_BRANCH = np.array([d[5] for d in DESCRIPTORS], dtype=bool)
 
 #: Magic + version prefix of the binary trace serialisation.
 TRACE_MAGIC = b"RPRTRC1\n"
@@ -336,91 +350,62 @@ class ColumnarTrace(_TraceView):
 
 
 class TraceBuilder(_TraceView):
-    """Append-oriented columnar trace producer with amortised growth.
+    """Append-oriented columnar trace producer.
 
-    ``emit`` is the hot path: it appends raw field values onto Python
-    list columns (amortised O(1) growth); :meth:`columns` converts them
-    to exact-length NumPy arrays once per snapshot and memoises the
-    result until further appends.  The legacy record API (``append`` of
-    a :class:`TraceRecord`, iteration, ``records``) is preserved on top.
+    ``emit`` is the hot path: it appends an opcode id (an index into
+    :data:`repro.isa.opcodes.DESCRIPTORS`) and the instruction's dynamic
+    fields onto Python list columns.  :meth:`columns` converts them to
+    exact-length NumPy arrays, expands the static columns (category,
+    FU, latency, ``is_store``, ``is_branch``) from the opcode column and
+    pools the mnemonics in first-appearance order; the snapshot is
+    memoised until the next ``emit``.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._pool: List[str] = []
-        self._pool_index = {}
-        self._names: List[int] = []
-        self._cat: List[int] = []
-        self._fu: List[int] = []
-        self._lat: List[int] = []
+        self._ops: List[int] = []
         self._addr: List[int] = []
         self._rowb: List[int] = []
         self._rows: List[int] = []
         self._stride: List[int] = []
         self._pc: List[int] = []
-        self._store: List[bool] = []
-        self._branch: List[bool] = []
         self._taken: List[bool] = []
         self._src_off: List[int] = [0]
         self._src_ids: List[int] = []
         self._dst_off: List[int] = [0]
         self._dst_ids: List[int] = []
-        self._generation = 0
         self._snapshot: Optional[ColumnarTrace] = None
-        self._snapshot_key = None
         # Bound append methods: one attribute lookup per *builder*, not
-        # per emitted instruction.  ``clear`` empties the lists in place,
-        # so the bindings stay valid for the builder's lifetime.
-        self._names_append = self._names.append
-        self._cat_append = self._cat.append
-        self._fu_append = self._fu.append
-        self._lat_append = self._lat.append
+        # per emitted instruction.
+        self._ops_append = self._ops.append
         self._addr_append = self._addr.append
         self._rowb_append = self._rowb.append
         self._rows_append = self._rows.append
         self._stride_append = self._stride.append
         self._pc_append = self._pc.append
-        self._store_append = self._store.append
-        self._branch_append = self._branch.append
         self._taken_append = self._taken.append
         self._src_off_append = self._src_off.append
         self._dst_off_append = self._dst_off.append
 
-    # -- producing ---------------------------------------------------------
-
     def emit(
         self,
-        name: str,
-        category: Category,
-        fu: FUClass,
-        latency: int,
+        op: int,
         dsts: Tuple[int, ...] = (),
         srcs: Tuple[int, ...] = (),
         addr: int = -1,
         row_bytes: int = 0,
         rows: int = 1,
         stride: int = 0,
-        is_store: bool = False,
-        is_branch: bool = False,
         taken: bool = False,
         pc: int = 0,
     ) -> None:
-        """Append one dynamic instruction from raw fields (the fast path)."""
-        name_id = self._pool_index.get(name)
-        if name_id is None:
-            name_id = self._pool_index[name] = len(self._pool)
-            self._pool.append(name)
-        self._names_append(name_id)
-        self._cat_append(CAT_CODE[category])
-        self._fu_append(FU_CODE[fu])
-        self._lat_append(latency)
+        """Append one dynamic instruction: opcode id plus dynamic fields."""
+        self._ops_append(op)
         self._addr_append(addr)
         self._rowb_append(row_bytes)
         self._rows_append(rows)
         self._stride_append(stride)
         self._pc_append(pc)
-        self._store_append(is_store)
-        self._branch_append(is_branch)
         self._taken_append(taken)
         if srcs:
             self._src_ids.extend(srcs)
@@ -429,197 +414,43 @@ class TraceBuilder(_TraceView):
             self._dst_ids.extend(dsts)
         self._dst_off_append(len(self._dst_ids))
 
-    def append(self, record: TraceRecord) -> None:
-        """Add one dynamic instruction from a record view."""
-        self.emit(
-            record.name,
-            record.category,
-            record.fu,
-            record.latency,
-            dsts=record.dsts,
-            srcs=record.srcs,
-            addr=record.addr,
-            row_bytes=record.row_bytes,
-            rows=record.rows,
-            stride=record.stride,
-            is_store=record.is_store,
-            is_branch=record.is_branch,
-            taken=record.taken,
-            pc=record.pc,
-        )
-
-    def emit_block(
-        self,
-        mnemonics: Sequence[str],
-        name_id: Sequence[int],
-        category: Sequence[int],
-        fu: Sequence[int],
-        latency: Sequence[int],
-        addr: Sequence[int],
-        row_bytes: Sequence[int],
-        rows: Sequence[int],
-        stride: Sequence[int],
-        pc: Sequence[int],
-        is_store: Sequence[bool],
-        is_branch: Sequence[bool],
-        taken: Sequence[bool],
-        src_off: Sequence[int],
-        src_ids: Sequence[int],
-        dst_off: Sequence[int],
-        dst_ids: Sequence[int],
-    ) -> None:
-        """Append a whole block of dynamic instructions from column data.
-
-        The bulk counterpart of :meth:`emit`: one call appends ``n``
-        instructions given as parallel columns (lists or arrays), paying
-        Python interpreter cost per *column*, not per instruction.  This
-        is the path block producers use -- :meth:`extend` routes through
-        it, and the batch emulation layer (:mod:`repro.emu.batch`)
-        relies on it when materialising per-kernel trace segments.
-
-        ``category``/``fu`` hold the stable wire codes (see
-        :data:`CAT_CODE`/:data:`FU_CODE`), ``name_id`` indexes the
-        block-local ``mnemonics`` pool (remapped into this builder's
-        pool), and ``src_off``/``dst_off`` are the block-local CSR
-        offsets -- length ``n + 1`` starting at 0 -- over
-        ``src_ids``/``dst_ids``.
-        """
-        n = len(name_id)
-        for label, col in (
-            ("category", category), ("fu", fu), ("latency", latency),
-            ("addr", addr), ("row_bytes", row_bytes), ("rows", rows),
-            ("stride", stride), ("pc", pc), ("is_store", is_store),
-            ("is_branch", is_branch), ("taken", taken),
-        ):
-            if len(col) != n:
-                raise ValueError(
-                    f"emit_block column {label!r} has {len(col)} entries, "
-                    f"expected {n}"
-                )
-        if len(src_off) != n + 1 or len(dst_off) != n + 1:
-            raise ValueError(
-                "emit_block offset columns must have n + 1 entries "
-                f"(got src_off={len(src_off)}, dst_off={len(dst_off)} "
-                f"for n={n})"
-            )
-        remap = []
-        for name in mnemonics:
-            nid = self._pool_index.get(name)
-            if nid is None:
-                nid = self._pool_index[name] = len(self._pool)
-                self._pool.append(name)
-            remap.append(nid)
-        self._names.extend(remap[i] for i in name_id)
-        self._cat.extend(int(x) for x in category)
-        self._fu.extend(int(x) for x in fu)
-        self._lat.extend(int(x) for x in latency)
-        self._addr.extend(int(x) for x in addr)
-        self._rowb.extend(int(x) for x in row_bytes)
-        self._rows.extend(int(x) for x in rows)
-        self._stride.extend(int(x) for x in stride)
-        self._pc.extend(int(x) for x in pc)
-        self._store.extend(bool(x) for x in is_store)
-        self._branch.extend(bool(x) for x in is_branch)
-        self._taken.extend(bool(x) for x in taken)
-        src_base = len(self._src_ids)
-        self._src_ids.extend(int(x) for x in src_ids)
-        self._src_off.extend(src_base + int(off) for off in src_off[1:])
-        dst_base = len(self._dst_ids)
-        self._dst_ids.extend(int(x) for x in dst_ids)
-        self._dst_off.extend(dst_base + int(off) for off in dst_off[1:])
-        self._generation += 1
-
-    def extend(self, other: "TraceBuilder") -> None:
-        """Concatenate another trace (used to batch kernel invocations)."""
-        self.emit_block(
-            other._pool,
-            other._names,
-            other._cat,
-            other._fu,
-            other._lat,
-            other._addr,
-            other._rowb,
-            other._rows,
-            other._stride,
-            other._pc,
-            other._store,
-            other._branch,
-            other._taken,
-            other._src_off,
-            other._src_ids,
-            other._dst_off,
-            other._dst_ids,
-        )
-
-    # -- streaming (bounded-memory application runs) ----------------------
-
-    def clear(self) -> None:
-        """Drop every buffered record (the mnemonic pool is retained).
-
-        Long application runs that only need per-segment statistics call
-        this (via :meth:`checkpoint`) to keep the buffer bounded instead
-        of holding the whole application trace in memory.
-        """
-        for col in (
-            self._names, self._cat, self._fu, self._lat, self._addr,
-            self._rowb, self._rows, self._stride, self._pc, self._store,
-            self._branch, self._taken, self._src_ids, self._dst_ids,
-        ):
-            col.clear()
-        self._src_off[:] = [0]
-        self._dst_off[:] = [0]
-        self._generation += 1
-        self._snapshot = None
-        self._snapshot_key = None
-
-    def checkpoint(self) -> ColumnarTrace:
-        """Snapshot the buffered segment and clear the buffer.
-
-        Returns the records appended since the previous checkpoint (or
-        construction) as an immutable :class:`ColumnarTrace`; afterwards
-        the builder is empty and keeps growing from zero.  This is how
-        :mod:`repro.apps.runner` streams per-kernel trace segments out of
-        a single long application run.
-        """
-        segment = self.columns()
-        self.clear()
-        return segment
-
-    # -- snapshotting ------------------------------------------------------
-
     def columns(self) -> ColumnarTrace:
         """The current contents as exact-length NumPy columns (memoised)."""
-        key = (self._generation, len(self._cat))
-        if self._snapshot is not None and self._snapshot_key == key:
+        n = len(self._ops)
+        if self._snapshot is not None and len(self._snapshot) == n:
             return self._snapshot
-        cols = ColumnarTrace(
+        ops = np.asarray(self._ops, dtype=np.intp)
+        # The pool holds the mnemonics in first-appearance order, which
+        # keeps ``to_bytes()`` independent of the opcode numbering.
+        pooled = list(dict.fromkeys(self._ops))
+        name_of_op = np.zeros(len(OP_MNEMONIC), dtype=np.uint32)
+        name_of_op[pooled] = np.arange(len(pooled), dtype=np.uint32)
+        self._snapshot = ColumnarTrace(
             self.name,
-            tuple(self._pool),
-            name_id=np.asarray(self._names, dtype=np.uint32),
-            category=np.asarray(self._cat, dtype=np.uint8),
-            fu=np.asarray(self._fu, dtype=np.uint8),
-            latency=np.asarray(self._lat, dtype=np.int32),
+            tuple(OP_MNEMONIC[op] for op in pooled),
+            name_id=name_of_op[ops],
+            category=OP_CATEGORY[ops],
+            fu=OP_FU[ops],
+            latency=OP_LATENCY[ops],
             addr=np.asarray(self._addr, dtype=np.int64),
             row_bytes=np.asarray(self._rowb, dtype=np.int32),
             rows=np.asarray(self._rows, dtype=np.int32),
             stride=np.asarray(self._stride, dtype=np.int64),
             pc=np.asarray(self._pc, dtype=np.int64),
-            is_store=np.asarray(self._store, dtype=bool),
-            is_branch=np.asarray(self._branch, dtype=bool),
+            is_store=OP_IS_STORE[ops],
+            is_branch=OP_IS_BRANCH[ops],
             taken=np.asarray(self._taken, dtype=bool),
             src_off=np.asarray(self._src_off, dtype=np.int64),
             src_ids=np.asarray(self._src_ids, dtype=np.int64),
             dst_off=np.asarray(self._dst_off, dtype=np.int64),
             dst_ids=np.asarray(self._dst_ids, dtype=np.int64),
         )
-        self._snapshot = cols
-        self._snapshot_key = key
-        return cols
+        return self._snapshot
 
     # -- stream API --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._cat)
+        return len(self._ops)
 
     def category_codes(self) -> np.ndarray:
         return self.columns().category
@@ -635,50 +466,3 @@ class TraceBuilder(_TraceView):
 
 #: The name the emulation machines, kernels and tests use.
 Trace = TraceBuilder
-
-
-def as_columns(trace) -> ColumnarTrace:
-    """Coerce a trace-like object to :class:`ColumnarTrace`.
-
-    Accepts a :class:`TraceBuilder`/:class:`ColumnarTrace` (zero-copy)
-    or any iterable of :class:`TraceRecord` (copied through a builder).
-    """
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        return columns()
-    builder = TraceBuilder()
-    for record in trace:
-        builder.append(record)
-    return builder.columns()
-
-
-@dataclass
-class TraceStats:
-    """Aggregated per-category statistics over one or more traces."""
-
-    instructions: Counter = field(default_factory=Counter)
-    element_ops: Counter = field(default_factory=Counter)
-
-    def add_trace(self, trace, scale: int = 1) -> None:
-        """Accumulate a trace's counts, optionally scaled by invocations."""
-        cols = as_columns(trace)
-        n_cats = len(CATEGORIES)
-        instrs = np.bincount(cols.category, minlength=n_cats)
-        elems = np.bincount(cols.category, weights=cols.rows, minlength=n_cats)
-        for code, cat in enumerate(CATEGORIES):
-            if instrs[code]:
-                self.instructions[cat] += int(instrs[code]) * scale
-                self.element_ops[cat] += int(elems[code]) * scale
-
-    def add_counts(self, category: Category, instructions: int) -> None:
-        """Accumulate externally-tallied counts (application scalar code)."""
-        self.instructions[category] += instructions
-        self.element_ops[category] += instructions
-
-    def total(self) -> int:
-        """Total dynamic instruction count."""
-        return sum(self.instructions.values())
-
-    def by_value(self) -> dict:
-        """Instruction counts keyed by category value string."""
-        return {cat.value: self.instructions[cat] for cat in Category}

@@ -82,32 +82,53 @@ DEFAULT_STORE_ROOT = os.path.join("~", ".cache", "repro-sweep")
 # canonicalisation rule for store addresses and machine fingerprints).
 
 
+#: Subpackages whose sources can change simulation results.  "machines"
+#: is included because registered geometries and scaling curves define
+#: what every simulation computes, exactly like the legacy config tables
+#: they replaced.
+_CODE_PACKAGES = (
+    "isa", "emu", "kernels", "machines", "workloads", "hw", "timing", "apps"
+)
+
+#: Source suffixes hashed into :func:`code_version`: Python, and C for
+#: the compiled timing kernel (``timing/kernel.c``).
+_CODE_SUFFIXES = (".py", ".c")
+
+
+def code_sources(root: Path) -> List[Path]:
+    """The files :func:`code_version` hashes, under package root ``root``."""
+    return [
+        path
+        for package in _CODE_PACKAGES
+        for path in sorted((root / package).rglob("*"))
+        if path.suffix in _CODE_SUFFIXES
+    ]
+
+
+def code_digest(root: Path) -> str:
+    """Digest of the :func:`code_sources` under ``root``, with the schema."""
+    digest = hashlib.sha256()
+    digest.update(f"schema={SCHEMA_VERSION}".encode())
+    for path in code_sources(root):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 @lru_cache(maxsize=1)
 def code_version() -> str:
     """Digest of every source file that can change simulation results.
 
     Covers the ISA/emulation machines, kernels, workloads, hardware
-    models and the timing model -- not the experiment composition layer,
+    models and the timing model -- its Python and the C source of the
+    compiled timing kernel -- but not the experiment composition layer,
     which only *reads* stored results.
     """
     import repro
 
-    root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
-    digest.update(f"schema={SCHEMA_VERSION}".encode())
-    # "machines" is included because registered geometries and scaling
-    # curves define what every simulation computes, exactly like the
-    # legacy config tables they replaced.
-    for package in (
-        "isa", "emu", "kernels", "machines", "workloads", "hw", "timing", "apps"
-    ):
-        base = root / package
-        for path in sorted(base.rglob("*.py")):
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-    return digest.hexdigest()
+    return code_digest(Path(repro.__file__).resolve().parent)
 
 
 def config_fingerprint(config: CoreConfig, mem: MemHierConfig) -> str:

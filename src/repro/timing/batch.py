@@ -55,7 +55,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.trace import as_columns
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.core import (
     REFERENCE_ENV,
@@ -237,7 +236,7 @@ class BatchCoreModel:
         if not self.specs:
             return []
 
-        cols = as_columns(trace)
+        cols = trace.columns()
         # One sub-stack per cache-state signature: sharing the memory
         # and branch pre-pass is only sound where it is exact.
         groups: dict = {}

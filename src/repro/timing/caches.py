@@ -149,15 +149,12 @@ class MemoryHierarchy:
         misses from the first batch so both ISA families are compared on
         their warm behaviour.
 
-        Accepts the columnar trace IR (builder or snapshot) -- walked
-        through its memory columns -- or any iterable of trace records
-        (coerced through :func:`repro.isa.trace.as_columns`).  The
-        compiled engine's pre-pass (``prepass`` in ``kernel.c``) repeats
-        this walk and is differentially pinned against it.
+        Takes the columnar trace IR (builder or snapshot) and walks its
+        memory columns.  The compiled engine's pre-pass (``prepass`` in
+        ``kernel.c``) repeats this walk and is differentially pinned
+        against it.
         """
-        from repro.isa.trace import as_columns
-
-        cols = as_columns(trace)
+        cols = trace.columns()
         addr = cols.addr.tolist()
         rows = cols.rows.tolist()
         row_bytes = cols.row_bytes.tolist()

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from record_traces import trace_from_records
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
 from repro.apps.appmodel import SCALAR_TRACE_LEN, make_scalar_trace, scalar_ipc
 from repro.apps.profile import AppProfile, COSTS, tally_cost
 from repro.isa.opcodes import Category, FUClass, Latency
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import TraceRecord
 
 #: The scalar mixes (smem, sctrl) the paper applications are priced at.
 PAPER_MIXES = [(0.31, 0.04), (0.29, 0.04), (0.31, 0.06), (0.28, 0.09), (0.40, 0.00)]
@@ -24,7 +25,7 @@ def reference_scalar_trace(
     running SSA id and a window of the 64 latest produced values.
     """
     rng = np.random.default_rng(seed)
-    trace = Trace(f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}")
+    records = []
     kinds = rng.choice(
         3, size=length, p=[smem_frac, sctrl_frac, 1.0 - smem_frac - sctrl_frac]
     )
@@ -52,7 +53,7 @@ def reference_scalar_trace(
                 addr = int(addr_l2[i])
             else:
                 addr = int(addr_wave[i])
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="ld", category=Category.SMEM, fu=FUClass.MEM,
                     latency=0, dsts=(next_id,), srcs=srcs, addr=64 + addr,
@@ -60,7 +61,7 @@ def reference_scalar_trace(
                 )
             )
         elif kind == 1:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="br", category=Category.SCTRL, fu=FUClass.INT,
                     latency=Latency.BRANCH, srcs=srcs, is_branch=True,
@@ -69,7 +70,7 @@ def reference_scalar_trace(
             )
             next_id -= 1  # branches produce no value
         else:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="alu", category=Category.SARITH, fu=FUClass.INT,
                     latency=Latency.INT_ALU, dsts=(next_id,), srcs=srcs,
@@ -80,7 +81,7 @@ def reference_scalar_trace(
             if len(recent) > 64:
                 recent.pop(0)
             next_id += 1
-    return trace.columns()
+    return trace_from_records(records, f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}")
 
 
 def assert_matches_reference(smem_frac, sctrl_frac, seed=7, length=SCALAR_TRACE_LEN):

@@ -177,59 +177,3 @@ class TestGsm:
         bits, _ = encode_speech(silence)
         out, _ = decode_speech(bits)
         assert np.abs(out.astype(int)).max() < 600
-
-
-class TestStreamedKernelTraces:
-    """Per-kernel trace segments streamed out of one application run."""
-
-    def test_segments_stream_in_bounded_memory(self):
-        from repro.apps.runner import stream_app_kernel_traces
-        from repro.isa.trace import ColumnarTrace
-
-        segments = dict(stream_app_kernel_traces("gsmenc", isa="mmx64", seed=0))
-        assert set(segments) == {"ltppar"}
-        seg = segments["ltppar"]
-        assert isinstance(seg, ColumnarTrace)
-        assert len(seg) > 0
-
-    def test_builder_buffer_cleared_between_segments(self):
-        from repro.apps.runner import stream_app_kernel_traces
-
-        lengths = []
-        for kernel, seg in stream_app_kernel_traces("jpegdec", isa="vmmx64"):
-            # Each segment carries only its own kernel's instructions;
-            # the running total would be the *sum* if the builder kept
-            # accumulating instead of checkpointing.
-            lengths.append(len(seg))
-            assert len(seg) > 0
-        assert len(lengths) >= 2
-
-    def test_machine_alias_streams_its_programs_segments(self):
-        """A registered alias streams exactly its program's segments."""
-        from repro.apps.runner import stream_app_kernel_traces
-
-        def contents(isa):
-            return [
-                (kernel, seg.content_digest())
-                for kernel, seg in stream_app_kernel_traces("jpegdec", isa=isa)
-            ]
-
-        wide = contents("mmx256")
-        assert [kernel for kernel, _ in wide] == ["h2v2", "ycc"]
-        assert wide == contents("mmx128")
-
-    def test_unknown_isa_raises(self):
-        from repro.apps.runner import stream_app_kernel_traces
-
-        with pytest.raises(ValueError, match="bogus"):
-            list(stream_app_kernel_traces("jpegdec", isa="bogus"))
-
-    def test_segments_are_timeable(self):
-        from repro.apps.runner import stream_app_kernel_traces
-        from repro.machines import get_machine
-        from repro.timing.simulator import simulate_trace
-
-        for kernel, seg in stream_app_kernel_traces("gsmdec", isa="mmx64"):
-            result = simulate_trace(seg, get_machine("mmx64", 2).core)
-            assert result.instructions == len(seg)
-            assert result.cycles > 0

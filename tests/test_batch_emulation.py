@@ -11,8 +11,7 @@ kernel, version and seed, and identical verified outputs.
 Also regression-locked here, per the bugfix sweep that rode along with
 the batch engine: ``sll``/``sra`` accepting register shift counts,
 ``REPRO_JOBS`` validation, the hard (margin-free) perf-floor semantics,
-the ``TraceBuilder.emit_block`` bulk path, and the sweep engine's
-batched ``acquire_traces`` store fill.
+and the sweep engine's batched ``acquire_traces`` store fill.
 """
 
 import importlib.util
@@ -25,9 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emu import Memory, ScalarMachine, Trace
+from repro.emu import Memory, ScalarMachine
 from repro.emu.batch import REFERENCE_ENV, BatchDivergence, BatchMemory, batch_enabled
-from repro.isa.opcodes import Category, FUClass, Latency
 from repro.kernels.base import execute, execute_batch, outputs_equal
 from repro.kernels.registry import KERNELS
 from repro.sweep import engine
@@ -266,58 +264,6 @@ class TestFloorSemantics:
         assert "fails as soon as a measured rate drops below it" in floors["_comment"]
         for key in bench.RATE_KEYS:
             assert floors[key] > 0
-
-
-# ---------------------------------------------------------------------------
-# Trace IR bulk path
-# ---------------------------------------------------------------------------
-
-
-class TestEmitBlock:
-    def _sample(self, name="t", n=5):
-        t = Trace(name)
-        for i in range(n):
-            t.emit(
-                "op" + str(i % 3), Category.SARITH, FUClass.INT,
-                Latency.INT_ALU, (i + 1,), (i,), addr=i * 8, row_bytes=4,
-            )
-        return t
-
-    def test_extend_routes_through_emit_block(self):
-        serial = self._sample("serial", 6)
-        left = self._sample("left", 3)
-        right = Trace("right")
-        for i in range(3, 6):
-            right.emit(
-                "op" + str(i % 3), Category.SARITH, FUClass.INT,
-                Latency.INT_ALU, (i + 1,), (i,), addr=i * 8, row_bytes=4,
-            )
-        left.extend(right)
-        assert list(left.columns()) == list(serial.columns())
-
-    def test_emit_block_rejects_ragged_columns(self):
-        t = Trace()
-        with pytest.raises(ValueError):
-            t.emit_block(
-                ["x"], [0, 0], [1], [1], [1], [0, 0], [0, 0], [1, 1],
-                [0, 0], [0, 0], [False, False], [False, False],
-                [False, False], [0, 0, 0], [], [0, 0, 0], [],
-            )
-        with pytest.raises(ValueError):
-            t.emit_block(
-                ["x"], [0], [1], [1], [1], [0], [0], [1], [0], [0],
-                [False], [False], [False], [0], [], [0, 0], [],
-            )
-
-    def test_emit_block_remaps_mnemonic_pool(self):
-        t = Trace()
-        t.emit("shared", Category.SARITH, FUClass.INT, Latency.INT_ALU, (1,))
-        other = Trace()
-        other.emit("new", Category.SARITH, FUClass.INT, Latency.INT_ALU, (1,))
-        other.emit("shared", Category.SARITH, FUClass.INT, Latency.INT_ALU, (2,), (1,))
-        t.extend(other)
-        names = [r.name for r in t.columns()]
-        assert names == ["shared", "new", "shared"]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.appmodel import make_scalar_trace
-from repro.isa.opcodes import Category, FUClass, Latency
+from repro.isa import opcodes as op
 from repro.isa.trace import Trace
 from repro.kernels.base import execute
 from repro.kernels.registry import KERNELS
@@ -233,14 +233,8 @@ class TestDifferential:
         """Hand-built traces with huge sparse register ids are renumbered
         densely for the flat scoreboard and time identically."""
         t = Trace("sparse")
-        t.emit(
-            "add", Category.SARITH, FUClass.INT, Latency.INT_ALU,
-            (10_000_000,), (),
-        )
-        t.emit(
-            "add", Category.SARITH, FUClass.INT, Latency.INT_ALU,
-            (10_000_001,), (10_000_000,),
-        )
+        t.emit(op.ADD, (10_000_000,), ())
+        t.emit(op.ADD, (10_000_001,), (10_000_000,))
         cols = t.columns()
         specs = paper_stack()[:2]
         assert_results_identical(

@@ -1,9 +1,10 @@
 """Tests for the cache hierarchy and branch predictor models."""
 
 import pytest
+from record_traces import trace_from_records
 
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import TraceRecord
 from repro.timing.caches import BimodalPredictor, Cache, MemoryHierarchy
 from repro.machines import get_machine
 from repro.machines.spec import CacheConfig
@@ -113,13 +114,12 @@ class TestMemoryHierarchy:
 
     def test_warm_resets_stats(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        t = Trace()
-        t.append(
+        t = trace_from_records([
             TraceRecord(
                 name="ld", category=Category.SMEM, fu=FUClass.MEM,
                 latency=0, addr=64, row_bytes=8,
             )
-        )
+        ])
         h.warm(t)
         assert h.l1.stats.accesses == 0
         result = h.scalar_access(64, 8)

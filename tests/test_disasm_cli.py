@@ -1,10 +1,11 @@
 """Tests for the trace disassembler and the command-line driver."""
 
 import pytest
+from record_traces import trace_from_records
 
 from repro.isa.disasm import format_record, listing, mnemonic_histogram, side_by_side
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import TraceRecord
 from repro.kernels.base import execute
 from repro.kernels.registry import KERNELS
 from repro.__main__ import main as cli_main
@@ -56,8 +57,7 @@ class TestListing:
         assert "more)" in lines[-1]
 
     def test_full_listing_no_marker(self):
-        t = Trace()
-        t.append(_record(dsts=(1,), addr=0, row_bytes=8))
+        t = trace_from_records([_record(dsts=(1,), addr=0, row_bytes=8)])
         assert "more" not in listing(t)
 
     def test_histogram(self):

@@ -124,6 +124,26 @@ class TestInvalidation:
         int(code_version(), 16)
         assert len(code_version()) == 64
 
+    def test_timing_kernel_source_is_in_the_digest(self, tmp_path):
+        """The compiled timing kernel's C source addresses every record,
+        so an edit to it re-addresses them like a Python edit does."""
+        import shutil
+        from pathlib import Path
+
+        import repro
+        from repro.sweep.store import code_digest, code_sources
+        from repro.timing.batch import _KERNEL_SOURCE
+
+        root = Path(repro.__file__).resolve().parent
+        assert _KERNEL_SOURCE.resolve() in code_sources(root)
+        copy = tmp_path / "repro"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        before = code_digest(copy)
+        assert before == code_digest(root)
+        with open(copy / "timing" / "kernel.c", "a") as f:
+            f.write("/* a comment changes no instruction */\n")
+        assert code_digest(copy) != before
+
 
 class TestRecords:
     def test_save_load_roundtrip(self, tmp_path):

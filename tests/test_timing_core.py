@@ -16,9 +16,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from record_traces import trace_from_records
 
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import TraceRecord
 from repro.machines import get_machine, machine_names
 from repro.sweep.engine import compute_point
 from repro.sweep.points import SweepPoint
@@ -57,10 +58,7 @@ def run(records, isa="mmx64", way=2, warm=True, **overrides):
     config = get_machine(isa, way).core
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    trace = Trace()
-    for r in records:
-        trace.append(r)
-    return simulate_trace(trace, config, warm=warm)
+    return simulate_trace(trace_from_records(records), config, warm=warm)
 
 
 class TestDataflow:

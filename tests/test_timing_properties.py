@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from record_traces import trace_from_records
 
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import TraceRecord
 from repro.machines import get_machine
 from repro.timing import simulate_trace
 
@@ -24,14 +25,14 @@ def random_trace(draw, max_len=120):
     kinds = draw(
         st.lists(st.integers(0, 3), min_size=n, max_size=n)
     )
-    trace = Trace()
+    records = []
     next_id = 1
     for i, kind in enumerate(kinds):
         srcs = ()
         if next_id > 2 and draw(st.booleans()):
             srcs = (draw(st.integers(1, next_id - 1)),)
         if kind == 0:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="alu", category=Category.SARITH, fu=FUClass.INT,
                     latency=1, dsts=(next_id,), srcs=srcs,
@@ -39,7 +40,7 @@ def random_trace(draw, max_len=120):
             )
             next_id += 1
         elif kind == 1:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="vop", category=Category.VARITH, fu=FUClass.SIMD,
                     latency=draw(st.sampled_from([1, 3])), dsts=(next_id,),
@@ -48,7 +49,7 @@ def random_trace(draw, max_len=120):
             )
             next_id += 1
         elif kind == 2:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="ld", category=Category.SMEM, fu=FUClass.MEM,
                     latency=0, dsts=(next_id,), srcs=srcs,
@@ -57,14 +58,14 @@ def random_trace(draw, max_len=120):
             )
             next_id += 1
         else:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="br", category=Category.SCTRL, fu=FUClass.INT,
                     latency=1, srcs=srcs, is_branch=True,
                     taken=draw(st.booleans()), pc=draw(st.integers(1, 4)),
                 )
             )
-    return trace
+    return trace_from_records(records)
 
 
 def simulate(trace, isa="mmx64", way=2, **overrides):
@@ -137,11 +138,10 @@ class TestFailureInjection:
 
     def test_timing_handles_unknown_register_sources(self):
         """Sources never written (live-ins) must not crash the model."""
-        t = Trace()
-        t.append(
+        t = trace_from_records([
             TraceRecord(
                 name="alu", category=Category.SARITH, fu=FUClass.INT,
                 latency=1, dsts=(10,), srcs=(999,),
             )
-        )
+        ])
         assert simulate(t).cycles >= 1

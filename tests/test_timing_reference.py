@@ -19,9 +19,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from record_traces import trace_from_records
 
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import TraceRecord
 from repro.machines import get_machine
 from repro.machines.spec import CacheConfig, MemHierConfig
 from repro.timing import simulate_trace
@@ -34,14 +35,14 @@ def random_trace(draw, max_len=110):
     """Traces mixing ALU, SIMD (incl. matrix rows), memory and branches."""
     n = draw(st.integers(5, max_len))
     kinds = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    trace = Trace()
+    records = []
     next_id = 1
     for kind in kinds:
         srcs = ()
         if next_id > 2 and draw(st.booleans()):
             srcs = (draw(st.integers(1, next_id - 1)),)
         if kind == 0:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="alu", category=Category.SARITH, fu=FUClass.INT,
                     latency=draw(st.sampled_from([1, 3])), dsts=(next_id,),
@@ -50,7 +51,7 @@ def random_trace(draw, max_len=110):
             )
             next_id += 1
         elif kind == 1:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="vop", category=Category.VARITH, fu=FUClass.SIMD,
                     latency=draw(st.sampled_from([1, 3])), dsts=(next_id,),
@@ -59,7 +60,7 @@ def random_trace(draw, max_len=110):
             )
             next_id += 1
         elif kind == 2:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="ld", category=Category.SMEM, fu=FUClass.MEM,
                     latency=0, dsts=(next_id,), srcs=srcs,
@@ -68,7 +69,7 @@ def random_trace(draw, max_len=110):
             )
             next_id += 1
         elif kind == 3:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="vld", category=Category.VMEM, fu=FUClass.MEM,
                     latency=0, dsts=(next_id,), srcs=srcs,
@@ -80,14 +81,14 @@ def random_trace(draw, max_len=110):
             )
             next_id += 1
         else:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="br", category=Category.SCTRL, fu=FUClass.INT,
                     latency=1, srcs=srcs, is_branch=True,
                     taken=draw(st.booleans()), pc=draw(st.integers(1, 4)),
                 )
             )
-    return trace
+    return trace_from_records(records)
 
 
 @st.composite
@@ -135,7 +136,7 @@ def cache_walk_trace(draw, max_len=60):
             max_size=5,
         )
     )
-    trace = Trace()
+    records = []
     for i in range(n):
         srcs = (draw(st.integers(1, i)),) if i and draw(st.booleans()) else ()
         kind = draw(st.integers(0, 3))
@@ -149,7 +150,7 @@ def cache_walk_trace(draw, max_len=60):
                     st.integers(1, 300),
                 )
             )
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="ld", category=Category.VMEM if kind else Category.SMEM,
                     fu=FUClass.MEM, latency=0, dsts=(i + 1,), srcs=srcs,
@@ -158,7 +159,7 @@ def cache_walk_trace(draw, max_len=60):
                 )
             )
         elif kind == 2:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="br", category=Category.SCTRL, fu=FUClass.INT,
                     latency=1, srcs=srcs, is_branch=True,
@@ -166,7 +167,7 @@ def cache_walk_trace(draw, max_len=60):
                 )
             )
         else:
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="alu", category=Category.SARITH, fu=FUClass.INT,
                     latency=1, dsts=(i + 1,), srcs=srcs,
@@ -175,7 +176,7 @@ def cache_walk_trace(draw, max_len=60):
                     rows=draw(st.integers(1, 3)), stride=draw(st.integers(-64, 64)),
                 )
             )
-    return trace
+    return trace_from_records(records)
 
 
 def engine_result(trace, core, mem, warm=True):
@@ -258,15 +259,16 @@ class TestCounterSpill:
         """Dependent cold misses push issue cycles far past the kernel's
         initial per-cycle counter window (4n + 2048 cycles); the widened
         re-runs must stay cycle-exact."""
-        trace = Trace()
+        records = []
         for i in range(40):
-            trace.append(
+            records.append(
                 TraceRecord(
                     name="ld", category=Category.SMEM, fu=FUClass.MEM,
                     latency=0, dsts=(i + 1,), srcs=(i,) if i else (),
                     addr=(1 << 20) + (1 << 15) * i, row_bytes=8,
                 )
             )
+        trace = trace_from_records(records)
         monkeypatch.delenv(REFERENCE_ENV, raising=False)
         machine = get_machine("mmx64", 2)
         engine = simulate_trace(trace, machine.core, warm=False)
@@ -281,13 +283,14 @@ class TestReferenceGate:
         """REPRO_TIMING_REFERENCE=1 makes simulate_trace use the
         reference model; by default it never does."""
         calls = []
-        trace = Trace()
-        trace.append(
+        records = []
+        records.append(
             TraceRecord(
                 name="alu", category=Category.SARITH, fu=FUClass.INT,
                 latency=1, dsts=(1,),
             )
         )
+        trace = trace_from_records(records)
         config = get_machine("mmx64", 2).core
         original = CoreModel.run
 

@@ -5,16 +5,11 @@ import subprocess
 import sys
 
 import numpy as np
+from record_traces import trace_from_records
 
-from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import (
-    ColumnarTrace,
-    Trace,
-    TraceBuilder,
-    TraceRecord,
-    TraceStats,
-    as_columns,
-)
+from repro.isa import opcodes as op
+from repro.isa.opcodes import DESCRIPTORS, Category, FUClass
+from repro.isa.trace import ColumnarTrace, Trace, TraceBuilder, TraceRecord
 
 
 def rec(category=Category.SARITH, **kw):
@@ -47,61 +42,87 @@ class TestTraceRecord:
 
 class TestTrace:
     def test_counts_by_category(self):
-        t = Trace()
-        t.append(rec(Category.SARITH))
-        t.append(rec(Category.SARITH))
-        t.append(rec(Category.VMEM, addr=0, row_bytes=8))
+        t = trace_from_records([
+            rec(Category.SARITH),
+            rec(Category.SARITH),
+            rec(Category.VMEM, addr=0, row_bytes=8),
+        ])
         assert t.count() == 3
         assert t.count(Category.SARITH) == 2
         assert t.count(Category.VMEM) == 1
         assert t.count(Category.SCTRL) == 0
 
     def test_category_counts_keys(self):
-        t = Trace()
-        t.append(rec())
+        t = trace_from_records([rec()])
         counts = t.category_counts()
         assert set(counts) == {"smem", "sarith", "sctrl", "vmem", "varith"}
 
     def test_vector_fraction(self):
-        t = Trace()
-        t.append(rec(Category.SARITH))
-        t.append(rec(Category.VARITH))
+        t = trace_from_records([rec(Category.SARITH), rec(Category.VARITH)])
         assert t.vector_fraction() == 0.5
 
     def test_vector_fraction_empty(self):
         assert Trace().vector_fraction() == 0.0
 
-    def test_extend_concatenates(self):
-        a, b = Trace(), Trace()
-        a.append(rec())
-        b.append(rec(Category.VARITH))
-        a.extend(b)
-        assert len(a) == 2
-        assert a.counts[Category.VARITH] == 1
-
     def test_iteration_order(self):
-        t = Trace()
-        t.append(rec(name="first"))
-        t.append(rec(name="second"))
+        t = trace_from_records([rec(name="first"), rec(name="second")])
         assert [r.name for r in t] == ["first", "second"]
 
     def test_summary_mentions_counts(self):
-        t = Trace("demo")
-        t.append(rec())
+        t = trace_from_records([rec()], "demo")
         assert "demo" in t.summary()
         assert "sarith=1" in t.summary()
 
 
 def demo_trace(n=7):
+    records = [
+        rec(name=f"op{i % 3}", dsts=(i + 1,), srcs=(i,) if i else ())
+        for i in range(n)
+    ]
+    records.append(rec(Category.VMEM, name="vld", addr=4096, row_bytes=8, rows=16,
+                       stride=800, fu=FUClass.MEM, latency=0, dsts=(100,)))
+    records.append(rec(Category.SCTRL, name="br", is_branch=True, taken=True, pc=3))
+    records.append(rec(Category.SMEM, name="st", fu=FUClass.MEM, latency=0,
+                       addr=64, row_bytes=4, is_store=True, srcs=(2, 3)))
+    return trace_from_records(records, "demo")
+
+
+def demo_builder():
+    """A builder holding one instruction of each kind, emitted by opcode."""
     t = Trace("demo")
-    for i in range(n):
-        t.append(rec(name=f"op{i % 3}", dsts=(i + 1,), srcs=(i,) if i else ()))
-    t.append(rec(Category.VMEM, name="vld", addr=4096, row_bytes=8, rows=16,
-                 stride=800, fu=FUClass.MEM, latency=0, dsts=(100,)))
-    t.append(rec(Category.SCTRL, name="br", is_branch=True, taken=True, pc=3))
-    t.append(rec(Category.SMEM, name="st", fu=FUClass.MEM, latency=0,
-                 addr=64, row_bytes=4, is_store=True, srcs=(2, 3)))
+    t.emit(op.LI, (1,))
+    t.emit(op.ADD, (2,), (1,))
+    t.emit(op.VLD, (100,), (2,), addr=4096, row_bytes=8, rows=16, stride=800)
+    t.emit(op.BR, (), (2,), taken=True, pc=3)
+    t.emit(op.STL, (), (2, 1), addr=64, row_bytes=4)
     return t
+
+
+class TestOpcodeTable:
+    def test_mnemonics_unique(self):
+        mnemonics = [d[0] for d in DESCRIPTORS]
+        assert len(set(mnemonics)) == len(mnemonics)
+
+    def test_static_columns_expand_from_descriptors(self):
+        records = list(demo_builder())
+        assert [r.name for r in records] == ["li", "add", "vld", "br", "stl"]
+        vld, br, st = records[2], records[3], records[4]
+        assert (vld.category, vld.fu, vld.latency) == (Category.VMEM, FUClass.MEM, 0)
+        assert (vld.rows, vld.stride) == (16, 800)
+        assert br.is_branch and br.taken and br.pc == 3 and br.latency == 1
+        assert st.is_store and not records[1].is_store
+        assert records[1].latency == DESCRIPTORS[op.ADD][3]
+
+    def test_pool_in_first_appearance_order(self):
+        """The pool follows emission order, not opcode numbering."""
+        t = Trace()
+        t.emit(op.VEXT)
+        t.emit(op.LI)
+        t.emit(op.VEXT)
+        cols = t.columns()
+        assert op.LI < op.VEXT
+        assert cols.mnemonics == ("vext", "li")
+        assert cols.name_id.tolist() == [0, 1, 0]
 
 
 class TestBuilderColumns:
@@ -109,14 +130,14 @@ class TestBuilderColumns:
         assert Trace is TraceBuilder
 
     def test_columns_roundtrip_records(self):
-        t = demo_trace()
-        via_records = [as_columns(list(t)).record(i) for i in range(len(t))]
+        t = demo_builder()
+        via_records = [trace_from_records(list(t)).record(i) for i in range(len(t))]
         assert via_records == list(t.records)
 
     def test_columns_memoised_until_append(self):
-        t = demo_trace()
+        t = demo_builder()
         assert t.columns() is t.columns()
-        t.append(rec())
+        t.emit(op.ADD, (3,), (2,))
         assert len(t.columns()) == len(t)
 
     def test_csr_offsets_consistent(self):
@@ -130,45 +151,6 @@ class TestBuilderColumns:
         t = demo_trace()
         assert t.records[-1].name == "st"
         assert t.records[-1].srcs == (2, 3)
-
-    def test_extend_remaps_mnemonic_pool(self):
-        a, b = Trace(), Trace()
-        a.append(rec(name="alu"))
-        b.append(rec(name="mul"))
-        b.append(rec(name="alu"))
-        a.extend(b)
-        assert [r.name for r in a] == ["alu", "mul", "alu"]
-
-
-class TestCheckpointClear:
-    def test_checkpoint_returns_segment_and_empties_buffer(self):
-        t = Trace("app")
-        t.append(rec(name="a"))
-        t.append(rec(name="b"))
-        seg1 = t.checkpoint()
-        assert [r.name for r in seg1] == ["a", "b"]
-        assert len(t) == 0
-        t.append(rec(name="c"))
-        seg2 = t.checkpoint()
-        assert [r.name for r in seg2] == ["c"]
-        assert isinstance(seg1, ColumnarTrace)
-
-    def test_clear_bounds_memory_not_just_length(self):
-        t = Trace()
-        for i in range(100):
-            t.append(rec(dsts=(i + 1,)))
-        t.clear()
-        assert len(t) == 0
-        assert len(t._dst_ids) == 0
-        assert t._src_off == [0]
-
-    def test_builder_usable_after_clear(self):
-        t = Trace()
-        t.append(rec(name="x"))
-        t.clear()
-        t.append(rec(name="y", dsts=(9,)))
-        assert [r.name for r in t] == ["y"]
-        assert t.records[-1].dsts == (9,)
 
 
 class TestSerialisation:
@@ -192,9 +174,10 @@ class TestSerialisation:
 
     def test_digest_stable_across_processes(self):
         """A fresh interpreter (fresh hash seed) serialises identically."""
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        tests = os.path.dirname(__file__)
+        src = os.path.join(os.path.dirname(tests), "src")
         env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = os.pathsep.join([src, tests, env.get("PYTHONPATH", "")])
         env["PYTHONHASHSEED"] = "random"
         script = (
             "import importlib.util; "
@@ -227,18 +210,3 @@ class TestSerialisation:
         assert back == cols
         assert back.digest() == cols.digest()
 
-
-class TestTraceStats:
-    def test_add_trace_with_scale(self):
-        t = Trace()
-        t.append(rec(Category.VARITH, rows=8))
-        stats = TraceStats()
-        stats.add_trace(t, scale=3)
-        assert stats.instructions[Category.VARITH] == 3
-        assert stats.element_ops[Category.VARITH] == 24
-
-    def test_add_counts(self):
-        stats = TraceStats()
-        stats.add_counts(Category.SMEM, 100)
-        assert stats.total() == 100
-        assert stats.by_value()["smem"] == 100

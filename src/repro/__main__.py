@@ -130,20 +130,14 @@ def _split(text: str):
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.report import render_table
-    from repro.kernels.registry import KERNELS
-    from repro.machines import is_registered, machine_names
     from repro.sweep import (
-        GRIDS,
-        dedupe,
         default_jobs,
         default_store,
-        machine_grid,
         parse_shard_spec,
         read_points_file,
         shard_store_root,
         sweep,
     )
-    from repro.machines import ISAS, WAYS
 
     shard = None
     if args.shard is not None:
@@ -175,19 +169,20 @@ def _cmd_sweep(args) -> int:
         print("--isas and --machines name the same axis; pass only one")
         return 1
 
+    # The axis flags a --points-file or a --grid stands in for.
+    axes_given = [
+        flag
+        for flag, value, default in (
+            ("--kernels", args.kernels, "all"),
+            ("--isas", args.isas, "all"),
+            ("--machines", args.machines, None),
+            ("--ways", args.ways, "all"),
+            ("--seeds", args.seeds, "0"),
+        )
+        if value != default
+    ]
     if args.points_file is not None:
-        overridden = [
-            flag
-            for flag, value, default in (
-                ("--grid", args.grid, None),
-                ("--kernels", args.kernels, "all"),
-                ("--isas", args.isas, "all"),
-                ("--machines", args.machines, None),
-                ("--ways", args.ways, "all"),
-                ("--seeds", args.seeds, "0"),
-            )
-            if value != default
-        ]
+        overridden = (["--grid"] if args.grid is not None else []) + axes_given
         if overridden:
             print(
                 f"--points-file carries its own point list; "
@@ -199,66 +194,21 @@ def _cmd_sweep(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"--points-file: {exc}")
             return 1
-    elif args.grid:
-        if args.grid not in GRIDS:
-            print(f"unknown grid {args.grid!r}; available: {', '.join(GRIDS)}")
-            return 1
-        overridden = [
-            flag
-            for flag, value, default in (
-                ("--kernels", args.kernels, "all"),
-                ("--isas", args.isas, "all"),
-                ("--machines", args.machines, None),
-                ("--ways", args.ways, "all"),
-                ("--seeds", args.seeds, "0"),
-            )
-            if value != default
-        ]
-        if overridden:
+    else:
+        if args.grid and axes_given:
             print(
                 f"--grid {args.grid} defines its own axes; "
-                f"drop {', '.join(overridden)} or spell the grid out explicitly"
+                f"drop {', '.join(axes_given)} or spell the grid out "
+                "explicitly"
             )
             return 1
-        points = GRIDS[args.grid]()
-    else:
-        kernels = _split(args.kernels) if args.kernels != "all" else tuple(KERNELS)
-        if args.machines is not None:
-            machines = _split(args.machines)
-        elif args.isas != "all":
-            machines = _split(args.isas)
-        else:
-            machines = ISAS
-        try:
-            ways = (
-                tuple(int(w) for w in _split(args.ways))
-                if args.ways != "all" else WAYS
-            )
-            seeds = tuple(int(s) for s in _split(args.seeds))
-        except ValueError as exc:
-            print(f"--ways/--seeds take comma-separated integers: {exc}")
+        machines = args.machines
+        if machines is None and args.isas != "all":
+            machines = args.isas
+        points, error = _axis_points(args, machines)
+        if points is None:
+            print(error)
             return 1
-        bad_ways = [w for w in ways if w < 1]
-        if bad_ways:
-            print(
-                f"machine widths must be positive integers, got "
-                f"{'/'.join(str(w) for w in bad_ways)}"
-            )
-            return 1
-        unknown = [k for k in kernels if k not in KERNELS]
-        if unknown:
-            print(f"unknown kernel(s): {', '.join(unknown)}; "
-                  "try: python -m repro list")
-            return 1
-        bad = [m for m in machines if not is_registered(m)]
-        if bad:
-            print(
-                f"unknown machine(s): {', '.join(bad)}; registered: "
-                f"{', '.join(machine_names())}"
-            )
-            return 1
-        points = machine_grid(kernels, machines, ways, seeds)
-    points = dedupe(points)
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
 
@@ -437,47 +387,35 @@ def _store_for_maintenance(args):
     return store, None
 
 
-def _axis_points(args):
-    """Build the deduped point list named by --grid / axis flags.
+def _axis_points(args, machines):
+    """The deduped point list named by --grid or the axis flags.
 
-    Shared by ``store missing`` (and anything else that needs a grid
-    without running it).  Returns ``(points, error_message)``.
+    Shared by ``sweep`` and ``store missing``: the flags are parsed
+    here, and :func:`repro.sweep.points.resolve_points` validates them
+    and builds the list; ``machines`` is the machine-axis flag's text
+    (None: the paper ISAs).  Returns ``(points, error_message)``.
     """
-    from repro.kernels.registry import KERNELS
-    from repro.machines import ISAS, WAYS, is_registered, machine_names
-    from repro.sweep import GRIDS, dedupe, machine_grid
+    from repro.sweep.points import resolve_points
 
-    if args.grid:
-        if args.grid not in GRIDS:
-            return None, (
-                f"unknown grid {args.grid!r}; available: {', '.join(GRIDS)}"
-            )
-        return dedupe(GRIDS[args.grid]()), None
-    kernels = _split(args.kernels) if args.kernels != "all" else tuple(KERNELS)
-    machines = _split(args.machines) if args.machines is not None else ISAS
+    def ints(text):
+        try:
+            return tuple(int(part) for part in _split(text))
+        except ValueError as exc:
+            raise ValueError(
+                f"--ways/--seeds take comma-separated integers: {exc}"
+            ) from None
+
     try:
-        ways = (
-            tuple(int(w) for w in _split(args.ways))
-            if args.ways != "all" else WAYS
-        )
-        seeds = tuple(int(s) for s in _split(args.seeds))
+        if args.grid:
+            return resolve_points(args.grid), None
+        return resolve_points(
+            kernels=_split(args.kernels) if args.kernels != "all" else None,
+            machines=_split(machines) if machines is not None else None,
+            ways=ints(args.ways) if args.ways != "all" else None,
+            seeds=ints(args.seeds),
+        ), None
     except ValueError as exc:
-        return None, f"--ways/--seeds take comma-separated integers: {exc}"
-    unknown = [k for k in kernels if k not in KERNELS]
-    if unknown:
-        return None, (
-            f"unknown kernel(s): {', '.join(unknown)}; "
-            "try: python -m repro list"
-        )
-    bad = [m for m in machines if not is_registered(m)]
-    if bad:
-        return None, (
-            f"unknown machine(s): {', '.join(bad)}; registered: "
-            f"{', '.join(machine_names())}"
-        )
-    if any(w < 1 for w in ways):
-        return None, "machine widths must be positive integers"
-    return dedupe(machine_grid(kernels, machines, ways, seeds)), None
+        return None, str(exc)
 
 
 def _cmd_store(args) -> int:
@@ -516,7 +454,7 @@ def _cmd_store(args) -> int:
     if args.verb == "missing":
         from repro.sweep import point_key
 
-        points, error = _axis_points(args)
+        points, error = _axis_points(args, args.machines)
         if points is None:
             print(error)
             return 1

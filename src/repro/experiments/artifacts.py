@@ -10,17 +10,28 @@ regression fixtures under ``tests/goldens/`` pin byte-for-byte.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List
 
 import numpy as np
 
 from repro.experiments.extended import (
     fig4v_data,
+    fig4v_points,
     fig4x_data,
+    fig4x_points,
     fig5v_data,
+    fig5v_points,
     fig5x_data,
+    fig5x_points,
 )
 from repro.experiments.figures import fig4_data, fig5_data, fig6_data, fig7_data
+from repro.sweep.points import (
+    SweepPoint,
+    fig4_points,
+    fig5_points,
+    fig6_points,
+    fig7_points,
+)
 from repro.experiments.tables import (
     table1_data,
     table2_data,
@@ -51,6 +62,19 @@ ARTIFACT_DATA: Dict[str, Callable[[], Any]] = {
     "fig5x": fig5x_data,
     "fig4v": fig4v_data,
     "fig5v": fig5v_data,
+}
+
+#: The kernel-timing grid each figure's data function prefetches, keyed
+#: like :data:`ARTIFACT_DATA`; the tables read no kernel timings.
+ARTIFACT_POINTS: Dict[str, Callable[[], List[SweepPoint]]] = {
+    "fig4": fig4_points,
+    "fig5": fig5_points,
+    "fig6": fig6_points,
+    "fig7": fig7_points,
+    "fig4x": fig4x_points,
+    "fig5x": fig5x_points,
+    "fig4v": fig4v_points,
+    "fig5v": fig5v_points,
 }
 
 

@@ -14,15 +14,20 @@ goldens are untouched, and machine-aliased points re-time the stored
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps import APP_NAMES, app_timing, run_app_profile
-from repro.experiments.report import render_table
+from repro.apps import APP_NAMES
+from repro.experiments.figures import (
+    Column,
+    app_speedups,
+    kernel_speedups,
+    render_app_speedups,
+    render_kernel_speedups,
+)
 from repro.kernels.registry import FIG4_KERNELS
 from repro.machines import get_machine
-from repro.sweep import default_jobs, dedupe, grid, machine_grid, sweep
-from repro.sweep.points import SweepPoint
-from repro.timing.simulator import simulate_kernel
+from repro.sweep import dedupe, grid
+from repro.sweep.points import SweepPoint, app_points
 
 #: Machine columns of the extended artefacts, paper families first.
 EXTENDED_MACHINES: Tuple[str, ...] = (
@@ -32,23 +37,39 @@ EXTENDED_MACHINES: Tuple[str, ...] = (
 #: Width rows of the extended Fig. 5, one past the paper's table.
 EXTENDED_WAYS: Tuple[int, ...] = (2, 4, 8, 16)
 
+def _machine_columns(machines: Sequence[str], way: int) -> List[Column]:
+    """One column per registered machine: its program, and the machine
+    axis wherever the machine is not that program's own."""
+    columns: List[Column] = []
+    for name in machines:
+        spec = get_machine(name, way)
+        machine = None if spec.is_native_program else spec.name
+        columns.append((name, spec.program, machine, None))
+    return columns
 
-def _machine_axis(name: str, way: int) -> Tuple[str, Optional[str]]:
-    """(kernel version, machine-axis value) for one registered machine."""
-    spec = get_machine(name, way)
-    return spec.program, (None if spec.is_native_program else spec.name)
+
+def _column_points(
+    columns: Sequence[Column], way: int, seed: int
+) -> List[SweepPoint]:
+    """Every kernel timing a set of kernel columns reads, baseline first."""
+    kernels = FIG4_KERNELS + ("fdct",)
+    points = grid(kernels, ("mmx64",), (2,), (seed,))
+    points += [
+        SweepPoint(kernel=kernel, version=version, way=way, seed=seed,
+                   machine=machine, vl=vl)
+        for kernel in kernels
+        for _, version, machine, vl in columns
+    ]
+    return dedupe(points)
 
 
 def fig4x_points(
     way: int = 2,
     machines: Sequence[str] = EXTENDED_MACHINES,
     seed: int = 0,
-):
+) -> List[SweepPoint]:
     """Every kernel timing the extended Fig. 4 reads."""
-    kernels = FIG4_KERNELS + ("fdct",)
-    points = grid(kernels, ("mmx64",), (2,), (seed,))
-    points += machine_grid(kernels, tuple(machines), (way,), (seed,))
-    return dedupe(points)
+    return _column_points(_machine_columns(machines, way), way, seed)
 
 
 def fig4x_data(
@@ -57,34 +78,16 @@ def fig4x_data(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Kernel speed-ups over 2-way MMX64 across the machine registry."""
-    sweep(fig4x_points(way, machines), jobs=jobs if jobs is not None else default_jobs())
-    out: Dict[str, Dict[str, float]] = {}
-    for kernel in FIG4_KERNELS + ("fdct",):
-        base = simulate_kernel(kernel, "mmx64", 2).result.cycles
-        row: Dict[str, float] = {}
-        for name in machines:
-            version, machine = _machine_axis(name, way)
-            cycles = simulate_kernel(
-                kernel, version, way, machine=machine
-            ).result.cycles
-            row[name] = base / cycles
-        out[kernel] = row
-    return out
+    return kernel_speedups(
+        fig4x_points(way, machines), _machine_columns(machines, way), way, jobs
+    )
 
 
 def fig4x_render(way: int = 2) -> str:
-    data = fig4x_data(way)
-    rows = []
-    for kernel, cells in data.items():
-        label = kernel if kernel != "fdct" else "fdct [extra]"
-        rows.append([label] + [cells[name] for name in EXTENDED_MACHINES])
-    return render_table(
-        ("kernel",) + tuple(EXTENDED_MACHINES),
-        rows,
-        title=(
-            f"Figure 4x: kernel speed-ups on the {way}-way core across the "
-            "machine registry (baseline 2-way MMX64)"
-        ),
+    return render_kernel_speedups(
+        fig4x_data(way), EXTENDED_MACHINES,
+        f"Figure 4x: kernel speed-ups on the {way}-way core across the "
+        "machine registry (baseline 2-way MMX64)",
     )
 
 
@@ -92,18 +95,9 @@ def fig5x_points(
     machines: Sequence[str] = EXTENDED_MACHINES,
     ways: Sequence[int] = EXTENDED_WAYS,
     seed: int = 0,
-):
+) -> List[SweepPoint]:
     """Kernel timings behind the extended full-application figure."""
-    from repro.kernels.registry import APP_KERNELS
-
-    kernels = []
-    for app in APP_NAMES:
-        for kernel in APP_KERNELS[app]:
-            if kernel not in kernels:
-                kernels.append(kernel)
-    points = grid(tuple(kernels), ("mmx64",), (2,), (seed,))
-    points += machine_grid(tuple(kernels), tuple(machines), tuple(ways), (seed,))
-    return dedupe(points)
+    return app_points(APP_NAMES, machines, ways, seed=seed)
 
 
 def fig5x_data(
@@ -112,53 +106,21 @@ def fig5x_data(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Full-application speed-ups across machines and extended widths."""
-    sweep(
-        fig5x_points(machines, ways),
-        jobs=jobs if jobs is not None else default_jobs(),
-    )
-    out: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for app in APP_NAMES:
-        profile = run_app_profile(app)
-        base = app_timing(profile, "mmx64", 2).total_cycles
-        out[app] = {
-            way: {
-                name: base / app_timing(profile, name, way).total_cycles
-                for name in machines
-            }
-            for way in ways
-        }
-    out["average"] = {
-        way: {
-            name: sum(out[app][way][name] for app in APP_NAMES) / len(APP_NAMES)
-            for name in machines
-        }
-        for way in ways
-    }
-    return out
+    return app_speedups(machines, ways, jobs)
 
 
 def fig5x_render() -> str:
-    data = fig5x_data()
-    rows = []
-    for app in APP_NAMES + ("average",):
-        for way in EXTENDED_WAYS:
-            rows.append(
-                [app, f"{way}-way"]
-                + [data[app][way][name] for name in EXTENDED_MACHINES]
-            )
-    return render_table(
-        ("application", "machine") + tuple(EXTENDED_MACHINES),
-        rows,
-        title=(
-            "Figure 5x: full-application speed-ups across the machine "
-            "registry, widths to 16-way (baseline 2-way MMX64)"
-        ),
+    return render_app_speedups(
+        fig5x_data(), EXTENDED_MACHINES, EXTENDED_WAYS,
+        "Figure 5x: full-application speed-ups across the machine "
+        "registry, widths to 16-way (baseline 2-way MMX64)",
     )
 
 
 # ---------------------------------------------------------------------------
 # fig4v / fig5v: the 1-D-vs-2-D question on the post-2005 families
 # ---------------------------------------------------------------------------
+
 
 #: Kernel columns of fig4v: (version, vl, column label).  The VLA
 #: family appears at each runtime VL it covers -- one binary at two
@@ -179,16 +141,15 @@ FIG5V_MACHINES: Tuple[str, ...] = (
 )
 
 
-def fig4v_points(way: int = 2, seed: int = 0):
+#: :data:`VLA_TILE_COLUMNS` as kernel speed-up columns.
+_FIG4V_COLUMNS: Tuple[Column, ...] = tuple(
+    (label, version, None, vl) for version, vl, label in VLA_TILE_COLUMNS
+)
+
+
+def fig4v_points(way: int = 2, seed: int = 0) -> List[SweepPoint]:
     """Every kernel timing fig4v reads (baseline plus all columns)."""
-    kernels = FIG4_KERNELS + ("fdct",)
-    points = grid(kernels, ("mmx64",), (2,), (seed,))
-    points += [
-        SweepPoint(kernel=kernel, version=version, way=way, seed=seed, vl=vl)
-        for kernel in kernels
-        for version, vl, _ in VLA_TILE_COLUMNS
-    ]
-    return dedupe(points)
+    return _column_points(_FIG4V_COLUMNS, way, seed)
 
 
 def fig4v_data(
@@ -201,33 +162,14 @@ def fig4v_data(
     runtime vector lengths, the tile column the deeper 2-D register
     file against VMMX128.
     """
-    sweep(fig4v_points(way), jobs=jobs if jobs is not None else default_jobs())
-    out: Dict[str, Dict[str, float]] = {}
-    for kernel in FIG4_KERNELS + ("fdct",):
-        base = simulate_kernel(kernel, "mmx64", 2).result.cycles
-        out[kernel] = {
-            label: base / simulate_kernel(
-                kernel, version, way, vl=vl
-            ).result.cycles
-            for version, vl, label in VLA_TILE_COLUMNS
-        }
-    return out
+    return kernel_speedups(fig4v_points(way), _FIG4V_COLUMNS, way, jobs)
 
 
 def fig4v_render(way: int = 2) -> str:
-    data = fig4v_data(way)
-    labels = tuple(label for _, _, label in VLA_TILE_COLUMNS)
-    rows = []
-    for kernel, cells in data.items():
-        label = kernel if kernel != "fdct" else "fdct [extra]"
-        rows.append([label] + [cells[name] for name in labels])
-    return render_table(
-        ("kernel",) + labels,
-        rows,
-        title=(
-            f"Figure 4v: kernel speed-ups on the {way}-way core for the "
-            "runtime-VL and 2-D tile families (baseline 2-way MMX64)"
-        ),
+    return render_kernel_speedups(
+        fig4v_data(way), [label for label, _, _, _ in _FIG4V_COLUMNS],
+        f"Figure 4v: kernel speed-ups on the {way}-way core for the "
+        "runtime-VL and 2-D tile families (baseline 2-way MMX64)",
     )
 
 
@@ -235,18 +177,9 @@ def fig5v_points(
     machines: Sequence[str] = FIG5V_MACHINES,
     ways: Sequence[int] = EXTENDED_WAYS,
     seed: int = 0,
-):
+) -> List[SweepPoint]:
     """Kernel timings behind the VLA/tile full-application figure."""
-    from repro.kernels.registry import APP_KERNELS
-
-    kernels = []
-    for app in APP_NAMES:
-        for kernel in APP_KERNELS[app]:
-            if kernel not in kernels:
-                kernels.append(kernel)
-    points = grid(tuple(kernels), ("mmx64",), (2,), (seed,))
-    points += machine_grid(tuple(kernels), tuple(machines), tuple(ways), (seed,))
-    return dedupe(points)
+    return app_points(APP_NAMES, machines, ways, seed=seed)
 
 
 def fig5v_data(
@@ -260,45 +193,12 @@ def fig5v_data(
     binary; the per-VL scaling is fig4v's axis), so the figure compares
     machine families width-for-width exactly like Fig. 5.
     """
-    sweep(
-        fig5v_points(machines, ways),
-        jobs=jobs if jobs is not None else default_jobs(),
-    )
-    out: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for app in APP_NAMES:
-        profile = run_app_profile(app)
-        base = app_timing(profile, "mmx64", 2).total_cycles
-        out[app] = {
-            way: {
-                name: base / app_timing(profile, name, way).total_cycles
-                for name in machines
-            }
-            for way in ways
-        }
-    out["average"] = {
-        way: {
-            name: sum(out[app][way][name] for app in APP_NAMES) / len(APP_NAMES)
-            for name in machines
-        }
-        for way in ways
-    }
-    return out
+    return app_speedups(machines, ways, jobs)
 
 
 def fig5v_render() -> str:
-    data = fig5v_data()
-    rows = []
-    for app in APP_NAMES + ("average",):
-        for way in EXTENDED_WAYS:
-            rows.append(
-                [app, f"{way}-way"]
-                + [data[app][way][name] for name in FIG5V_MACHINES]
-            )
-    return render_table(
-        ("application", "machine") + tuple(FIG5V_MACHINES),
-        rows,
-        title=(
-            "Figure 5v: full-application speed-ups of the 1-D runtime-VL "
-            "and 2-D tile families, widths to 16-way (baseline 2-way MMX64)"
-        ),
+    return render_app_speedups(
+        fig5v_data(), FIG5V_MACHINES, EXTENDED_WAYS,
+        "Figure 5v: full-application speed-ups of the 1-D runtime-VL "
+        "and 2-D tile families, widths to 16-way (baseline 2-way MMX64)",
     )

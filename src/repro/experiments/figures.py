@@ -13,19 +13,20 @@ disk -- before composing the figure exactly as before.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
 from repro.experiments.report import render_table
 from repro.kernels.registry import FIG4_KERNELS
 from repro.sweep import (
+    SweepPoint,
     default_jobs,
     fig4_points,
-    fig5_points,
     fig6_points,
     fig7_points,
     sweep,
 )
+from repro.sweep.points import app_points
 from repro.machines import ISAS, WAYS
 from repro.timing.simulator import simulate_kernel
 
@@ -42,17 +43,102 @@ FIG4_PAPER = {
 }
 
 
-def fig4_data(way: int = 2, jobs: Optional[int] = None) -> Dict[str, Dict[str, float]]:
-    """Kernel speed-ups over the 2-way MMX64 baseline (Fig. 4)."""
-    sweep(fig4_points(way), jobs=jobs if jobs is not None else default_jobs())
+#: One kernel speed-up column: (label, kernel version, machine axis, vl).
+Column = Tuple[str, str, Optional[str], Optional[int]]
+
+#: Fig. 4's columns: each paper ISA on its own machine.
+ISA_COLUMNS: Tuple[Column, ...] = tuple((isa, isa, None, None) for isa in ISAS)
+
+
+def kernel_speedups(
+    points: Sequence[SweepPoint],
+    columns: Sequence[Column],
+    way: int,
+    jobs: Optional[int] = None,
+) -> Dict[str, Dict[str, float]]:
+    """Kernel speed-ups over the 2-way MMX64 baseline, one per column.
+
+    The composition behind Fig. 4 and its extensions: ``points`` (every
+    timing the columns read, baseline included) are prefetched through
+    the sweep engine, then each column is timed at ``way``.
+    """
+    sweep(points, jobs=jobs if jobs is not None else default_jobs())
     out: Dict[str, Dict[str, float]] = {}
     for kernel in FIG4_KERNELS + ("fdct",):
         base = simulate_kernel(kernel, "mmx64", 2).result.cycles
         out[kernel] = {
-            isa: base / simulate_kernel(kernel, isa, way).result.cycles
-            for isa in ISAS
+            label: base / simulate_kernel(
+                kernel, version, way, machine=machine, vl=vl
+            ).result.cycles
+            for label, version, machine, vl in columns
         }
     return out
+
+
+def render_kernel_speedups(
+    data: Dict[str, Dict[str, float]], labels: Sequence[str], title: str
+) -> str:
+    """One row per kernel of :func:`kernel_speedups` output."""
+    rows = []
+    for kernel, cells in data.items():
+        label = kernel if kernel != "fdct" else "fdct [extra]"
+        rows.append([label] + [cells[name] for name in labels])
+    return render_table(("kernel",) + tuple(labels), rows, title=title)
+
+
+def app_speedups(
+    machines: Sequence[str], ways: Sequence[int], jobs: Optional[int] = None
+) -> Dict[str, Dict[int, Dict[str, float]]]:
+    """Full-application speed-ups over 2-way MMX64, plus the 'average' panel.
+
+    The composition behind Fig. 5 and its extensions: every application
+    on every machine of ``machines`` at every width of ``ways``.
+    """
+    sweep(
+        app_points(APP_NAMES, machines, ways),
+        jobs=jobs if jobs is not None else default_jobs(),
+    )
+    out: Dict[str, Dict[int, Dict[str, float]]] = {}
+    for app in APP_NAMES:
+        profile = run_app_profile(app)
+        base = app_timing(profile, "mmx64", 2).total_cycles
+        out[app] = {
+            way: {
+                name: base / app_timing(profile, name, way).total_cycles
+                for name in machines
+            }
+            for way in ways
+        }
+    out["average"] = {
+        way: {
+            name: sum(out[app][way][name] for app in APP_NAMES) / len(APP_NAMES)
+            for name in machines
+        }
+        for way in ways
+    }
+    return out
+
+
+def render_app_speedups(
+    data: Dict[str, Dict[int, Dict[str, float]]],
+    machines: Sequence[str],
+    ways: Sequence[int],
+    title: str,
+) -> str:
+    """One row per application and width of :func:`app_speedups` output."""
+    rows = [
+        [app, f"{way}-way"] + [data[app][way][name] for name in machines]
+        for app in APP_NAMES + ("average",)
+        for way in ways
+    ]
+    return render_table(
+        ("application", "machine") + tuple(machines), rows, title=title
+    )
+
+
+def fig4_data(way: int = 2, jobs: Optional[int] = None) -> Dict[str, Dict[str, float]]:
+    """Kernel speed-ups over the 2-way MMX64 baseline (Fig. 4)."""
+    return kernel_speedups(fig4_points(way), ISA_COLUMNS, way, jobs)
 
 
 def fig4_render() -> str:
@@ -78,42 +164,13 @@ def fig4_render() -> str:
 
 def fig5_data(jobs: Optional[int] = None) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Full-application speed-ups (Fig. 5), plus the 'average' panel."""
-    sweep(fig5_points(), jobs=jobs if jobs is not None else default_jobs())
-    out: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for app in APP_NAMES:
-        profile = run_app_profile(app)
-        base = app_timing(profile, "mmx64", 2).total_cycles
-        out[app] = {
-            way: {
-                isa: base / app_timing(profile, isa, way).total_cycles
-                for isa in ISAS
-            }
-            for way in WAYS
-        }
-    average = {
-        way: {
-            isa: sum(out[app][way][isa] for app in APP_NAMES) / len(APP_NAMES)
-            for isa in ISAS
-        }
-        for way in WAYS
-    }
-    out["average"] = average
-    return out
+    return app_speedups(ISAS, WAYS, jobs)
 
 
 def fig5_render() -> str:
-    data = fig5_data()
-    rows = []
-    for app in APP_NAMES + ("average",):
-        for way in WAYS:
-            row: List[object] = [app, f"{way}-way"]
-            for isa in ISAS:
-                row.append(data[app][way][isa])
-            rows.append(row)
-    return render_table(
-        ("application", "machine") + tuple(ISAS),
-        rows,
-        title="Figure 5: full-application speed-ups (baseline 2-way MMX64)",
+    return render_app_speedups(
+        fig5_data(), ISAS, WAYS,
+        "Figure 5: full-application speed-ups (baseline 2-way MMX64)",
     )
 
 

@@ -33,14 +33,3 @@ def _fmt(cell: object) -> str:
         return f"{cell:.2f}"
     return str(cell)
 
-
-def render_bar_series(
-    labels: Sequence[str], values: Sequence[float], width: int = 40, unit: str = "x"
-) -> str:
-    """A quick horizontal bar chart for speed-up series."""
-    peak = max(values) if values else 1.0
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{label:>12s} |{bar:<{width}s}| {value:.2f}{unit}")
-    return "\n".join(lines)

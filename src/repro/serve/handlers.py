@@ -33,7 +33,7 @@ from repro.sweep.engine import (
     trace_key,
     trace_source,
 )
-from repro.sweep.points import GRIDS, SweepPoint
+from repro.sweep.points import SweepPoint
 from repro.sweep.store import (
     LruCache,
     ResultStore,
@@ -105,25 +105,10 @@ def _artifact_points(name: str) -> Optional[List[SweepPoint]]:
     and scalar-IPC records, which ride on top, are computed on first
     composition and stored like everything else).
     """
-    if name in GRIDS:
-        return list(GRIDS[name]())
-    if name == "fig4x":
-        from repro.experiments.extended import fig4x_points
+    from repro.experiments.artifacts import ARTIFACT_POINTS
 
-        return list(fig4x_points())
-    if name == "fig5x":
-        from repro.experiments.extended import fig5x_points
-
-        return list(fig5x_points())
-    if name == "fig4v":
-        from repro.experiments.extended import fig4v_points
-
-        return list(fig4v_points())
-    if name == "fig5v":
-        from repro.experiments.extended import fig5v_points
-
-        return list(fig5v_points())
-    return None
+    build = ARTIFACT_POINTS.get(name)
+    return None if build is None else list(build())
 
 
 class Api:

@@ -9,7 +9,7 @@ consume alongside ``python -m repro store stats --json``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 #: Histogram bucket upper bounds in seconds (requests above the last
 #: bound land in ``+Inf``).  Log-spaced: cache hits sit in the first few
@@ -40,23 +40,6 @@ class Histogram:
                 self.counts[i] += 1
                 return
         self.counts[-1] += 1
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Upper-bound estimate of the ``q`` quantile (None when empty).
-
-        Conservative by construction: returns the upper bound of the
-        bucket the quantile falls in, so a latency objective checked
-        against it can only be pessimistic, never flattering.
-        """
-        if not self.count:
-            return None
-        rank = q * self.count
-        seen = 0
-        for i, bound in enumerate(self.bounds):
-            seen += self.counts[i]
-            if seen >= rank:
-                return bound
-        return float("inf")
 
     def snapshot(self) -> Dict[str, object]:
         buckets = {f"{bound:g}": 0 for bound in self.bounds}

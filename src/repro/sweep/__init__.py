@@ -53,7 +53,6 @@ from repro.sweep.engine import (
     SweepReport,
     acquire_trace,
     checkpoint_key,
-    compute_point,
     compute_points,
     default_jobs,
     emulation_count,
@@ -145,7 +144,6 @@ __all__ = [
     "checkpoint_key",
     "clear_memory_caches",
     "code_version",
-    "compute_point",
     "compute_points",
     "config_fingerprint",
     "dedupe",

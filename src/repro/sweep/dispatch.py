@@ -58,7 +58,7 @@ from repro.sweep.engine import (
     point_key,
     sweep,
 )
-from repro.sweep.points import SweepPoint, dedupe, shard_assignment
+from repro.sweep.points import SweepPoint, shard_assignment
 from repro.sweep.store import (
     ResultStore,
     shard_store_root,
@@ -314,44 +314,18 @@ class CampaignManifest:
 
     def points(self) -> List[SweepPoint]:
         """The deduplicated point list this campaign evaluates."""
-        from repro.sweep.points import GRIDS, machine_grid
+        from repro.sweep.points import resolve_points
 
-        if self.grid is not None:
-            if self.grid not in GRIDS:
-                raise CampaignError(
-                    f"unknown grid {self.grid!r}; "
-                    f"available: {', '.join(GRIDS)}"
-                )
-            return dedupe(GRIDS[self.grid]())
-        return dedupe(
-            machine_grid(self.kernels, self.machines, self.ways, self.seeds)
-        )
+        try:
+            return resolve_points(
+                self.grid, self.kernels, self.machines, self.ways, self.seeds
+            )
+        except ValueError as exc:
+            raise CampaignError(str(exc)) from None
 
     def validate(self) -> None:
         """Raise :class:`CampaignError` naming any unknown axis value."""
-        from repro.kernels.registry import KERNELS
-        from repro.machines import is_registered, machine_names
-        from repro.sweep.points import GRIDS
-
-        if self.grid is not None:
-            if self.grid not in GRIDS:
-                raise CampaignError(
-                    f"unknown grid {self.grid!r}; available: {', '.join(GRIDS)}"
-                )
-            return
-        unknown = [k for k in self.kernels if k not in KERNELS]
-        if unknown:
-            raise CampaignError(f"unknown kernel(s): {', '.join(unknown)}")
-        bad = [m for m in self.machines if not is_registered(m)]
-        if bad:
-            raise CampaignError(
-                f"unknown machine(s): {', '.join(bad)}; registered: "
-                f"{', '.join(machine_names())}"
-            )
-        if any(w < 1 for w in self.ways):
-            raise CampaignError(
-                f"machine widths must be positive, got {self.ways}"
-            )
+        self.points()
 
     def shard_root(self, index: int) -> Path:
         return shard_store_root(self.root, index, self.shards)

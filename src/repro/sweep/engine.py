@@ -2,14 +2,17 @@
 
 :func:`sweep` takes a list of :class:`~repro.sweep.points.SweepPoint`,
 answers every point it can from the content-addressed result store, and
-simulates the rest -- serially for ``jobs=1``, streamed one kernel
-program at a time, or across a ``concurrent.futures`` process pool with
-deterministic contiguous chunking otherwise.  Either way
-:func:`compute_points` times each distinct (trace content,
-configuration) once and gives every point its own record.  Results are
-byte-identical regardless of ``jobs`` because every point's simulation
-is independent and deterministic, and because both paths normalise
-results through the same JSON record form.
+simulates the rest one *trace group* -- the points of one kernel
+program -- at a time: inline for ``jobs=1``, or as whole groups in
+deterministic chunks across a ``concurrent.futures`` process pool
+otherwise.  Every caller that turns points into timings -- the sweep,
+its pool workers, :func:`compute_points`, :func:`run_point` and the
+serving layer's :func:`retime_stack` -- goes through one primitive,
+``_time_group``, which makes or loads the group's traces, times each
+distinct (trace content, configuration) once and gives every point its
+own record.  Results are byte-identical regardless of ``jobs`` because
+every timing is deterministic and every result passes through the same
+JSON record form.
 
 The module also exposes :func:`run_point`, the store-aware single-point
 entry that :func:`repro.timing.simulator.simulate_kernel` routes
@@ -20,7 +23,6 @@ to prove warm runs perform zero new simulations.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -45,11 +47,7 @@ from repro.sweep.store import (
 from repro.machines import get_machine
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.core import SimResult, check_config
-from repro.timing.simulator import (
-    KernelTiming,
-    simulate_trace,
-    simulate_trace_stack,
-)
+from repro.timing.simulator import KernelTiming, simulate_trace_stack
 
 #: Sentinel distinguishing "use the default store" from "no store".
 _USE_DEFAULT = object()
@@ -67,13 +65,13 @@ _SIM_COUNT = 0
 _EMU_COUNT = 0
 
 #: Distinct (trace content, configuration) timings this process (plus,
-#: for parallel sweeps, its workers) computed: :func:`compute_points`
+#: for parallel sweeps, its workers) computed: :func:`_time_group`
 #: times points that share both once, so this rises no faster than
 #: :data:`_SIM_COUNT`.
 _TIMING_COUNT = 0
 
-#: Test hook: remaining :func:`compute_point` calls this process may
-#: perform before :class:`SweepInterrupted` is raised (None = unlimited).
+#: Test hook: how many more cold points this process's sweeps may
+#: compute before :class:`SweepInterrupted` is raised (None = unlimited).
 #: The resume tests use it to kill a sweep mid-campaign at an exact,
 #: reproducible place.
 _COMPUTE_BUDGET: Optional[int] = None
@@ -329,6 +327,9 @@ def _trace_memo_key(store: Any, point: SweepPoint) -> Tuple[Any, ...]:
 #: A trace together with its payload digest (None until one is known).
 _DigestedTrace = Tuple[ColumnarTrace, Optional[str]]
 
+#: ``(point, record key)`` pairs of one kernel program's cold points.
+_Group = List[Tuple[SweepPoint, Optional[str]]]
+
 
 def _emulate(
     kernel: str,
@@ -431,15 +432,15 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
 
     Groups the points' distinct :func:`trace_source` traces by kernel
     program and emulates each group's missing seeds as one vectorised
-    batch (:func:`repro.kernels.base.execute_batch`), so a cold sweep or
-    campaign shard pays the per-instruction interpretation cost once per
-    kernel version rather than once per seed.  Traces already memoised
-    or stored are skipped, and a group with a single missing seed is
-    left to :func:`acquire_trace` (there is nothing to batch).  Returns
-    the number of traces emulated; the stored records are byte-identical
-    to what per-seed emulation would have written (the differential
-    suite pins the digest equality), so warm sweeps and the jobs-parity
-    guarantee are unaffected.
+    batch (:func:`repro.kernels.base.execute_batch`), paying the
+    per-instruction interpretation cost once per kernel version rather
+    than once per seed -- a store pre-fill for re-timing later; sweeps
+    make their traces group by group as they time them.  Traces already
+    memoised or stored are skipped, and a group with a single missing
+    seed is left to :func:`acquire_trace` (there is nothing to batch).
+    Returns the number of traces emulated; the stored records are
+    byte-identical to what per-seed emulation would have written (the
+    differential suite pins the digest equality).
     """
     if store is _USE_DEFAULT:
         store = default_store()
@@ -460,31 +461,6 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
         if len(missing) >= 2:
             filled += len(_emulate(kernel, program, missing, store))
     return filled
-
-
-def compute_point(point: SweepPoint, store: Any = _USE_DEFAULT) -> KernelTiming:
-    """Time one point unconditionally (no *timing* cache consulted).
-
-    The timing simulation always runs; the dynamic trace it walks comes
-    from :func:`acquire_trace` (against the same ``store`` the caller
-    is using for timings), which may reuse a cached columnar trace --
-    bit-identical to re-emulation by construction (and pinned by the
-    serialisation round-trip tests), so results cannot depend on where
-    the trace came from.
-    """
-    global _SIM_COUNT, _TIMING_COUNT, _COMPUTE_BUDGET
-    if _COMPUTE_BUDGET is not None:
-        if _COMPUTE_BUDGET <= 0:
-            raise SweepInterrupted(
-                f"compute budget exhausted before point {point.label!r}"
-            )
-        _COMPUTE_BUDGET -= 1
-    cols = acquire_trace(point, store)
-    config, mem = resolve_configs(point)
-    result = simulate_trace(cols, config, mem)
-    _SIM_COUNT += 1
-    _TIMING_COUNT += 1
-    return _kernel_timing(point, result)
 
 
 def _kernel_timing(point: SweepPoint, result: SimResult) -> KernelTiming:
@@ -516,71 +492,97 @@ def _timing_identity(
     return config, mem, tuple((name, type(value)) for name, value in overrides)
 
 
+def _time_group(
+    group: _Group, store: Any, cols: Optional[ColumnarTrace] = None
+) -> List[Dict[str, Any]]:
+    """Time one trace group: the only place points become timings.
+
+    ``group`` pairs each point with its record key (None: do not save);
+    the points share one kernel program (their :func:`trace_source` up
+    to the seed).  Their traces are ``cols`` when the caller already
+    holds the group's one trace, else each seed's from the memo, the
+    store or one batched emulation of the missing seeds.  Seeds whose
+    traces have
+    equal payload digests -- every seed of a kernel whose control flow
+    does not depend on its input data -- form one content bucket (a
+    group holding a single trace object is one bucket without hashing
+    it), and each bucket's *distinct* resolved configurations are timed
+    in one :func:`~repro.timing.simulator.simulate_trace_stack` pass.
+    Every point then gets its own ``kernel-timing`` record -- its seed,
+    machine and vl around the shared result -- saved under its key.
+    Returns the records in group order.
+    """
+    global _SIM_COUNT, _TIMING_COUNT
+    points = [point for point, _ in group]
+    if cols is not None:
+        traces: Dict[int, _DigestedTrace] = {points[0].seed: (cols, None)}
+    else:
+        kernel, program, _ = trace_source(points[0])
+        traces = _program_traces(kernel, program, points, store)
+    # Digest per distinct trace object (``traces`` keeps each alive):
+    # from its payload where one was read or written, else computed --
+    # unless the group holds just one object, which needs no content id.
+    digests = {id(c): d for c, d in traces.values() if d is not None}
+    single = len({id(c) for c, _ in traces.values()}) == 1
+    # Content id -> (trace, timing identity -> (configs, askers)).
+    buckets: Dict[Optional[str], Tuple[ColumnarTrace, Dict[Any, Any]]] = {}
+    for i, point in enumerate(points):
+        trace, _ = traces[point.seed]
+        content = None
+        if not single:
+            content = digests.get(id(trace))
+            if content is None:
+                content = digests[id(trace)] = trace.digest()
+        config, mem = resolve_configs(point)
+        _, questions = buckets.setdefault(content, (trace, {}))
+        identity = _timing_identity(point, config, mem)
+        questions.setdefault(identity, ((config, mem), []))[1].append(i)
+    records: List[Dict[str, Any]] = [{} for _ in points]
+    for trace, questions in buckets.values():
+        asked = list(questions.values())
+        results = simulate_trace_stack(trace, [pair for pair, _ in asked])
+        _TIMING_COUNT += len(results)
+        for (_, askers), result in zip(asked, results):
+            for i in askers:
+                point, key = group[i]
+                records[i] = kernel_timing_to_dict(_kernel_timing(point, result))
+                if key is not None:
+                    save_payload(store, "kernel-timing", key, records[i])
+    _SIM_COUNT += len(points)
+    return records
+
+
+def _trace_groups(
+    pairs: Sequence[Tuple[SweepPoint, Any]],
+) -> List[List[Tuple[SweepPoint, Any]]]:
+    """``(point, tag)`` pairs grouped by kernel program, first-seen order."""
+    groups: Dict[Tuple[str, str], List[Tuple[SweepPoint, Any]]] = {}
+    for point, key in pairs:
+        kernel, program, _ = trace_source(point)
+        groups.setdefault((kernel, program), []).append((point, key))
+    return list(groups.values())
+
+
 def compute_points(
     points: Sequence[SweepPoint], store: Any = _USE_DEFAULT
 ) -> List[KernelTiming]:
     """Time many points, each distinct (trace content, configuration) once.
 
-    The batched counterpart of calling :func:`compute_point` per point,
-    with byte-identical records (the differential suite pins it).
-    Points are grouped by kernel program, and each program's traces come
-    from the memo, the store, or one batched emulation of its missing
-    seeds.  Seeds whose traces have equal payload digests -- every seed
-    of a kernel whose control flow does not depend on its input data --
-    form one content bucket, and each bucket's *distinct* resolved
-    configurations are timed in one
-    :func:`~repro.timing.simulator.simulate_trace_stack` pass
-    (:class:`~repro.timing.batch.BatchCoreModel`, or the reference model
-    under ``REPRO_TIMING_REFERENCE=1`` or with no compiled kernel).
-    Every point then gets its own :class:`KernelTiming` -- its seed,
-    machine and vl -- around a copy of the shared result.
-
-    A bounded compute budget keeps the per-point path so
-    :class:`SweepInterrupted` fires at exactly the budgeted point.
+    Points are grouped by kernel program and each group is timed by
+    :func:`_time_group`; nothing is looked up or saved under the points'
+    record keys.  Every point gets its own :class:`KernelTiming`, in
+    input order, byte-identical to the record a sweep stores for it.
     """
-    global _SIM_COUNT, _TIMING_COUNT
-    if _COMPUTE_BUDGET is not None:
-        return [compute_point(p, store) for p in points]
     if store is _USE_DEFAULT:
         store = default_store()
-
-    programs: Dict[Tuple[str, str], List[int]] = {}
-    for idx, point in enumerate(points):
-        kernel, program, _ = trace_source(point)
-        programs.setdefault((kernel, program), []).append(idx)
-    timings: List[Optional[KernelTiming]] = [None] * len(points)
-    for (kernel, program), indices in programs.items():
-        traces = _program_traces(
-            kernel, program, [points[i] for i in indices], store
-        )
-        # Digest per distinct trace object (``traces`` keeps each alive):
-        # from its payload where one was read or written, else computed.
-        digests = {id(cols): d for cols, d in traces.values() if d is not None}
-        # Content digest -> (trace, timing identity -> (configs, askers)).
-        buckets: Dict[str, Tuple[ColumnarTrace, Dict[Any, Any]]] = {}
-        for i in indices:
-            point = points[i]
-            cols, _ = traces[point.seed]
-            if id(cols) not in digests:
-                digests[id(cols)] = cols.digest()
-            config, mem = resolve_configs(point)
-            _, questions = buckets.setdefault(digests[id(cols)], (cols, {}))
-            identity = _timing_identity(point, config, mem)
-            questions.setdefault(identity, ((config, mem), []))[1].append(i)
-        for cols, questions in buckets.values():
-            asked = list(questions.values())
-            results = simulate_trace_stack(cols, [pair for pair, _ in asked])
-            _TIMING_COUNT += len(results)
-            for (_, askers), result in zip(asked, results):
-                for i in askers:
-                    copy = dataclasses.replace(
-                        result,
-                        cat_instructions=dict(result.cat_instructions),
-                        cat_cycles=dict(result.cat_cycles),
-                    )
-                    timings[i] = _kernel_timing(points[i], copy)
-        _SIM_COUNT += len(indices)
-    return timings  # type: ignore[return-value]
+    # Tagged by position: points equal as values (``lanes=4`` and
+    # ``lanes=4.0``) may still time apart.
+    records: List[Dict[str, Any]] = [{} for _ in points]
+    for tagged in _trace_groups([(p, i) for i, p in enumerate(points)]):
+        group = [(point, None) for point, _ in tagged]
+        for (_, i), record in zip(tagged, _time_group(group, store)):
+            records[i] = record
+    return [kernel_timing_from_dict(record) for record in records]
 
 
 def lookup_point(
@@ -612,17 +614,16 @@ def retime_stack(
 ) -> List[KernelTiming]:
     """Time one shared trace against many points in a single dispatch.
 
-    The serving layer's batched re-timing primitive: every point must
-    share the :func:`trace_source` ``cols`` was produced from (the
-    caller owns that invariant; the machine axis and ablation overrides
-    are exactly what may vary), the whole
-    resolved config stack goes through one
-    :func:`~repro.timing.simulator.simulate_trace_stack` call, and each
-    resulting timing record is persisted under its
-    :func:`point_key` so the interactive exploration a service performs
-    leaves the same store records a sweep would have.
+    The serving layer's batched re-timing entry: every point must share
+    the :func:`trace_source` ``cols`` was produced from (the machine
+    axis and ablation overrides are exactly what may vary), and the
+    points go through :func:`_time_group` with ``cols`` as the group's
+    trace -- one :func:`~repro.timing.simulator.simulate_trace_stack`
+    call, each distinct configuration timed once -- with each record
+    persisted under its :func:`point_key`, so the interactive
+    exploration a service performs leaves the same store records a
+    sweep would have.
     """
-    global _SIM_COUNT
     if store is _USE_DEFAULT:
         store = default_store()
     if not points:
@@ -633,32 +634,17 @@ def retime_stack(
             "retime_stack points must share one trace identity, got "
             f"{sorted(identities)}"
         )
-    configs = [resolve_configs(p) for p in points]
-    results = simulate_trace_stack(cols, configs)
-    _SIM_COUNT += len(points)
-    timings = []
-    for point, result in zip(points, results):
-        payload = kernel_timing_to_dict(_kernel_timing(point, result))
-        if store is not None:
-            save_payload(store, "kernel-timing", point_key(point), payload)
-        timings.append(kernel_timing_from_dict(payload))
-    return timings
-
-
-def _normalise(timing: KernelTiming) -> KernelTiming:
-    """Round-trip through the record form.
-
-    Keeps serial and pooled execution structurally identical: every
-    result the engine hands out has passed through the exact JSON shape
-    the store persists.
-    """
-    return kernel_timing_from_dict(kernel_timing_to_dict(timing))
+    group = [(p, point_key(p) if store is not None else None) for p in points]
+    return [
+        kernel_timing_from_dict(record)
+        for record in _time_group(group, store, cols)
+    ]
 
 
 def run_point(
     point: SweepPoint, store: Any = _USE_DEFAULT
 ) -> KernelTiming:
-    """Store-aware execution of one point (load, else simulate + save)."""
+    """Store-aware execution of one point (load, else time and save)."""
     from repro.kernels.registry import KERNELS
 
     if point.kernel not in KERNELS:
@@ -666,44 +652,55 @@ def run_point(
     if store is _USE_DEFAULT:
         store = default_store()
     key = point_key(point) if store is not None else None
-    stored = load_payload(store, key) if key is not None else None
-    if stored is not None:
-        return kernel_timing_from_dict(stored)
-    payload = kernel_timing_to_dict(compute_point(point, store))
-    if key is not None:
-        save_payload(store, "kernel-timing", key, payload)
-    return kernel_timing_from_dict(payload)
+    record = load_payload(store, key) if key is not None else None
+    if record is None:
+        (record,) = _time_group([(point, key)], store)
+    return kernel_timing_from_dict(record)
 
 
 def _worker_chunk(
-    points: Sequence[SweepPoint], store_root: Optional[str] = None
+    groups: Sequence[_Group], store_root: Optional[str] = None
 ) -> Dict[str, Any]:
-    """Process-pool worker: simulate a contiguous chunk of cold points.
+    """Process-pool worker: time whole trace groups of cold points.
 
-    The parent's store choice arrives as ``store_root`` -- data, not
-    environment -- so every worker reads/writes exactly the store the
-    calling :func:`sweep` resolved, whatever the child environment says.
-    Also reports how many *emulations* and distinct timings the chunk
-    performed (workers are reused across chunks, so the counts are
-    deltas), letting the parent keep :func:`emulation_count` and
+    Each group is one :func:`_time_group` call here, in the worker: its
+    traces are found or emulated, its distinct timings stacked and its
+    records saved without the parent's help.  The parent's store choice
+    arrives as ``store_root`` -- data, not environment -- so every
+    worker reads/writes exactly the store the calling :func:`sweep`
+    resolved, whatever the child environment says.  Also reports how
+    many *emulations* and distinct timings the chunk performed (workers
+    are reused across chunks, so the counts are deltas), letting the
+    parent keep :func:`emulation_count` and
     :attr:`SweepReport.distinct_timings` truthful for pooled sweeps.
     """
     store = store_from_root(store_root)
     emulations_before, timings_before = _EMU_COUNT, _TIMING_COUNT
-    payloads = [kernel_timing_to_dict(t) for t in compute_points(points, store)]
+    records = [
+        record for group in groups for record in _time_group(group, store)
+    ]
     return {
-        "payloads": payloads,
+        "records": records,
         "emulations": _EMU_COUNT - emulations_before,
         "timings": _TIMING_COUNT - timings_before,
     }
 
 
-def _chunks(items: Sequence, jobs: int) -> List[Sequence]:
-    """Deterministic contiguous chunking, ~4 chunks per worker."""
-    if not items:
-        return []
-    size = max(1, -(-len(items) // (jobs * 4)))
-    return [items[i: i + size] for i in range(0, len(items), size)]
+def _chunks(groups: Sequence[_Group], jobs: int) -> List[List[_Group]]:
+    """Whole trace groups in deterministic chunks, ~4 chunks per worker."""
+    size = -(-sum(len(group) for group in groups) // (jobs * 4))
+    chunks: List[List[_Group]] = []
+    chunk: List[_Group] = []
+    count = 0
+    for group in groups:
+        chunk.append(group)
+        count += len(group)
+        if count >= size:
+            chunks.append(chunk)
+            chunk, count = [], 0
+    if chunk:
+        chunks.append(chunk)
+    return chunks
 
 
 @dataclass
@@ -858,8 +855,8 @@ class _Checkpoint:
     been corrupted or garbage-collected is simply recomputed -- so the
     checkpoint can never resurrect lost data, only report honest
     progress and survive interruptions at any instant (it is re-saved
-    after every completed point or chunk, through the same atomic-write
-    path as any record).
+    after every completed trace group or chunk, through the same
+    atomic-write path as any record).
     """
 
     def __init__(self, store: Any, point_keys: Sequence[str],
@@ -900,8 +897,8 @@ def sweep(
     """Evaluate every point, warm-starting from the store.
 
     ``jobs=1`` runs inline; ``jobs>1`` distributes the *cache misses*
-    over a process pool in deterministic contiguous chunks.  Hits are
-    always served from the store in the calling process.
+    over a process pool as whole trace groups in deterministic chunks.
+    Hits are always served from the store in the calling process.
 
     The store may be given three ways: ``store`` (a
     :class:`~repro.sweep.store.ResultStore` or ``None`` for no
@@ -917,9 +914,9 @@ def sweep(
     :func:`repro.sweep.points.shard`: trace-grouped, so N shards
     against N distinct store roots emulate each kernel exactly once
     across the whole campaign.  ``resume=True`` additionally
-    checkpoints completed point-keys to the store after every point (or
-    pooled chunk), so an interrupted campaign restarted with the same
-    arguments recomputes only what is genuinely missing.  Every result
+    checkpoints completed point-keys to the store after every trace
+    group (or pooled chunk), so an interrupted campaign restarted with
+    the same arguments recomputes only what is genuinely missing.  Every result
     record is persisted the moment it is computed in either mode --
     interruption can never lose completed work.
 
@@ -976,8 +973,7 @@ def _run_sweep(
 
     results: Dict[SweepPoint, KernelTiming] = {}
     sources: Dict[SweepPoint, str] = {}
-    misses: List[SweepPoint] = []
-    miss_keys: List[Optional[str]] = []
+    misses: _Group = []
     done = 0
     resumed = 0
     for point, key in zip(points, keys):
@@ -993,76 +989,56 @@ def _run_sweep(
             if progress is not None:
                 progress(done, total, point, "store")
         else:
-            misses.append(point)
-            miss_keys.append(key)
+            misses.append((point, key))
 
-    def finish(point: SweepPoint, key: Optional[str],
-               payload: Dict[str, Any]) -> None:
+    def finish(computed: _Group, records: List[Dict[str, Any]]) -> None:
         nonlocal done
-        if key is not None:
-            save_payload(store, "kernel-timing", key, payload)
-        results[point] = kernel_timing_from_dict(payload)
-        sources[point] = "sim"
-        done += 1
+        for (point, key), record in zip(computed, records):
+            results[point] = kernel_timing_from_dict(record)
+            sources[point] = "sim"
+            done += 1
+            if checkpoint is not None:
+                checkpoint.mark(key)
+            if progress is not None:
+                progress(done, total, point, "sim")
         if checkpoint is not None:
-            checkpoint.mark(key)
-        if progress is not None:
-            progress(done, total, point, "sim")
+            checkpoint.flush()
 
-    if misses:
-        # The resolved ``store`` is threaded explicitly to every step and
-        # to the pooled workers (as a root string, reconstructed per
-        # worker), so the jobs-parity guarantee -- store trees
-        # byte-identical for any ``jobs`` -- holds for *whichever* store
-        # the caller selected, without ever mutating the process
-        # environment.
-        pending = list(zip(misses, miss_keys))
-        if jobs > 1 or _COMPUTE_BUDGET is not None:
-            # Batch-emulate every missing trace up front (one vectorised
-            # pass per kernel program): forked workers then never
-            # emulate, and the per-point budget path never falls back
-            # to record-at-a-time emulation.
-            acquire_traces(misses, store)
-        if jobs > 1:
-            worker_root = str(store.root) if store is not None else None
-            for n_done, payloads in _pooled_chunks(misses, jobs, worker_root):
-                for (point, key), payload in zip(pending[:n_done], payloads):
-                    finish(point, key, payload)
-                pending = pending[n_done:]
-                if checkpoint is not None:
-                    checkpoint.flush()
-        # Chunks the pool never delivered (pool creation failed, or a
-        # worker crashed mid-campaign) complete inline, against the
-        # same store the workers were handed.
-        if _COMPUTE_BUDGET is None:
-            # Streamed one kernel program at a time: compute_points
-            # batch-emulates the program's missing seeds, times each
-            # distinct (trace content, configuration) once, and the
-            # results land (and checkpoint) per point before the next
-            # program's traces are made.
-            grouped: "OrderedDict[Tuple[str, str], List[Tuple[SweepPoint, Optional[str]]]]" = OrderedDict()
-            for point, key in pending:
-                kernel, program, _ = trace_source(point)
-                grouped.setdefault((kernel, program), []).append((point, key))
-            for group in grouped.values():
-                timings = compute_points([p for p, _ in group], store)
-                for (point, key), timing in zip(group, timings):
-                    finish(point, key, kernel_timing_to_dict(timing))
-                    if checkpoint is not None:
-                        checkpoint.flush()
-        else:
-            # A bounded compute budget persists point by point so
-            # SweepInterrupted leaves exactly the budgeted prefix.
-            for point, key in pending:
-                finish(
-                    point, key,
-                    kernel_timing_to_dict(compute_point(point, store)),
-                )
-                if checkpoint is not None:
-                    checkpoint.flush()
-
+    # A compute budget trims the misses once: its prefix is computed
+    # like any sweep's, persisted and checkpointed, and then the sweep
+    # dies with SweepInterrupted -- at any ``jobs``.
+    budget = _COMPUTE_BUDGET
+    todo = misses if budget is None else misses[:max(budget, 0)]
+    # Grouped by kernel program once, in first-miss order: the group is
+    # the unit of work inline and in the pool, so each trace is made
+    # once and each distinct timing stacked once, whatever ``jobs`` is.
+    # The resolved ``store`` is threaded explicitly to every group and
+    # to the pooled workers (as a root string, reconstructed per
+    # worker), so the jobs-parity guarantee -- store trees
+    # byte-identical for any ``jobs`` -- holds for *whichever* store
+    # the caller selected, without ever mutating the process
+    # environment.
+    pending = _trace_groups(todo)
+    if jobs > 1 and pending:
+        worker_root = str(store.root) if store is not None else None
+        for taken, records in _pooled_chunks(pending, jobs, worker_root):
+            finish([pair for group in pending[:taken] for pair in group], records)
+            pending = pending[taken:]
+    # Groups the pool never delivered (pool creation failed, or a worker
+    # crashed mid-campaign) complete inline, against the same store the
+    # workers were handed.  Inline, a program's results land (and
+    # checkpoint) before the next program's traces are made.
+    for group in pending:
+        finish(group, _time_group(group, store))
+    if budget is not None:
+        set_compute_budget(budget - len(todo))
     if checkpoint is not None:
         checkpoint.flush()
+    if len(todo) < len(misses):
+        raise SweepInterrupted(
+            f"compute budget exhausted after {len(todo)} of "
+            f"{len(misses)} cold points"
+        )
     # The experiment code that follows a prefetch sweep reads these
     # timings through simulate_kernel: let it hit memory, not disk.
     for point, timing in results.items():
@@ -1084,12 +1060,12 @@ def _run_sweep(
 
 
 def _pooled_chunks(
-    misses: Sequence[SweepPoint], jobs: int, store_root: Optional[str] = None
+    groups: Sequence[_Group], jobs: int, store_root: Optional[str] = None
 ):
-    """Yield ``(points_consumed, payloads)`` per completed pool chunk.
+    """Yield ``(groups_consumed, records)`` per completed pool chunk.
 
     Results stream back in deterministic chunk order, so the caller can
-    persist (and checkpoint) each chunk as it lands rather than holding
+    keep (and checkpoint) each chunk as it lands rather than holding
     the whole campaign in memory until the slowest worker finishes.
     Pool-creation failure (constrained sandboxes) or a broken pool
     mid-campaign simply stops the stream; the caller completes the
@@ -1100,7 +1076,7 @@ def _pooled_chunks(
     import functools
     import multiprocessing
 
-    chunks = _chunks(list(misses), jobs)
+    chunks = _chunks(groups, jobs)
     worker = functools.partial(_worker_chunk, store_root=store_root)
     try:
         context = multiprocessing.get_context("fork")
@@ -1111,9 +1087,9 @@ def _pooled_chunks(
             max_workers=min(jobs, len(chunks)), mp_context=context
         ) as pool:
             for chunk, result in zip(chunks, pool.map(worker, chunks)):
-                _SIM_COUNT += len(chunk)
+                _SIM_COUNT += sum(len(group) for group in chunk)
                 _EMU_COUNT += result["emulations"]
                 _TIMING_COUNT += result["timings"]
-                yield len(chunk), result["payloads"]
+                yield len(chunk), result["records"]
     except (OSError, concurrent.futures.process.BrokenProcessPool):
         return

@@ -430,10 +430,18 @@ def fig4_points(way: int = 2, seed: int = 0) -> List[SweepPoint]:
     return dedupe(points)
 
 
-def app_points(apps: Sequence[str], ways: Sequence[int], seed: int = 0) -> List[SweepPoint]:
-    """Kernel timings needed to compose the given applications."""
+def app_points(
+    apps: Sequence[str],
+    machines: Sequence[str],
+    ways: Sequence[int],
+    seed: int = 0,
+) -> List[SweepPoint]:
+    """Kernel timings needed to compose the given applications.
+
+    The 2-way MMX64 baseline plus every kernel of ``apps`` on each
+    registered machine of ``machines`` at each width of ``ways``.
+    """
     from repro.kernels.registry import APP_KERNELS
-    from repro.machines import ISAS
 
     kernels: List[str] = []
     for app in apps:
@@ -441,27 +449,28 @@ def app_points(apps: Sequence[str], ways: Sequence[int], seed: int = 0) -> List[
             if kernel not in kernels:
                 kernels.append(kernel)
     points = grid(kernels, ("mmx64",), (2,), (seed,))
-    points += grid(kernels, ISAS, tuple(ways), (seed,))
+    points += machine_grid(kernels, tuple(machines), tuple(ways), (seed,))
     return dedupe(points)
 
 
 def fig5_points(seed: int = 0) -> List[SweepPoint]:
     from repro.apps.runner import APP_NAMES
-    from repro.machines import WAYS
+    from repro.machines import ISAS, WAYS
 
-    return app_points(APP_NAMES, WAYS, seed=seed)
+    return app_points(APP_NAMES, ISAS, WAYS, seed=seed)
 
 
 def fig6_points(app: str = "jpegdec", seed: int = 0) -> List[SweepPoint]:
-    from repro.machines import WAYS
+    from repro.machines import ISAS, WAYS
 
-    return app_points((app,), WAYS, seed=seed)
+    return app_points((app,), ISAS, WAYS, seed=seed)
 
 
 def fig7_points(seed: int = 0) -> List[SweepPoint]:
     from repro.apps.runner import APP_NAMES
+    from repro.machines import ISAS
 
-    return app_points(APP_NAMES, (2,), seed=seed)
+    return app_points(APP_NAMES, ISAS, (2,), seed=seed)
 
 
 def full_points(seed: int = 0) -> List[SweepPoint]:
@@ -480,3 +489,51 @@ GRIDS = {
     "fig7": fig7_points,
     "full": full_points,
 }
+
+
+def resolve_points(
+    grid_name: Optional[str] = None,
+    kernels: Optional[Sequence[str]] = None,
+    machines: Optional[Sequence[str]] = None,
+    ways: Optional[Sequence[int]] = None,
+    seeds: Sequence[int] = (0,),
+) -> List[SweepPoint]:
+    """The validated, deduplicated points a grid name or axis set names.
+
+    ``grid_name`` picks one of :data:`GRIDS` (the axes are then
+    ignored); otherwise the axes span a :func:`machine_grid`, an
+    omitted axis taking its default -- every kernel, the four paper
+    ISAs, the paper's widths.  Raises :class:`ValueError` naming an
+    unknown grid, kernel or machine, or a non-positive width.
+    """
+    if grid_name is not None:
+        if grid_name not in GRIDS:
+            raise ValueError(
+                f"unknown grid {grid_name!r}; available: {', '.join(GRIDS)}"
+            )
+        return dedupe(GRIDS[grid_name]())
+    from repro.kernels.registry import KERNELS
+    from repro.machines import ISAS, WAYS, is_registered, machine_names
+
+    kernels = tuple(KERNELS) if kernels is None else tuple(kernels)
+    machines = ISAS if machines is None else tuple(machines)
+    ways = WAYS if ways is None else tuple(ways)
+    unknown = [k for k in kernels if k not in KERNELS]
+    if unknown:
+        raise ValueError(
+            f"unknown kernel(s): {', '.join(unknown)}; "
+            "try: python -m repro list"
+        )
+    bad = [m for m in machines if not is_registered(m)]
+    if bad:
+        raise ValueError(
+            f"unknown machine(s): {', '.join(bad)}; registered: "
+            f"{', '.join(machine_names())}"
+        )
+    bad_ways = [w for w in ways if w < 1]
+    if bad_ways:
+        raise ValueError(
+            f"machine widths must be positive integers, got "
+            f"{'/'.join(str(w) for w in bad_ways)}"
+        )
+    return dedupe(machine_grid(kernels, machines, ways, tuple(seeds)))

@@ -1,6 +1,6 @@
 """Tests for the plain-text report renderer."""
 
-from repro.experiments.report import render_bar_series, render_table
+from repro.experiments.report import render_table
 
 
 class TestRenderTable:
@@ -26,18 +26,3 @@ class TestRenderTable:
         text = render_table(("a",), [])
         assert "a" in text
 
-
-class TestBarSeries:
-    def test_bars_scale_to_peak(self):
-        text = render_bar_series(["low", "high"], [1.0, 4.0], width=20)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 20
-        assert 4 <= lines[0].count("#") <= 6
-
-    def test_values_printed(self):
-        text = render_bar_series(["k"], [2.5])
-        assert "2.50x" in text
-
-    def test_minimum_one_hash(self):
-        text = render_bar_series(["a", "b"], [0.001, 10.0])
-        assert "#" in text.splitlines()[0]

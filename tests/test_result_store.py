@@ -313,10 +313,10 @@ class TestTraceRecords:
     def test_explicit_store_carries_trace_records(self, tmp_path, monkeypatch):
         """run_point with an explicit store writes the trace *there*.
 
-        Regression: compute_point used to consult the global default
-        store for traces regardless of the store the caller passed, so
-        explicit-store callers never got warm-trace reuse (and leaked
-        trace records into the default store).
+        Regression: the per-point compute path used to consult the global
+        default store for traces regardless of the store the caller
+        passed, so explicit-store callers never got warm-trace reuse (and
+        leaked trace records into the default store).
         """
         monkeypatch.setenv("REPRO_STORE", "off")
         from repro.sweep import clear_memory_caches, emulation_count, run_point, trace_key

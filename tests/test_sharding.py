@@ -26,6 +26,7 @@ from repro.sweep import (
     shard_store_root,
     simulation_count,
     sweep,
+    sweep_progress,
     trace_key,
 )
 from repro.sweep.points import reshard_keys, shard_assignment
@@ -215,6 +216,39 @@ class TestResume:
             assert kernel_timing_to_dict(report[point]) == kernel_timing_to_dict(
                 reference[point]
             )
+
+    #: Three kernels x two ISAs x three ways: six trace groups.
+    BUDGET_GRID = grid(("ycc", "addblock", "idct"), ("mmx64", "vmmx128"), (2, 4, 8))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_budget_persists_exactly_its_prefix_at_any_jobs(
+        self, tmp_path, cold_caches, jobs, budget
+    ):
+        """A sweep allowed K computed points persists and checkpoints
+        exactly K, then dies; a resume computes only the rest.  Pooled
+        workers hold forked copies of the budget, so the parent must
+        trim before it hands out work."""
+        points = self.BUDGET_GRID
+        store = ResultStore(tmp_path / "campaign")
+        previous = set_compute_budget(budget)
+        try:
+            with pytest.raises(SweepInterrupted):
+                sweep(points, jobs=jobs, store=store, resume=True)
+        finally:
+            set_compute_budget(previous)
+        persisted = [p for p in points if point_key(p) in store]
+        assert len(persisted) == budget
+        progress = sweep_progress(points, store=store)
+        assert progress.present == progress.completed == budget
+
+        clear_memory_caches()
+        before = simulation_count()
+        report = sweep(points, jobs=jobs, store=store, resume=True)
+        assert simulation_count() - before == len(points) - budget
+        assert report.simulated == len(points) - budget
+        assert report.cached == report.resumed == budget
+        assert sweep_progress(points, store=store).done
 
     def test_completed_campaign_resumes_as_pure_cache(
         self, tmp_path, monkeypatch, cold_caches

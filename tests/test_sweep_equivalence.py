@@ -91,6 +91,25 @@ class TestJobsParity:
             clear_memory_caches()
         assert stores["serial"] == stores["parallel"]
 
+    def test_pool_emulates_each_trace_once(self, tmp_path, isolated_store):
+        """Workers get whole trace groups, so no trace is made twice."""
+        from repro.sweep import fig5_points
+
+        report = sweep(fig5_points(), jobs=2, store=ResultStore(tmp_path / "s"))
+        assert report.emulated == 44  # 11 kernels x 4 programs
+
+    def test_pool_reports_the_serial_work(self, tmp_path, isolated_store):
+        """A pooled multi-seed sweep makes the serial sweep's traces and
+        distinct timings -- no content bucket split across workers."""
+        points = grid(("ycc", "addblock", "ltppar"), ("mmx64", "vmmx128"),
+                      (2, 4), (0, 1))
+        serial = sweep(points, jobs=1, store=ResultStore(tmp_path / "serial"))
+        clear_memory_caches()
+        pooled = sweep(points, jobs=2, store=ResultStore(tmp_path / "pooled"))
+        assert (serial.distinct_timings, serial.emulated) == (16, 12)
+        assert (pooled.distinct_timings, pooled.emulated) == (16, 12)
+        assert _record_bytes(serial) == _record_bytes(pooled)
+
     def test_engine_matches_simulate_kernel_path(self, isolated_store, monkeypatch):
         report = sweep(GRID, jobs=2)
         # The pre-existing serial path, with every cache defeated.
@@ -244,6 +263,26 @@ def _store_bytes(store):
     return {key: store.path_for(key).read_bytes() for key in store.iter_keys()}
 
 
+def _timed_alone(point, store):
+    """One point timed by itself: its own trace, its own configuration,
+    one simulate_trace call -- the per-point reference the engine's
+    grouped path must reproduce."""
+    from repro.kernels.registry import KERNELS
+
+    cols = engine.acquire_trace(point, store)
+    config, mem = engine.resolve_configs(point)
+    return simulator.KernelTiming(
+        kernel=point.kernel,
+        version=point.version,
+        way=point.way,
+        result=simulator.simulate_trace(cols, config, mem),
+        batch=KERNELS[point.kernel].batch,
+        seed=point.seed,
+        machine=point.machine,
+        vl=point.vl,
+    )
+
+
 class TestContentBuckets:
     def test_cold_sweep_times_each_distinct_question_once(
         self, tmp_path, isolated_store, distinct_traces, encodes
@@ -276,7 +315,7 @@ class TestContentBuckets:
         clear_memory_caches()
         per_point = ResultStore(tmp_path / "per-point")
         for point in ABLATION_GRID:
-            timing = engine.compute_point(point, per_point)
+            timing = _timed_alone(point, per_point)
             save_payload(per_point, "kernel-timing", point_key(point),
                          kernel_timing_to_dict(timing))
 
@@ -312,7 +351,7 @@ class TestContentBuckets:
             for lanes in (4, 4.0)
         ]
         batched = engine.compute_points(points, store=None)
-        single = [engine.compute_point(p, store=None) for p in points]
+        single = [_timed_alone(p, None) for p in points]
         assert [canonical_json(kernel_timing_to_dict(t)) for t in batched] == [
             canonical_json(kernel_timing_to_dict(t)) for t in single
         ]

@@ -21,7 +21,7 @@ from record_traces import trace_from_records
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import TraceRecord
 from repro.machines import get_machine, machine_names
-from repro.sweep.engine import compute_point
+from repro.sweep.engine import compute_points
 from repro.sweep.points import SweepPoint
 from repro.timing import check_config, simulate_trace
 
@@ -274,7 +274,7 @@ class TestCheckConfig:
             core_overrides=core, mem_overrides=mem,
         )
         with pytest.raises(ValueError, match=field):
-            compute_point(point, store=None)
+            compute_points([point], store=None)
 
     def test_zero_rob_raises_instead_of_a_signal(self):
         """Run in a child: a regression dies by SIGFPE there, and fails
@@ -284,7 +284,7 @@ class TestCheckConfig:
             from repro.kernels.base import execute
             from repro.kernels.registry import KERNELS
             from repro.machines import get_machine
-            from repro.sweep.engine import compute_point
+            from repro.sweep.engine import compute_points
             from repro.sweep.points import SweepPoint
             from repro.timing.batch import BatchCoreModel
 
@@ -293,11 +293,11 @@ class TestCheckConfig:
                 core_overrides={"rob_size": 0},
             )
             try:
-                compute_point(point, store=None)
+                compute_points([point], store=None)
             except ValueError as exc:
                 assert "rob_size" in str(exc), exc
             else:
-                raise SystemExit("compute_point accepted rob_size=0")
+                raise SystemExit("compute_points accepted rob_size=0")
 
             machine = get_machine("mmx64", 2)
             core = dataclasses.replace(machine.core, rob_size=0)

@@ -36,6 +36,7 @@ from repro.sweep import (
 )
 from repro.sweep.dispatch import MANIFEST_NAME
 from repro.sweep.store import canonical_json, kernel_timing_to_dict
+from store_faults import drop, record_bytes
 
 #: Small grid with shared traces across ways (orchestration must keep
 #: the trace-exclusivity property the sharding layer guarantees).
@@ -75,7 +76,7 @@ def _result_tree(store):
     must be byte-identical.
     """
     return {
-        key: store.path_for(key).read_bytes()
+        key: record_bytes(store, key)
         for key in store.iter_keys()
         if store.peek(key).get("kind") != "sweep-checkpoint"
     }
@@ -347,7 +348,7 @@ class TestLocalCampaign:
         shard_stores = [ResultStore(manifest.shard_root(i)) for i in range(2)]
         key = point_key(victim)
         owner = next(s for s in shard_stores if key in s)
-        owner.path_for(key).unlink()
+        drop(owner, key)
         import shutil
 
         shutil.rmtree(manifest.merged_root())

@@ -50,6 +50,7 @@ from repro.sweep import (
 from repro.sweep.dispatch import FLEET_NAME, make_executor
 from repro.sweep.engine import FAULT_ENV, checkpoint_key
 from repro.sweep.transport import join_remote
+from store_faults import record_bytes
 
 #: Same small shared-trace grid the campaign suite uses: 8 points over
 #: 4 distinct traces, so trace-grouped sharding is non-trivial.
@@ -86,7 +87,7 @@ def _manifest(tmp_path, **overrides):
 def _result_tree(store):
     """Record bytes by key, checkpoints excluded (see test_campaign)."""
     return {
-        key: store.path_for(key).read_bytes()
+        key: record_bytes(store, key)
         for key in store.iter_keys()
         if store.peek(key).get("kind") != "sweep-checkpoint"
     }

@@ -37,6 +37,7 @@ from repro.sweep.store import (
 import dataclasses
 
 from repro.machines import get_machine
+from store_faults import damage, drop, record_bytes
 
 POINT = SweepPoint("ycc", "mmx64", 2)
 
@@ -162,9 +163,9 @@ class TestRecords:
         store = ResultStore(tmp_path)
         key = stable_hash({"n": 2})
         store.save(key, {"kind": "test", "payload": {"cycles": 1}})
-        store.path_for(key).write_text('{"kind": "test", "payl')  # torn write
+        damage(store, key, "truncate")
         assert store.load(key) is None
-        assert not store.path_for(key).exists()  # quarantined
+        assert key not in store  # quarantined
         store.save(key, {"kind": "test", "payload": {"cycles": 2}})
         assert store.load(key)["payload"] == {"cycles": 2}
 
@@ -172,9 +173,9 @@ class TestRecords:
         store = ResultStore(tmp_path)
         key = stable_hash({"n": 3})
         store.save(key, {"kind": "test", "payload": {"cycles": 1}})
-        store.path_for(key).write_bytes(b"\xff\xfe\x00garbage\x80")  # not UTF-8
+        damage(store, key, "garbage")  # not UTF-8
         assert store.load(key) is None
-        assert not store.path_for(key).exists()
+        assert key not in store
         store.save(key, {"kind": "test", "payload": {"cycles": 3}})
         assert store.load(key)["payload"] == {"cycles": 3}
 
@@ -182,8 +183,7 @@ class TestRecords:
         store = ResultStore(tmp_path)
         key_a, key_b = stable_hash("a"), stable_hash("b")
         store.save(key_a, {"kind": "test", "payload": {}})
-        store.path_for(key_b).parent.mkdir(parents=True, exist_ok=True)
-        store.path_for(key_b).write_bytes(store.path_for(key_a).read_bytes())
+        damage(store, key_b, "copy")  # key_a's record filed under key_b
         assert store.load(key_b) is None
 
     def test_run_point_recomputes_after_corruption(self, tmp_path, monkeypatch):
@@ -194,7 +194,7 @@ class TestRecords:
         store = ResultStore(tmp_path)
         key = point_key(POINT)
         first = run_point(POINT, store)
-        store.path_for(key).write_text("garbage")
+        damage(store, key, "garbage")
         before = simulation_count()
         second = run_point(POINT, store)
         assert simulation_count() == before + 1
@@ -384,7 +384,7 @@ class TestTraceRecords:
         point = SweepPoint("comp", "vmmx128", 4)
         cold = run_point(point, store)
         # Drop the timing record but keep the trace, then recompute.
-        store.path_for(point_key(point)).unlink()
+        drop(store, point_key(point))
         clear_memory_caches()
         warm = run_point(point, store)
         assert warm.result == cold.result
@@ -650,13 +650,13 @@ class TestMergeProperties:
         save_payload(source, "test", good, {"n": 1})
         bad = stable_hash("bad")
         save_payload(source, "test", bad, {"n": 2})
-        source.path_for(bad).write_text("{torn")
+        damage(source, bad, "truncate")
         stats = dest.merge(source)
         assert stats.merged == 1 and stats.corrupt == 1
         assert dest.load(good) is not None and dest.load(bad) is None
         # The corrupt record stays in the *source*: merge reads, it
         # never quarantines someone else's store.
-        assert source.path_for(bad).exists()
+        assert bad in source and not source.verify().ok
 
     def test_merged_records_are_byte_identical(self, tmp_path):
         """Merge copies record files verbatim, not re-serialised."""
@@ -664,7 +664,7 @@ class TestMergeProperties:
         key = stable_hash({"n": 9})
         save_payload(source, "test", key, {"n": 9})
         dest.merge(source)
-        assert dest.path_for(key).read_bytes() == source.path_for(key).read_bytes()
+        assert record_bytes(dest, key) == record_bytes(source, key)
 
 
 class TestGcProperties:
@@ -735,36 +735,41 @@ class TestMaintenanceIsNonDestructive:
         good = _fill(store, [{"n": 1}])[0]
         bad = stable_hash("doomed")
         save_payload(store, "test", bad, {"n": 2})
-        store.path_for(bad).write_text("{torn")
+        damage(store, bad, "truncate")
         return store, good, bad
+
+    @staticmethod
+    def _still_reported(store, bad):
+        assert bad in store
+        assert [key for key, _ in store.verify().problems] == [bad]
 
     def test_peek_does_not_quarantine(self, corrupted):
         store, _, bad = corrupted
         assert store.peek(bad) is None
-        assert store.path_for(bad).exists()
+        self._still_reported(store, bad)
         assert store.load(bad) is None  # load *does* quarantine
-        assert not store.path_for(bad).exists()
+        assert bad not in store
 
     def test_gc_dry_run_leaves_corrupt_records(self, corrupted):
         store, _, bad = corrupted
         store.gc(dry_run=True)
-        assert store.path_for(bad).exists()
+        self._still_reported(store, bad)
 
     def test_gc_leaves_corrupt_records(self, corrupted):
         store, _, bad = corrupted
         store.gc()
-        assert store.path_for(bad).exists()
+        self._still_reported(store, bad)
 
     def test_stats_counts_corrupt_without_deleting(self, corrupted):
         store, _, bad = corrupted
         stats = store.stats()
         assert stats["records"] == 1 and stats["corrupt"] == 1
-        assert store.path_for(bad).exists()
+        self._still_reported(store, bad)
 
     def test_export_skips_corrupt_without_deleting(self, corrupted, tmp_path):
         store, good, bad = corrupted
         assert store.export(tmp_path / "x.tar.gz") == 1
-        assert store.path_for(bad).exists()
+        self._still_reported(store, bad)
         fresh = ResultStore(tmp_path / "fresh")
         fresh.import_(tmp_path / "x.tar.gz")
         assert list(fresh.iter_keys()) == [good]
@@ -779,13 +784,9 @@ class TestVerify:
 
     def test_verify_detects_payload_tampering(self, tmp_path):
         """Bit-rot that still parses as JSON: only the hash catches it."""
-        import json
-
         store = ResultStore(tmp_path)
         key = _fill(store, [{"cycles": 42}])[0]
-        record = json.loads(store.path_for(key).read_text())
-        record["payload"]["cycles"] = 43
-        store.path_for(key).write_text(json.dumps(record))
+        damage(store, key, "edit")
         report = store.verify()
         assert not report.ok
         assert report.problems[0][0] == key
@@ -794,7 +795,7 @@ class TestVerify:
     def test_verify_detects_unreadable_records(self, tmp_path):
         store = ResultStore(tmp_path)
         key = _fill(store, [{"n": 1}])[0]
-        store.path_for(key).write_text("{torn")
+        damage(store, key, "truncate")
         report = store.verify()
         assert [key for key, _ in report.problems] == [key]
 
@@ -840,9 +841,7 @@ class TestExportImport:
             assert _payload_map(fresh) == _payload_map(source)
             # Byte-exact too: records travel verbatim.
             for key in source.iter_keys():
-                assert fresh.path_for(key).read_bytes() == source.path_for(
-                    key
-                ).read_bytes()
+                assert record_bytes(fresh, key) == record_bytes(source, key)
 
     def test_export_is_deterministic(self, tmp_path):
         store = ResultStore(tmp_path / "s")

@@ -31,6 +31,7 @@ from repro.sweep import (
 )
 from repro.sweep.points import reshard_keys, shard_assignment
 from repro.sweep.store import canonical_json, kernel_timing_to_dict
+from store_faults import drop, record_bytes
 
 #: A multi-way grid whose points share traces across ways, so the
 #: trace-exclusivity property is non-trivial to satisfy.
@@ -119,8 +120,8 @@ def cold_caches():
 
 
 def _store_tree(store):
-    """Every record file's raw bytes, keyed by record key."""
-    return {key: store.path_for(key).read_bytes() for key in store.iter_keys()}
+    """Every record's raw bytes, keyed by record key."""
+    return {key: record_bytes(store, key) for key in store.iter_keys()}
 
 
 class TestCrossShardEquivalence:
@@ -267,7 +268,7 @@ class TestResume:
         sweep(self.GRID, resume=True)
         store = ResultStore(tmp_path)
         victim = self.GRID[0]
-        store.path_for(point_key(victim)).unlink()
+        drop(store, point_key(victim))
         clear_memory_caches()
         before = simulation_count()
         report = sweep(self.GRID, resume=True)

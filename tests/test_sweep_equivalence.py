@@ -36,6 +36,7 @@ from repro.sweep.store import (
     save_payload,
 )
 from repro.timing import simulator
+from store_faults import record_bytes
 
 #: A small but representative grid: two kernels, a 1-D and a 2-D ISA.
 GRID = grid(("ycc", "addblock"), ("mmx64", "vmmx128"), (2, 4))
@@ -86,7 +87,7 @@ class TestJobsParity:
             store = ResultStore(tmp_path / name)
             sweep(GRID, jobs=jobs, store=store)
             stores[name] = {
-                key: store.path_for(key).read_bytes() for key in store.iter_keys()
+                key: record_bytes(store, key) for key in store.iter_keys()
             }
             clear_memory_caches()
         assert stores["serial"] == stores["parallel"]
@@ -260,7 +261,7 @@ def encodes(monkeypatch):
 
 
 def _store_bytes(store):
-    return {key: store.path_for(key).read_bytes() for key in store.iter_keys()}
+    return {key: record_bytes(store, key) for key in store.iter_keys()}
 
 
 def _timed_alone(point, store):

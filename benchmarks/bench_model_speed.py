@@ -43,6 +43,12 @@ trajectory.
 synthetic scalar-region trace the application figures price their
 scalar code with: one paper mix at ``SCALAR_TRACE_LEN`` instructions
 from :func:`~repro.apps.appmodel.make_scalar_trace`, best of the reps.
+
+``store_records_per_sec`` is the result store's write rate: records
+saved per second through ``save_payload`` into a fresh store on the
+working disk (not ``/tmp``, which may be memory-backed), in a
+design-sweep-shaped mix of :data:`STORE_MIX` kernel-timing and trace
+records, best of the reps.
 """
 
 import argparse
@@ -71,6 +77,7 @@ RATE_KEYS = (
     "batch_retimed_instructions_per_sec",
     "retimed_instructions_per_sec",
     "scalar_trace_instructions_per_sec",
+    "store_records_per_sec",
 )
 
 #: The scalar mix (smem, sctrl fractions) whose trace build is timed:
@@ -90,6 +97,10 @@ BATCH_SEEDS = 16
 
 #: Seeds of the cold multi-seed Fig. 4 sweep.
 SWEEP_SEEDS = (0, 1, 2, 3)
+
+#: (kernel-timing, trace) records per store-write pass: what one cold
+#: 4-seed every-kernel x paper-ISA x way sweep saves (1,584 : 176).
+STORE_MIX = (1584, 176)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +243,8 @@ def measure_model_speed(budget="ci"):
         build_scalar_trace, SCALAR_TRACE_LEN, max(reps, 3)
     )
 
+    store_rate = _store_write_rate(reps)
+
     results = {
         "budget": budget,
         "trace_instructions": n,
@@ -243,11 +256,64 @@ def measure_model_speed(budget="ci"):
         "retimed_instructions_per_sec": round(retime_rate),
         "reference_retimed_instructions_per_sec": round(reference_retime_rate),
         "scalar_trace_instructions_per_sec": round(scalar_trace_rate),
+        "store_records_per_sec": round(store_rate),
     }
     if budget == "full":
         results["fig4_sweep"] = _measure_fig4_sweep()
         results["fig4_seeds_sweep"] = _measure_fig4_seeds_sweep()
     return results
+
+
+def _store_write_rate(reps):
+    """Records per second saved in a :data:`STORE_MIX` pass, best of ``reps``.
+
+    The trace records cycle through every kernel's seed-0 mmx64 trace,
+    so their sizes spread as a sweep's do.  Each pass writes distinct
+    keys into its own empty store under the repository root, so the rate
+    includes whatever creating the store's files costs on the disk the
+    store would really live on.
+    """
+    import shutil
+    import tempfile
+
+    from repro.sweep import ResultStore, stable_hash
+    from repro.sweep.store import (
+        kernel_timing_to_dict,
+        save_payload,
+        trace_to_payload,
+    )
+    from repro.timing.simulator import KernelTiming
+
+    traces = [
+        trace_to_payload(execute(spec, "mmx64", seed=0).trace.columns())
+        for spec in KERNELS.values()
+    ]
+    cols = execute(KERNELS["ycc"], "mmx64", seed=0).trace.columns()
+    result = simulate_trace(cols, get_machine("mmx64", 2).core)
+    timing = kernel_timing_to_dict(
+        KernelTiming(kernel="ycc", version="mmx64", way=2, result=result, batch=1)
+    )
+    timing_count, trace_count = STORE_MIX
+    every = timing_count // trace_count + 1
+    records = [
+        ("trace", traces[(i // every) % len(traces)]) if i % every == 0
+        else ("kernel-timing", timing)
+        for i in range(timing_count + trace_count)
+    ]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    best = float("inf")
+    for rep in range(reps):
+        store_root = tempfile.mkdtemp(prefix=".bench-store-", dir=root)
+        try:
+            store = ResultStore(store_root)
+            keys = [stable_hash(("store-write", rep, i)) for i in range(len(records))]
+            t0 = time.perf_counter()
+            for key, (kind, payload) in zip(keys, records):
+                save_payload(store, kind, key, payload)
+            best = min(best, time.perf_counter() - t0)
+        finally:
+            shutil.rmtree(store_root, ignore_errors=True)
+    return len(records) / best
 
 
 @contextlib.contextmanager
@@ -288,13 +354,11 @@ def _measure_fig4_sweep():
     The sweep covers the Fig. 4 kernels on all four extensions at every
     machine width, against a fresh store: the cold pass emulates each
     (kernel, version) once and re-times it per width; the second pass
-    drops the timing records but keeps the cached columnar traces, so
-    it re-times without emulating anything -- the warm-trace ablation
-    regime.
+    runs against a fresh store holding only the cold pass's columnar
+    traces, so it re-times without emulating anything -- the warm-trace
+    ablation regime.
     """
-    import pathlib
-
-    from repro.sweep import clear_memory_caches, emulation_count, sweep
+    from repro.sweep import ResultStore, emulation_count, sweep
 
     with _fresh_store() as store_root:
         points = _fig4_grid((0,))
@@ -303,14 +367,19 @@ def _measure_fig4_sweep():
         cold = time.perf_counter() - t0
         instructions = sum(t.result.instructions for t in report.results.values())
 
-        emulations_before = emulation_count()
-        for path in pathlib.Path(store_root).rglob("*.json"):
-            if json.loads(path.read_text()).get("kind") == "kernel-timing":
-                path.unlink()
-        clear_memory_caches()
-        t0 = time.perf_counter()
-        sweep(points)
-        warm = time.perf_counter() - t0
+        cold_store = ResultStore(store_root)
+        with _fresh_store() as traces_root:
+            traces = ResultStore(traces_root)
+            for key in cold_store.iter_keys():
+                record = cold_store.peek(key)
+                if record is not None and record["kind"] == "trace":
+                    traces.save(key, record)
+            emulations_before = emulation_count()
+            t0 = time.perf_counter()
+            warm_report = sweep(points)
+            warm = time.perf_counter() - t0
+            if warm_report.simulated != len(points):
+                raise RuntimeError("the warm-trace pass found stored timings")
         return {
             "points": len(points),
             "timed_instructions": instructions,

@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.isa.trace import ColumnarTrace
 from repro.sweep.points import SweepPoint, dedupe
 from repro.sweep.points import shard as shard_points
+from repro.sweep.transport import newest_mtime
 from repro.sweep.store import (
     MEMO,
     config_fingerprint,
@@ -775,8 +776,9 @@ class ShardProgress:
     (what an interrupted worker had acknowledged); ``present`` counts
     the point records actually on disk -- the ground truth a restart
     recomputes from, and the number :attr:`done` is defined over.
-    ``heartbeat`` is the checkpoint file's mtime (seconds since epoch),
-    the liveness signal a supervisor watches while a worker runs.
+    ``heartbeat`` is the newest mtime among the store's segment files
+    (seconds since epoch), the liveness signal a supervisor watches
+    while a worker runs: every save appends to one.
     """
 
     total: int
@@ -819,10 +821,7 @@ def keys_progress(
         payload = record["payload"]
         completed = payload.get("completed", []) if isinstance(payload, dict) else []
         progress.completed = len(set(completed) & set(keys))
-        try:
-            progress.heartbeat = store.path_for(ck_key).stat().st_mtime
-        except OSError:
-            progress.heartbeat = None
+        progress.heartbeat = newest_mtime(store.segments_dir)
     return progress
 
 

@@ -4,8 +4,8 @@
 a pluggable :class:`~repro.sweep.transport.Transport`: the shard's store
 (if it already holds anything) is tarballed forward so the worker
 warm-starts, the exact :func:`~repro.sweep.dispatch.shard_command` line
-runs on the host, supervision polls the worker *and* the mtime of its
-checkpoint record, and whatever the worker produced -- complete or
+runs on the host, supervision polls the worker *and* the newest mtime
+of its store's segment files, and whatever the worker produced -- complete or
 partial -- is tarballed back and imported into the local shard store.
 Over :class:`~repro.sweep.transport.LocalTransport` (``--executor
 subprocess``) the hosts are worker slots sharing this filesystem:
@@ -36,7 +36,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.sweep.dispatch import (
     CampaignError,
@@ -46,13 +46,12 @@ from repro.sweep.dispatch import (
     ShardOutcome,
     shard_command,
 )
-from repro.sweep.engine import checkpoint_key, point_key
 from repro.sweep.points import (
     SweepPoint,
     shard_assignment,
     write_points_file,
 )
-from repro.sweep.store import ResultStore
+from repro.sweep.store import SEGMENTS_DIR, ResultStore
 from repro.sweep.transport import (
     SshTransport,
     Transport,
@@ -71,7 +70,7 @@ class _Flight:
     proc: subprocess.Popen
     handle: object              # open shard-log file the worker streams into
     remote_store: str           # remote store root to tarball back
-    checkpoint: str             # remote path of the checkpoint record
+    heartbeat: str              # remote segment directory of the store
     label: str
     started: float = field(default_factory=time.monotonic)
 
@@ -317,12 +316,14 @@ class RemoteExecutor(Executor):
                    log) -> Dict[object, ShardOutcome]:
         """Poll flights to completion: exit codes, timeouts, heartbeats.
 
-        The heartbeat is the mtime of the worker's checkpoint record on
-        the *remote* side, polled through the transport.  A worker with
-        no checkpoint yet gets ``heartbeat_window`` seconds of grace
-        from launch (a hang during import or trace emulation writes
-        nothing, so absence past the grace deadline *is* the signal);
-        after the first checkpoint, the same window bounds staleness.
+        The heartbeat is the newest mtime among the segment files of the
+        worker's store on the *remote* side, polled through the
+        transport: every record the worker saves appends to one.  A
+        worker that has written nothing yet gets ``heartbeat_window``
+        seconds of grace from launch (a hang during import or trace
+        emulation writes nothing, so absence past the grace deadline
+        *is* the signal); after the first write, the same window bounds
+        staleness.
         """
         outcomes: Dict[object, ShardOutcome] = {}
         pending = list(flights)
@@ -332,7 +333,7 @@ class RemoteExecutor(Executor):
                 elapsed = time.monotonic() - flight.started
                 if returncode is None:
                     why = self._overdue(
-                        flight.host, flight.checkpoint, elapsed
+                        flight.host, flight.heartbeat, elapsed
                     )
                     if why is None:
                         continue
@@ -383,38 +384,37 @@ class RemoteExecutor(Executor):
                 pass
         return outcomes
 
-    def _overdue(self, host: str, checkpoint: str,
+    def _overdue(self, host: str, heartbeat: str,
                  elapsed: float) -> Optional[str]:
         """Why a worker still running on ``host`` must be killed, or None.
 
-        ``checkpoint`` is the path, on ``host``, of the worker's
-        checkpoint record; ``elapsed`` is seconds since launch.
+        ``heartbeat`` is the path, on ``host``, of the worker store's
+        segment directory; ``elapsed`` is seconds since launch.
         """
         if self.timeout is not None and elapsed > self.timeout:
             return f"timed out after {self.timeout:.0f}s (killed)"
         if self.heartbeat_window is None:
             return None
-        beat = self.transport.mtime(host, checkpoint)
+        beat = self.transport.mtime(host, heartbeat)
         if beat is None:
             if elapsed > self.heartbeat_window:
                 return (
                     f"no first heartbeat within {self.heartbeat_window:.1f}s "
-                    "of launch (worker wrote no checkpoint -- hung during "
+                    "of launch (worker wrote no record -- hung during "
                     "import or trace emulation); attempt declared dead"
                 )
             return None
         age = time.time() - beat
         if age > self.heartbeat_window:
             return (
-                f"heartbeat stalled: checkpoint untouched for {age:.1f}s "
+                f"heartbeat stalled: store untouched for {age:.1f}s "
                 f"(window {self.heartbeat_window:.1f}s); attempt declared dead"
             )
         return None
 
-    def _checkpoint_path(self, remote_store: str, keys: Sequence[str],
-                         shard: Optional[Tuple[int, int]]) -> str:
-        key = checkpoint_key(keys, shard)
-        return join_remote(remote_store, "records", key[:2], f"{key}.json")
+    @staticmethod
+    def _heartbeat_path(remote_store: str) -> str:
+        return join_remote(remote_store, SEGMENTS_DIR)
 
     # -- the Executor contract --------------------------------------------
 
@@ -436,7 +436,6 @@ class RemoteExecutor(Executor):
         flights: List[_Flight] = []
         for position, index in enumerate(indices):
             host = live[position % len(live)]
-            keys = [point_key(p) for p in assignment[index]]
             remote_root = self._remote_root(host, manifest)
             remote_store = join_remote(
                 remote_root, f"shard-{index + 1}-of-{manifest.shards}"
@@ -461,9 +460,7 @@ class RemoteExecutor(Executor):
                 proc=self.transport.spawn(host, cmd, handle),
                 handle=handle,
                 remote_store=remote_store,
-                checkpoint=self._checkpoint_path(
-                    remote_store, keys, (index, manifest.shards)
-                ),
+                heartbeat=self._heartbeat_path(remote_store),
                 label=f"shard {index + 1}/{manifest.shards}",
             ))
             self._note_shard(manifest, index, host, "running")
@@ -534,9 +531,7 @@ class RemoteExecutor(Executor):
                 proc=self.transport.spawn(host, cmd, handle),
                 handle=handle,
                 remote_store=remote_store,
-                checkpoint=self._checkpoint_path(
-                    remote_store, [point_key(p) for p in piece], None
-                ),
+                heartbeat=self._heartbeat_path(remote_store),
                 label=label,
             ))
         return self._supervise(flights, manifest, log)

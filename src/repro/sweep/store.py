@@ -8,8 +8,8 @@ re-time a cached trace on new configurations without re-emulating the
 kernel -- and ``sweep-checkpoint``, the resume/progress record of a
 (possibly sharded) campaign (:func:`repro.sweep.engine.checkpoint_key`).
 
-Every record is one JSON file whose name is the SHA-256 of a canonical
-description of what produced it: the sweep point, the *resolved*
+Every record is one JSON object stored under a key, the SHA-256 of a
+canonical description of what produced it: the sweep point, the *resolved*
 processor/memory configuration (so a change to any Table III/IV constant
 or an ablation override yields a different address), and a digest of the
 simulator's own source code.  Repeated runs of the figures, tables,
@@ -19,13 +19,18 @@ the address simply misses.
 
 Layout::
 
-    <root>/records/<key[:2]>/<key>.json
+    <root>/segments/<stamp>-<pid>-<nonce>.seg
 
-Writes go through a uniquely-named temporary file in the final directory
-followed by :func:`os.replace`, so concurrent writers (processes or
-threads) can race on the same key and readers still only ever observe
-complete records.  A record that fails to parse or fails its integrity
-check is treated as a miss and removed.
+Each writer process appends framed records (header with key, stamp,
+length and CRC-32s, then the record's JSON bytes) to its own segment,
+shared by every :class:`ResultStore` it holds for that root; readers
+find records through an in-memory index built from the frame headers
+and extended on a miss.  No two processes append to one file, so
+concurrent writers can race on the same key -- the newest frame
+answers.  A record that fails its checksum, does not parse or carries
+another key reads as a miss; nothing is deleted on read (``gc``
+compacts).  ``docs/sweeping.md`` states the crash and corruption
+contract.
 
 In front of the store sits one bounded, thread-safe in-process memo,
 :data:`MEMO`, keyed by the store a result came from: an entry only ever
@@ -36,17 +41,21 @@ still reads -- and fills -- the new store.
 from __future__ import annotations
 
 import base64
+import errno
+import fcntl
 import gzip
 import hashlib
 import io
 import json
 import os
 import re
+import secrets
+import struct
 import tarfile
-import tempfile
 import threading
+import time
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -161,10 +170,9 @@ def load_payload(store: Optional["ResultStore"], key: str) -> Optional[Any]:
 def peek_payload(store: Optional["ResultStore"], key: str) -> Optional[Any]:
     """Side-effect-free read of the payload under ``key``.
 
-    Unlike :func:`load_payload` this never quarantines a corrupt record
-    -- the read hook the serving layer (:mod:`repro.serve`) uses, where
-    concurrent request handlers must not race each other into deleting
-    evidence (or freshly-written records) out from under ``verify``.
+    The read hook the serving layer (:mod:`repro.serve`) uses.  Every
+    store read is side-effect free, so this is :func:`load_payload`
+    under the name the serving layer and its benchmark import.
     """
     if store is None:
         return None
@@ -353,14 +361,18 @@ class GcStats:
     kept: int = 0
     removed: int = 0
     removed_bytes: int = 0
-    tmp_removed: int = 0
+    #: Frames a later save of the same key replaced.
+    superseded: int = 0
+    #: Torn tails (a killed writer's last frame, cut short) dropped.
+    torn_removed: int = 0
     kept_code_versions: Tuple[str, ...] = ()
 
     def summary(self) -> str:
         return (
             f"kept {self.kept} records, removed {self.removed} "
             f"({self.removed_bytes} bytes) from dead code versions, "
-            f"swept {self.tmp_removed} stray temp files"
+            f"dropped {self.superseded} superseded frames and "
+            f"{self.torn_removed} torn tails"
         )
 
 
@@ -405,149 +417,528 @@ class ImportStats:
         return text + ")"
 
 
+# ---------------------------------------------------------------------------
+# Append-only segments: the on-disk layout.
+# ---------------------------------------------------------------------------
+
+#: Directory under a store root that holds the segment files.
+SEGMENTS_DIR = "segments"
+
+#: Suffix of a segment file; anything else in :data:`SEGMENTS_DIR` (a
+#: compaction in progress) is invisible to readers.
+SEGMENT_SUFFIX = ".seg"
+
+_MAGIC = b"RSf1"
+
+#: Frame header: magic, key (32 raw bytes), stamp (ns, newest wins),
+#: record length, CRC-32 over key and record -- then a CRC-32 of those
+#: 52 bytes, which tells a broken header from a frame cut short.
+_HEAD = struct.Struct("<4s32sQII")
+_HEAD_CRC = struct.Struct("<I")
+HEADER_BYTES = _HEAD.size + _HEAD_CRC.size
+
+#: Bytes read per ``pread`` while indexing frame headers.
+_SCAN_CHUNK = 64 * 1024
+
+#: Append handles a process keeps open at once (one per store root).
+#: The least recently used one beyond this is closed; its root then
+#: gets a fresh segment on its next save.
+_MAX_WRITERS = 64
+
+
+def record_crc(key: str, raw: bytes) -> int:
+    """The frame checksum of record bytes ``raw`` under ``key``."""
+    return zlib.crc32(raw, zlib.crc32(bytes.fromhex(key)))
+
+
+def encode_header(key: str, stamp: int, raw: bytes, crc: Optional[int] = None) -> bytes:
+    """The header of the frame holding record bytes ``raw`` under ``key``."""
+    binkey = bytes.fromhex(key)
+    if len(binkey) != 32:
+        raise ValueError(f"store keys are 64 hex digits, got {key!r}")
+    if crc is None:
+        crc = zlib.crc32(raw, zlib.crc32(binkey))
+    head = _HEAD.pack(_MAGIC, binkey, stamp, len(raw), crc)
+    return head + _HEAD_CRC.pack(zlib.crc32(head))
+
+
+def decode_header(buf, offset: int = 0) -> Optional[Tuple[str, int, int, int]]:
+    """``(key, stamp, length, crc)`` of the header at ``offset``; None if broken."""
+    end = offset + _HEAD.size
+    if len(buf) < end + _HEAD_CRC.size:
+        return None
+    (check,) = _HEAD_CRC.unpack_from(buf, end)
+    if zlib.crc32(buf[offset:end]) != check:
+        return None
+    magic, binkey, stamp, length, crc = _HEAD.unpack_from(buf, offset)
+    if magic != _MAGIC:
+        return None
+    return binkey.hex(), stamp, length, crc
+
+
+def _parse_record(key: str, raw: bytes) -> Optional[Dict[str, Any]]:
+    """The record in ``raw`` if it parses and carries ``key``, else None."""
+    try:
+        # UnicodeDecodeError is a ValueError: binary corruption is
+        # rejected exactly like textual truncation.
+        record = json.loads(raw.decode("utf-8"))
+        if not isinstance(record, dict) or record.get("key") != key:
+            return None
+        record["payload"]  # noqa: B018 -- presence check
+    except (ValueError, KeyError):
+        return None
+    return record
+
+
+class _Segment:
+    """What a reader knows of one segment file."""
+
+    __slots__ = ("inode", "size", "end", "damaged")
+
+    def __init__(self, inode: int) -> None:
+        self.inode = inode
+        #: File size when last scanned: an unchanged size skips the scan.
+        self.size = 0
+        #: Offset just past the last whole frame indexed.
+        self.end = 0
+        #: Offset of a broken frame header, past which nothing is read.
+        self.damaged: Optional[int] = None
+
+
+class _Writer:
+    """This process's append handle on one segment."""
+
+    __slots__ = ("pid", "fd", "name", "path", "dev", "inode", "end")
+
+    def __init__(self, segments_dir: str) -> None:
+        os.makedirs(segments_dir, exist_ok=True)
+        self.pid = os.getpid()
+        self.name = (
+            f"{time.time_ns():016x}-{self.pid}-{secrets.token_hex(4)}"
+            f"{SEGMENT_SUFFIX}"
+        )
+        self.path = os.path.join(segments_dir, self.name)
+        self.fd = os.open(
+            self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644
+        )
+        try:
+            # Held for the handle's lifetime: gc compacts only segments
+            # it can lock, so it never touches one being appended to.
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            st = os.fstat(self.fd)
+        except BaseException:
+            self.close()
+            raise
+        self.dev, self.inode, self.end = st.st_dev, st.st_ino, 0
+
+    def current(self) -> bool:
+        """The segment is still where it was opened (not removed or moved)."""
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            return False
+        return st.st_ino == self.inode and st.st_dev == self.dev
+
+    def close(self) -> None:
+        try:
+            os.close(self.fd)
+        except OSError:
+            pass
+
+
+class _Root:
+    """Per-process state of one store root: its append handle and index.
+
+    Every :class:`ResultStore` for the same root shares one instance
+    (:func:`_root_state`), so a process writes one segment per root and
+    reads its own writes without rescanning.
+    """
+
+    def __init__(self, root: str) -> None:
+        self.segments_dir = os.path.join(root, SEGMENTS_DIR)
+        self.lock = threading.Lock()
+        self.writer: Optional[_Writer] = None
+        self.stamp = 0
+        #: key -> (stamp, segment, offset, length) of its newest frame;
+        #: None until the first read builds it.
+        self.entries: Optional[Dict[str, Tuple[int, str, int, int]]] = None
+        self.segments: Dict[str, _Segment] = {}
+
+    # -- writing ---------------------------------------------------------
+
+    def append(self, key: str, raw: bytes) -> None:
+        """Append one frame; returns once the OS holds it, raises OSError."""
+        crc = record_crc(key, raw)
+        with self.lock:
+            writer = self._live_writer()
+            self.stamp = max(time.time_ns(), self.stamp + 1)
+            head = encode_header(key, self.stamp, raw, crc)
+            offset = writer.end
+            try:
+                written = os.writev(writer.fd, (head, raw))
+                if written != len(head) + len(raw):
+                    raise OSError(errno.EIO, "short append to a store segment")
+            except OSError:
+                # Never leave a torn frame ahead of later ones: cut it
+                # off, or give the segment up if even that fails.
+                try:
+                    os.ftruncate(writer.fd, offset)
+                except OSError:
+                    self._drop_writer()
+                raise
+            writer.end = offset + written
+            if self.entries is not None:
+                seen = self.segments.setdefault(writer.name, _Segment(writer.inode))
+                if seen.end == offset:
+                    seen.size = seen.end = writer.end
+                    self._index(key, (self.stamp, writer.name, offset, len(raw)))
+
+    def _live_writer(self) -> _Writer:
+        writer = self.writer
+        if writer is not None and writer.pid == os.getpid() and writer.current():
+            _touch_writer(self)
+            return writer
+        self._drop_writer()
+        self.writer = writer = _Writer(self.segments_dir)
+        _touch_writer(self)
+        return writer
+
+    def _drop_writer(self) -> None:
+        writer, self.writer = self.writer, None
+        if writer is not None:
+            writer.close()
+            _forget_writer(self)
+
+    # -- the index -------------------------------------------------------
+
+    def _index(self, key: str, entry: Tuple[int, str, int, int]) -> None:
+        old = self.entries.get(key)
+        if old is None or entry > old:
+            self.entries[key] = entry
+
+    def lookup(self, key: str) -> Optional[Tuple[int, str, int, int]]:
+        """The index entry of ``key``; a miss first indexes what is new."""
+        entries = self.entries
+        if entries is not None:
+            entry = entries.get(key)
+            if entry is not None:
+                return entry
+        with self.lock:
+            self.refresh()
+            return self.entries.get(key)
+
+    def refresh(self) -> None:
+        """Index new segments and the grown tails of known ones (lock held).
+
+        A segment that vanished or was replaced (gc, a removed root)
+        invalidates the whole index, which is then rebuilt: frames
+        already indexed are never read again otherwise.
+        """
+        if self.entries is None:
+            self.entries, self.segments = {}, {}
+        try:
+            with os.scandir(self.segments_dir) as found:
+                listing = {
+                    entry.name: entry
+                    for entry in found
+                    if entry.name.endswith(SEGMENT_SUFFIX)
+                }
+        except OSError:
+            listing = {}
+        if any(
+            name not in listing or listing[name].inode() != seg.inode
+            for name, seg in self.segments.items()
+        ):
+            self.entries, self.segments = {}, {}
+        writer = self.writer
+        for name in sorted(listing):
+            seg = self.segments.get(name)
+            if seg is None:
+                seg = self.segments[name] = _Segment(listing[name].inode())
+            if seg.damaged is not None:
+                continue
+            if writer is not None and writer.name == name:
+                if writer.end == seg.end:
+                    continue
+            else:
+                try:
+                    if listing[name].stat().st_size == seg.size:
+                        continue
+                except OSError:
+                    continue
+            self._scan(name, seg)
+
+    def rebuild(self) -> None:
+        """Forget the index and build it again from the segments (lock held)."""
+        self.entries = None
+        self.refresh()
+
+    def _scan(self, name: str, seg: _Segment) -> None:
+        try:
+            fd = os.open(os.path.join(self.segments_dir, name), os.O_RDONLY)
+        except OSError:
+            return
+        try:
+            st = os.fstat(fd)
+            if st.st_ino != seg.inode or st.st_size < seg.end:
+                # Replaced or cut back since it was listed or indexed:
+                # leave it to the next refresh, which rebuilds.
+                seg.inode = -1
+                return
+            pos, size = seg.end, st.st_size
+            seg.size = size
+            buf, base = b"", pos
+            while pos + HEADER_BYTES <= size:
+                if pos + HEADER_BYTES > base + len(buf):
+                    buf, base = os.pread(fd, _SCAN_CHUNK, pos), pos
+                    if len(buf) < HEADER_BYTES:
+                        break  # cut back while being read
+                header = decode_header(buf, pos - base)
+                if header is None:
+                    seg.damaged = pos
+                    if self.writer is not None and self.writer.name == name:
+                        # Frames appended behind the damage would be
+                        # hidden from every fresh reader.
+                        self._drop_writer()
+                    break
+                key, stamp, length, _ = header
+                end = pos + HEADER_BYTES + length
+                if end > size:
+                    break  # a torn tail, or a frame still being written
+                self._index(key, (stamp, name, pos, length))
+                pos = end
+            seg.end = pos
+        finally:
+            os.close(fd)
+
+    # -- reading ---------------------------------------------------------
+
+    def frame(self, key: str) -> Optional[Tuple[bytes, bool]]:
+        """``(record bytes, checksum holds)`` of ``key``'s newest frame.
+
+        A segment found gone or changed under its index entry triggers
+        one rebuild of the index before the key reads as missing.
+        """
+        for _ in range(2):
+            entry = self.lookup(key)
+            if entry is None:
+                return None
+            found = self._read(key, entry)
+            if found is not None:
+                return found
+            with self.lock:
+                self.rebuild()
+        return None
+
+    def _read(self, key: str, entry) -> Optional[Tuple[bytes, bool]]:
+        stamp, name, offset, length = entry
+        seg = self.segments.get(name)
+        try:
+            fd = os.open(os.path.join(self.segments_dir, name), os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            if seg is None or os.fstat(fd).st_ino != seg.inode:
+                return None  # replaced since it was indexed
+            buf = os.pread(fd, HEADER_BYTES + length, offset)
+        finally:
+            os.close(fd)
+        header = decode_header(buf)
+        if header is None or header[:3] != (key, stamp, length) or len(buf) != HEADER_BYTES + length:
+            return None
+        raw = buf[HEADER_BYTES:]
+        return raw, record_crc(key, raw) == header[3]
+
+    def contains(self, key: str) -> bool:
+        for _ in range(2):
+            entry = self.lookup(key)
+            if entry is None:
+                return False
+            seg = self.segments.get(entry[1])
+            try:
+                inode = os.stat(os.path.join(self.segments_dir, entry[1])).st_ino
+            except OSError:
+                inode = None
+            if seg is not None and inode == seg.inode:
+                return True
+            with self.lock:
+                self.rebuild()
+        return False
+
+    def snapshot(self, rescan: bool = False):
+        """Copies of the index and segment table, brought up to date.
+
+        ``rescan`` re-reads every frame header instead of only what is
+        new: ``verify`` and ``gc`` judge the files as they are now, not
+        as they were when this process first indexed them.
+        """
+        with self.lock:
+            self.refresh()
+            if rescan or any(seg.inode == -1 for seg in self.segments.values()):
+                self.rebuild()
+            return dict(self.entries), dict(self.segments)
+
+
+_ROOTS: Dict[str, _Root] = {}
+_ROOTS_LOCK = threading.Lock()
+
+#: Roots with an open append handle, least recently used first.
+_WRITERS: "OrderedDict[int, _Root]" = OrderedDict()
+
+
+def _root_state(root: Path) -> _Root:
+    path = os.path.abspath(str(root))
+    state = _ROOTS.get(path)
+    if state is None:
+        with _ROOTS_LOCK:
+            state = _ROOTS.setdefault(path, _Root(path))
+    return state
+
+
+def _touch_writer(state: _Root) -> None:
+    """Mark ``state``'s handle used; close the stalest beyond the cap."""
+    with _ROOTS_LOCK:
+        _WRITERS[id(state)] = state
+        _WRITERS.move_to_end(id(state))
+        over = len(_WRITERS) - _MAX_WRITERS
+        stale = list(_WRITERS.values())[:over] if over > 0 else []
+    for other in stale:
+        # Never wait on another root's lock while holding our own.
+        if other.lock.acquire(blocking=False):
+            try:
+                other._drop_writer()
+            finally:
+                other.lock.release()
+
+
+def _forget_writer(state: _Root) -> None:
+    with _ROOTS_LOCK:
+        _WRITERS.pop(id(state), None)
+
+
+def _after_fork_in_child() -> None:
+    """A forked child writes its own segments, never through its parent's.
+
+    Locks are renewed (a parent thread may have held one at the fork) and
+    inherited handles closed: the parent's flock stays with the parent.
+    """
+    global _ROOTS_LOCK
+    _ROOTS_LOCK = threading.Lock()
+    _WRITERS.clear()
+    for state in _ROOTS.values():
+        state.lock = threading.Lock()
+        writer, state.writer = state.writer, None
+        if writer is not None:
+            writer.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 class ResultStore:
-    """Content-addressed JSON store, one record per file.
+    """Content-addressed store of JSON records in append-only segments.
 
     Beyond ``load``/``save``, the store is a maintainable artifact:
     :meth:`merge` reunifies per-shard campaign stores, :meth:`gc`
-    retires records of dead code versions, :meth:`verify` re-hashes
-    every payload, :meth:`stats` summarises the contents, and
-    :meth:`export`/:meth:`import_` round-trip the records through a
-    deterministic tarball for host-to-host transfer.  All of these are
-    surfaced as ``python -m repro store`` verbs, and the campaign
-    orchestrator (``docs/campaigns.md``) drives :meth:`merge` +
+    retires records of dead code versions and compacts segments,
+    :meth:`verify` re-hashes every payload, :meth:`stats` summarises the
+    contents, and :meth:`export`/:meth:`import_` round-trip the records
+    through a deterministic tarball for host-to-host transfer.  All of
+    these are surfaced as ``python -m repro store`` verbs, and the
+    campaign orchestrator (``docs/campaigns.md``) drives :meth:`merge` +
     :meth:`verify` automatically before promoting a merged store.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(os.path.expanduser(str(root)))
+        #: Where the segment files live; its newest file mtime is the
+        #: store's heartbeat (:func:`repro.sweep.transport.newest_mtime`).
+        self.segments_dir = self.root / SEGMENTS_DIR
+        self._state: Optional[_Root] = None
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r})"
 
-    def path_for(self, key: str) -> Path:
-        return self.root / "records" / key[:2] / f"{key}.json"
+    def _root(self) -> _Root:
+        if self._state is None:
+            self._state = _root_state(self.root)
+        return self._state
+
+    def _read(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
+        """Record bytes and parsed record of ``key``, if both are sound."""
+        found = self._root().frame(key)
+        if found is None or not found[1]:
+            return None
+        record = _parse_record(key, found[0])
+        return None if record is None else (found[0], record)
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read the record under ``key`` without side effects.
+        """Read the record under ``key``; None if missing or damaged.
 
-        Returns None for both missing and corrupt records, touching
-        neither: the maintenance verbs (merge, gc, stats, export) read
-        through here so that inspecting a store can never destroy the
-        evidence :meth:`verify` exists to report.
+        A damaged record -- a frame failing its checksum, bytes that do
+        not parse or a record carrying another key -- reads as a miss,
+        so the caller recomputes it and the fresh frame supersedes the
+        bad one.  Nothing is deleted on read: the evidence stays for
+        :meth:`verify` until :meth:`gc` drops the superseded frame.
         """
-        path = self.path_for(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            # UnicodeDecodeError is a ValueError: binary corruption is
-            # rejected exactly like textual truncation.
-            record = json.loads(raw.decode("utf-8"))
-            if not isinstance(record, dict) or record.get("key") != key:
-                raise ValueError("record integrity check failed")
-            record["payload"]  # noqa: B018 -- presence check
-        except (ValueError, KeyError):
-            return None
-        return record
+        found = self._read(key)
+        return None if found is None else found[1]
 
     def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Return the record stored under ``key``, or None.
+        """Return the record stored under ``key``, or None (as :meth:`peek`)."""
+        return self.peek(key)
 
-        Corrupted records (truncated writes from killed processes, disk
-        faults) are removed and reported as misses so the caller simply
-        recomputes them.
-        """
-        record = self.peek(key)
-        if record is None:
-            try:
-                self.path_for(key).unlink()
-            except OSError:
-                pass
-        return record
+    def record_bytes(self, key: str) -> Optional[bytes]:
+        """The bytes of the record under ``key`` exactly as saved, or None."""
+        found = self._read(key)
+        return None if found is None else found[0]
 
     def save(self, key: str, record: Dict[str, Any]) -> None:
-        """Atomically persist ``record`` under ``key`` (best effort).
+        """Append ``record`` under ``key`` (best effort).
 
-        The temporary file lives in the final directory so the
-        :func:`os.replace` is within one filesystem and atomic; a failed
-        write never leaves a partial record behind.
+        Returns once the frame is handed to the OS, so a killed process
+        loses no acknowledged record.  Persistence is an optimisation: an
+        unwritable store must never take the simulation down with it.
         """
         record = dict(record)
         record["key"] = key
-        path = self.path_for(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(record, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            self._root().append(key, json.dumps(record).encode("utf-8"))
         except OSError:
-            # Persistence is an optimisation; an unwritable store must
-            # never take the simulation down with it.
             return
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        return self._root().contains(key)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.iter_keys())
+        return len(self._root().snapshot()[0])
 
     def missing(self, keys: Iterable[str]) -> List[str]:
         """The subset of ``keys`` with no record in this store, in order.
 
-        Read-only (no quarantining): the campaign orchestrator uses it
-        to decide whether a shard store is complete before promoting a
-        merge, and to report what a resume would recompute.
+        Read-only: the campaign orchestrator uses it to decide whether a
+        shard store is complete before promoting a merge, and to report
+        what a resume would recompute.
         """
         return [key for key in keys if key not in self]
 
     def iter_keys(self) -> Iterator[str]:
-        records = self.root / "records"
-        if not records.is_dir():
-            return
-        for shard in sorted(records.iterdir()):
-            if not shard.is_dir():
-                continue
-            for path in sorted(shard.glob("*.json")):
-                yield path.stem
+        """Every key with a frame in the store, sorted."""
+        return iter(sorted(self._root().snapshot()[0]))
 
     # -- maintenance ------------------------------------------------------
 
-    def _write_bytes(self, key: str, raw: bytes) -> None:
-        """Atomically place pre-serialised record bytes under ``key``.
+    def _append(self, key: str, raw: bytes) -> None:
+        """Append pre-serialised record bytes under ``key``, raising on failure.
 
         Used by merge/import so copied records stay byte-for-byte what
         the source store held (a merged campaign store must be
         indistinguishable from a single-process one).  Unlike
-        :meth:`save` this raises on I/O failure: maintenance verbs must
-        report a broken destination, not silently drop records.
+        :meth:`save` this raises: maintenance verbs must report a broken
+        destination, not silently drop records.
         """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self._root().append(key, raw)
 
     def merge(self, other: "ResultStore") -> MergeStats:
         """Copy every valid record from ``other`` into this store.
@@ -567,16 +958,14 @@ class ResultStore:
             )
         stats = MergeStats(source=str(other.root))
         for key in other.iter_keys():
-            # peek, not load: merging must never delete a corrupt
-            # record from the *source* store it is only reading.
-            record = other.peek(key)
-            if record is None:
+            found = other._read(key)
+            if found is None:
                 stats.corrupt += 1
                 continue
-            raw = other.path_for(key).read_bytes()
+            raw, record = found
             mine = self.peek(key)
             if mine is None:
-                self._write_bytes(key, raw)
+                self._append(key, raw)
                 stats.merged += 1
             elif canonical_json(mine["payload"]) == canonical_json(record["payload"]):
                 stats.identical += 1
@@ -590,66 +979,113 @@ class ResultStore:
         drop_unstamped: bool = False,
         dry_run: bool = False,
     ) -> GcStats:
-        """Remove records produced under retired code versions.
+        """Retire records of dead code versions and compact segments.
 
         The current :func:`code_version` is *always* kept -- gc can
         never invalidate a warm run of the code that is actually
         installed -- plus any digests in ``keep_code_versions``.
         Records predating the ``code`` stamp are kept unless
-        ``drop_unstamped`` is set.  Stray ``*.tmp`` files from killed
-        writers are always swept.
+        ``drop_unstamped`` is set.
+
+        gc compacts only segments it can lock, so it never touches one
+        another process is appending to.  Their kept frames -- including
+        damaged ones, left for :meth:`verify` to report -- are copied
+        verbatim into a fresh segment, renamed into place before the
+        compacted segments are deleted.  Superseded frames, records of
+        dead code versions and torn tails of killed writers are dropped.
+        A segment with a broken frame header is left as it is.
         """
         keep = {code_version()} | {str(v) for v in keep_code_versions}
         stats = GcStats(kept_code_versions=tuple(sorted(keep)))
-        records = self.root / "records"
-        if not records.is_dir():
-            return stats
-        for shard in sorted(records.iterdir()):
-            if not shard.is_dir():
-                continue
-            for tmp in sorted(shard.glob("*.tmp")):
-                if not dry_run:
-                    try:
-                        tmp.unlink()
-                    except OSError:
-                        continue
-                stats.tmp_removed += 1
-            for path in sorted(shard.glob("*.json")):
-                record = self.peek(path.stem)
+        state = self._root()
+        with state.lock:
+            # This process's own handle is released so its segment can
+            # be compacted too; the next save opens a fresh one.
+            state._drop_writer()
+        locked: Dict[str, int] = {}
+        try:
+            for name, seg in sorted(state.snapshot()[1].items()):
+                fd = _lock_segment(state.segments_dir, name, seg.inode)
+                if fd is not None:
+                    locked[name] = fd
+            # A locked segment has no writer and never will again, so it
+            # is indexed here in full; damaged ones stay as they are.
+            entries, segments = state.snapshot(rescan=True)
+            for name in list(locked):
+                seg = segments.get(name)
+                if seg is None or seg.damaged is not None or (
+                    os.fstat(locked[name]).st_ino != seg.inode
+                ):
+                    os.close(locked.pop(name))
+            copies: List[Tuple[int, str, int, int]] = []
+            for key, entry in sorted(entries.items()):
+                if entry[1] not in locked:
+                    stats.kept += 1
+                    continue
+                found = state._read(key, entry)
+                if found is None:
+                    continue
+                raw, sound = found
+                record = _parse_record(key, raw) if sound else None
                 if record is None:
-                    # Corrupt: left in place for `verify` to report
-                    # (gc retires dead code versions, not evidence).
+                    copies.append(entry)  # damaged: kept for verify
                     continue
                 code = record.get("code")
-                stale = code not in keep if code is not None else drop_unstamped
-                if stale:
+                if code not in keep if code is not None else drop_unstamped:
                     stats.removed += 1
-                    stats.removed_bytes += path.stat().st_size
-                    if not dry_run:
-                        try:
-                            path.unlink()
-                        except OSError:
-                            pass
+                    stats.removed_bytes += len(raw)
                 else:
                     stats.kept += 1
+                    copies.append(entry)
+            newest = Counter(entry[1] for entry in entries.values())
+            for name, fd in locked.items():
+                end = segments[name].end
+                stats.superseded += _count_frames(fd, end) - newest[name]
+                stats.torn_removed += os.fstat(fd).st_size > end
+            garbage = stats.removed + stats.superseded + stats.torn_removed
+            if dry_run or not locked or (len(locked) == 1 and not garbage):
+                return stats
+            if copies:
+                _write_segment(state.segments_dir, sorted(copies), locked)
+            for name in locked:
+                try:
+                    os.unlink(os.path.join(state.segments_dir, name))
+                except OSError:
+                    pass
+        finally:
+            for fd in locked.values():
+                os.close(fd)
+            with state.lock:
+                state.entries = None
         return stats
 
     def verify(self) -> VerifyReport:
-        """Re-hash every payload and report corruption, touching nothing.
+        """Re-check every record and report damage, touching nothing.
 
-        Three layers of checks: the record must parse and carry its own
-        key (anything else is quarantined by :meth:`load` and reported
-        here as unreadable), a ``payload_sha256`` stamp must match the
-        canonical payload JSON, and ``trace`` payloads must decompress
-        to bytes matching their embedded digest.
+        Each key is judged by the frame it answers with: the frame's
+        checksum must hold, the record must parse and carry its own key,
+        a ``payload_sha256`` stamp must match the canonical payload
+        JSON, and ``trace`` payloads must decompress to bytes matching
+        their embedded digest.  A segment whose frame header is broken
+        hides the keys behind it; it is reported by name.  A torn tail
+        (a killed writer's last frame cut short) is not damage.
         """
         report = VerifyReport()
-        for key in list(self.iter_keys()):
+        state = self._root()
+        entries, segments = state.snapshot(rescan=True)
+        for key, entry in sorted(entries.items()):
             report.checked += 1
-            path = self.path_for(key)
+            found = state._read(key, entry)
+            if found is None:
+                report.problems.append((key, "frame vanished while verifying"))
+                continue
+            raw, sound = found
+            if not sound:
+                report.problems.append((key, "frame checksum mismatch (bit-rot)"))
+                continue
             try:
-                record = json.loads(path.read_bytes().decode("utf-8"))
-            except (OSError, ValueError):
+                record = json.loads(raw.decode("utf-8"))
+            except ValueError:
                 report.problems.append((key, "unreadable or not valid JSON"))
                 continue
             if not isinstance(record, dict) or record.get("key") != key:
@@ -669,6 +1105,13 @@ class ResultStore:
                     report.problems.append(
                         (key, "trace payload fails to decode or digest-check")
                     )
+        for name, seg in sorted(segments.items()):
+            if seg.damaged is not None:
+                report.problems.append((
+                    f"{SEGMENTS_DIR}/{name}",
+                    f"broken frame header at byte {seg.damaged}: "
+                    "the records behind it are unreadable",
+                ))
         return report
 
     def stats(self) -> Dict[str, Any]:
@@ -680,7 +1123,8 @@ class ResultStore:
         serving layer embeds under ``store`` in its ``/metrics``
         payload, so external monitoring can consume either without
         parsing human-formatted text.  Existing keys never change
-        meaning within a schema version; additions bump it.
+        meaning within a schema version; additions bump it.  ``bytes``
+        sums the record bytes of the records counted.
         """
         by_kind: Dict[str, int] = {}
         code_versions: Dict[str, int] = {}
@@ -689,12 +1133,13 @@ class ResultStore:
         unstamped = 0
         corrupt = 0
         for key in self.iter_keys():
-            record = self.peek(key)
-            if record is None:
+            found = self._read(key)
+            if found is None:
                 corrupt += 1
                 continue
+            raw, record = found
             records += 1
-            total_bytes += self.path_for(key).stat().st_size
+            total_bytes += len(raw)
             kind = record.get("kind", "<unknown>")
             by_kind[kind] = by_kind.get(kind, 0) + 1
             code = record.get("code")
@@ -719,11 +1164,16 @@ class ResultStore:
 
         Identical store contents produce identical archive bytes
         (sorted members, zeroed timestamps/owners, gzip mtime pinned),
-        so exports can themselves be content-addressed or diffed.
-        Returns the number of records exported.
+        so exports can themselves be content-addressed or diffed.  Each
+        record is the member ``records/<key[:2]>/<key>.json``, holding
+        its bytes exactly as saved.  Returns the number exported.
         """
         archive = Path(os.path.expanduser(str(archive)))
-        keys = [key for key in self.iter_keys() if self.peek(key) is not None]
+        records = []
+        for key in self.iter_keys():
+            found = self._read(key)
+            if found is not None:
+                records.append((key, found[0]))
         archive.parent.mkdir(parents=True, exist_ok=True)
 
         def member(name: str, raw: bytes) -> Tuple[tarfile.TarInfo, bytes]:
@@ -735,7 +1185,7 @@ class ResultStore:
             return info, raw
 
         meta = canonical_json(
-            {"schema": SCHEMA_VERSION, "records": len(keys)}
+            {"schema": SCHEMA_VERSION, "records": len(records)}
         ).encode("utf-8")
         # gzip via fileobj so the header carries neither the archive
         # filename nor a timestamp: same contents, same bytes.
@@ -744,23 +1194,20 @@ class ResultStore:
         ) as gz:
             with tarfile.open(fileobj=gz, mode="w") as tar:
                 for info, raw in [member(_EXPORT_META, meta)] + [
-                    member(
-                        f"records/{key[:2]}/{key}.json",
-                        self.path_for(key).read_bytes(),
-                    )
-                    for key in keys
+                    member(f"records/{key[:2]}/{key}.json", raw)
+                    for key, raw in records
                 ]:
                     tar.addfile(info, io.BytesIO(raw))
-        return len(keys)
+        return len(records)
 
     def import_(self, archive) -> ImportStats:
         """Load an :meth:`export` archive into this store.
 
-        Member names are validated against the record layout (a 64-hex
+        Member names are validated against the archive layout (a 64-hex
         key under its 2-hex prefix directory -- no traversal, no
         foreign files) and each record must parse and carry the key its
-        filename claims; anything else is rejected, not extracted.
-        ``export`` then ``import_`` into a fresh root is a payload-exact
+        name claims; anything else is rejected, not stored.
+        ``export`` then ``import_`` into a fresh root is a byte-exact
         round-trip.
         """
         archive = Path(os.path.expanduser(str(archive)))
@@ -777,23 +1224,72 @@ class ResultStore:
                 key = match.group(2)
                 handle = tar.extractfile(info)
                 raw = handle.read() if handle is not None else b""
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                    if not isinstance(record, dict) or record.get("key") != key:
-                        raise ValueError("key mismatch")
-                    record["payload"]  # noqa: B018 -- presence check
-                except (ValueError, KeyError):
+                record = _parse_record(key, raw)
+                if record is None:
                     stats.rejected += 1
                     continue
                 mine = self.peek(key)
                 if mine is None:
-                    self._write_bytes(key, raw)
+                    self._append(key, raw)
                     stats.imported += 1
                 elif canonical_json(mine["payload"]) == canonical_json(record["payload"]):
                     stats.identical += 1
                 else:
                     stats.conflicts.append(key)
         return stats
+
+
+def _lock_segment(segments_dir: str, name: str, inode: int) -> Optional[int]:
+    """An fd holding ``name``'s flock, or None if a writer holds it."""
+    try:
+        fd = os.open(os.path.join(segments_dir, name), os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if os.fstat(fd).st_ino == inode:
+            return fd
+    except OSError:
+        pass
+    os.close(fd)
+    return None
+
+
+def _count_frames(fd: int, end: int) -> int:
+    """Whole frames in the first ``end`` bytes of a segment."""
+    count = pos = 0
+    while pos < end:
+        header = decode_header(os.pread(fd, HEADER_BYTES, pos))
+        if header is None:
+            break
+        count += 1
+        pos += HEADER_BYTES + header[2]
+    return count
+
+
+def _write_segment(
+    segments_dir: str,
+    copies: List[Tuple[int, str, int, int]],
+    sources: Dict[str, int],
+) -> None:
+    """Copy whole frames from ``sources`` into one fresh segment.
+
+    Written under a name readers ignore and renamed into place, so a
+    reader sees either the old segments or every copied frame.
+    """
+    name = f"{time.time_ns():016x}-{os.getpid()}-{secrets.token_hex(4)}"
+    tmp = os.path.join(segments_dir, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            for _, segment, offset, length in copies:
+                out.write(os.pread(sources[segment], HEADER_BYTES + length, offset))
+        os.replace(tmp, os.path.join(segments_dir, name + SEGMENT_SUFFIX))
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def store_from_root(root: Optional[Any]) -> Optional[ResultStore]:

@@ -3,8 +3,9 @@
 A :class:`Transport` answers five questions about a named host -- run a
 command to completion, spawn a long-lived worker, copy a file there,
 copy a file back, and "what is the mtime of this remote path?" (the
-heartbeat primitive: shard workers touch their checkpoint record after
-every completed point, so supervision is clock math over one ``stat``).
+heartbeat primitive: a shard worker appends to its store's segment
+files as it completes points, so supervision is clock math over the
+newest mtime in the store's segment directory).
 
 Three implementations ship:
 
@@ -92,7 +93,11 @@ class Transport:
         raise NotImplementedError
 
     def mtime(self, host: str, remote: str) -> Optional[float]:
-        """Epoch mtime of ``remote`` on ``host``; None if absent/unreachable."""
+        """Epoch mtime of ``remote`` on ``host``; None if absent/unreachable.
+
+        For a directory: the newest mtime of the files in it, None if it
+        holds none (a store's segment directory is its heartbeat).
+        """
         raise NotImplementedError
 
     def scratch_root(self, host: str) -> str:
@@ -170,18 +175,29 @@ class SshTransport(Transport):
                 f"scp from {host}:{remote} failed: {result.stderr.strip()}"
             )
 
+    @staticmethod
+    def mtime_command(remote: str) -> List[str]:
+        """The remote command behind :meth:`mtime`: one ``sh -c``.
+
+        For a directory it stats every file in it (an empty directory
+        fails like a missing path); ``stat -c %Y`` is GNU, ``stat -f
+        %m`` the BSD fallback.
+        """
+        return ["sh", "-c",
+                f"p={shlex.quote(remote)}; "
+                'if [ -d "$p" ]; then set -- "$p"/*; else set -- "$p"; fi; '
+                '[ -e "$1" ] || exit 1; '
+                'stat -c %Y "$@" 2>/dev/null || stat -f %m "$@"']
+
     def mtime(self, host, remote):
-        # ``stat -c %Y`` (GNU) with a BSD fallback; any failure -- no
-        # file yet, host unreachable -- reads as "no heartbeat".
-        result = self.run(
-            host, ["sh", "-c", f"stat -c %Y {shlex.quote(remote)} 2>/dev/null "
-                               f"|| stat -f %m {shlex.quote(remote)}"]
-        )
+        # Any failure -- no file yet, host unreachable -- reads as "no
+        # heartbeat".
+        result = self.run(host, self.mtime_command(remote))
         if result.returncode != 0:
             return None
         try:
-            return float(result.stdout.strip().splitlines()[-1])
-        except (ValueError, IndexError):
+            return max(float(line) for line in result.stdout.split())
+        except ValueError:
             return None
 
     def scratch_root(self, host):
@@ -230,10 +246,7 @@ class LocalTransport(Transport):
         pass
 
     def mtime(self, host, remote):
-        try:
-            return os.stat(remote).st_mtime
-        except OSError:
-            return None
+        return newest_mtime(remote)
 
     def python(self, host):
         return sys.executable
@@ -312,6 +325,26 @@ def resolve_transport(spec, root: Optional[str] = None) -> Optional[Transport]:
         base = Path(os.path.expanduser(str(root))) / "remote-scratch"
         return LoopbackTransport(base=str(base))
     return TRANSPORTS[name]()
+
+
+def newest_mtime(path) -> Optional[float]:
+    """Epoch mtime of ``path``; for a directory, of its newest file.
+
+    None when ``path`` is missing or a directory holding no files -- a
+    store whose worker has written nothing has no heartbeat yet.
+    """
+    try:
+        if not os.path.isdir(path):
+            return os.stat(path).st_mtime
+        with os.scandir(path) as entries:
+            times = [
+                entry.stat().st_mtime
+                for entry in entries
+                if not entry.name.startswith(".") and entry.is_file()
+            ]
+    except OSError:
+        return None
+    return max(times, default=None)
 
 
 def join_remote(*parts: str) -> str:

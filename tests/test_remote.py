@@ -48,9 +48,9 @@ from repro.sweep import (
     write_points_file,
 )
 from repro.sweep.dispatch import FLEET_NAME, make_executor
-from repro.sweep.engine import FAULT_ENV, checkpoint_key
+from repro.sweep.engine import FAULT_ENV
 from repro.sweep.transport import join_remote
-from store_faults import record_bytes
+from store_faults import record_bytes, segment_files
 
 #: Same small shared-trace grid the campaign suite uses: 8 points over
 #: 4 distinct traces, so trace-grouped sharding is non-trivial.
@@ -152,6 +152,38 @@ class TestTransports:
         # joined string round-trips through shlex unchanged.
         assert argv[3] == shlex.join(command)
         assert shlex.split(argv[3]) == command
+
+    def test_ssh_mtime_pins_one_remote_shell(self):
+        t = SshTransport()
+        remote = "/scratch/it's here/segments"
+        argv = t.ssh_argv("fleet-1", t.mtime_command(remote))
+        assert argv[:3] == ["ssh", "-oBatchMode=yes", "fleet-1"]
+        sh, flag, script = shlex.split(argv[3])
+        assert (sh, flag) == ("sh", "-c")
+        assert script == (
+            "p='/scratch/it'\"'\"'s here/segments'; "
+            'if [ -d "$p" ]; then set -- "$p"/*; else set -- "$p"; fi; '
+            '[ -e "$1" ] || exit 1; '
+            'stat -c %Y "$@" 2>/dev/null || stat -f %m "$@"'
+        )
+
+    def test_ssh_mtime_script_reads_the_newest_file(self, tmp_path):
+        """The remote script, run by a local shell: newest file wins."""
+        script = SshTransport.mtime_command(str(tmp_path / "segs"))
+
+        def run():
+            result = subprocess.run(script, capture_output=True, text=True)
+            lines = result.stdout.split()
+            return max(map(float, lines)) if result.returncode == 0 else None
+
+        assert run() is None  # missing
+        (tmp_path / "segs").mkdir()
+        assert run() is None  # empty: no first heartbeat
+        for name, stamp in (("a.seg", 1000.0), ("b.seg", 5000.0)):
+            (tmp_path / "segs" / name).write_bytes(b"x")
+            os.utime(tmp_path / "segs" / name, (stamp, stamp))
+        assert run() == 5000.0
+        assert LocalTransport().mtime("local-1", str(tmp_path / "segs")) == 5000.0
 
     def test_resolve_transport(self, tmp_path):
         assert resolve_transport(None) is None
@@ -270,9 +302,8 @@ class TestHeartbeatGrace:
         )
 
     def _checkpoint(self, manifest):
-        keys = [point_key(p) for p in manifest.points()]
-        store = ResultStore(manifest.shard_root(0))
-        return store.path_for(checkpoint_key(keys, (0, 1)))
+        """The heartbeat path: the shard store's segment directory."""
+        return ResultStore(manifest.shard_root(0)).segments_dir
 
     def test_silent_worker_was_invisible_without_the_grace_deadline(
         self, tmp_path
@@ -301,11 +332,14 @@ class TestHeartbeatGrace:
         store = ResultStore(manifest.shard_root(0))
         sweep(manifest.points(), store=store, shard=(0, 1), resume=True)
         path = self._checkpoint(manifest)
-        assert path.exists()
+        segments = [path / name for name in segment_files(store)]
+        assert segments
         ex = make_executor(manifest, heartbeat_window=0.5)
-        os.utime(path)  # fresh heartbeat
+        for segment in segments:
+            os.utime(segment)  # fresh heartbeat
         assert ex._overdue("local-1", str(path), elapsed=1e9) is None
-        os.utime(path, (1.0, 1.0))  # decades stale
+        for segment in segments:
+            os.utime(segment, (1.0, 1.0))  # decades stale
         why = ex._overdue("local-1", str(path), elapsed=1e9)
         assert why is not None and "heartbeat stalled" in why
 

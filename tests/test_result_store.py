@@ -37,7 +37,7 @@ from repro.sweep.store import (
 import dataclasses
 
 from repro.machines import get_machine
-from store_faults import damage, drop, record_bytes
+from store_faults import damage, drop, record_bytes, tear
 
 POINT = SweepPoint("ycc", "mmx64", 2)
 
@@ -165,9 +165,12 @@ class TestRecords:
         store.save(key, {"kind": "test", "payload": {"cycles": 1}})
         damage(store, key, "truncate")
         assert store.load(key) is None
-        assert key not in store  # quarantined
+        # Nothing is deleted on read: verify reports the damage until a
+        # fresh save supersedes it.
+        assert [bad for bad, _ in store.verify().problems] == [key]
         store.save(key, {"kind": "test", "payload": {"cycles": 2}})
         assert store.load(key)["payload"] == {"cycles": 2}
+        assert store.verify().ok
 
     def test_binary_corrupted_record_recovers(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -175,9 +178,10 @@ class TestRecords:
         store.save(key, {"kind": "test", "payload": {"cycles": 1}})
         damage(store, key, "garbage")  # not UTF-8
         assert store.load(key) is None
-        assert key not in store
+        assert [bad for bad, _ in store.verify().problems] == [key]
         store.save(key, {"kind": "test", "payload": {"cycles": 3}})
         assert store.load(key)["payload"] == {"cycles": 3}
+        assert store.verify().ok
 
     def test_record_under_wrong_key_is_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -229,9 +233,9 @@ class TestConcurrency:
             list(pool.map(writer, range(8)))
         final = store.load(key)
         assert final is not None and "writer" in final["payload"]
-        # No stray temporary files left behind.
-        leftovers = list(store.path_for(key).parent.glob("*.tmp"))
-        assert leftovers == []
+        # No torn frame left behind: every append completed.
+        assert store.gc(dry_run=True).torn_removed == 0
+        assert store.verify().ok
 
     def test_concurrent_writers_distinct_keys(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -711,22 +715,26 @@ class TestGcProperties:
         stats = store.gc(dry_run=True)
         assert stats.removed == 1 and key in store
 
-    def test_gc_sweeps_stray_tmp_files(self, tmp_path):
+    def test_gc_drops_torn_tails(self, tmp_path):
+        """A killed writer's half-written frame: ignored, then dropped."""
         store = ResultStore(tmp_path)
-        key = stable_hash("x")
+        key, torn = stable_hash("x"), stable_hash("torn")
         save_payload(store, "test", key, {"n": 1})
-        stray = store.path_for(key).parent / ".deadbeef-123.tmp"
-        stray.write_text("killed writer")
+        tear(store, torn)
+        assert torn not in store and store.peek(torn) is None
+        assert store.verify().ok  # not damage, just debris
         stats = store.gc()
-        assert stats.tmp_removed == 1 and not stray.exists()
+        assert stats.torn_removed == 1 and stats.kept == 1
+        assert list(store.iter_keys()) == [key] and store.verify().ok
+        assert store.gc().torn_removed == 0
 
 
 class TestMaintenanceIsNonDestructive:
     """Inspection verbs must never delete the corruption they find.
 
-    ``load`` quarantines corrupt records so the *simulation* path can
-    recompute them, but gc/stats/export/merge only inspect -- they read
-    through ``peek`` and leave the evidence for ``verify`` to report.
+    A corrupt record reads as a miss so the *simulation* path recomputes
+    it, but nothing deletes it: gc/stats/export/merge only inspect and
+    leave the evidence for ``verify`` to report.
     """
 
     @pytest.fixture()
@@ -747,8 +755,8 @@ class TestMaintenanceIsNonDestructive:
         store, _, bad = corrupted
         assert store.peek(bad) is None
         self._still_reported(store, bad)
-        assert store.load(bad) is None  # load *does* quarantine
-        assert bad not in store
+        assert store.load(bad) is None  # nor does load: reads are reads
+        self._still_reported(store, bad)
 
     def test_gc_dry_run_leaves_corrupt_records(self, corrupted):
         store, _, bad = corrupted

@@ -339,13 +339,26 @@ class ServerThread:
 
 
 class TestSocketRace:
-    def test_n_simultaneous_cold_queries_one_compute(self, store):
+    def test_n_simultaneous_cold_queries_one_compute(self, store, monkeypatch):
         """The headline guarantee, staged over a real socket.
 
         Eight threads fire the same cold query at once.  Exactly one
         simulation happens, every 202 names the same job, and once the
         backfill lands every caller reads byte-identical payloads.
         """
+        from repro.serve import handlers
+
+        # The backfill is held until the whole first wave has its reply:
+        # a backfill landing before the slowest caller is answered would
+        # turn that caller's 202 into a 200.
+        first_wave_answered = threading.Event()
+        compute = handlers.run_point
+
+        def held_run_point(*args, **kwargs):
+            first_wave_answered.wait(timeout=60.0)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(handlers, "run_point", held_run_point)
         app = ServeApp(store=store, workers=2)
         point = SweepPoint(kernel="addblock", version="mmx64", way=2)
         key = point_key(point)
@@ -359,8 +372,11 @@ class TestSocketRace:
                 barrier.wait(timeout=10.0)
                 return server.get(target)
 
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                first_wave = list(pool.map(fire, range(8)))
+            try:
+                with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                    first_wave = list(pool.map(fire, range(8)))
+            finally:
+                first_wave_answered.set()
 
             # Every cold response is a 202 naming the same job id: the
             # content address, so any client can poll any other's job.

@@ -19,6 +19,7 @@ from repro.sweep import (
     ResultStore,
     SweepPoint,
     clear_memory_caches,
+    fig4_points,
     grid,
     point_key,
     run_point,
@@ -26,7 +27,7 @@ from repro.sweep import (
     sweep,
 )
 from repro.sweep.store import save_payload, stable_hash
-from store_faults import DAMAGE_KINDS, damage
+from store_faults import DAMAGE_KINDS, damage, flip_length, segment_files
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -214,3 +215,60 @@ class TestRemovedRoot:
         assert list(store.iter_keys()) == [new]
         assert ResultStore(root).peek(new)["payload"] == {"n": 2}
         assert store.verify().ok
+
+
+class TestBrokenFrameHeader:
+    """Damage that hides keys: a frame length flipped mid-segment."""
+
+    def test_hidden_keys_recompute_and_verify_names_the_segment(
+        self, tmp_path, cold_caches
+    ):
+        store = ResultStore(tmp_path)
+        points = grid(("ycc", "addblock"), ("mmx64", "vmmx128"), (2, 4))
+        first = sweep(points, store=store)
+        keys = [point_key(p) for p in points]
+        (segment,) = segment_files(store)
+        hidden = flip_length(store, keys[0])
+        assert keys[0] in hidden and len(hidden) > 1  # mid-segment
+        report = store.verify()
+        assert [where for where, _ in report.problems] == [f"segments/{segment}"]
+        assert "broken frame header" in report.problems[0][1]
+        for key in keys:
+            if key in hidden:
+                assert key not in store and store.peek(key) is None
+            else:
+                assert store.peek(key) is not None
+
+        clear_memory_caches()
+        again = sweep(points, store=store)
+        assert again.simulated == len(set(keys) & set(hidden))
+        assert {p: t.result for p, t in again.results.items()} == {
+            p: t.result for p, t in first.results.items()
+        }
+        # gc leaves the damaged segment in place, still reported.
+        store.gc()
+        report = store.verify()
+        assert [where for where, _ in report.problems] == [f"segments/{segment}"]
+        assert all(store.peek(key) is not None for key in keys)
+
+
+class TestOneSegmentPerWriter:
+    """Count gates: each writer process appends to one segment, and a
+    warm pass writes nothing at all."""
+
+    @pytest.mark.parametrize("jobs,most", [(1, 1), (2, 3)])
+    def test_cold_sweep_segments_then_warm_writes_nothing(
+        self, jobs, most, tmp_path, cold_caches
+    ):
+        store = ResultStore(tmp_path / "store")
+        points = fig4_points()
+        cold = sweep(points, jobs=jobs, store=store)
+        assert cold.simulated == len(points)
+        files = segment_files(store)
+        assert 1 <= len(files) <= most
+        if jobs == 1:
+            assert len(files) == 1
+        clear_memory_caches()
+        warm = sweep(points, jobs=jobs, store=store)
+        assert "points: 0 simulated" in warm.summary()
+        assert segment_files(store) == files  # same names, same bytes

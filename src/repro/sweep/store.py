@@ -493,7 +493,7 @@ def _parse_record(key: str, raw: bytes) -> Optional[Dict[str, Any]]:
 class _Segment:
     """What a reader knows of one segment file."""
 
-    __slots__ = ("inode", "size", "end", "damaged")
+    __slots__ = ("inode", "size", "end", "frames", "damaged")
 
     def __init__(self, inode: int) -> None:
         self.inode = inode
@@ -501,6 +501,8 @@ class _Segment:
         self.size = 0
         #: Offset just past the last whole frame indexed.
         self.end = 0
+        #: Whole frames indexed, superseded ones included.
+        self.frames = 0
         #: Offset of a broken frame header, past which nothing is read.
         self.damaged: Optional[int] = None
 
@@ -591,6 +593,7 @@ class _Root:
                 seen = self.segments.setdefault(writer.name, _Segment(writer.inode))
                 if seen.end == offset:
                     seen.size = seen.end = writer.end
+                    seen.frames += 1
                     self._index(key, (self.stamp, writer.name, offset, len(raw)))
 
     def _live_writer(self) -> _Writer:
@@ -706,6 +709,7 @@ class _Root:
                 if end > size:
                     break  # a torn tail, or a frame still being written
                 self._index(key, (stamp, name, pos, length))
+                seg.frames += 1
                 pos = end
             seg.end = pos
         finally:
@@ -786,13 +790,10 @@ _ROOTS_LOCK = threading.Lock()
 _WRITERS: "OrderedDict[int, _Root]" = OrderedDict()
 
 
-def _root_state(root: Path) -> _Root:
-    path = os.path.abspath(str(root))
-    state = _ROOTS.get(path)
-    if state is None:
-        with _ROOTS_LOCK:
-            state = _ROOTS.setdefault(path, _Root(path))
-    return state
+def _root_state(path: str) -> _Root:
+    """The process's one :class:`_Root` for the absolute store root ``path``."""
+    with _ROOTS_LOCK:
+        return _ROOTS.setdefault(path, _Root(path))
 
 
 def _touch_writer(state: _Root) -> None:
@@ -855,15 +856,13 @@ class ResultStore:
         #: Where the segment files live; its newest file mtime is the
         #: store's heartbeat (:func:`repro.sweep.transport.newest_mtime`).
         self.segments_dir = self.root / SEGMENTS_DIR
-        self._state: Optional[_Root] = None
+        self._path = os.path.abspath(self.root)
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r})"
 
     def _root(self) -> _Root:
-        if self._state is None:
-            self._state = _root_state(self.root)
-        return self._state
+        return _ROOTS.get(self._path) or _root_state(self._path)
 
     def _read(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
         """Record bytes and parsed record of ``key``, if both are sound."""
@@ -929,17 +928,6 @@ class ResultStore:
 
     # -- maintenance ------------------------------------------------------
 
-    def _append(self, key: str, raw: bytes) -> None:
-        """Append pre-serialised record bytes under ``key``, raising on failure.
-
-        Used by merge/import so copied records stay byte-for-byte what
-        the source store held (a merged campaign store must be
-        indistinguishable from a single-process one).  Unlike
-        :meth:`save` this raises: maintenance verbs must report a broken
-        destination, not silently drop records.
-        """
-        self._root().append(key, raw)
-
     def merge(self, other: "ResultStore") -> MergeStats:
         """Copy every valid record from ``other`` into this store.
 
@@ -949,6 +937,11 @@ class ResultStore:
         surfacing, so differing payloads are counted as conflicts (ours
         kept) rather than silently overwritten.  Merging is idempotent
         and order-independent on the resulting key->payload map.
+
+        Records are appended byte-for-byte as the source holds them (a
+        merged campaign store must be indistinguishable from a
+        single-process one), and unlike :meth:`save` a failed append
+        raises: a broken destination must be reported, not dropped.
         """
         ours = Path(os.path.expanduser(str(self.root))).resolve()
         theirs = Path(os.path.expanduser(str(other.root))).resolve()
@@ -965,7 +958,7 @@ class ResultStore:
             raw, record = found
             mine = self.peek(key)
             if mine is None:
-                self._append(key, raw)
+                self._root().append(key, raw)
                 stats.merged += 1
             elif canonical_json(mine["payload"]) == canonical_json(record["payload"]):
                 stats.identical += 1
@@ -1023,25 +1016,21 @@ class ResultStore:
                     stats.kept += 1
                     continue
                 found = state._read(key, entry)
-                if found is None:
-                    continue
-                raw, sound = found
-                record = _parse_record(key, raw) if sound else None
+                record = _parse_record(key, found[0]) if found and found[1] else None
                 if record is None:
                     copies.append(entry)  # damaged: kept for verify
                     continue
                 code = record.get("code")
                 if code not in keep if code is not None else drop_unstamped:
                     stats.removed += 1
-                    stats.removed_bytes += len(raw)
+                    stats.removed_bytes += len(found[0])
                 else:
                     stats.kept += 1
                     copies.append(entry)
             newest = Counter(entry[1] for entry in entries.values())
             for name, fd in locked.items():
-                end = segments[name].end
-                stats.superseded += _count_frames(fd, end) - newest[name]
-                stats.torn_removed += os.fstat(fd).st_size > end
+                stats.superseded += segments[name].frames - newest[name]
+                stats.torn_removed += os.fstat(fd).st_size > segments[name].end
             garbage = stats.removed + stats.superseded + stats.torn_removed
             if dry_run or not locked or (len(locked) == 1 and not garbage):
                 return stats
@@ -1230,7 +1219,7 @@ class ResultStore:
                     continue
                 mine = self.peek(key)
                 if mine is None:
-                    self._append(key, raw)
+                    self._root().append(key, raw)
                     stats.imported += 1
                 elif canonical_json(mine["payload"]) == canonical_json(record["payload"]):
                     stats.identical += 1
@@ -1253,18 +1242,6 @@ def _lock_segment(segments_dir: str, name: str, inode: int) -> Optional[int]:
         pass
     os.close(fd)
     return None
-
-
-def _count_frames(fd: int, end: int) -> int:
-    """Whole frames in the first ``end`` bytes of a segment."""
-    count = pos = 0
-    while pos < end:
-        header = decode_header(os.pread(fd, HEADER_BYTES, pos))
-        if header is None:
-            break
-        count += 1
-        pos += HEADER_BYTES + header[2]
-    return count
 
 
 def _write_segment(

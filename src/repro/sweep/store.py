@@ -476,12 +476,12 @@ def decode_header(buf, offset: int = 0) -> Optional[Tuple[str, int, int, int]]:
     return binkey.hex(), stamp, length, crc
 
 
-def _parse_record(key: str, raw: bytes) -> Optional[Dict[str, Any]]:
+def _parse_record(key: str, raw) -> Optional[Dict[str, Any]]:
     """The record in ``raw`` if it parses and carries ``key``, else None."""
     try:
         # UnicodeDecodeError is a ValueError: binary corruption is
         # rejected exactly like textual truncation.
-        record = json.loads(raw.decode("utf-8"))
+        record = json.loads(str(raw, "utf-8"))
         if not isinstance(record, dict) or record.get("key") != key:
             return None
         record["payload"]  # noqa: B018 -- presence check
@@ -717,7 +717,7 @@ class _Root:
 
     # -- reading ---------------------------------------------------------
 
-    def frame(self, key: str) -> Optional[Tuple[bytes, bool]]:
+    def frame(self, key: str) -> Optional[Tuple[memoryview, bool]]:
         """``(record bytes, checksum holds)`` of ``key``'s newest frame.
 
         A segment found gone or changed under its index entry triggers
@@ -734,7 +734,7 @@ class _Root:
                 self.rebuild()
         return None
 
-    def _read(self, key: str, entry) -> Optional[Tuple[bytes, bool]]:
+    def _read(self, key: str, entry) -> Optional[Tuple[memoryview, bool]]:
         stamp, name, offset, length = entry
         seg = self.segments.get(name)
         try:
@@ -750,7 +750,7 @@ class _Root:
         header = decode_header(buf)
         if header is None or header[:3] != (key, stamp, length) or len(buf) != HEADER_BYTES + length:
             return None
-        raw = buf[HEADER_BYTES:]
+        raw = memoryview(buf)[HEADER_BYTES:]
         return raw, record_crc(key, raw) == header[3]
 
     def contains(self, key: str) -> bool:
@@ -791,9 +791,30 @@ _WRITERS: "OrderedDict[int, _Root]" = OrderedDict()
 
 
 def _root_state(path: str) -> _Root:
-    """The process's one :class:`_Root` for the absolute store root ``path``."""
+    """The process's one :class:`_Root` for the absolute store root ``path``.
+
+    A new root is the moment to forget roots whose directory is gone: a
+    process that works through many short-lived stores (a benchmark
+    pass or a test each) would otherwise keep every one's index and
+    append handle for its lifetime.
+    """
     with _ROOTS_LOCK:
-        return _ROOTS.setdefault(path, _Root(path))
+        state = _ROOTS.get(path)
+        if state is not None:
+            return state
+        state = _ROOTS[path] = _Root(path)
+        gone = [
+            _ROOTS.pop(other) for other in list(_ROOTS)
+            if other != path and not os.path.isdir(other)
+        ]
+    for other in gone:
+        if other.lock.acquire(blocking=False):
+            try:
+                other._drop_writer()
+                other.entries, other.segments = None, {}
+            finally:
+                other.lock.release()
+    return state
 
 
 def _touch_writer(state: _Root) -> None:
@@ -864,7 +885,7 @@ class ResultStore:
     def _root(self) -> _Root:
         return _ROOTS.get(self._path) or _root_state(self._path)
 
-    def _read(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
+    def _read(self, key: str) -> Optional[Tuple[memoryview, Dict[str, Any]]]:
         """Record bytes and parsed record of ``key``, if both are sound."""
         found = self._root().frame(key)
         if found is None or not found[1]:
@@ -891,7 +912,7 @@ class ResultStore:
     def record_bytes(self, key: str) -> Optional[bytes]:
         """The bytes of the record under ``key`` exactly as saved, or None."""
         found = self._read(key)
-        return None if found is None else found[0]
+        return None if found is None else bytes(found[0])
 
     def save(self, key: str, record: Dict[str, Any]) -> None:
         """Append ``record`` under ``key`` (best effort).
@@ -1073,7 +1094,7 @@ class ResultStore:
                 report.problems.append((key, "frame checksum mismatch (bit-rot)"))
                 continue
             try:
-                record = json.loads(raw.decode("utf-8"))
+                record = json.loads(str(raw, "utf-8"))
             except ValueError:
                 report.problems.append((key, "unreadable or not valid JSON"))
                 continue

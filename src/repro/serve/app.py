@@ -36,8 +36,8 @@ _USE_DEFAULT = object()
 MAX_HEAD_BYTES = 64 * 1024
 
 #: How long a cached ``store.stats()`` walk stays fresh in ``/metrics``
-#: (the walk touches every record file; hammering /metrics must not
-#: turn into a disk scan per scrape).
+#: (the walk reads every record; hammering /metrics must not turn into
+#: a full store read per scrape).
 STORE_STATS_TTL = 5.0
 
 

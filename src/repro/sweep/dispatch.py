@@ -646,9 +646,9 @@ def campaign_status(manifest: CampaignManifest) -> CampaignReport:
     """Read-only campaign state: per-shard progress, merged-store state.
 
     Safe to call while workers run (it only peeks at stores); the
-    heartbeat in each shard's progress is the mtime of its checkpoint
-    record, so "is that worker alive?" is answered by clock math, not
-    by asking the worker.
+    heartbeat in each shard's progress is the newest mtime among its
+    store's segment files, so "is that worker alive?" is answered by
+    clock math, not by asking the worker.
     """
     keys = _shard_keys(manifest)
     report = CampaignReport(manifest=manifest)

@@ -7,6 +7,7 @@ a miss, the caller recomputes it exactly once, and the fresh record
 answers from then on.
 """
 
+import concurrent.futures
 import os
 import shutil
 import signal
@@ -135,6 +136,29 @@ class TestRacingWriters:
         assert len(store) == 50
         report = store.verify()
         assert report.ok and report.checked == 50, report.summary()
+
+
+class TestThreadedWriters:
+    def test_threads_share_one_segment_without_tearing(self, tmp_path):
+        """Eight threads, a tiny switch interval: every frame lands whole."""
+        store = ResultStore(tmp_path)
+        keys = [stable_hash(("thread", i)) for i in range(400)]
+
+        def save_then_read(key):
+            save_payload(store, "test", key, {"key": key, "pad": "y" * 300})
+            return store.peek(key)["payload"]["key"]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                read_back = list(pool.map(save_then_read, keys, timeout=120))
+        finally:
+            sys.setswitchinterval(previous)
+        assert read_back == keys
+        assert len(segment_files(store)) == 1
+        report = store.verify()  # re-reads every frame header from disk
+        assert report.ok and report.checked == len(keys), report.summary()
 
 
 _KILLED_WRITER = """

@@ -72,6 +72,7 @@ class _Flight:
     remote_store: str           # remote store root to tarball back
     heartbeat: str              # remote segment directory of the store
     label: str
+    launched: float             # wall clock just before the spawn
     started: float = field(default_factory=time.monotonic)
 
 
@@ -83,8 +84,8 @@ class RemoteExecutor(Executor):
     default); ``--executor subprocess`` builds one with a worker slot
     per shard over :class:`~repro.sweep.transport.LocalTransport`.
     ``timeout`` (seconds of wall clock per attempt) and
-    ``heartbeat_window`` (seconds of checkpoint silence, first
-    checkpoint included) kill a worker and mark its host dead.
+    ``heartbeat_window`` (seconds of store silence, the wait for the
+    first write included) kill a worker and mark its host dead.
     """
 
     #: The orchestrator offers rebalancing (``run_subsets``) to
@@ -318,12 +319,17 @@ class RemoteExecutor(Executor):
 
         The heartbeat is the newest mtime among the segment files of the
         worker's store on the *remote* side, polled through the
-        transport: every record the worker saves appends to one.  A
-        worker that has written nothing yet gets ``heartbeat_window``
-        seconds of grace from launch (a hang during import or trace
-        emulation writes nothing, so absence past the grace deadline
-        *is* the signal); after the first write, the same window bounds
-        staleness.
+        transport: every record the worker saves appends to one.  Writes
+        from before the launch -- a forward-shipped import, an earlier
+        attempt, the dead worker whose shard a rebalance piece resumes in
+        place -- are not this worker's.  A worker that has written
+        nothing yet gets ``heartbeat_window`` seconds of grace from
+        launch (a hang during import or trace emulation writes nothing,
+        so absence past the grace deadline *is* the signal); after the
+        first write, the same window bounds staleness.  Workers sharing
+        one store (rebalance pieces on a shared filesystem) share its
+        heartbeat, so one that hangs is caught once its siblings stop
+        writing, or by ``timeout``.
         """
         outcomes: Dict[object, ShardOutcome] = {}
         pending = list(flights)
@@ -333,7 +339,8 @@ class RemoteExecutor(Executor):
                 elapsed = time.monotonic() - flight.started
                 if returncode is None:
                     why = self._overdue(
-                        flight.host, flight.heartbeat, elapsed
+                        flight.host, flight.heartbeat, elapsed,
+                        launched=flight.launched,
                     )
                     if why is None:
                         continue
@@ -384,19 +391,21 @@ class RemoteExecutor(Executor):
                 pass
         return outcomes
 
-    def _overdue(self, host: str, heartbeat: str,
-                 elapsed: float) -> Optional[str]:
+    def _overdue(self, host: str, heartbeat: str, elapsed: float, *,
+                 launched: float) -> Optional[str]:
         """Why a worker still running on ``host`` must be killed, or None.
 
         ``heartbeat`` is the path, on ``host``, of the worker store's
-        segment directory; ``elapsed`` is seconds since launch.
+        segment directory; ``elapsed`` is seconds since launch and
+        ``launched`` the wall-clock launch time: a segment last written
+        no later than that is no heartbeat of this worker.
         """
         if self.timeout is not None and elapsed > self.timeout:
             return f"timed out after {self.timeout:.0f}s (killed)"
         if self.heartbeat_window is None:
             return None
         beat = self.transport.mtime(host, heartbeat)
-        if beat is None:
+        if beat is None or beat <= launched:
             if elapsed > self.heartbeat_window:
                 return (
                     f"no first heartbeat within {self.heartbeat_window:.1f}s "
@@ -453,6 +462,7 @@ class RemoteExecutor(Executor):
             log(index, f"dispatching to {host} via {self.transport.name}: "
                        f"{' '.join(cmd)}")
             handle = open(manifest.log_path(index), "a")
+            launched = time.time()
             flights.append(_Flight(
                 key=index,
                 index=index,
@@ -462,6 +472,7 @@ class RemoteExecutor(Executor):
                 remote_store=remote_store,
                 heartbeat=self._heartbeat_path(remote_store),
                 label=f"shard {index + 1}/{manifest.shards}",
+                launched=launched,
             ))
             self._note_shard(manifest, index, host, "running")
         return self._supervise(flights, manifest, log)
@@ -524,6 +535,7 @@ class RemoteExecutor(Executor):
             ]
             log(index, f"{label} -> {host}: {' '.join(cmd)}")
             handle = open(manifest.log_path(index), "a")
+            launched = time.time()
             flights.append(_Flight(
                 key=(index, j),
                 index=index,
@@ -533,6 +545,7 @@ class RemoteExecutor(Executor):
                 remote_store=remote_store,
                 heartbeat=self._heartbeat_path(remote_store),
                 label=label,
+                launched=launched,
             ))
         return self._supervise(flights, manifest, log)
 

@@ -314,15 +314,20 @@ class TestHeartbeatGrace:
         # the mtime-based heartbeat never declares the attempt dead no
         # matter how long it has been silent.
         blind = make_executor(manifest, heartbeat_window=None)
-        assert blind._overdue("local-1", checkpoint, elapsed=1e9) is None
+        assert blind._overdue(
+            "local-1", checkpoint, elapsed=1e9, launched=time.time()
+        ) is None
 
     def test_grace_deadline_catches_the_silent_worker(self, tmp_path):
         manifest = self._subprocess_manifest(tmp_path)
         checkpoint = str(self._checkpoint(manifest))
         ex = make_executor(manifest, heartbeat_window=0.5)
         assert isinstance(ex.transport, LocalTransport)
-        assert ex._overdue("local-1", checkpoint, elapsed=0.1) is None
-        why = ex._overdue("local-1", checkpoint, elapsed=1.0)
+        launched = time.time()
+        assert ex._overdue(
+            "local-1", checkpoint, elapsed=0.1, launched=launched
+        ) is None
+        why = ex._overdue("local-1", checkpoint, elapsed=1.0, launched=launched)
         assert why is not None and "no first heartbeat" in why
 
     def test_stalled_checkpoint_is_declared_dead(
@@ -335,13 +340,59 @@ class TestHeartbeatGrace:
         segments = [path / name for name in segment_files(store)]
         assert segments
         ex = make_executor(manifest, heartbeat_window=0.5)
+        # A worker launched at the epoch: every write is its own.
         for segment in segments:
             os.utime(segment)  # fresh heartbeat
-        assert ex._overdue("local-1", str(path), elapsed=1e9) is None
+        assert ex._overdue("local-1", str(path), elapsed=1e9, launched=0.0) is None
         for segment in segments:
             os.utime(segment, (1.0, 1.0))  # decades stale
-        why = ex._overdue("local-1", str(path), elapsed=1e9)
+        why = ex._overdue("local-1", str(path), elapsed=1e9, launched=0.0)
         assert why is not None and "heartbeat stalled" in why
+
+    def test_writes_before_launch_are_no_heartbeat(
+        self, tmp_path, cold_caches
+    ):
+        """A store written before the worker started -- a killed
+        attempt, a forward-shipped import -- gives it the grace period
+        from launch, not a stale heartbeat."""
+        manifest = self._subprocess_manifest(tmp_path)
+        store = ResultStore(manifest.shard_root(0))
+        sweep(manifest.points(), store=store, shard=(0, 1), resume=True)
+        path = str(self._checkpoint(manifest))
+        for name in segment_files(store):
+            os.utime(os.path.join(path, name), (1.0, 1.0))  # decades stale
+        ex = make_executor(manifest, heartbeat_window=0.5)
+        assert ex._overdue("local-1", path, elapsed=0.1, launched=2.0) is None
+        why = ex._overdue("local-1", path, elapsed=1.0, launched=2.0)
+        assert why is not None and "no first heartbeat" in why
+
+    def test_rebalance_into_a_stalled_store_gets_grace(
+        self, tmp_path, monkeypatch, cold_caches
+    ):
+        """Local worker slots resume a dead shard in its own store, whose
+        segments the dead worker last wrote longer ago than the window
+        (as a shard killed for a stalled heartbeat leaves them): the
+        rebalance pieces still get their grace period, finish, and the
+        campaign promotes."""
+        reference = _clean_reference(tmp_path, monkeypatch, GRID)
+        monkeypatch.setenv(FAULT_ENV, "2:after_1")
+        manifest = _manifest(tmp_path, executor="subprocess")
+        executor = RemoteExecutor(
+            hosts=["local-1", "local-2", "local-3"],
+            transport=StaleStoreTransport(),
+            poll_interval=0.05,
+            timeout=300.0,
+            heartbeat_window=30.0,
+        )
+        report = run_campaign_quiet(manifest, executor)
+        assert report.ok, report.error
+        assert executor.dead_hosts == {"local-2"}
+        assert _result_tree(ResultStore(report.merged_root)) == _result_tree(
+            reference
+        )
+        log_text = manifest.log_path(1).read_text()
+        assert "rebalancing" in log_text
+        assert "heartbeat" not in log_text
 
     def test_hung_worker_end_to_end(
         self, tmp_path, monkeypatch, cold_caches
@@ -356,6 +407,22 @@ class TestHeartbeatGrace:
         report = run_campaign(manifest, executor=ex)
         assert not report.ok
         assert "no first heartbeat" in (report.shards[0].error or "")
+
+
+class StaleStoreTransport(LocalTransport):
+    """Local worker slots whose rebalanced shard store looks stalled.
+
+    Before a ``--points-file`` worker starts, the segments of the store
+    it resumes are dated an hour back.
+    """
+
+    def spawn(self, host, command, stdout):
+        if "--points-file" in command:
+            store = ResultStore(command[command.index("--store") + 1])
+            stale = time.time() - 3600
+            for name in segment_files(store):
+                os.utime(os.path.join(store.segments_dir, name), (stale, stale))
+        return super().spawn(host, command, stdout)
 
 
 class ExportBlindTransport(LoopbackTransport):

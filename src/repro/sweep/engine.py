@@ -814,6 +814,9 @@ def keys_progress(
     progress = ShardProgress(total=len(keys))
     if store is None:
         return progress
+    # The checkpoint is re-saved as the worker goes, and an indexed key
+    # answers with the frame this process saw first until a refresh.
+    store.refresh()
     progress.present = len(keys) - len(store.missing(keys))
     ck_key = checkpoint_key(keys, shard)
     record = store.peek(ck_key)
@@ -854,8 +857,8 @@ class _Checkpoint:
     been corrupted or garbage-collected is simply recomputed -- so the
     checkpoint can never resurrect lost data, only report honest
     progress and survive interruptions at any instant (it is re-saved
-    after every completed trace group or chunk, through the same
-    atomic-write path as any record).
+    after every completed trace group or chunk, appended like any
+    record, and the newest frame answers).
     """
 
     def __init__(self, store: Any, point_keys: Sequence[str],

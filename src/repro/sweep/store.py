@@ -363,7 +363,8 @@ class GcStats:
     removed_bytes: int = 0
     #: Frames a later save of the same key replaced.
     superseded: int = 0
-    #: Torn tails (a killed writer's last frame, cut short) dropped.
+    #: Torn tails (a killed writer's last frame, cut short) and partial
+    #: copies of a killed gc, dropped.
     torn_removed: int = 0
     kept_code_versions: Tuple[str, ...] = ()
 
@@ -428,6 +429,9 @@ SEGMENTS_DIR = "segments"
 #: compaction in progress) is invisible to readers.
 SEGMENT_SUFFIX = ".seg"
 
+#: Suffix of gc's copy of the records it keeps, until renamed into place.
+_PARTIAL_SUFFIX = ".tmp"
+
 _MAGIC = b"RSf1"
 
 #: Frame header: magic, key (32 raw bytes), stamp (ns, newest wins),
@@ -440,10 +444,13 @@ HEADER_BYTES = _HEAD.size + _HEAD_CRC.size
 #: Bytes read per ``pread`` while indexing frame headers.
 _SCAN_CHUNK = 64 * 1024
 
-#: Append handles a process keeps open at once (one per store root).
-#: The least recently used one beyond this is closed; its root then
-#: gets a fresh segment on its next save.
-_MAX_WRITERS = 64
+#: How long the segment directory must have been unchanged before an
+#: unchanged mtime is trusted to mean no segment came or went: longer
+#: than a timestamp tick.  A filesystem with sub-second mtimes ticks in
+#: at most 10 ms (a kernel jiffy, exFAT); whole-second mtimes come from
+#: one that ticks in seconds (2 s on FAT).
+_DIR_SETTLE_NS = 100 * 10**6
+_DIR_SETTLE_WHOLE_SECONDS_NS = 3 * 10**9
 
 
 def record_crc(key: str, raw: bytes) -> int:
@@ -493,7 +500,7 @@ def _parse_record(key: str, raw) -> Optional[Dict[str, Any]]:
 class _Segment:
     """What a reader knows of one segment file."""
 
-    __slots__ = ("inode", "size", "end", "frames", "damaged")
+    __slots__ = ("inode", "size", "end", "frames", "damaged", "sealed")
 
     def __init__(self, inode: int) -> None:
         self.inode = inode
@@ -505,6 +512,9 @@ class _Segment:
         self.frames = 0
         #: Offset of a broken frame header, past which nothing is read.
         self.damaged: Optional[int] = None
+        #: Indexed in full with no writer holding it: it never grows
+        #: again, so a refresh no longer looks at it.
+        self.sealed = False
 
 
 class _Writer:
@@ -524,8 +534,10 @@ class _Writer:
             self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644
         )
         try:
-            # Held for the handle's lifetime: gc compacts only segments
-            # it can lock, so it never touches one being appended to.
+            # Held for the handle's lifetime, and taken before the first
+            # append: gc compacts only segments it can lock, so it never
+            # touches one being appended to, and a reader that can lock
+            # a non-empty segment knows it is sealed.
             fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             st = os.fstat(self.fd)
         except BaseException:
@@ -565,6 +577,9 @@ class _Root:
         #: None until the first read builds it.
         self.entries: Optional[Dict[str, Tuple[int, str, int, int]]] = None
         self.segments: Dict[str, _Segment] = {}
+        #: (device, inode, mtime) of the segment directory when it was
+        #: listed, if it had been still long enough to be trusted.
+        self.listed: Optional[Tuple[int, int, int]] = None
 
     # -- writing ---------------------------------------------------------
 
@@ -599,18 +614,15 @@ class _Root:
     def _live_writer(self) -> _Writer:
         writer = self.writer
         if writer is not None and writer.pid == os.getpid() and writer.current():
-            _touch_writer(self)
             return writer
         self._drop_writer()
         self.writer = writer = _Writer(self.segments_dir)
-        _touch_writer(self)
         return writer
 
     def _drop_writer(self) -> None:
         writer, self.writer = self.writer, None
         if writer is not None:
             writer.close()
-            _forget_writer(self)
 
     # -- the index -------------------------------------------------------
 
@@ -633,43 +645,65 @@ class _Root:
     def refresh(self) -> None:
         """Index new segments and the grown tails of known ones (lock held).
 
-        A segment that vanished or was replaced (gc, a removed root)
-        invalidates the whole index, which is then rebuilt: frames
-        already indexed are never read again otherwise.
+        The directory is listed only when its mtime moved (a segment was
+        created, removed or renamed), and a sealed segment is not looked
+        at again, so a refresh costs a stat of the directory and of each
+        segment still being written.  A segment that vanished or was
+        replaced (gc, a removed root) invalidates the whole index, which
+        is then rebuilt: frames already indexed are never read again
+        otherwise.
         """
         if self.entries is None:
-            self.entries, self.segments = {}, {}
+            self.entries, self.segments, self.listed = {}, {}, None
+        now = time.time_ns()
         try:
-            with os.scandir(self.segments_dir) as found:
-                listing = {
-                    entry.name: entry
-                    for entry in found
-                    if entry.name.endswith(SEGMENT_SUFFIX)
-                }
+            st = os.stat(self.segments_dir)
+            mark = (st.st_dev, st.st_ino, st.st_mtime_ns)
         except OSError:
-            listing = {}
-        if any(
-            name not in listing or listing[name].inode() != seg.inode
-            for name, seg in self.segments.items()
-        ):
-            self.entries, self.segments = {}, {}
+            mark = None
+        if mark is None or mark != self.listed:
+            self._relist()
+            # Timestamps tick coarsely, so an unchanged mtime proves an
+            # unchanged directory only once it is older than the tick.
+            self.listed = None
+            if mark is not None:
+                settle = (_DIR_SETTLE_WHOLE_SECONDS_NS if mark[2] % 10**9 == 0
+                          else _DIR_SETTLE_NS)
+                if mark[2] < now - settle:
+                    self.listed = mark
         writer = self.writer
-        for name in sorted(listing):
-            seg = self.segments.get(name)
-            if seg is None:
-                seg = self.segments[name] = _Segment(listing[name].inode())
-            if seg.damaged is not None:
+        for name, seg in self.segments.items():
+            if seg.sealed or seg.damaged is not None:
                 continue
             if writer is not None and writer.name == name:
                 if writer.end == seg.end:
                     continue
             else:
                 try:
-                    if listing[name].stat().st_size == seg.size:
+                    if os.stat(os.path.join(self.segments_dir, name)).st_size == seg.size:
                         continue
                 except OSError:
                     continue
             self._scan(name, seg)
+
+    def _relist(self) -> None:
+        """Match the segment table to a fresh listing of the directory."""
+        try:
+            with os.scandir(self.segments_dir) as found:
+                listing = {
+                    entry.name: entry.inode()
+                    for entry in found
+                    if entry.name.endswith(SEGMENT_SUFFIX)
+                }
+        except OSError:
+            listing = {}
+        segments = self.segments
+        if any(listing.get(name) != seg.inode for name, seg in segments.items()):
+            self.entries, self.segments = {}, {}
+            segments = self.segments
+        for name, inode in listing.items():
+            if name not in segments:
+                segments[name] = _Segment(inode)
 
     def rebuild(self) -> None:
         """Forget the index and build it again from the segments (lock held)."""
@@ -688,6 +722,13 @@ class _Root:
                 # leave it to the next refresh, which rebuilds.
                 seg.inode = -1
                 return
+            if st.st_size and _try_lock(fd, fcntl.LOCK_SH):
+                # A writer locks its segment before the first append and
+                # holds the lock while it lives, so this one's writer is
+                # gone and its size is final.  (An empty segment may be
+                # a writer's between creating and locking it.)
+                seg.sealed = True
+                st = os.fstat(fd)
             pos, size = seg.end, st.st_size
             seg.size = size
             buf, base = b"", pos
@@ -786,9 +827,6 @@ class _Root:
 _ROOTS: Dict[str, _Root] = {}
 _ROOTS_LOCK = threading.Lock()
 
-#: Roots with an open append handle, least recently used first.
-_WRITERS: "OrderedDict[int, _Root]" = OrderedDict()
-
 
 def _root_state(path: str) -> _Root:
     """The process's one :class:`_Root` for the absolute store root ``path``.
@@ -817,27 +855,6 @@ def _root_state(path: str) -> _Root:
     return state
 
 
-def _touch_writer(state: _Root) -> None:
-    """Mark ``state``'s handle used; close the stalest beyond the cap."""
-    with _ROOTS_LOCK:
-        _WRITERS[id(state)] = state
-        _WRITERS.move_to_end(id(state))
-        over = len(_WRITERS) - _MAX_WRITERS
-        stale = list(_WRITERS.values())[:over] if over > 0 else []
-    for other in stale:
-        # Never wait on another root's lock while holding our own.
-        if other.lock.acquire(blocking=False):
-            try:
-                other._drop_writer()
-            finally:
-                other.lock.release()
-
-
-def _forget_writer(state: _Root) -> None:
-    with _ROOTS_LOCK:
-        _WRITERS.pop(id(state), None)
-
-
 def _after_fork_in_child() -> None:
     """A forked child writes its own segments, never through its parent's.
 
@@ -846,7 +863,6 @@ def _after_fork_in_child() -> None:
     """
     global _ROOTS_LOCK
     _ROOTS_LOCK = threading.Lock()
-    _WRITERS.clear()
     for state in _ROOTS.values():
         state.lock = threading.Lock()
         writer, state.writer = state.writer, None
@@ -928,6 +944,17 @@ class ResultStore:
         except OSError:
             return
 
+    def refresh(self) -> None:
+        """Index what other processes appended since this one last looked.
+
+        A read extends the index only on a miss, so a key that another
+        process re-saves (a campaign checkpoint) answers with the frame
+        this process indexed first until a refresh finds the newer one.
+        """
+        state = self._root()
+        with state.lock:
+            state.refresh()
+
     def __contains__(self, key: str) -> bool:
         return self._root().contains(key)
 
@@ -1006,8 +1033,9 @@ class ResultStore:
         damaged ones, left for :meth:`verify` to report -- are copied
         verbatim into a fresh segment, renamed into place before the
         compacted segments are deleted.  Superseded frames, records of
-        dead code versions and torn tails of killed writers are dropped.
-        A segment with a broken frame header is left as it is.
+        dead code versions, torn tails of killed writers and the partial
+        copy a killed gc left are dropped.  A segment with a broken frame
+        header is left as it is.
         """
         keep = {code_version()} | {str(v) for v in keep_code_versions}
         stats = GcStats(kept_code_versions=tuple(sorted(keep)))
@@ -1016,6 +1044,7 @@ class ResultStore:
             # This process's own handle is released so its segment can
             # be compacted too; the next save opens a fresh one.
             state._drop_writer()
+        partials = _remove_partials(state.segments_dir, dry_run)
         locked: Dict[str, int] = {}
         try:
             for name, seg in sorted(state.snapshot()[1].items()):
@@ -1053,20 +1082,20 @@ class ResultStore:
                 stats.superseded += segments[name].frames - newest[name]
                 stats.torn_removed += os.fstat(fd).st_size > segments[name].end
             garbage = stats.removed + stats.superseded + stats.torn_removed
-            if dry_run or not locked or (len(locked) == 1 and not garbage):
-                return stats
-            if copies:
-                _write_segment(state.segments_dir, sorted(copies), locked)
-            for name in locked:
-                try:
-                    os.unlink(os.path.join(state.segments_dir, name))
-                except OSError:
-                    pass
+            if not dry_run and (len(locked) > 1 or (locked and garbage)):
+                if copies:
+                    _write_segment(state.segments_dir, sorted(copies), locked)
+                for name in locked:
+                    try:
+                        os.unlink(os.path.join(state.segments_dir, name))
+                    except OSError:
+                        pass
         finally:
             for fd in locked.values():
                 os.close(fd)
             with state.lock:
                 state.entries = None
+        stats.torn_removed += partials
         return stats
 
     def verify(self) -> VerifyReport:
@@ -1249,6 +1278,15 @@ class ResultStore:
         return stats
 
 
+def _try_lock(fd: int, operation: int) -> bool:
+    """Take ``fd``'s flock without waiting; False if another holds it."""
+    try:
+        fcntl.flock(fd, operation | fcntl.LOCK_NB)
+    except OSError:
+        return False
+    return True
+
+
 def _lock_segment(segments_dir: str, name: str, inode: int) -> Optional[int]:
     """An fd holding ``name``'s flock, or None if a writer holds it."""
     try:
@@ -1256,8 +1294,7 @@ def _lock_segment(segments_dir: str, name: str, inode: int) -> Optional[int]:
     except OSError:
         return None
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        if os.fstat(fd).st_ino == inode:
+        if _try_lock(fd, fcntl.LOCK_EX) and os.fstat(fd).st_ino == inode:
             return fd
     except OSError:
         pass
@@ -1270,24 +1307,65 @@ def _write_segment(
     copies: List[Tuple[int, str, int, int]],
     sources: Dict[str, int],
 ) -> None:
-    """Copy whole frames from ``sources`` into one fresh segment.
+    """Copy whole frames from ``sources`` into one fresh, durable segment.
 
-    Written under a name readers ignore and renamed into place, so a
-    reader sees either the old segments or every copied frame.
+    Written under a locked name readers ignore and renamed into place,
+    so a reader sees either the old segments or every copied frame.  The
+    file and then the directory are flushed to disk before this returns:
+    the caller deletes the sources next, and a power loss must not lose
+    records that now live only in the copy.
     """
     name = f"{time.time_ns():016x}-{os.getpid()}-{secrets.token_hex(4)}"
-    tmp = os.path.join(segments_dir, f".{name}.tmp")
+    tmp = os.path.join(segments_dir, f".{name}{_PARTIAL_SUFFIX}")
     try:
-        with open(tmp, "wb") as out:
+        with open(tmp, "xb") as out:
+            # Held until the rename: gc removes only partial copies it
+            # can lock, the leftovers of a compaction that was killed.
+            fcntl.flock(out.fileno(), fcntl.LOCK_EX)
             for _, segment, offset, length in copies:
                 out.write(os.pread(sources[segment], HEADER_BYTES + length, offset))
-        os.replace(tmp, os.path.join(segments_dir, name + SEGMENT_SUFFIX))
+            out.flush()
+            os.fsync(out.fileno())
+            os.replace(tmp, os.path.join(segments_dir, name + SEGMENT_SUFFIX))
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+    fd = os.open(segments_dir, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _remove_partials(segments_dir: str, dry_run: bool) -> int:
+    """Remove what killed compactions left behind; returns how many."""
+    try:
+        names = [
+            name for name in os.listdir(segments_dir)
+            if name.startswith(".") and name.endswith(_PARTIAL_SUFFIX)
+        ]
+    except OSError:
+        return 0
+    removed = 0
+    for name in names:
+        path = os.path.join(segments_dir, name)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            continue
+        try:
+            if _try_lock(fd, fcntl.LOCK_EX):
+                if not dry_run:
+                    os.unlink(path)
+                removed += 1
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
+    return removed
 
 
 def store_from_root(root: Optional[Any]) -> Optional[ResultStore]:

@@ -119,6 +119,31 @@ def tear(store, key: str) -> None:
     )
 
 
+def plant_partial(store) -> Path:
+    """Leave what a gc killed while copying leaves: a partial segment.
+
+    It lies under the dot-prefixed ``.tmp`` name gc writes its copy to
+    before renaming it into place; returns its path.
+    """
+    directory = Path(store.segments_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f".{time.time_ns():016x}-0-killed.tmp"
+    raw = json.dumps({"key": "0" * 64, "kind": "test", "payload": {}}).encode()
+    path.write_bytes((encode_header("0" * 64, time.time_ns(), raw) + raw)[:40])
+    return path
+
+
+def settle(store) -> None:
+    """Date the segment directory an hour back.
+
+    Readers list the directory again only when its mtime moves, and
+    trust an unchanged mtime only once it is older than a timestamp
+    tick; this makes a directory look long untouched without waiting.
+    """
+    stale = time.time() - 3600
+    os.utime(store.segments_dir, (stale, stale))
+
+
 def flip_length(store, key: str) -> List[str]:
     """Flip a bit of the length in ``key``'s frame header, in place.
 

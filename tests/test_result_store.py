@@ -8,7 +8,9 @@ verify, export/import) the sharded-campaign workflow is built on.
 """
 
 import concurrent.futures
+import fcntl
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -37,7 +39,7 @@ from repro.sweep.store import (
 import dataclasses
 
 from repro.machines import get_machine
-from store_faults import damage, drop, record_bytes, tear
+from store_faults import damage, drop, plant_partial, record_bytes, settle, tear
 
 POINT = SweepPoint("ycc", "mmx64", 2)
 
@@ -248,6 +250,58 @@ class TestConcurrency:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             assert sorted(pool.map(writer, keys)) == sorted(keys)
         assert len(store) == 32
+
+    def test_reader_follows_other_writers_in_a_settled_directory(
+        self, tmp_path
+    ):
+        """A reader lists the segment directory only when its mtime
+        moves and stops looking at segments no writer holds; it must
+        still find a new writer's segment and a live writer's appends."""
+        store = ResultStore(tmp_path)
+        keys = [stable_hash(f"k{i}") for i in range(4)]
+        save_payload(store, "test", keys[0], {"n": 0})
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen(
+            [sys.executable, "-c", _LINE_WRITER, str(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        ) as writer:
+            def save_in_writer(key):
+                writer.stdin.write(key + "\n")
+                writer.stdin.flush()
+                assert writer.stdout.readline().strip() == key
+
+            save_in_writer(keys[1])
+            assert keys[1] in store  # a new segment
+            settle(store)
+            assert keys[2] not in store  # listed; the directory is settled
+            save_in_writer(keys[2])
+            assert keys[2] in store  # appended to the live writer's segment
+            writer.stdin.close()
+            assert writer.wait(timeout=60) == 0
+        settle(store)
+        assert keys[3] not in store
+        subprocess.run(
+            [sys.executable, "-c", _LINE_WRITER, str(tmp_path)],
+            input=keys[3] + "\n", text=True, env=env, check=True,
+            stdout=subprocess.DEVNULL, timeout=60,
+        )
+        assert keys[3] in store  # a segment created after the settling
+        assert sorted(store.iter_keys()) == sorted(keys)
+        assert store.verify().ok
+
+
+#: Saves each key read from stdin, then echoes it.
+_LINE_WRITER = """
+import sys
+from repro.sweep.store import ResultStore, save_payload
+store = ResultStore(sys.argv[1])
+for line in sys.stdin:
+    key = line.strip()
+    save_payload(store, "test", key, {"key": key})
+    print(key, flush=True)
+"""
 
 
 class TestTraceRecords:
@@ -727,6 +781,47 @@ class TestGcProperties:
         assert stats.torn_removed == 1 and stats.kept == 1
         assert list(store.iter_keys()) == [key] and store.verify().ok
         assert store.gc().torn_removed == 0
+
+    def test_gc_drops_partial_copies_of_a_killed_gc(self, tmp_path):
+        """A gc killed while copying leaves its partial copy; a later gc
+        removes it, but never one that another gc is still writing."""
+        store = ResultStore(tmp_path)
+        key = stable_hash("x")
+        save_payload(store, "test", key, {"n": 1})
+        partial = plant_partial(store)
+        with open(partial, "rb") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)  # its gc is still writing
+            assert store.gc().torn_removed == 0 and partial.exists()
+        assert store.gc(dry_run=True).torn_removed == 1 and partial.exists()
+        assert store.gc().torn_removed == 1 and not partial.exists()
+        assert list(store.iter_keys()) == [key] and store.verify().ok
+
+    def test_gc_makes_its_copy_durable_before_deleting_sources(
+        self, tmp_path, monkeypatch
+    ):
+        """The compacted copy, then its directory entry, reach the disk
+        before any segment it replaces is unlinked."""
+        store = ResultStore(tmp_path)
+        key = stable_hash("x")
+        save_payload(store, "test", key, {"n": 1})
+        save_payload(store, "test", key, {"n": 1})  # a superseded frame
+        events = []
+        real_fsync, real_unlink = os.fsync, os.unlink
+
+        def fsync(fd):
+            events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                          else "fsync file")
+            real_fsync(fd)
+
+        def unlink(path, *args, **kwargs):
+            events.append("unlink")
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "unlink", unlink)
+        assert store.gc().superseded == 1
+        assert events == ["fsync file", "fsync dir", "unlink"]
+        assert store.peek(key)["payload"] == {"n": 1} and store.verify().ok
 
 
 class TestMaintenanceIsNonDestructive:

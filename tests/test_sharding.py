@@ -8,12 +8,17 @@ each kernel exactly once.  An interrupted sweep restarted with
 ``resume=True`` recomputes only what is genuinely missing.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.sweep import (
     ResultStore,
     SweepInterrupted,
     SweepPoint,
+    checkpoint_key,
     clear_memory_caches,
     dedupe,
     emulation_count,
@@ -30,8 +35,10 @@ from repro.sweep import (
     trace_key,
 )
 from repro.sweep.points import reshard_keys, shard_assignment
-from repro.sweep.store import canonical_json, kernel_timing_to_dict
+from repro.sweep.store import canonical_json, kernel_timing_to_dict, save_payload
 from store_faults import drop, record_bytes
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: A multi-way grid whose points share traces across ways, so the
 #: trace-exclusivity property is non-trivial to satisfy.
@@ -250,6 +257,35 @@ class TestResume:
         assert report.simulated == len(points) - budget
         assert report.cached == report.resumed == budget
         assert sweep_progress(points, store=store).done
+
+    def test_progress_reads_a_checkpoint_another_process_resaved(
+        self, tmp_path, cold_caches
+    ):
+        """A supervisor polling from its own process sees the newest
+        checkpoint, even once every point record is indexed and no
+        lookup misses."""
+        store = ResultStore(tmp_path / "campaign")
+        sweep(self.GRID, store=store)
+        keys = [point_key(p) for p in dedupe(self.GRID)]
+        ck_key = checkpoint_key(keys, None)
+        save_payload(store, "sweep-checkpoint", ck_key,
+                     {"completed": keys[:1], "total": len(keys)})
+        assert sweep_progress(self.GRID, store=store).completed == 1
+        script = (
+            "import sys\n"
+            "from repro.sweep.store import ResultStore, save_payload\n"
+            "keys = sys.argv[3:]\n"
+            "save_payload(ResultStore(sys.argv[1]), 'sweep-checkpoint',\n"
+            "             sys.argv[2], {'completed': keys, 'total': len(keys)})\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", script, str(store.root), ck_key, *keys],
+            env=env, check=True, timeout=120,
+        )
+        progress = sweep_progress(self.GRID, store=store)
+        assert progress.completed == progress.total == len(keys)
 
     def test_completed_campaign_resumes_as_pure_cache(
         self, tmp_path, monkeypatch, cold_caches

@@ -46,7 +46,7 @@ from repro.sweep.store import (
     trace_to_payload,
 )
 from repro.machines import get_machine
-from repro.machines.spec import CoreConfig, MemHierConfig
+from repro.machines.spec import CoreConfig, MachineSpec, MemHierConfig
 from repro.timing.core import SimResult, check_config
 from repro.timing.simulator import KernelTiming, simulate_trace_stack
 
@@ -258,6 +258,43 @@ def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
     return config, mem
 
 
+#: Per (machine, way): the registered spec this process last keyed
+#: points on, and the :func:`~repro.sweep.store.config_fingerprint` of
+#: each override set resolved on it, keyed by the overrides' ``repr`` --
+#: ``lanes=4`` and ``lanes=4.0`` are equal values but fingerprint apart.
+_KEYED: Dict[Tuple[str, int], Tuple[MachineSpec, Dict[str, str]]] = {}
+
+
+def _keyed_spec(point: SweepPoint) -> Optional[MachineSpec]:
+    """The spec this process last keyed ``point``'s machine and width on."""
+    keyed = _KEYED.get((point.machine_name, point.way))
+    return None if keyed is None else keyed[0]
+
+
+def _fingerprint(
+    point: SweepPoint, config: CoreConfig, mem: MemHierConfig
+) -> str:
+    """``config_fingerprint(config, mem)``, once per configuration.
+
+    ``config, mem`` must be :func:`resolve_configs` of ``point``, which
+    is a function of the registered spec and the overrides: a
+    re-registered machine resolves to a new spec object and starts
+    afresh, and drops the in-process memo, whose timings were made on
+    the old one.
+    """
+    spec = get_machine(point.machine_name, point.way)
+    keyed = _KEYED.get((point.machine_name, point.way))
+    if keyed is None or keyed[0] is not spec:
+        if keyed is not None:
+            MEMO.clear()
+        keyed = _KEYED[point.machine_name, point.way] = (spec, {})
+    overrides = repr((point.core_overrides, point.mem_overrides))
+    fingerprint = keyed[1].get(overrides)
+    if fingerprint is None:
+        fingerprint = keyed[1][overrides] = config_fingerprint(config, mem)
+    return fingerprint
+
+
 def point_key(point: SweepPoint) -> str:
     """Content address of a point's record.
 
@@ -266,14 +303,16 @@ def point_key(point: SweepPoint) -> str:
     the point spelling is unchanged), the machine's vector-memory
     capability (the one timing input that lives in the registered
     geometry rather than the config dataclasses) and the simulator code
-    digest.
+    digest.  Every call resolves the point, so it raises what
+    :func:`resolve_configs` raises; the configuration's fingerprint is
+    computed once per process.
     """
     from repro.machines import find_geometry
 
     config, mem = resolve_configs(point)
     identity: Dict[str, Any] = {
         "point": point.as_dict(),
-        "config": config_fingerprint(config, mem),
+        "config": _fingerprint(point, config, mem),
     }
     geometry = find_geometry(point.machine_name)
     if geometry is not None:
@@ -902,6 +941,14 @@ def sweep(
     over a process pool as whole trace groups in deterministic chunks.
     Hits are always served from the store in the calling process.
 
+    Points without overrides whose timings this process already holds
+    for the store (the in-process memo) are answered before anything is
+    keyed: no :func:`point_key` call, no store read.  So a record
+    damaged or removed after this process read it keeps its in-memory
+    answer until :func:`~repro.sweep.clear_memory_caches`.  Keys are the
+    same as ever -- the per-process fingerprint cache behind
+    :func:`point_key` re-addresses nothing.
+
     The store may be given three ways: ``store`` (a
     :class:`~repro.sweep.store.ResultStore` or ``None`` for no
     persistence), ``store_root`` (a path string resolved through
@@ -918,9 +965,10 @@ def sweep(
     across the whole campaign.  ``resume=True`` additionally
     checkpoints completed point-keys to the store after every trace
     group (or pooled chunk), so an interrupted campaign restarted with
-    the same arguments recomputes only what is genuinely missing.  Every result
-    record is persisted the moment it is computed in either mode --
-    interruption can never lose completed work.
+    the same arguments recomputes only what is genuinely missing; it
+    keys every point, held or not, since the checkpoint records keys.
+    Every result record is persisted the moment it is computed in either
+    mode -- interruption can never lose completed work.
 
     This function is one shard's worth of work.  To launch, supervise
     and reunify all N shards of a campaign, use
@@ -959,6 +1007,29 @@ def sweep(
         set_compute_budget(previous)
 
 
+def _held(
+    points: Sequence[SweepPoint], store: Any
+) -> Dict[SweepPoint, KernelTiming]:
+    """The override-free points whose timings :data:`MEMO` holds for ``store``.
+
+    A point counts only while its machine and width resolve to the spec
+    this process keyed them on; after a re-registration it is keyed
+    again.  Points with overrides are never answered here: the memo is
+    keyed by value, and ``lanes=4`` equals ``lanes=4.0``.
+    """
+    held: Dict[SweepPoint, KernelTiming] = {}
+    for point in points:
+        if point.core_overrides or point.mem_overrides:
+            continue
+        spec = _keyed_spec(point)
+        if spec is None or spec is not get_machine(point.machine_name, point.way):
+            continue
+        timing = MEMO.get(memo_key(store, "kernel-timing", point))
+        if timing is not None:
+            held[point] = timing
+    return held
+
+
 def _run_sweep(
     points: Sequence[SweepPoint],
     jobs: int,
@@ -969,7 +1040,13 @@ def _run_sweep(
 ) -> SweepReport:
     """:func:`sweep` after store/shard/fault resolution (see there)."""
     total = len(points)
-    keys = [point_key(p) for p in points] if store is not None else [None] * total
+    # What this process already holds for the store is answered unkeyed;
+    # a resume keys every point, because its checkpoint records keys.
+    held = _held(points, store) if store is not None and not resume else {}
+    keys = [
+        None if store is None or point in held else point_key(point)
+        for point in points
+    ]
     checkpoint = _Checkpoint(store, keys, shard) if resume else None
     emulations_before, timings_before = _EMU_COUNT, _TIMING_COUNT
 
@@ -979,9 +1056,13 @@ def _run_sweep(
     done = 0
     resumed = 0
     for point, key in zip(points, keys):
-        stored = load_payload(store, key) if key is not None else None
-        if stored is not None:
-            results[point] = kernel_timing_from_dict(stored)
+        timing = held.get(point)
+        if timing is None and key is not None:
+            stored = load_payload(store, key)
+            if stored is not None:
+                timing = kernel_timing_from_dict(stored)
+        if timing is not None:
+            results[point] = timing
             sources[point] = "store"
             done += 1
             if checkpoint is not None:

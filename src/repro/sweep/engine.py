@@ -41,6 +41,7 @@ from repro.sweep.store import (
     memoise,
     record_key,
     save_payload,
+    stamp,
     store_from_root,
     trace_from_payload,
     trace_to_payload,
@@ -385,9 +386,9 @@ def _emulate(
     a time.  Every run passes the bit-exact golden verification before
     its trace is persisted.  A batch over data-independent control flow
     returns one trace object for all its seeds: that trace is encoded
-    once and the same payload saved under every seed's key.  Returns
-    each point's trace with the digest of its stored payload (None
-    without a store).
+    once and stamped once, and the same record saved under every seed's
+    key.  Returns each point's trace with the digest of its stored
+    payload (None without a store).
     """
     global _EMU_COUNT
     from repro.kernels.base import execute, execute_batch
@@ -399,7 +400,7 @@ def _emulate(
     else:
         runs = [execute(KERNELS[kernel], program, seed=seeds[0])]
     # Keyed by object identity: ``runs`` keeps every trace alive.
-    payloads: Dict[int, Dict[str, Any]] = {}
+    records: Dict[int, Dict[str, Any]] = {}
     traces: List[_DigestedTrace] = []
     for (point, key), run in zip(missing, runs):
         if not run.correct:
@@ -410,11 +411,11 @@ def _emulate(
         cols = run.trace.columns()
         digest = None
         if key is not None:
-            payload = payloads.get(id(cols))
-            if payload is None:
-                payload = payloads[id(cols)] = trace_to_payload(cols)
-            save_payload(store, "trace", key, payload)
-            digest = payload["digest"]
+            record = records.get(id(cols))
+            if record is None:
+                record = records[id(cols)] = stamp("trace", trace_to_payload(cols))
+            store.save(key, record)
+            digest = record["payload"]["digest"]
         traces.append((memoise(_trace_memo_key(store, point), cols), digest))
     return traces
 

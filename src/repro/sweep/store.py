@@ -180,27 +180,31 @@ def peek_payload(store: Optional["ResultStore"], key: str) -> Optional[Any]:
     return None if record is None else record["payload"]
 
 
-def save_payload(
-    store: Optional["ResultStore"], kind: str, key: str, payload: Any
-) -> None:
-    """Persist one payload (no-op without a store).
+def stamp(kind: str, payload: Any) -> Dict[str, Any]:
+    """The record :func:`save_payload` saves for one payload.
 
     Records are stamped with the ``code`` digest they were produced
     under (so :meth:`ResultStore.gc` can retire records of dead code
     versions without re-deriving any address) and with a SHA-256 of the
     canonical payload JSON (so :meth:`ResultStore.verify` can detect
-    bit-rot that still parses).
+    bit-rot that still parses).  A payload saved under several keys is
+    stamped once and the record handed to :meth:`ResultStore.save` for
+    each.
     """
+    return {
+        "kind": kind,
+        "code": code_version(),
+        "payload_sha256": payload_sha256(payload),
+        "payload": payload,
+    }
+
+
+def save_payload(
+    store: Optional["ResultStore"], kind: str, key: str, payload: Any
+) -> None:
+    """Persist one payload as its :func:`stamp` (no-op without a store)."""
     if store is not None:
-        store.save(
-            key,
-            {
-                "kind": kind,
-                "code": code_version(),
-                "payload_sha256": payload_sha256(payload),
-                "payload": payload,
-            },
-        )
+        store.save(key, stamp(kind, payload))
 
 
 def payload_sha256(payload: Any) -> str:

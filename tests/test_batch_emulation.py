@@ -300,6 +300,33 @@ class TestAcquireTraces:
             assert cols.digest() == ref.trace.columns().digest()
         assert engine.emulation_count() == 3
 
+    def test_a_shared_batch_trace_is_stamped_once(self, monkeypatch):
+        """One trace object for 4 seeds: one payload hash, 4 sound records."""
+        from repro.sweep import default_store
+        from repro.sweep import store as storelib
+        from repro.sweep.points import grid
+
+        hashed = []
+        payload_sha256 = storelib.payload_sha256
+
+        def counted(payload):
+            hashed.append(payload)
+            return payload_sha256(payload)
+
+        monkeypatch.setattr(storelib, "payload_sha256", counted)
+        points = grid(("comp",), ("mmx64",), (2,), seeds=(0, 1, 2, 3))
+        assert engine.sweep(points).emulated == 4
+        traces = [
+            payload for payload in hashed
+            if payload.get("format") == storelib.TRACE_PAYLOAD_FORMAT
+        ]
+        assert len(traces) == 1
+        store = default_store()
+        records = [store.load(engine.trace_key(point)) for point in points]
+        assert len({record["key"] for record in records}) == 4
+        assert all(record["payload"] == traces[0] for record in records)
+        assert store.verify().ok
+
     def test_single_missing_seed_left_to_acquire_trace(self):
         points = self._points(seeds=(5,))
         assert engine.acquire_traces(points) == 0

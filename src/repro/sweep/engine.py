@@ -233,6 +233,12 @@ def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
     the timing model cannot time (a zero ROB, an L1 smaller than one set)
     raises :class:`ValueError` here, before any key or simulation.
     """
+    _, config, mem = _resolve(point)
+    return config, mem
+
+
+def _resolve(point: SweepPoint) -> Tuple[MachineSpec, CoreConfig, MemHierConfig]:
+    """:func:`resolve_configs`, with the registered spec it resolved from."""
     spec = get_machine(point.machine_name, point.way)
     if spec.program != point.version:
         raise ValueError(
@@ -256,7 +262,7 @@ def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
         # an override can break that, and the warm path keys many
         # points without one.
         check_config(config, mem)
-    return config, mem
+    return spec, config, mem
 
 
 #: Per (machine, way): the registered spec this process last keyed
@@ -265,25 +271,22 @@ def resolve_configs(point: SweepPoint) -> Tuple[CoreConfig, MemHierConfig]:
 #: ``lanes=4`` and ``lanes=4.0`` are equal values but fingerprint apart.
 _KEYED: Dict[Tuple[str, int], Tuple[MachineSpec, Dict[str, str]]] = {}
 
-
-def _keyed_spec(point: SweepPoint) -> Optional[MachineSpec]:
-    """The spec this process last keyed ``point``'s machine and width on."""
-    keyed = _KEYED.get((point.machine_name, point.way))
-    return None if keyed is None else keyed[0]
+#: Override sets kept per (machine, way): a served explorer can ask for
+#: any number, and a full set starts again empty.
+_KEYED_OVERRIDE_SETS = 256
 
 
 def _fingerprint(
-    point: SweepPoint, config: CoreConfig, mem: MemHierConfig
+    point: SweepPoint, spec: MachineSpec, config: CoreConfig, mem: MemHierConfig
 ) -> str:
     """``config_fingerprint(config, mem)``, once per configuration.
 
-    ``config, mem`` must be :func:`resolve_configs` of ``point``, which
-    is a function of the registered spec and the overrides: a
-    re-registered machine resolves to a new spec object and starts
-    afresh, and drops the in-process memo, whose timings were made on
+    ``spec, config, mem`` must be :func:`_resolve` of ``point``: the
+    configuration is a function of the spec and the overrides.  A
+    re-registered machine resolves to a new spec object, which starts
+    afresh and drops the in-process memo, whose timings were made on
     the old one.
     """
-    spec = get_machine(point.machine_name, point.way)
     keyed = _KEYED.get((point.machine_name, point.way))
     if keyed is None or keyed[0] is not spec:
         if keyed is not None:
@@ -292,6 +295,8 @@ def _fingerprint(
     overrides = repr((point.core_overrides, point.mem_overrides))
     fingerprint = keyed[1].get(overrides)
     if fingerprint is None:
+        if len(keyed[1]) >= _KEYED_OVERRIDE_SETS:
+            keyed[1].clear()
         fingerprint = keyed[1][overrides] = config_fingerprint(config, mem)
     return fingerprint
 
@@ -308,16 +313,12 @@ def point_key(point: SweepPoint) -> str:
     :func:`resolve_configs` raises; the configuration's fingerprint is
     computed once per process.
     """
-    from repro.machines import find_geometry
-
-    config, mem = resolve_configs(point)
+    spec, config, mem = _resolve(point)
     identity: Dict[str, Any] = {
         "point": point.as_dict(),
-        "config": _fingerprint(point, config, mem),
+        "config": _fingerprint(point, spec, config, mem),
+        "capabilities": {"vector_memory": spec.geometry.matrix},
     }
-    geometry = find_geometry(point.machine_name)
-    if geometry is not None:
-        identity["capabilities"] = {"vector_memory": geometry.matrix}
     return record_key("kernel-timing", identity)
 
 
@@ -1022,8 +1023,8 @@ def _held(
     for point in points:
         if point.core_overrides or point.mem_overrides:
             continue
-        spec = _keyed_spec(point)
-        if spec is None or spec is not get_machine(point.machine_name, point.way):
+        keyed = _KEYED.get((point.machine_name, point.way))
+        if keyed is None or keyed[0] is not get_machine(point.machine_name, point.way):
             continue
         timing = MEMO.get(memo_key(store, "kernel-timing", point))
         if timing is not None:

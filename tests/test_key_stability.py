@@ -23,6 +23,8 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -92,6 +94,19 @@ def test_grid_keys_match_the_committed_digest(request):
     assert pinned["artifact_points"]["points"] == 363
 
 
+def test_the_cache_keeps_a_bounded_number_of_override_sets():
+    """A served explorer may ask for any number of override values."""
+    from repro.sweep import engine
+
+    points = [
+        SweepPoint("ycc", "mmx64", 2, core_overrides={"rob_size": 64 + i})
+        for i in range(engine._KEYED_OVERRIDE_SETS + 44)
+    ]
+    keys = [point_key(p) for p in points]
+    assert len(engine._KEYED["mmx64", 2][1]) <= engine._KEYED_OVERRIDE_SETS
+    assert [point_key(p) for p in points] == keys
+
+
 def test_keying_twice_gives_the_same_keys():
     points = _grids()["design_sweep_lanes"][:48]
     assert [point_key(p) for p in points] == [point_key(p) for p in points]
@@ -154,3 +169,38 @@ def test_a_cached_configuration_still_refuses_a_bad_override():
         broken = SweepPoint("ycc", "mmx64", 2, core_overrides={"rob_size": rob_size})
         with pytest.raises(ValueError):
             point_key(broken)
+
+
+def test_threads_keying_at_once_agree_with_one_thread():
+    """Eight threads fill the cache of a fresh machine at once."""
+    points = [
+        SweepPoint("ycc", "mmx64", way, machine="mmx64-key-test",
+                   core_overrides={"rob_size": rob_size})
+        for way in (2, 4, 8)
+        for rob_size in (32, 32.0, 48, 48.0, 64)
+    ]
+    found = {}
+
+    def key_all(index):
+        order = points[index % len(points):] + points[:index % len(points)]
+        found[index] = {id(p): point_key(p) for p in order}
+
+    interval = sys.getswitchinterval()
+    register_machine(_family())
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=key_all, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        sys.setswitchinterval(interval)
+        register_machine(_family(), replace=True)  # a fresh, empty cache
+        expected = {id(p): point_key(p) for p in points}
+    finally:
+        sys.setswitchinterval(interval)
+        unregister_machine("mmx64-key-test")
+    assert len(set(expected.values())) == len(points)
+    assert all(keys == expected for keys in found.values())
+    assert len(found) == 8

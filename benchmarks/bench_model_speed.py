@@ -432,7 +432,7 @@ def _measure_fig4_seeds_sweep():
 
 
 @contextlib.contextmanager
-def _key_and_read_counts():
+def key_and_read_counts():
     """Count ``point_key`` calls and store reads while the block runs.
 
     A read is an outermost ``ResultStore`` ``peek``, ``load`` or ``in``
@@ -490,7 +490,7 @@ def _measure_paper_warm(reps=3):
         best = float("inf")
         for _ in range(reps):
             clear_memory_caches()
-            with _key_and_read_counts() as counts:
+            with key_and_read_counts() as counts:
                 t0 = time.perf_counter()
                 warm = {name: artifact_json(name) for name in ARTIFACT_DATA}
                 best = min(best, time.perf_counter() - t0)

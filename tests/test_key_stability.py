@@ -107,11 +107,6 @@ def test_the_cache_keeps_a_bounded_number_of_override_sets():
     assert [point_key(p) for p in points] == keys
 
 
-def test_keying_twice_gives_the_same_keys():
-    points = _grids()["design_sweep_lanes"][:48]
-    assert [point_key(p) for p in points] == [point_key(p) for p in points]
-
-
 @pytest.mark.parametrize("first, second", [(4, 4.0), (4.0, 4)])
 def test_int_and_float_overrides_keep_apart(first, second):
     """``lanes=4`` equals ``lanes=4.0`` as a value, not as an address."""

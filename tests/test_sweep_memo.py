@@ -5,14 +5,15 @@ whose timing the in-process memo holds for the sweep's store before it
 keys anything, so a warm pass over the twelve artefacts -- whose grids
 share one set of kernel-timing records -- keys and reads each record
 once.  These tests pin that count and the contract around it: a resume
-still keys every point, overridden points and other stores' entries are
-never answered from the memo, and a record damaged after this process
-read it is recomputed once the memo is cleared, and a re-registered
+still keys every point; overridden points and other stores' entries are
+never answered from the memo; a record damaged after this process read
+it is recomputed once the memo is cleared; and a re-registered
 machine's points are keyed again.
 """
 
 import dataclasses
-import functools
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -53,36 +54,18 @@ def cold_memo(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def counted(monkeypatch):
+def counted():
     """Counts of ``point_key`` calls and store reads; zero them to start.
 
-    A read is an outermost ``peek``, ``load`` or ``in`` (``load`` reads
-    through ``peek``).
+    Counted as ``benchmarks/bench_model_speed.py`` counts its warm
+    paper pass.
     """
-    counts = {"keys": 0, "reads": 0}
-    depth = [0]
-    point_key = engine.point_key
-
-    def counted_key(point):
-        counts["keys"] += 1
-        return point_key(point)
-
-    def counting(read):
-        @functools.wraps(read)
-        def counted_read(*args, **kwargs):
-            counts["reads"] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return read(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        return counted_read
-
-    monkeypatch.setattr(engine, "point_key", counted_key)
-    for name in ("peek", "load", "__contains__"):
-        monkeypatch.setattr(ResultStore, name, counting(getattr(ResultStore, name)))
-    return counts
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_model_speed.py"
+    spec = importlib.util.spec_from_file_location("bench_model_speed", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    with bench.key_and_read_counts() as counts:
+        yield counts
 
 
 def test_warm_paper_pass_keys_and_reads_each_record_once(

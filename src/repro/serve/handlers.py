@@ -35,9 +35,11 @@ from repro.sweep.engine import (
 )
 from repro.sweep.points import SweepPoint
 from repro.sweep.store import (
+    MEMO,
     LruCache,
     ResultStore,
     code_version,
+    memo_key,
     peek_payload,
     stable_hash,
     trace_from_payload,
@@ -109,6 +111,30 @@ def _artifact_points(name: str) -> Optional[List[SweepPoint]]:
 
     build = ARTIFACT_POINTS.get(name)
     return None if build is None else list(build())
+
+
+def _absent(store: ResultStore, points: List[SweepPoint]) -> List[SweepPoint]:
+    """The ``points`` whose kernel-timing records ``store`` lacks."""
+    keys = [point_key(p) for p in points]
+    missing = set(store.missing(keys))
+    return [p for p, key in zip(points, keys) if key in missing]
+
+
+def _refill(
+    store: ResultStore, points: List[SweepPoint], absent: List[SweepPoint]
+) -> Any:
+    """Sweep ``points`` into ``store``, recomputing every ``absent`` one.
+
+    A sweep answers the timings this process holds without reading the
+    store, so a record removed after this process read it (say, a root
+    removed under a live server) would stay absent, and every request
+    would start another job; the memo entries of ``absent`` go first.
+    """
+    from repro.sweep.engine import sweep
+
+    for point in absent:
+        MEMO.discard(memo_key(store, "kernel-timing", point))
+    return sweep(points, store=store)
 
 
 class Api:
@@ -207,20 +233,16 @@ class Api:
             points = _artifact_points(name)
             if points is not None and self.store is not None:
                 store = self.store
-                missing = await self.run_read(
-                    lambda: store.missing([point_key(p) for p in points])
-                )
-                if missing:
-                    from repro.sweep.engine import sweep
-
+                absent = await self.run_read(lambda: _absent(store, points))
+                if absent:
                     job_key = stable_hash({
                         "backfill": "artifact", "name": name,
                         "code": code_version(),
                     })
                     return self._backfill(
                         job_key, "artifact", name,
-                        lambda: sweep(points, store=store),
-                        missing=len(missing),
+                        lambda: _refill(store, points, absent),
+                        missing=len(absent),
                     )
             from repro.experiments import artifact_json
 

@@ -267,38 +267,32 @@ def _resolve(point: SweepPoint) -> Tuple[MachineSpec, CoreConfig, MemHierConfig]
 
 #: Per (machine, way): the registered spec this process last keyed
 #: points on, and the :func:`~repro.sweep.store.config_fingerprint` of
-#: each override set resolved on it, keyed by the overrides' ``repr`` --
-#: ``lanes=4`` and ``lanes=4.0`` are equal values but fingerprint apart.
-_KEYED: Dict[Tuple[str, int], Tuple[MachineSpec, Dict[str, str]]] = {}
-
-#: Override sets kept per (machine, way): a served explorer can ask for
-#: any number, and a full set starts again empty.
-_KEYED_OVERRIDE_SETS = 256
+#: its configuration without overrides.
+_KEYED: Dict[Tuple[str, int], Tuple[MachineSpec, str]] = {}
 
 
 def _fingerprint(
     point: SweepPoint, spec: MachineSpec, config: CoreConfig, mem: MemHierConfig
 ) -> str:
-    """``config_fingerprint(config, mem)``, once per configuration.
+    """``config_fingerprint(config, mem)``, once per override-free configuration.
 
-    ``spec, config, mem`` must be :func:`_resolve` of ``point``: the
-    configuration is a function of the spec and the overrides.  A
-    re-registered machine resolves to a new spec object, which starts
-    afresh and drops the in-process memo, whose timings were made on
-    the old one.
+    ``spec, config, mem`` must be :func:`_resolve` of ``point``: without
+    overrides the configuration is a function of the spec.  A
+    re-registered machine resolves to a new spec object, which is
+    fingerprinted afresh and drops the in-process memo, whose timings
+    were made on the old one.  Points with overrides are fingerprinted
+    every time.
     """
+    if point.core_overrides or point.mem_overrides:
+        return config_fingerprint(config, mem)
     keyed = _KEYED.get((point.machine_name, point.way))
     if keyed is None or keyed[0] is not spec:
         if keyed is not None:
             MEMO.clear()
-        keyed = _KEYED[point.machine_name, point.way] = (spec, {})
-    overrides = repr((point.core_overrides, point.mem_overrides))
-    fingerprint = keyed[1].get(overrides)
-    if fingerprint is None:
-        if len(keyed[1]) >= _KEYED_OVERRIDE_SETS:
-            keyed[1].clear()
-        fingerprint = keyed[1][overrides] = config_fingerprint(config, mem)
-    return fingerprint
+        keyed = _KEYED[point.machine_name, point.way] = (
+            spec, config_fingerprint(config, mem)
+        )
+    return keyed[1]
 
 
 def point_key(point: SweepPoint) -> str:
@@ -310,8 +304,8 @@ def point_key(point: SweepPoint) -> str:
     capability (the one timing input that lives in the registered
     geometry rather than the config dataclasses) and the simulator code
     digest.  Every call resolves the point, so it raises what
-    :func:`resolve_configs` raises; the configuration's fingerprint is
-    computed once per process.
+    :func:`resolve_configs` raises; the fingerprint of a configuration
+    without overrides is computed once per process.
     """
     spec, config, mem = _resolve(point)
     identity: Dict[str, Any] = {

@@ -1475,6 +1475,13 @@ class LruCache:
                 self.evictions += 1
             return True
 
+    def discard(self, key: Any) -> None:
+        """Drop the entry under ``key``, if there is one."""
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.bytes -= old[1]
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

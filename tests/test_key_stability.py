@@ -94,19 +94,6 @@ def test_grid_keys_match_the_committed_digest(request):
     assert pinned["artifact_points"]["points"] == 363
 
 
-def test_the_cache_keeps_a_bounded_number_of_override_sets():
-    """A served explorer may ask for any number of override values."""
-    from repro.sweep import engine
-
-    points = [
-        SweepPoint("ycc", "mmx64", 2, core_overrides={"rob_size": 64 + i})
-        for i in range(engine._KEYED_OVERRIDE_SETS + 44)
-    ]
-    keys = [point_key(p) for p in points]
-    assert len(engine._KEYED["mmx64", 2][1]) <= engine._KEYED_OVERRIDE_SETS
-    assert [point_key(p) for p in points] == keys
-
-
 @pytest.mark.parametrize("first, second", [(4, 4.0), (4.0, 4)])
 def test_int_and_float_overrides_keep_apart(first, second):
     """``lanes=4`` equals ``lanes=4.0`` as a value, not as an address."""
@@ -170,9 +157,9 @@ def test_threads_keying_at_once_agree_with_one_thread():
     """Eight threads fill the cache of a fresh machine at once."""
     points = [
         SweepPoint("ycc", "mmx64", way, machine="mmx64-key-test",
-                   core_overrides={"rob_size": rob_size})
+                   core_overrides=None if rob_size is None else {"rob_size": rob_size})
         for way in (2, 4, 8)
-        for rob_size in (32, 32.0, 48, 48.0, 64)
+        for rob_size in (None, 32, 32.0, 48, 48.0, 64)
     ]
     found = {}
 

@@ -173,6 +173,43 @@ class TestArtifacts:
         assert warm.status == 200
         assert warm.body == golden
 
+    def test_backfill_rewrites_records_removed_under_a_live_server(
+        self, store, monkeypatch
+    ):
+        """fig7 reads fig4's grid, which this process holds once fig4 rendered."""
+        import shutil
+        from pathlib import Path
+
+        from repro.experiments.artifacts import ARTIFACT_POINTS
+
+        # As ``repro serve --store``: artefacts compose from the served store.
+        monkeypatch.setenv("REPRO_STORE", str(store.root))
+        app = app_for(store)
+        keys = [point_key(p) for p in ARTIFACT_POINTS["fig7"]()]
+
+        async def render(name):
+            first = await app.handle_request("GET", f"/v1/artifact/{name}")
+            if first.status != 202:
+                return first, None
+            state, _ = await poll_job(app, json.loads(first.body)["job"], timeout=300.0)
+            assert state == "done"
+            return await app.handle_request("GET", f"/v1/artifact/{name}"), first
+
+        async def go():
+            fig4, _ = await render("fig4")
+            assert fig4.status == 200
+            shutil.rmtree(store.root)
+            fig7, backfill = await render("fig7")
+            await app.shutdown(drain_timeout=60.0)
+            return fig7, backfill
+
+        fig7, backfill = asyncio.run(go())
+        assert backfill is not None and json.loads(backfill.body)["missing"] == len(keys)
+        assert store.missing(keys) == []
+        golden = (Path(__file__).parent / "goldens" / "fig7.json").read_bytes()
+        assert fig7.status == 200
+        assert fig7.body == golden
+
 
 class TestPoints:
     def test_warm_point_served_from_store_then_cache(self, warm_store):

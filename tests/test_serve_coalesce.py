@@ -161,6 +161,17 @@ class TestLruCache:
         assert cache.put("b", b"3", 6)
         assert cache.get("b") == b"3"
 
+    def test_discard_releases_its_bytes(self):
+        cache = LruCache(100, name="t")
+        cache.put("a", b"1", 30)
+        cache.put("b", b"2", 50)
+        cache.discard("a")
+        cache.discard("absent")
+        assert cache.get("a") is None
+        assert cache.stats()["bytes"] == 50
+        assert cache.stats()["entries"] == 1
+        assert cache.stats()["evictions"] == 0
+
     def test_concurrent_put_get_clear_keep_accounting(self):
         cache = LruCache(64, name="t")
         threads, rounds = 8, 3000

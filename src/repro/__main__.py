@@ -10,7 +10,7 @@ registry::
     python -m repro sweep --grid fig4 --jobs 4
     python -m repro sweep --kernels idct,ycc --isas mmx64,vmmx128 --ways 2,8
     python -m repro sweep --machines mmx256,vmmx256 --ways 2,16
-    python -m repro sweep --grid fig4 --shard 1/2 --store-root /tmp/campaign --resume
+    python -m repro sweep --grid fig4 --shard 1/2 --store-root /tmp/campaign
     python -m repro campaign run --grid fig4 --shards 2
     python -m repro campaign status --root /tmp/campaign
     python -m repro campaign resume --root /tmp/campaign
@@ -132,7 +132,6 @@ def _cmd_sweep(args) -> int:
     from repro.experiments.report import render_table
     from repro.sweep import (
         default_jobs,
-        default_store,
         parse_shard_spec,
         read_points_file,
         shard_store_root,
@@ -160,10 +159,6 @@ def _cmd_sweep(args) -> int:
         # The store is selected through the environment so worker
         # processes and nested simulate_kernel calls agree on it.
         os.environ["REPRO_STORE"] = args.store
-    if args.resume and default_store() is None:
-        print("--resume needs a result store; the store is disabled "
-              "(--store off / REPRO_STORE=off)")
-        return 1
 
     if args.isas != "all" and args.machines is not None:
         print("--isas and --machines name the same axis; pass only one")
@@ -216,9 +211,7 @@ def _cmd_sweep(args) -> int:
         if not args.quiet:
             print(f"[{done}/{total}] {point.label:40s} {source}")
 
-    report = sweep(
-        points, jobs=jobs, progress=progress, shard=shard, resume=args.resume
-    )
+    report = sweep(points, jobs=jobs, progress=progress, shard=shard)
     if not args.quiet:
         rows = [
             (
@@ -672,7 +665,7 @@ def _cmd_campaign(args) -> int:
             beat = status.progress.heartbeat
             if beat is not None and not status.progress.done:
                 print(
-                    f"  shard {status.index + 1} last checkpoint write: "
+                    f"  shard {status.index + 1} last store write: "
                     f"{time.time() - beat:.0f}s ago"
                 )
         return 0
@@ -822,9 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign directory: each shard writes its own "
                             "store under DIR (shard-I-of-N), ready for "
                             "'store merge'")
-    sweep.add_argument("--resume", action="store_true",
-                       help="checkpoint completed point-keys to the store "
-                            "and skip work an interrupted run already did")
     sweep.add_argument("--quiet", action="store_true",
                        help="only print the final summary line")
     store = sub.add_parser(
@@ -893,12 +883,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_status_p = campaign_verbs.add_parser(
         "status",
-        help="per-shard progress and heartbeats, read from the checkpoint "
-             "records (safe while workers run)",
+        help="per-shard progress and heartbeats, read from the shard "
+             "stores (safe while workers run)",
     )
     campaign_resume = campaign_verbs.add_parser(
         "resume",
-        help="restart a killed campaign from its manifest + checkpoints "
+        help="restart a killed campaign from its manifest + shard stores "
              "(recomputes only missing points)",
     )
     for verb_parser in (campaign_run, campaign_status_p, campaign_resume):
@@ -954,7 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
         verb_parser.add_argument(
             "--retries", type=int, default=None, metavar="K",
             help="maximum attempts per shard before the campaign fails "
-                 "(default: 3; every attempt resumes, never recomputes)")
+                 "(default: 3; every attempt recomputes only what its "
+                 "shard store lacks)")
         verb_parser.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="kill a shard attempt that runs longer than this "
@@ -965,8 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: 0.5)")
         verb_parser.add_argument(
             "--heartbeat-window", type=float, default=None, metavar="SECONDS",
-            help="declare a worker attempt dead when its checkpoint "
-                 "record goes this long without an mtime update "
+            help="declare a worker attempt dead when its store goes "
+                 "this long without a write "
                  "(default: no heartbeat supervision)")
         verb_parser.add_argument(
             "--quiet", action="store_true",

@@ -39,6 +39,7 @@ from repro.sweep.store import (
     LruCache,
     ResultStore,
     code_version,
+    default_store,
     memo_key,
     peek_payload,
     stable_hash,
@@ -230,9 +231,12 @@ class Api:
             hit = self._cached(cache_key)
             if hit is not None:
                 return hit
+            # ``artifact_json`` composes from the process store, so that
+            # is the store gated and backfilled (``repro serve --store``
+            # makes it ``self.store``).
+            store = default_store()
             points = _artifact_points(name)
-            if points is not None and self.store is not None:
-                store = self.store
+            if points is not None and store is not None:
                 absent = await self.run_read(lambda: _absent(store, points))
                 if absent:
                     job_key = stable_hash({

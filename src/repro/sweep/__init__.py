@@ -52,7 +52,6 @@ from repro.sweep.engine import (
     SweepInterrupted,
     SweepReport,
     acquire_trace,
-    checkpoint_key,
     compute_points,
     default_jobs,
     emulation_count,
@@ -141,7 +140,6 @@ __all__ = [
     "VerifyReport",
     "acquire_trace",
     "campaign_status",
-    "checkpoint_key",
     "clear_memory_caches",
     "code_version",
     "compute_points",

@@ -1,34 +1,32 @@
 """Campaign orchestration: dispatch shards, supervise, retry, merge.
 
 A **campaign** is one design-space grid executed as ``N`` shards, each
-shard a resumable :func:`repro.sweep.engine.sweep` into its own store
-root (the PR-4 layout ``<root>/shard-i-of-N``).  This module adds the
-layer that PR 4 left as a hook: something that *launches* the shards,
-watches their heartbeats, retries the ones that die, and reunifies the
-result.
+shard a :func:`repro.sweep.engine.sweep` into its own store root (the
+layout ``<root>/shard-i-of-N``), which is also that shard's resume
+state.  This module is the layer that *launches* the shards, watches
+their heartbeats, retries the ones that die, and reunifies the result.
 
 The moving parts:
 
 * :class:`CampaignManifest` -- the JSON-serialisable description of a
   campaign (grid or explicit axes, shard count, executor, retry
   policy), written to ``<root>/campaign.json`` so a killed orchestrator
-  restarts idempotently from the manifest plus the per-shard
-  checkpoints.
+  restarts idempotently from the manifest plus the per-shard stores.
 * :class:`LocalExecutor` / :class:`~repro.sweep.remote.RemoteExecutor`
   -- the shard launchers :func:`make_executor` builds from the
   manifest.  ``local`` runs each shard in-process through the existing
   sweep engine (its process pool included); ``subprocess`` and ``ssh``
-  run the ``python -m repro sweep --shard i/N --store-root ... --resume``
-  line :func:`shard_command` builds as supervised workers, on worker
-  slots of this machine or on fleet hosts.
+  run the ``python -m repro sweep --shard i/N --store-root ...`` line
+  :func:`shard_command` builds as supervised workers, on worker slots
+  of this machine or on fleet hosts.
 * :func:`run_campaign` -- the orchestrator: skips shards whose stores
   are already complete, launches the rest, retries failures up to the
-  manifest's ``max_attempts`` (every attempt *resumes* -- completed
-  points are never recomputed), and on success merges the shard stores
-  into ``<root>/merged.staging``, verifies every payload, and only then
-  promotes the staging directory to ``<root>/merged``.
+  manifest's ``max_attempts`` (every attempt reads its shard store, so
+  completed points are never recomputed), and on success merges the
+  shard stores into ``<root>/merged.staging``, verifies every payload,
+  and only then promotes the staging directory to ``<root>/merged``.
 * :func:`campaign_status` -- the read-only view: per-shard progress and
-  heartbeats from the checkpoint records, merged-store state.
+  heartbeats read from the shard stores, merged-store state.
 
 ``python -m repro campaign run|status|resume`` is the CLI front end;
 see ``docs/campaigns.md`` for the workflow.
@@ -116,7 +114,7 @@ class CampaignManifest:
     (``executor``, ``jobs``, ``max_attempts``) may change between
     restarts of the same campaign: resuming a dead ``subprocess``
     campaign with ``executor="local"`` is legitimate and loses nothing,
-    because the stores and checkpoints carry all the state.
+    because the stores carry all the state.
 
     Axes mirror ``python -m repro sweep``: either ``grid`` names one of
     :data:`repro.sweep.points.GRIDS`, or the explicit
@@ -363,9 +361,10 @@ class Executor:
 
     The contract is deliberately tiny -- run these shard indices of
     this manifest, report per-shard success -- because everything
-    stateful (results, checkpoints, progress) lives in the per-shard
-    stores.  An executor that loses a worker mid-flight loses nothing:
-    the orchestrator retries and the sweep resumes from the store.
+    stateful (results, progress) lives in the per-shard stores.  An
+    executor that loses a worker mid-flight loses nothing: the
+    orchestrator retries and the sweep recomputes only what its store
+    lacks.
     :class:`~repro.sweep.remote.RemoteExecutor` implements
     :meth:`run_shards` by running the exact ``python -m repro sweep``
     command :func:`shard_command` builds on a worker host and, when that
@@ -407,7 +406,6 @@ class LocalExecutor(Executor):
                     points,
                     jobs=manifest.jobs,
                     shard=(index, manifest.shards),
-                    resume=True,
                     store_root=str(manifest.shard_root(index)),
                 )
                 outcomes[index] = ShardOutcome(
@@ -432,12 +430,12 @@ def shard_command(
     """The worker command line for shard ``index`` of ``manifest``.
 
     Exactly what a human would type on the worker host: the axes are
-    spelled the way ``python -m repro sweep`` takes them, ``--resume``
-    makes retries free, and ``--store-root`` routes the shard into the
-    campaign layout ``store merge`` expects.  The worker executors run
-    this verbatim -- a host with its own filesystem gets ``store_root``
-    aimed at a scratch campaign root there (the store comes back by
-    tarball, not by shared disk).
+    spelled the way ``python -m repro sweep`` takes them, and
+    ``--store-root`` routes the shard into the campaign layout ``store
+    merge`` expects, where the shard's store makes retries free.  The
+    worker executors run this verbatim -- a host with its own
+    filesystem gets ``store_root`` aimed at a scratch campaign root
+    there (the store comes back by tarball, not by shared disk).
     """
     cmd = [sys.executable, "-m", "repro", "sweep"]
     if manifest.grid is not None:
@@ -452,7 +450,6 @@ def shard_command(
     cmd += [
         "--shard", f"{index + 1}/{manifest.shards}",
         "--store-root", store_root,
-        "--resume",
         "--jobs", str(manifest.jobs),
         "--quiet",
     ]
@@ -626,7 +623,7 @@ def ensure_manifest(manifest: CampaignManifest) -> CampaignManifest:
     with the new execution policy and the campaign proceeds -- that is
     the idempotent-restart story.  Different identity: refuse loudly;
     two different campaigns must not share a root, because their shard
-    stores and checkpoints would interleave.
+    stores would interleave.
     """
     path = manifest.manifest_path()
     if path.exists():
@@ -655,8 +652,7 @@ def campaign_status(manifest: CampaignManifest) -> CampaignReport:
     fleet = load_fleet(manifest)
     for index in range(manifest.shards):
         progress = keys_progress(
-            ResultStore(manifest.shard_root(index)), keys[index],
-            (index, manifest.shards),
+            ResultStore(manifest.shard_root(index)), keys[index]
         )
         report.shards.append(
             ShardStatus(
@@ -742,8 +738,8 @@ def run_campaign(
     ``manifest.max_attempts`` attempts each, then merge + verify +
     promote.  Already-complete shards are never re-attempted, so an
     orchestrator killed after k shards restarts with N-k launches; and
-    because every attempt resumes from the shard checkpoint, a shard
-    that died mid-chunk re-runs only its missing points.
+    because every attempt reads its shard store, a shard that died
+    mid-chunk re-runs only its missing points.
     """
     manifest.validate()
     manifest = ensure_manifest(manifest)
@@ -756,10 +752,7 @@ def run_campaign(
     report = CampaignReport(manifest=manifest)
 
     def refresh(index: int) -> ShardProgress:
-        return keys_progress(
-            ResultStore(manifest.shard_root(index)), keys[index],
-            (index, manifest.shards),
-        )
+        return keys_progress(ResultStore(manifest.shard_root(index)), keys[index])
 
     statuses = {
         index: ShardStatus(

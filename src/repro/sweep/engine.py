@@ -74,15 +74,15 @@ _TIMING_COUNT = 0
 
 #: Test hook: how many more cold points this process's sweeps may
 #: compute before :class:`SweepInterrupted` is raised (None = unlimited).
-#: The resume tests use it to kill a sweep mid-campaign at an exact,
+#: The restart tests use it to kill a sweep mid-campaign at an exact,
 #: reproducible place.
 _COMPUTE_BUDGET: Optional[int] = None
 
 #: Deterministic fault injection for the campaign failover tests:
 #: ``REPRO_FAULT_SHARD=i:after_K`` makes the worker running shard ``i``
 #: (1-based, matching ``--shard i/N``) die with :class:`SweepInterrupted`
-#: after ``K`` computed points; ``i:hang`` makes it hang before writing
-#: its first checkpoint (exactly the worker a first-heartbeat grace
+#: after ``K`` computed points; ``i:hang`` makes it hang before its
+#: first store write (exactly the worker a first-heartbeat grace
 #: deadline must catch).  Workers running without a shard spec --
 #: including the rebalanced ``--points-file`` subsets an elastic
 #: executor dispatches -- never match, so an injected fault kills its
@@ -96,8 +96,8 @@ class SweepInterrupted(RuntimeError):
     """A sweep died mid-campaign (induced by :func:`set_compute_budget`).
 
     Stands in for a killed process in tests: everything completed
-    before the interruption is already persisted and checkpointed, so a
-    restart with ``resume=True`` computes only what is genuinely left.
+    before the interruption is already persisted, so a restart against
+    the same store computes only what is genuinely left.
     """
 
 
@@ -162,7 +162,7 @@ def _shard_fault(shard: Optional[Tuple[int, int]]) -> Optional[Any]:
 
 
 def _hang_forever(shard: Tuple[int, int]) -> None:  # pragma: no cover
-    """Injected ``hang`` fault: block before the first checkpoint write.
+    """Injected ``hang`` fault: block before the first store write.
 
     Models a worker stuck in import or trace emulation -- alive as a
     process, silent as a store -- which is exactly the state a
@@ -753,9 +753,6 @@ class SweepReport:
     sources: List[str] = field(default_factory=list)
     #: The ``(index, count)`` this call was restricted to, if sharded.
     shard: Optional[Tuple[int, int]] = None
-    #: Of the cached points, how many a resume checkpoint had already
-    #: recorded as completed by an earlier (interrupted) run.
-    resumed: int = 0
     #: Kernel emulations this call performed (trace-cache misses).
     emulated: int = 0
     #: Distinct (trace content, configuration) timings this call
@@ -779,45 +776,22 @@ class SweepReport:
         )
         if self.shard is not None:
             text += f", shard {self.shard[0] + 1}/{self.shard[1]}"
-        if self.resumed:
-            text += f", {self.resumed} resumed"
         return text
-
-
-def checkpoint_key(point_keys: Sequence[str], shard: Optional[Tuple[int, int]]) -> str:
-    """Content address of a campaign's ``sweep-checkpoint`` record.
-
-    One checkpoint per (point set, shard spec): the same construction
-    :func:`sweep` writes through when ``resume=True``, exposed so an
-    orchestrator (:mod:`repro.sweep.dispatch`) can locate a shard's
-    progress record from nothing but the point list -- the assignment
-    and the keys are pure functions, so supervisor and worker agree on
-    the address without communicating.
-    """
-    return record_key(
-        "sweep-checkpoint",
-        {
-            "points": sorted(point_keys),
-            "shard": list(shard) if shard is not None else None,
-        },
-    )
 
 
 @dataclass
 class ShardProgress:
     """One shard's progress, read straight from its result store.
 
-    ``completed`` comes from the shard's ``sweep-checkpoint`` record
-    (what an interrupted worker had acknowledged); ``present`` counts
-    the point records actually on disk -- the ground truth a restart
-    recomputes from, and the number :attr:`done` is defined over.
-    ``heartbeat`` is the newest mtime among the store's segment files
-    (seconds since epoch), the liveness signal a supervisor watches
-    while a worker runs: every save appends to one.
+    ``present`` counts the shard's point records in the store -- the
+    ground truth a restart recomputes from, and the number :attr:`done`
+    is defined over.  ``heartbeat`` is the newest mtime among the
+    store's segment files (seconds since epoch; None before the first
+    write), the liveness signal a supervisor watches while a worker
+    runs: every save appends to one.
     """
 
     total: int
-    completed: int = 0
     present: int = 0
     heartbeat: Optional[float] = None
 
@@ -835,11 +809,7 @@ class ShardProgress:
         return f"{self.present}/{self.total} points in store ({state})"
 
 
-def keys_progress(
-    store: Any,
-    keys: Sequence[str],
-    shard: Optional[Tuple[int, int]] = None,
-) -> ShardProgress:
+def keys_progress(store: Any, keys: Sequence[str]) -> ShardProgress:
     """:class:`ShardProgress` for precomputed point keys (read-only).
 
     The orchestrator derives every shard's key list once up front and
@@ -849,17 +819,8 @@ def keys_progress(
     progress = ShardProgress(total=len(keys))
     if store is None:
         return progress
-    # The checkpoint is re-saved as the worker goes, and an indexed key
-    # answers with the frame this process saw first until a refresh.
-    store.refresh()
     progress.present = len(keys) - len(store.missing(keys))
-    ck_key = checkpoint_key(keys, shard)
-    record = store.peek(ck_key)
-    if record is not None:
-        payload = record["payload"]
-        completed = payload.get("completed", []) if isinstance(payload, dict) else []
-        progress.completed = len(set(completed) & set(keys))
-        progress.heartbeat = newest_mtime(store.segments_dir)
+    progress.heartbeat = newest_mtime(store.segments_dir)
     return progress
 
 
@@ -870,56 +831,15 @@ def sweep_progress(
 ) -> ShardProgress:
     """Progress of a (possibly sharded) campaign against ``store``.
 
-    Read-only: consults the checkpoint record and the point records
-    without computing, writing or quarantining anything, so a
-    supervisor can poll it while a worker is mid-flight.
+    Read-only: consults the point records without computing or writing
+    anything, so a supervisor can poll it while a worker is mid-flight.
     """
     if store is _USE_DEFAULT:
         store = default_store()
     points = dedupe(points)
     if shard is not None:
         points = shard_points(points, shard[0], shard[1])
-    return keys_progress(store, [point_key(p) for p in points], shard)
-
-
-class _Checkpoint:
-    """Campaign progress record for ``sweep(..., resume=True)``.
-
-    One ``sweep-checkpoint`` record per (point set, shard spec),
-    content-addressed like everything else, holding the sorted
-    point-keys already completed.  The *result records themselves*
-    remain the source of truth -- a checkpointed key whose record has
-    been corrupted or garbage-collected is simply recomputed -- so the
-    checkpoint can never resurrect lost data, only report honest
-    progress and survive interruptions at any instant (it is re-saved
-    after every completed trace group or chunk, appended like any
-    record, and the newest frame answers).
-    """
-
-    def __init__(self, store: Any, point_keys: Sequence[str],
-                 shard: Optional[Tuple[int, int]]) -> None:
-        self.store = store
-        self.total = len(point_keys)
-        self.key = checkpoint_key(point_keys, shard)
-        payload = load_payload(store, self.key)
-        completed = (
-            payload.get("completed", []) if isinstance(payload, dict) else []
-        )
-        #: Keys completed by a previous run of this exact campaign.
-        self.prior = set(completed) & set(point_keys)
-        self.completed = set(self.prior)
-
-    def mark(self, key: Optional[str]) -> None:
-        if key is not None:
-            self.completed.add(key)
-
-    def flush(self) -> None:
-        save_payload(
-            self.store,
-            "sweep-checkpoint",
-            self.key,
-            {"completed": sorted(self.completed), "total": self.total},
-        )
+    return keys_progress(store, [point_key(p) for p in points])
 
 
 def sweep(
@@ -928,7 +848,6 @@ def sweep(
     store: Any = _USE_DEFAULT,
     progress: Optional[ProgressFn] = None,
     shard: Optional[Tuple[int, int]] = None,
-    resume: bool = False,
     store_root: Optional[Any] = None,
 ) -> SweepReport:
     """Evaluate every point, warm-starting from the store.
@@ -958,13 +877,12 @@ def sweep(
     shard of the (deduplicated) point list -- see
     :func:`repro.sweep.points.shard`: trace-grouped, so N shards
     against N distinct store roots emulate each kernel exactly once
-    across the whole campaign.  ``resume=True`` additionally
-    checkpoints completed point-keys to the store after every trace
-    group (or pooled chunk), so an interrupted campaign restarted with
-    the same arguments recomputes only what is genuinely missing; it
-    keys every point, held or not, since the checkpoint records keys.
-    Every result record is persisted the moment it is computed in either
-    mode -- interruption can never lose completed work.
+    across the whole campaign.  A sharded sweep keys and reads every
+    point instead of answering from the memo, because its store is the
+    campaign's ground truth.  Every result record is persisted as its
+    trace group is timed, so interruption never loses completed work,
+    and a restart against the same store recomputes only what is
+    genuinely missing: the store is its own resume state.
 
     This function is one shard's worth of work.  To launch, supervise
     and reunify all N shards of a campaign, use
@@ -982,23 +900,18 @@ def sweep(
     points = dedupe(points)
     if shard is not None:
         points = shard_points(points, shard[0], shard[1])
-    if resume and store is None:
-        raise ValueError(
-            "sweep(resume=True) needs a result store to checkpoint into; "
-            "the store is disabled (REPRO_STORE=off?)"
-        )
     fault = _shard_fault(shard)
     if fault == "hang":
         _hang_forever(shard)  # pragma: no cover - killed by supervisor
     if fault is None:
-        return _run_sweep(points, jobs, store, progress, shard, resume)
+        return _run_sweep(points, jobs, store, progress, shard)
     # after_K: die (SweepInterrupted) after K computed points, through
-    # the same budget hook the in-process resume tests use.  The budget
+    # the same budget hook the in-process restart tests use.  The budget
     # is restored even if the fault never fires (K >= misses).
     previous = _COMPUTE_BUDGET
     set_compute_budget(fault if previous is None else min(previous, fault))
     try:
-        return _run_sweep(points, jobs, store, progress, shard, resume)
+        return _run_sweep(points, jobs, store, progress, shard)
     finally:
         set_compute_budget(previous)
 
@@ -1032,25 +945,22 @@ def _run_sweep(
     store: Any,
     progress: Optional[ProgressFn],
     shard: Optional[Tuple[int, int]],
-    resume: bool,
 ) -> SweepReport:
     """:func:`sweep` after store/shard/fault resolution (see there)."""
     total = len(points)
     # What this process already holds for the store is answered unkeyed;
-    # a resume keys every point, because its checkpoint records keys.
-    held = _held(points, store) if store is not None and not resume else {}
+    # a shard reads every point from its store.
+    held = _held(points, store) if store is not None and shard is None else {}
     keys = [
         None if store is None or point in held else point_key(point)
         for point in points
     ]
-    checkpoint = _Checkpoint(store, keys, shard) if resume else None
     emulations_before, timings_before = _EMU_COUNT, _TIMING_COUNT
 
     results: Dict[SweepPoint, KernelTiming] = {}
     sources: Dict[SweepPoint, str] = {}
     misses: _Group = []
     done = 0
-    resumed = 0
     for point, key in zip(points, keys):
         timing = held.get(point)
         if timing is None and key is not None:
@@ -1061,10 +971,6 @@ def _run_sweep(
             results[point] = timing
             sources[point] = "store"
             done += 1
-            if checkpoint is not None:
-                if key in checkpoint.prior:
-                    resumed += 1
-                checkpoint.mark(key)
             if progress is not None:
                 progress(done, total, point, "store")
         else:
@@ -1072,20 +978,16 @@ def _run_sweep(
 
     def finish(computed: _Group, records: List[Dict[str, Any]]) -> None:
         nonlocal done
-        for (point, key), record in zip(computed, records):
+        for (point, _), record in zip(computed, records):
             results[point] = kernel_timing_from_dict(record)
             sources[point] = "sim"
             done += 1
-            if checkpoint is not None:
-                checkpoint.mark(key)
             if progress is not None:
                 progress(done, total, point, "sim")
-        if checkpoint is not None:
-            checkpoint.flush()
 
-    # A compute budget trims the misses once: its prefix is computed
-    # like any sweep's, persisted and checkpointed, and then the sweep
-    # dies with SweepInterrupted -- at any ``jobs``.
+    # A compute budget trims the misses once: its prefix is computed and
+    # persisted like any sweep's, and then the sweep dies with
+    # SweepInterrupted -- at any ``jobs``.
     budget = _COMPUTE_BUDGET
     todo = misses if budget is None else misses[:max(budget, 0)]
     # Grouped by kernel program once, in first-miss order: the group is
@@ -1105,14 +1007,12 @@ def _run_sweep(
             pending = pending[taken:]
     # Groups the pool never delivered (pool creation failed, or a worker
     # crashed mid-campaign) complete inline, against the same store the
-    # workers were handed.  Inline, a program's results land (and
-    # checkpoint) before the next program's traces are made.
+    # workers were handed.  Inline, a program's results land before the
+    # next program's traces are made.
     for group in pending:
         finish(group, _time_group(group, store))
     if budget is not None:
         set_compute_budget(budget - len(todo))
-    if checkpoint is not None:
-        checkpoint.flush()
     if len(todo) < len(misses):
         raise SweepInterrupted(
             f"compute budget exhausted after {len(todo)} of "
@@ -1132,7 +1032,6 @@ def _run_sweep(
         store_root=str(store.root) if store is not None else None,
         sources=[sources[p] for p in points],
         shard=shard,
-        resumed=resumed,
         emulated=_EMU_COUNT - emulations_before,
         distinct_timings=_TIMING_COUNT - timings_before,
     )
@@ -1144,7 +1043,7 @@ def _pooled_chunks(
     """Yield ``(groups_consumed, records)`` per completed pool chunk.
 
     Results stream back in deterministic chunk order, so the caller can
-    keep (and checkpoint) each chunk as it lands rather than holding
+    keep each chunk as it lands rather than holding
     the whole campaign in memory until the slowest worker finishes.
     Pool-creation failure (constrained sandboxes) or a broken pool
     mid-campaign simply stops the stream; the caller completes the

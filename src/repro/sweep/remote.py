@@ -233,10 +233,10 @@ class RemoteExecutor(Executor):
         """Seed the remote store with everything the local shard already has.
 
         This is what makes retries and rebalancing free of duplicate
-        work: the remote worker resumes against the shipped records
-        (timings *and* traces), so it only computes what is genuinely
-        missing.  An empty local store ships nothing, and neither does a
-        shared filesystem, where the worker writes ``local_store`` itself.
+        work: the remote worker reads the shipped records (timings
+        *and* traces), so it only computes what is genuinely missing.
+        An empty local store ships nothing, and neither does a shared
+        filesystem, where the worker writes ``local_store`` itself.
         """
         if self.transport.shares_filesystem or not any(
             True for _ in local_store.iter_keys()
@@ -529,7 +529,6 @@ class RemoteExecutor(Executor):
                 self.transport.python(host), "-m", "repro", "sweep",
                 "--points-file", remote_points,
                 "--store", remote_store,
-                "--resume",
                 "--jobs", str(manifest.jobs),
                 "--quiet",
             ]

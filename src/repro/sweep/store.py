@@ -1,12 +1,11 @@
 """Content-addressed on-disk store for simulation results.
 
-Five record kinds share the store: ``kernel-timing`` (a
+Four record kinds share the store: ``kernel-timing`` (a
 :class:`KernelTiming` with its :class:`SimResult`), ``app-profile``,
-``scalar-ipc``, ``trace`` -- the compact binary serialisation of a
+``scalar-ipc`` and ``trace`` -- the compact binary serialisation of a
 columnar dynamic trace (:func:`trace_to_payload`), which lets sweeps
 re-time a cached trace on new configurations without re-emulating the
-kernel -- and ``sweep-checkpoint``, the resume/progress record of a
-(possibly sharded) campaign (:func:`repro.sweep.engine.checkpoint_key`).
+kernel.
 
 Every record is one JSON object stored under a key, the SHA-256 of a
 canonical description of what produced it: the sweep point, the *resolved*
@@ -948,17 +947,6 @@ class ResultStore:
         except OSError:
             return
 
-    def refresh(self) -> None:
-        """Index what other processes appended since this one last looked.
-
-        A read extends the index only on a miss, so a key that another
-        process re-saves (a campaign checkpoint) answers with the frame
-        this process indexed first until a refresh finds the newer one.
-        """
-        state = self._root()
-        with state.lock:
-            state.refresh()
-
     def __contains__(self, key: str) -> bool:
         return self._root().contains(key)
 
@@ -970,7 +958,7 @@ class ResultStore:
 
         Read-only: the campaign orchestrator uses it to decide whether a
         shard store is complete before promoting a merge, and to report
-        what a resume would recompute.
+        what a restart would recompute.
         """
         return [key for key in keys if key not in self]
 

@@ -11,10 +11,11 @@ leaves the per-shard logs behind.
 
 import json
 import os
+import tempfile
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.sweep import (
     CampaignError,
     CampaignManifest,
@@ -23,6 +24,7 @@ from repro.sweep import (
     campaign_status,
     clear_memory_caches,
     dedupe,
+    fig4_points,
     grid,
     make_executor,
     point_key,
@@ -36,7 +38,7 @@ from repro.sweep import (
 )
 from repro.sweep.dispatch import MANIFEST_NAME
 from repro.sweep.store import canonical_json, kernel_timing_to_dict
-from store_faults import drop, record_bytes
+from store_faults import drop
 
 #: Small grid with shared traces across ways (orchestration must keep
 #: the trace-exclusivity property the sharding layer guarantees).
@@ -68,18 +70,14 @@ def _manifest(tmp_path, **overrides):
     return CampaignManifest(**kwargs)
 
 
-def _result_tree(store):
-    """Record bytes by key, checkpoints excluded.
-
-    Resumable campaigns write ``sweep-checkpoint`` records a clean
-    non-resume run does not; the *results* (timings + traces) are what
-    must be byte-identical.
-    """
-    return {
-        key: record_bytes(store, key)
-        for key in store.iter_keys()
-        if store.peek(key).get("kind") != "sweep-checkpoint"
-    }
+def _export_bytes(store):
+    """The bytes of ``store.export``: equal exactly when two stores hold
+    the same records, byte for byte."""
+    with tempfile.TemporaryDirectory() as scratch:
+        archive = os.path.join(scratch, "store.tar.gz")
+        store.export(archive)
+        with open(archive, "rb") as handle:
+            return handle.read()
 
 
 def _clean_reference(tmp_path, monkeypatch, points):
@@ -95,8 +93,8 @@ class FlakyExecutor(LocalExecutor):
     """Kill each shard's *first* attempt after ``budget`` points.
 
     Stands in for a worker host dying mid-chunk: the interrupted
-    sweep's completed points are already persisted and checkpointed, so
-    the orchestrator's retry resumes rather than recomputes.
+    sweep's completed points are already persisted in the shard store,
+    so the orchestrator's retry computes only the rest.
     """
 
     def __init__(self, budget=2):
@@ -199,8 +197,12 @@ class TestManifest:
         text = " ".join(cmd)
         assert "-m repro sweep" in text
         assert "--shard 2/2" in text
-        assert "--store-root" in text and "--resume" in text
+        assert "--store-root" in text
         assert "--kernels ycc,addblock" in text
+        # The worker's own CLI accepts the line as it stands.
+        assert cmd[1:3] == ["-m", "repro"]
+        args = build_parser().parse_args(cmd[3:])
+        assert (args.command, args.shard, args.jobs) == ("sweep", "2/2", 4)
         grid_cmd = " ".join(
             shard_command(_manifest(tmp_path, grid="fig4", kernels=()), 0)
         )
@@ -214,7 +216,7 @@ class TestLocalCampaign:
         report = run_campaign(manifest)
         assert report.ok and report.verified and report.promoted
         merged = ResultStore(report.merged_root)
-        assert _result_tree(merged) == _result_tree(reference_store)
+        assert _export_bytes(merged) == _export_bytes(reference_store)
         # The promoted store answers the whole grid without simulating.
         monkeypatch.setenv("REPRO_STORE", report.merged_root)
         clear_memory_caches()
@@ -224,6 +226,22 @@ class TestLocalCampaign:
             assert canonical_json(
                 kernel_timing_to_dict(warm[point])
             ) == canonical_json(kernel_timing_to_dict(reference[point]))
+
+    def test_fig4_campaign_exports_the_single_process_store(
+        self, tmp_path, monkeypatch, cold_caches
+    ):
+        """A 2-shard fig4 campaign promotes exactly the records one
+        process sweeping fig4 writes -- 44 timings and 44 traces --
+        so their exports are the same bytes."""
+        reference_store, _ = _clean_reference(
+            tmp_path, monkeypatch, fig4_points()
+        )
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        report = run_campaign(_manifest(tmp_path, grid="fig4"))
+        assert report.ok, report.summary()
+        merged = ResultStore(report.merged_root)
+        assert len(merged) == len(reference_store) == 88
+        assert _export_bytes(merged) == _export_bytes(reference_store)
 
     def test_rerun_is_idempotent(self, tmp_path, cold_caches):
         manifest = _manifest(tmp_path)
@@ -244,8 +262,8 @@ class TestLocalCampaign:
         self, tmp_path, monkeypatch, cold_caches
     ):
         """Every shard's first attempt dies after 2 points; the retries
-        resume from the checkpoints and the final merged store is
-        byte-identical to a clean run."""
+        read what their shard stores already hold, and the final merged
+        store is byte-identical to a clean run."""
         reference_store, _ = _clean_reference(tmp_path, monkeypatch, GRID)
         monkeypatch.delenv("REPRO_STORE", raising=False)
         manifest = _manifest(tmp_path)
@@ -257,7 +275,7 @@ class TestLocalCampaign:
         # Each shard computed its points exactly once across both
         # attempts: the interrupted work was resumed, not redone.
         assert simulation_count() - before == len(dedupe(GRID))
-        assert _result_tree(ResultStore(report.merged_root)) == _result_tree(
+        assert _export_bytes(ResultStore(report.merged_root)) == _export_bytes(
             reference_store
         )
         # The failure is recorded in the shard logs.
@@ -333,9 +351,12 @@ class TestLocalCampaign:
         assert report.shards[0].state == "complete"
         assert report.shards[1].state == "pending"
         assert not report.promoted
-        # The completed shard's checkpoint carries a heartbeat.
+        # Each shard's heartbeat is its store's last write: the
+        # completed shard has one, the unstarted shard none yet.
         assert report.shards[0].progress.heartbeat is not None
-        assert report.shards[0].progress.completed == report.shards[0].progress.total
+        assert report.shards[0].progress.present == report.shards[0].progress.total
+        assert report.shards[1].progress.heartbeat is None
+        assert report.shards[1].progress.present == 0
 
     def test_promotion_is_all_or_nothing(self, tmp_path, cold_caches):
         """A record lost from a shard store blocks promotion."""
@@ -364,22 +385,24 @@ class TestSweepProgress:
     def test_progress_counts_store_and_checkpoint(
         self, tmp_path, monkeypatch, cold_caches
     ):
+        """Progress counts the point records in the store, which is the
+        checkpoint; the heartbeat is the store's last write."""
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         points = dedupe(GRID)
         progress = sweep_progress(points)
         assert progress.total == len(points)
         assert progress.present == 0 and not progress.done
-        sweep(points, resume=True)
+        assert progress.heartbeat is None
+        sweep(points)
         progress = sweep_progress(points)
         assert progress.done and progress.present == progress.total
-        assert progress.completed == progress.total
         assert progress.heartbeat is not None
 
     def test_sharded_progress_is_per_shard(
         self, tmp_path, monkeypatch, cold_caches
     ):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-        sweep(GRID, shard=(0, 2), resume=True)
+        sweep(GRID, shard=(0, 2))
         assert sweep_progress(GRID, shard=(0, 2)).done
         assert not sweep_progress(GRID, shard=(1, 2)).done
 

@@ -18,6 +18,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -50,7 +51,7 @@ from repro.sweep import (
 from repro.sweep.dispatch import FLEET_NAME, make_executor
 from repro.sweep.engine import FAULT_ENV
 from repro.sweep.transport import join_remote
-from store_faults import record_bytes, segment_files
+from store_faults import segment_files
 
 #: Same small shared-trace grid the campaign suite uses: 8 points over
 #: 4 distinct traces, so trace-grouped sharding is non-trivial.
@@ -84,13 +85,13 @@ def _manifest(tmp_path, **overrides):
     return CampaignManifest(**kwargs)
 
 
-def _result_tree(store):
-    """Record bytes by key, checkpoints excluded (see test_campaign)."""
-    return {
-        key: record_bytes(store, key)
-        for key in store.iter_keys()
-        if store.peek(key).get("kind") != "sweep-checkpoint"
-    }
+def _export_bytes(store):
+    """The bytes of ``store.export`` (see test_campaign)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        archive = os.path.join(scratch, "store.tar.gz")
+        store.export(archive)
+        with open(archive, "rb") as handle:
+            return handle.read()
 
 
 def _clean_reference(tmp_path, monkeypatch, points):
@@ -210,7 +211,7 @@ class TestTransports:
         dst = ResultStore(tmp_path / "dst")
         stats = dst.import_(back)
         assert stats.imported == len(src)
-        assert _result_tree(dst) == _result_tree(src)
+        assert _export_bytes(dst) == _export_bytes(src)
 
 
 class TestPointsFiles:
@@ -253,7 +254,7 @@ class TestFaultInjection:
         monkeypatch.setenv(FAULT_ENV, "1:after_1")
         store = ResultStore(tmp_path / "s")
         with pytest.raises(SweepInterrupted):
-            sweep(GRID, store=store, shard=(0, 2), resume=True)
+            sweep(GRID, store=store, shard=(0, 2))
         # The budget hook is restored even though the sweep died.
         assert set_compute_budget(None) is None
         # Everything the dead worker finished is already persisted --
@@ -289,9 +290,10 @@ class TestHeartbeatGrace:
     """The first-heartbeat blind spot, failing-before / passing-after.
 
     Before the grace deadline existed, ``heartbeat_window`` keyed off
-    the checkpoint record's mtime -- and a worker that hung *before
-    writing one* (during import or trace emulation) was invisible to it
-    forever; only a whole-shard wall-clock timeout would ever fire.
+    the mtime of what the worker had written -- and a worker that hung
+    *before its first write* (during import or trace emulation) was
+    invisible to it forever; only a whole-shard wall-clock timeout
+    would ever fire.
     """
 
     def _subprocess_manifest(self, tmp_path):
@@ -301,7 +303,7 @@ class TestHeartbeatGrace:
             max_attempts=1,
         )
 
-    def _checkpoint(self, manifest):
+    def _heartbeat(self, manifest):
         """The heartbeat path: the shard store's segment directory."""
         return ResultStore(manifest.shard_root(0)).segments_dir
 
@@ -309,34 +311,36 @@ class TestHeartbeatGrace:
         self, tmp_path
     ):
         manifest = self._subprocess_manifest(tmp_path)
-        checkpoint = str(self._checkpoint(manifest))
-        # The pre-fix behaviour: no checkpoint record ever appears, and
-        # the mtime-based heartbeat never declares the attempt dead no
+        heartbeat = str(self._heartbeat(manifest))
+        # The pre-fix behaviour: no store write ever appears, and the
+        # mtime-based heartbeat never declares the attempt dead no
         # matter how long it has been silent.
         blind = make_executor(manifest, heartbeat_window=None)
         assert blind._overdue(
-            "local-1", checkpoint, elapsed=1e9, launched=time.time()
+            "local-1", heartbeat, elapsed=1e9, launched=time.time()
         ) is None
 
     def test_grace_deadline_catches_the_silent_worker(self, tmp_path):
         manifest = self._subprocess_manifest(tmp_path)
-        checkpoint = str(self._checkpoint(manifest))
+        heartbeat = str(self._heartbeat(manifest))
         ex = make_executor(manifest, heartbeat_window=0.5)
         assert isinstance(ex.transport, LocalTransport)
         launched = time.time()
         assert ex._overdue(
-            "local-1", checkpoint, elapsed=0.1, launched=launched
+            "local-1", heartbeat, elapsed=0.1, launched=launched
         ) is None
-        why = ex._overdue("local-1", checkpoint, elapsed=1.0, launched=launched)
+        why = ex._overdue("local-1", heartbeat, elapsed=1.0, launched=launched)
         assert why is not None and "no first heartbeat" in why
 
     def test_stalled_checkpoint_is_declared_dead(
         self, tmp_path, cold_caches
     ):
+        """A shard store whose segments stop moving past the window is
+        a stalled heartbeat: the store is the shard's checkpoint."""
         manifest = self._subprocess_manifest(tmp_path)
         store = ResultStore(manifest.shard_root(0))
-        sweep(manifest.points(), store=store, shard=(0, 1), resume=True)
-        path = self._checkpoint(manifest)
+        sweep(manifest.points(), store=store, shard=(0, 1))
+        path = self._heartbeat(manifest)
         segments = [path / name for name in segment_files(store)]
         assert segments
         ex = make_executor(manifest, heartbeat_window=0.5)
@@ -357,8 +361,8 @@ class TestHeartbeatGrace:
         from launch, not a stale heartbeat."""
         manifest = self._subprocess_manifest(tmp_path)
         store = ResultStore(manifest.shard_root(0))
-        sweep(manifest.points(), store=store, shard=(0, 1), resume=True)
-        path = str(self._checkpoint(manifest))
+        sweep(manifest.points(), store=store, shard=(0, 1))
+        path = str(self._heartbeat(manifest))
         for name in segment_files(store):
             os.utime(os.path.join(path, name), (1.0, 1.0))  # decades stale
         ex = make_executor(manifest, heartbeat_window=0.5)
@@ -387,7 +391,7 @@ class TestHeartbeatGrace:
         report = run_campaign_quiet(manifest, executor)
         assert report.ok, report.error
         assert executor.dead_hosts == {"local-2"}
-        assert _result_tree(ResultStore(report.merged_root)) == _result_tree(
+        assert _export_bytes(ResultStore(report.merged_root)) == _export_bytes(
             reference
         )
         log_text = manifest.log_path(1).read_text()
@@ -505,7 +509,7 @@ class TestHostHealthProbe:
         assert executor.dead_hosts == {"beta"}
         # The campaign still produced the byte-identical store...
         merged = ResultStore(report.merged_root)
-        assert _result_tree(merged) == _result_tree(reference)
+        assert _export_bytes(merged) == _export_bytes(reference)
         # ...and the ONLY traffic the dead host ever saw was the single
         # health-probe command -- zero shard dispatch attempts.
         to_victim = [cmd for host, cmd in transport.commands if host == "beta"]
@@ -554,7 +558,7 @@ class TestFleetFailover:
         assert report.ok, report.error
         assert executor.dead_hosts == {hosts[1]}
         merged = ResultStore(report.merged_root)
-        assert _result_tree(merged) == _result_tree(reference)
+        assert _export_bytes(merged) == _export_bytes(reference)
         log_text = manifest.log_path(1).read_text()
         assert "rebalancing" in log_text
         assert "marked dead" in log_text
@@ -594,7 +598,7 @@ class TestFleetFailover:
         assert report.ok, report.error
         assert executor.dead_hosts == {"beta"}
         merged = ResultStore(report.merged_root)
-        assert _result_tree(merged) == _result_tree(reference)
+        assert _export_bytes(merged) == _export_bytes(reference)
         leftovers = [
             p.name for p in (tmp_path / "campaign").iterdir()
             if p.name.startswith("ship-")
@@ -616,7 +620,7 @@ class TestFleetFailover:
         assert report.ok, report.error
         assert "beta" in executor.dead_hosts
         merged = ResultStore(report.merged_root)
-        assert _result_tree(merged) == _result_tree(reference)
+        assert _export_bytes(merged) == _export_bytes(reference)
 
     def test_no_live_hosts_fails_loudly(self, tmp_path, cold_caches):
         manifest = _manifest(tmp_path, shards=2, hosts=("alpha",))

@@ -150,9 +150,13 @@ class TestArtifacts:
         assert first.status == 200 and first.body == golden
         assert second.source == "cache" and second.body == golden
 
-    def test_cold_grid_artifact_backfills_then_serves_golden(self, store):
+    def test_cold_grid_artifact_backfills_then_serves_golden(
+        self, store, monkeypatch
+    ):
         from pathlib import Path
 
+        # As ``repro serve --store``: artefacts compose from the served store.
+        monkeypatch.setenv("REPRO_STORE", str(store.root))
         app = app_for(store)
 
         async def go():
@@ -172,6 +176,35 @@ class TestArtifacts:
         golden = (Path(__file__).parent / "goldens" / "fig4.json").read_bytes()
         assert warm.status == 200
         assert warm.body == golden
+
+    def test_artifacts_gate_and_backfill_the_process_store(
+        self, store, tmp_path, monkeypatch
+    ):
+        """Artefacts compose from ``REPRO_STORE``, so that is the store an
+        artefact request gates and backfills, whatever store the app
+        answers points from: fig4 is computed once, into it alone."""
+        from pathlib import Path
+
+        process = ResultStore(tmp_path / "process")
+        monkeypatch.setenv("REPRO_STORE", str(process.root))
+        app = app_for(store)
+        sims, emus = simulation_count(), emulation_count()
+
+        async def go():
+            cold = await app.handle_request("GET", "/v1/artifact/fig4")
+            assert cold.status == 202
+            state, _ = await poll_job(app, json.loads(cold.body)["job"], timeout=300.0)
+            assert state == "done"
+            warm = await app.handle_request("GET", "/v1/artifact/fig4")
+            await app.shutdown(drain_timeout=60.0)
+            return warm
+
+        warm = asyncio.run(go())
+        golden = (Path(__file__).parent / "goldens" / "fig4.json").read_bytes()
+        assert warm.status == 200 and warm.body == golden
+        assert (simulation_count() - sims, emulation_count() - emus) == (44, 44)
+        assert list(store.iter_keys()) == []
+        assert len(process) == 88
 
     def test_backfill_rewrites_records_removed_under_a_live_server(
         self, store, monkeypatch

@@ -4,13 +4,10 @@ The sharding layer must be invisible in the results: a campaign split
 across N shards (each with its own store root), merged back together,
 is byte-for-byte the store a single process would have produced, and
 the trace-grouped assignment means the campaign as a whole emulates
-each kernel exactly once.  An interrupted sweep restarted with
-``resume=True`` recomputes only what is genuinely missing.
+each kernel exactly once.  An interrupted sweep restarted against its
+store recomputes only what is genuinely missing: the store is its own
+resume state.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.sweep import (
     ResultStore,
     SweepInterrupted,
     SweepPoint,
-    checkpoint_key,
     clear_memory_caches,
     dedupe,
     emulation_count,
@@ -35,10 +31,8 @@ from repro.sweep import (
     trace_key,
 )
 from repro.sweep.points import reshard_keys, shard_assignment
-from repro.sweep.store import canonical_json, kernel_timing_to_dict, save_payload
+from repro.sweep.store import canonical_json, kernel_timing_to_dict
 from store_faults import drop, record_bytes
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: A multi-way grid whose points share traces across ways, so the
 #: trace-exclusivity property is non-trivial to satisfy.
@@ -204,7 +198,7 @@ class TestResume:
         budget_before = set_compute_budget(3)
         try:
             with pytest.raises(SweepInterrupted):
-                sweep(self.GRID, resume=True)
+                sweep(self.GRID)
         finally:
             set_compute_budget(budget_before)
         # The three completed points are already persisted.
@@ -214,11 +208,11 @@ class TestResume:
 
         clear_memory_caches()
         before = simulation_count()
-        report = sweep(self.GRID, resume=True)
+        report = sweep(self.GRID)
         # Only the remaining points were recomputed...
         assert simulation_count() - before == len(self.GRID) - 3
         assert report.simulated == len(self.GRID) - 3
-        assert report.cached == 3 and report.resumed == 3
+        assert report.cached == 3
         # ...and the final results equal an uninterrupted run.
         for point in self.GRID:
             assert kernel_timing_to_dict(report[point]) == kernel_timing_to_dict(
@@ -233,88 +227,53 @@ class TestResume:
     def test_budget_persists_exactly_its_prefix_at_any_jobs(
         self, tmp_path, cold_caches, jobs, budget
     ):
-        """A sweep allowed K computed points persists and checkpoints
-        exactly K, then dies; a resume computes only the rest.  Pooled
-        workers hold forked copies of the budget, so the parent must
-        trim before it hands out work."""
+        """A sweep allowed K computed points persists exactly K, then
+        dies; a restart computes only the rest.  Pooled workers hold
+        forked copies of the budget, so the parent must trim before it
+        hands out work."""
         points = self.BUDGET_GRID
         store = ResultStore(tmp_path / "campaign")
         previous = set_compute_budget(budget)
         try:
             with pytest.raises(SweepInterrupted):
-                sweep(points, jobs=jobs, store=store, resume=True)
+                sweep(points, jobs=jobs, store=store)
         finally:
             set_compute_budget(previous)
         persisted = [p for p in points if point_key(p) in store]
         assert len(persisted) == budget
-        progress = sweep_progress(points, store=store)
-        assert progress.present == progress.completed == budget
+        assert sweep_progress(points, store=store).present == budget
 
         clear_memory_caches()
         before = simulation_count()
-        report = sweep(points, jobs=jobs, store=store, resume=True)
+        report = sweep(points, jobs=jobs, store=store)
         assert simulation_count() - before == len(points) - budget
         assert report.simulated == len(points) - budget
-        assert report.cached == report.resumed == budget
+        assert report.cached == budget
         assert sweep_progress(points, store=store).done
-
-    def test_progress_reads_a_checkpoint_another_process_resaved(
-        self, tmp_path, cold_caches
-    ):
-        """A supervisor polling from its own process sees the newest
-        checkpoint, even once every point record is indexed and no
-        lookup misses."""
-        store = ResultStore(tmp_path / "campaign")
-        sweep(self.GRID, store=store)
-        keys = [point_key(p) for p in dedupe(self.GRID)]
-        ck_key = checkpoint_key(keys, None)
-        save_payload(store, "sweep-checkpoint", ck_key,
-                     {"completed": keys[:1], "total": len(keys)})
-        assert sweep_progress(self.GRID, store=store).completed == 1
-        script = (
-            "import sys\n"
-            "from repro.sweep.store import ResultStore, save_payload\n"
-            "keys = sys.argv[3:]\n"
-            "save_payload(ResultStore(sys.argv[1]), 'sweep-checkpoint',\n"
-            "             sys.argv[2], {'completed': keys, 'total': len(keys)})\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        subprocess.run(
-            [sys.executable, "-c", script, str(store.root), ck_key, *keys],
-            env=env, check=True, timeout=120,
-        )
-        progress = sweep_progress(self.GRID, store=store)
-        assert progress.completed == progress.total == len(keys)
 
     def test_completed_campaign_resumes_as_pure_cache(
         self, tmp_path, monkeypatch, cold_caches
     ):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        sweep(self.GRID, resume=True)
+        sweep(self.GRID)
         clear_memory_caches()
-        report = sweep(self.GRID, resume=True)
+        report = sweep(self.GRID)
         assert report.simulated == 0
-        assert report.resumed == report.total == len(dedupe(self.GRID))
+        assert report.cached == report.total == len(dedupe(self.GRID))
 
     def test_checkpoint_is_store_subordinate(self, tmp_path, monkeypatch, cold_caches):
-        """A checkpointed key whose record was lost is recomputed: the
-        checkpoint can report progress but never resurrect results."""
+        """The store is the checkpoint: a point whose record was lost is
+        recomputed, and nothing else is."""
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        sweep(self.GRID, resume=True)
+        sweep(self.GRID)
         store = ResultStore(tmp_path)
         victim = self.GRID[0]
         drop(store, point_key(victim))
         clear_memory_caches()
         before = simulation_count()
-        report = sweep(self.GRID, resume=True)
+        report = sweep(self.GRID)
         assert simulation_count() - before == 1
         assert report.simulated == 1
-
-    def test_resume_without_store_raises(self, monkeypatch, cold_caches):
-        monkeypatch.setenv("REPRO_STORE", "off")
-        with pytest.raises(ValueError, match="resume"):
-            sweep(self.GRID, resume=True)
 
     def test_budget_hook_restores(self):
         previous = set_compute_budget(5)
@@ -323,13 +282,14 @@ class TestResume:
     def test_sharded_resume_checkpoints_are_distinct(
         self, tmp_path, monkeypatch, cold_caches
     ):
-        """Shard 1's checkpoint never marks shard 2's points done."""
+        """Shard 1's records never answer shard 2's points, even in one
+        store."""
         points = self.GRID
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        sweep(points, shard=(0, 2), resume=True)
+        sweep(points, shard=(0, 2))
         clear_memory_caches()
-        report = sweep(points, shard=(1, 2), resume=True)
-        assert report.resumed == 0
+        report = sweep(points, shard=(1, 2))
+        assert report.cached == 0
         assert report.simulated == report.total
 
 

@@ -59,11 +59,6 @@ class TestSweepShardErrors:
         ]) == 1
         assert "--store" in capsys.readouterr().out
 
-    def test_resume_requires_a_store(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "off")
-        assert main(["sweep", "--kernels", "ycc", "--resume", "--quiet"]) == 1
-        assert "--resume" in capsys.readouterr().out
-
     def test_shard_store_root_layout(self, capsys, tmp_path, monkeypatch):
         """--shard i/N + --store-root writes under DIR/shard-i-of-N."""
         from repro.sweep import clear_memory_caches

@@ -4,11 +4,11 @@
 whose timing the in-process memo holds for the sweep's store before it
 keys anything, so a warm pass over the twelve artefacts -- whose grids
 share one set of kernel-timing records -- keys and reads each record
-once.  These tests pin that count and the contract around it: a resume
-still keys every point; overridden points and other stores' entries are
-never answered from the memo; a record damaged after this process read
-it is recomputed once the memo is cleared; and a re-registered
-machine's points are keyed again.
+once.  These tests pin that count and the contract around it: a
+sharded sweep still keys and reads every point; overridden points and
+other stores' entries are never answered from the memo; a record
+damaged after this process read it is recomputed once the memo is
+cleared; and a re-registered machine's points are keyed again.
 """
 
 import dataclasses
@@ -29,7 +29,6 @@ from repro.machines.registry import MMX_CORE_SCALING, PAPER_MEM_SCALING
 from repro.sweep import (
     ResultStore,
     SweepPoint,
-    checkpoint_key,
     clear_memory_caches,
     dedupe,
     emulation_count,
@@ -39,7 +38,7 @@ from repro.sweep import (
     sweep,
 )
 from repro.sweep.store import memo_key, memoise
-from store_faults import damage
+from store_faults import damage, drop
 
 GRID = grid(("comp",), ("mmx64", "vmmx64"), (2, 4))
 
@@ -100,16 +99,19 @@ def test_held_points_are_neither_keyed_nor_read(tmp_path, counted):
     assert set(report.sources) == {"store"}
 
 
-def test_resume_keys_and_checkpoints_every_point(tmp_path, counted):
+def test_sharded_sweep_keys_and_reads_every_point(tmp_path, counted):
+    """A campaign shard's store is its ground truth: with every timing
+    held, a sharded sweep still reads each point, so it recomputes a
+    record removed after this process read it."""
     store = ResultStore(tmp_path)
     sweep(GRID, store=store)
-    counted.update(keys=0, reads=0)
-    report = sweep(GRID, store=store, resume=True)
-    assert counted["keys"] == len(GRID)
-    assert report.cached == len(GRID)
     keys = [engine.point_key(p) for p in GRID]
-    checkpoint = store.load(checkpoint_key(keys, None))
-    assert checkpoint["payload"]["completed"] == sorted(keys)
+    drop(store, keys[0])
+    counted.update(keys=0, reads=0)
+    report = sweep(GRID, store=store, shard=(0, 1))
+    assert counted == {"keys": len(GRID), "reads": len(GRID)}
+    assert (report.cached, report.simulated) == (len(GRID) - 1, 1)
+    assert store.missing(keys) == []
 
 
 def test_overridden_points_are_never_answered_from_the_memo(tmp_path, counted):

@@ -979,8 +979,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "compute is lock-serialised, extra workers "
                             "only parallelise store reads)")
     serve.add_argument("--cache-mb", type=int, default=64, metavar="MB",
-                       help="payload-cache budget in MiB (default: 64; the "
-                            "hot-trace cache gets 4x this)")
+                       help="payload-cache (response body) budget in MiB "
+                            "(default: 64)")
     serve.add_argument("--no-coalesce", action="store_true",
                        help="disable single-flight request coalescing "
                             "(benchmarking aid)")

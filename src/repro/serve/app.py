@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.serve.handlers import Api, ApiError, MAX_BODY_BYTES, Response
 from repro.serve.metrics import METRICS_SCHEMA, Metrics
-from repro.sweep.store import LruCache, ResultStore, code_version
+from repro.sweep.store import MEMO, LruCache, ResultStore, code_version
 
 #: Sentinel distinguishing "use the default store" from "no store".
 _USE_DEFAULT = object()
@@ -42,21 +42,20 @@ STORE_STATS_TTL = 5.0
 
 
 class ServeApp:
-    """One service instance: store, caches, executor, endpoints.
+    """One service instance: store, response cache, executor, endpoints.
 
-    ``cache_bytes`` bounds the *payload* LRU and ``trace_cache_bytes``
-    the deserialized-trace LRU (default: four times the payload budget;
-    traces are the objects worth keeping hot -- every re-timing request
-    walks one).  ``workers`` sizes the background thread executor; the
-    compute lock means extra workers only ever help concurrent *store
-    reads*, so a small pool is the right default.
+    ``cache_bytes`` bounds the LRU of response bodies, the only cache
+    the service keeps itself: the records behind a response (decoded
+    traces included) are cached in :data:`~repro.sweep.store.MEMO`.
+    ``workers`` sizes the background thread executor; the compute lock
+    means extra workers only ever help concurrent *store reads*, so a
+    small pool is the right default.
     """
 
     def __init__(
         self,
         store: Any = _USE_DEFAULT,
         cache_bytes: int = 64 * 1024 * 1024,
-        trace_cache_bytes: Optional[int] = None,
         workers: int = 2,
         coalesce: bool = True,
         log: Optional[Callable[[str], None]] = None,
@@ -68,11 +67,6 @@ class ServeApp:
         self.store: Optional[ResultStore] = store
         self.metrics = Metrics()
         self.payload_cache = LruCache(cache_bytes, name="payload")
-        self.trace_cache = LruCache(
-            trace_cache_bytes if trace_cache_bytes is not None
-            else 4 * cache_bytes,
-            name="trace",
-        )
         self._log = log
         self._started = time.time()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -94,7 +88,6 @@ class ServeApp:
             run_read=self._run_read,
             run_compute=self._run_compute,
             payload_cache=self.payload_cache,
-            trace_cache=self.trace_cache,
             metrics=self.metrics,
             coalesce=coalesce,
         )
@@ -255,12 +248,17 @@ class ServeApp:
                 self._store_stats = await self._run_read(store.stats)
                 self._store_stats_time = now
             store_stats = self._store_stats
+        counters = self.metrics.counters
         payload = {
             "schema": METRICS_SCHEMA,
             "uptime_seconds": round(time.time() - self._started, 3),
             "cache": {
                 "payload": self.payload_cache.stats(),
-                "trace": self.trace_cache.stats(),
+                "trace": {
+                    "hits": counters.get("trace_cache_hits", 0),
+                    "misses": counters.get("trace_cache_misses", 0),
+                },
+                "memo": MEMO.stats(),
             },
             "coalesce": self.api.flight.stats(),
             "backfill": self.api.backfills.counts(),

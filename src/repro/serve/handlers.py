@@ -3,11 +3,13 @@
 Request handling follows one shape everywhere:
 
 1. **payload cache** -- a warm query is answered from the bounded LRU
-   without touching the store or the compute layers;
+   of response bodies without touching the store or the compute layers;
 2. **store** -- a cache miss reads the content-addressed record through
    the side-effect-free :func:`~repro.sweep.store.peek_payload` path in
-   the background executor;
-3. **origin** -- only when the record is genuinely absent does the
+   the background executor (a re-timing request first looks its decoded
+   trace up in :data:`~repro.sweep.store.MEMO`, the process's one memo
+   of store records);
+3. **origin** -- only when the record is absent or damaged does the
    service compute: cheap compositions run inline (coalesced through
    :class:`~repro.serve.coalesce.SingleFlight`), anything that needs
    simulation is enqueued as a backfill job and answered
@@ -31,6 +33,7 @@ from repro.sweep.engine import (
     retime_stack,
     run_point,
     trace_key,
+    trace_memo_key,
     trace_source,
 )
 from repro.sweep.points import SweepPoint
@@ -41,10 +44,10 @@ from repro.sweep.store import (
     code_version,
     default_store,
     memo_key,
+    memoise,
     peek_payload,
     stable_hash,
     trace_from_payload,
-    trace_nbytes,
 )
 
 #: Largest accepted request body (a re-timing request is a few KB).
@@ -115,10 +118,8 @@ def _artifact_points(name: str) -> Optional[List[SweepPoint]]:
 
 
 def _absent(store: ResultStore, points: List[SweepPoint]) -> List[SweepPoint]:
-    """The ``points`` whose kernel-timing records ``store`` lacks."""
-    keys = [point_key(p) for p in points]
-    missing = set(store.missing(keys))
-    return [p for p, key in zip(points, keys) if key in missing]
+    """The ``points`` without a sound kernel-timing record in ``store``."""
+    return [p for p in points if point_key(p) not in store]
 
 
 def _refill(
@@ -147,7 +148,8 @@ class Api:
     sweep/timing layers keep process-global counters and a compute
     budget, so the origin is single-flight per process; request
     concurrency comes from cache hits and store reads, which never take
-    the lock).
+    the lock).  ``payload_cache`` holds response bodies; records are
+    cached in :data:`~repro.sweep.store.MEMO` only.
     """
 
     def __init__(
@@ -156,7 +158,6 @@ class Api:
         run_read: Callable[[Callable[[], Any]], Awaitable[Any]],
         run_compute: Callable[[Callable[[], Any]], Awaitable[Any]],
         payload_cache: LruCache,
-        trace_cache: LruCache,
         metrics: Metrics,
         coalesce: bool = True,
     ) -> None:
@@ -164,7 +165,6 @@ class Api:
         self.run_read = run_read
         self.run_compute = run_compute
         self.payload_cache = payload_cache
-        self.trace_cache = trace_cache
         self.metrics = metrics
         self.flight = SingleFlight(enabled=coalesce)
         self.backfills = BackfillQueue(run_compute)
@@ -308,32 +308,31 @@ class Api:
             hit = self._cached(request_key)
             if hit is not None:
                 return hit
+            store = self.store
             tkey = trace_key(base)
-            cols = self.trace_cache.get(f"trace:{tkey}")
-            if cols is None:
+            memo = trace_memo_key(store, base)
+            trace = MEMO.get(memo)
+            if trace is None:
                 self.metrics.inc("trace_cache_misses")
-                store = self.store
                 payload = await self.run_read(
                     lambda: peek_payload(store, tkey)
                 )
-                cols = trace_from_payload(payload) if payload is not None else None
-                if cols is not None:
-                    self.trace_cache.put(
-                        f"trace:{tkey}", cols, trace_nbytes(cols)
-                    )
+                # Decoded here on the loop, not in the read: a decode in
+                # the executor measured a slower request tail.
+                if payload is not None:
+                    trace = trace_from_payload(payload)
+                if trace is not None:
+                    memoise(memo, trace)
             else:
                 self.metrics.inc("trace_cache_hits")
-            if cols is None:
+            if trace is None:
                 from repro.sweep.engine import acquire_trace
 
-                store = self.store
                 return self._backfill(
                     tkey, "trace", "{}/{}/seed{}".format(*trace_source(base)),
                     lambda: acquire_trace(base, store),
                     missing=1,
                 )
-            store = self.store
-            trace = cols
             timings = await self.run_compute(
                 lambda: retime_stack(trace, points, store)
             )

@@ -20,7 +20,7 @@ LATENCY_BUCKETS = (
 )
 
 #: ``/metrics`` payload schema version (bump on incompatible change).
-METRICS_SCHEMA = 1
+METRICS_SCHEMA = 2
 
 
 class Histogram:

@@ -355,8 +355,8 @@ def trace_key(point: SweepPoint) -> str:
     return record_key("trace", identity)
 
 
-def _trace_memo_key(store: Any, point: SweepPoint) -> Tuple[Any, ...]:
-    """The memo key of a point's trace in ``store``."""
+def trace_memo_key(store: Any, point: SweepPoint) -> Tuple[Any, ...]:
+    """The :data:`MEMO` key of a point's trace in ``store`` (serve reads it too)."""
     return memo_key(store, "trace", trace_source(point))
 
 
@@ -411,7 +411,7 @@ def _emulate(
                 record = records[id(cols)] = stamp("trace", trace_to_payload(cols))
             store.save(key, record)
             digest = record["payload"]["digest"]
-        traces.append((memoise(_trace_memo_key(store, point), cols), digest))
+        traces.append((memoise(trace_memo_key(store, point), cols), digest))
     return traces
 
 
@@ -431,7 +431,7 @@ def _program_traces(
     for point in points:
         if point.seed in traces or point.seed in missing:
             continue
-        memo = _trace_memo_key(store, point)
+        memo = trace_memo_key(store, point)
         cols = MEMO.get(memo)
         if cols is not None:
             traces[point.seed] = (cols, None)
@@ -482,7 +482,7 @@ def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> i
         store = default_store()
     groups: Dict[Tuple[str, str], Dict[int, SweepPoint]] = {}
     for point in points:
-        if _trace_memo_key(store, point) in MEMO:
+        if trace_memo_key(store, point) in MEMO:
             continue
         kernel, program, seed = trace_source(point)
         groups.setdefault((kernel, program), {})[seed] = point

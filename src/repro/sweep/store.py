@@ -160,23 +160,13 @@ def record_key(kind: str, identity: Dict[str, Any]) -> str:
 
 def load_payload(store: Optional["ResultStore"], key: str) -> Optional[Any]:
     """The stored payload under ``key``, or None (store may be absent)."""
-    if store is None:
-        return None
-    record = store.load(key)
+    record = None if store is None else store.load(key)
     return None if record is None else record["payload"]
 
 
-def peek_payload(store: Optional["ResultStore"], key: str) -> Optional[Any]:
-    """Side-effect-free read of the payload under ``key``.
-
-    The read hook the serving layer (:mod:`repro.serve`) uses.  Every
-    store read is side-effect free, so this is :func:`load_payload`
-    under the name the serving layer and its benchmark import.
-    """
-    if store is None:
-        return None
-    record = store.peek(key)
-    return None if record is None else record["payload"]
+#: :func:`load_payload` under the name :mod:`repro.serve` and its
+#: benchmark import (every store read is side-effect free).
+peek_payload = load_payload
 
 
 def stamp(kind: str, payload: Any) -> Dict[str, Any]:
@@ -797,22 +787,6 @@ class _Root:
         raw = memoryview(buf)[HEADER_BYTES:]
         return raw, record_crc(key, raw) == header[3]
 
-    def contains(self, key: str) -> bool:
-        for _ in range(2):
-            entry = self.lookup(key)
-            if entry is None:
-                return False
-            seg = self.segments.get(entry[1])
-            try:
-                inode = os.stat(os.path.join(self.segments_dir, entry[1])).st_ino
-            except OSError:
-                inode = None
-            if seg is not None and inode == seg.inode:
-                return True
-            with self.lock:
-                self.rebuild()
-        return False
-
     def snapshot(self, rescan: bool = False):
         """Copies of the index and segment table, brought up to date.
 
@@ -912,7 +886,7 @@ class ResultStore:
         record = _parse_record(key, found[0])
         return None if record is None else (found[0], record)
 
-    def peek(self, key: str) -> Optional[Dict[str, Any]]:
+    def load(self, key: str) -> Optional[Dict[str, Any]]:
         """Read the record under ``key``; None if missing or damaged.
 
         A damaged record -- a frame failing its checksum, bytes that do
@@ -924,9 +898,8 @@ class ResultStore:
         found = self._read(key)
         return None if found is None else found[1]
 
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Return the record stored under ``key``, or None (as :meth:`peek`)."""
-        return self.peek(key)
+    #: :meth:`load` under the name the serving layer reads with.
+    peek = load
 
     def record_bytes(self, key: str) -> Optional[bytes]:
         """The bytes of the record under ``key`` exactly as saved, or None."""
@@ -948,13 +921,15 @@ class ResultStore:
             return
 
     def __contains__(self, key: str) -> bool:
-        return self._root().contains(key)
+        """Whether :meth:`load` would return a record: a damaged one is absent."""
+        return self._read(key) is not None
 
     def __len__(self) -> int:
+        """The number of keys with a frame, damaged ones included."""
         return len(self._root().snapshot()[0])
 
     def missing(self, keys: Iterable[str]) -> List[str]:
-        """The subset of ``keys`` with no record in this store, in order.
+        """The subset of ``keys`` with no sound record here, in order.
 
         Read-only: the campaign orchestrator uses it to decide whether a
         shard store is complete before promoting a merge, and to report
@@ -963,7 +938,7 @@ class ResultStore:
         return [key for key in keys if key not in self]
 
     def iter_keys(self) -> Iterator[str]:
-        """Every key with a frame in the store, sorted."""
+        """Every key with a frame in the store, damaged ones included, sorted."""
         return iter(sorted(self._root().snapshot()[0]))
 
     # -- maintenance ------------------------------------------------------
@@ -995,16 +970,24 @@ class ResultStore:
             if found is None:
                 stats.corrupt += 1
                 continue
-            raw, record = found
-            mine = self.peek(key)
-            if mine is None:
-                self._root().append(key, raw)
-                stats.merged += 1
-            elif canonical_json(mine["payload"]) == canonical_json(record["payload"]):
-                stats.identical += 1
-            else:
-                stats.conflicts.append(key)
+            stats.merged += self._adopt(key, *found, stats)
         return stats
+
+    def _adopt(self, key: str, raw, record: Dict[str, Any], stats) -> bool:
+        """Append ``raw`` (sound ``record``) unless ``key`` is held; True if appended.
+
+        A held record counts in ``stats.identical`` if its payload
+        matches, else ``key`` goes on ``stats.conflicts`` (ours kept).
+        """
+        mine = self.load(key)
+        if mine is None:
+            self._root().append(key, raw)
+            return True
+        if canonical_json(mine["payload"]) == canonical_json(record["payload"]):
+            stats.identical += 1
+        else:
+            stats.conflicts.append(key)
+        return False
 
     def gc(
         self,
@@ -1259,14 +1242,7 @@ class ResultStore:
                 if record is None:
                     stats.rejected += 1
                     continue
-                mine = self.peek(key)
-                if mine is None:
-                    self._root().append(key, raw)
-                    stats.imported += 1
-                elif canonical_json(mine["payload"]) == canonical_json(record["payload"]):
-                    stats.identical += 1
-                else:
-                    stats.conflicts.append(key)
+                stats.imported += self._adopt(key, raw, record, stats)
         return stats
 
 

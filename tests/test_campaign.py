@@ -38,7 +38,7 @@ from repro.sweep import (
 )
 from repro.sweep.dispatch import MANIFEST_NAME
 from repro.sweep.store import canonical_json, kernel_timing_to_dict
-from store_faults import drop
+from store_faults import damage, drop
 
 #: Small grid with shared traces across ways (orchestration must keep
 #: the trace-exclusivity property the sharding layer guarantees).
@@ -378,6 +378,28 @@ class TestLocalCampaign:
         # The missing point was recomputed by the owning shard and the
         # store re-promoted -- never a partial merge.
         assert resumed.ok and resumed.verified
+        assert key in ResultStore(resumed.merged_root)
+
+    def test_damaged_shard_record_is_recomputed_and_promoted(
+        self, tmp_path, cold_caches
+    ):
+        """A shard record that no longer reads sound is missing: the
+        next run recomputes it in its shard and promotes the merge."""
+        import shutil
+
+        manifest = _manifest(tmp_path, grid="fig4")
+        assert run_campaign(manifest).ok
+        key = point_key(manifest.points()[0])
+        shard_stores = [ResultStore(manifest.shard_root(i)) for i in range(2)]
+        owner = next(s for s in shard_stores if key in s)
+        damage(owner, key, "garbage")
+        shutil.rmtree(manifest.merged_root())
+        clear_memory_caches()
+        before = simulation_count()
+        resumed = run_campaign(manifest)
+        assert resumed.ok and resumed.verified, resumed.error
+        assert resumed.promoted
+        assert simulation_count() - before == 1
         assert key in ResultStore(resumed.merged_root)
 
 

@@ -192,6 +192,21 @@ class TestRecords:
         damage(store, key_b, "copy")  # key_a's record filed under key_b
         assert store.load(key_b) is None
 
+    @pytest.mark.parametrize("how", ["truncate", "garbage", "copy"])
+    def test_damaged_record_is_absent_but_still_indexed(self, tmp_path, how):
+        """Presence is the test ``load`` uses: a damaged record is not in
+        the store and ``missing`` lists it, while its frame is still
+        indexed and ``verify`` still reports it."""
+        store = ResultStore(tmp_path)
+        good, bad = stable_hash("good"), stable_hash("bad")
+        save_payload(store, "test", good, {"n": 1})
+        save_payload(store, "test", bad, {"n": 2})
+        damage(store, bad, how)
+        assert good in store and bad not in store
+        assert store.missing([good, bad]) == [bad]
+        assert list(store.iter_keys()) == sorted([good, bad]) and len(store) == 2
+        assert [key for key, _ in store.verify().problems] == [bad]
+
     def test_run_point_recomputes_after_corruption(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         from repro.sweep import clear_memory_caches
@@ -714,7 +729,7 @@ class TestMergeProperties:
         assert dest.load(good) is not None and dest.load(bad) is None
         # The corrupt record stays in the *source*: merge reads, it
         # never quarantines someone else's store.
-        assert bad in source and not source.verify().ok
+        assert bad in set(source.iter_keys()) and not source.verify().ok
 
     def test_merged_records_are_byte_identical(self, tmp_path):
         """Merge copies record files verbatim, not re-serialised."""
@@ -843,7 +858,7 @@ class TestMaintenanceIsNonDestructive:
 
     @staticmethod
     def _still_reported(store, bad):
-        assert bad in store
+        assert bad in set(store.iter_keys())
         assert [key for key, _ in store.verify().problems] == [bad]
 
     def test_peek_does_not_quarantine(self, corrupted):

@@ -23,6 +23,7 @@ from repro.sweep import (
     run_point,
     simulation_count,
 )
+from repro.sweep.store import MEMO
 
 WARM_POINT = SweepPoint(kernel="addblock", version="mmx64", way=2)
 
@@ -88,7 +89,7 @@ class TestPlumbing:
             ("GET", "/metrics"),
         )
         m = json.loads(r.body)
-        assert m["schema"] == 1
+        assert m["schema"] == 2
         assert m["counters"]["payload_cache_hits"] == 1
         assert m["counters"]["payload_cache_misses"] >= 1
         assert m["store"]["schema"] == 1
@@ -99,6 +100,24 @@ class TestPlumbing:
         assert hist["count"] == 2
         assert hist["buckets"]["+Inf"] == 2, "buckets are cumulative"
         assert m["requests_by_status"]["200"] >= 2
+
+    def test_metrics_cache_shape(self, warm_store):
+        """Schema 2: the response cache's stats, the trace counters and
+        the process memo's stats -- the service keeps no record cache."""
+        app = app_for(warm_store)
+        _, r = drive(
+            app,
+            ("POST", "/v1/retime", json.dumps({
+                "kernel": "addblock", "version": "mmx64",
+                "variants": [{"way": 2}],
+            }).encode()),
+            ("GET", "/metrics"),
+        )
+        cache = json.loads(r.body)["cache"]
+        assert cache["payload"] == app.payload_cache.stats()
+        assert cache["trace"] == {"hits": 1, "misses": 0}
+        assert cache["memo"] == MEMO.stats()
+        assert cache["memo"]["entries"] >= 1
 
     def test_unknown_route_is_404(self, store):
         (r,) = drive(app_for(store), ("GET", "/nope"))
@@ -459,6 +478,30 @@ class TestRetime:
         warm = asyncio.run(go())
         assert warm.status == 200
         assert len(json.loads(warm.body)["results"]) == 2
+
+    def test_backfilled_trace_is_retimed_from_memory(self, store):
+        """The backfill leaves its trace in the process memo, so the
+        re-issued retime decodes nothing."""
+        app = app_for(store)
+
+        async def go():
+            cold = await app.handle_request(
+                "POST", "/v1/retime", self.retime_body([2])
+            )
+            assert cold.status == 202
+            state, _ = await poll_job(app, json.loads(cold.body)["job"])
+            assert state == "done"
+            warm = await app.handle_request(
+                "POST", "/v1/retime", self.retime_body([2])
+            )
+            assert warm.status == 200
+            metrics = await app.handle_request("GET", "/metrics")
+            await app.shutdown(drain_timeout=60.0)
+            return json.loads(metrics.body)
+
+        counters = asyncio.run(go())["counters"]
+        assert counters["trace_cache_misses"] == 1
+        assert counters["trace_cache_hits"] == 1
 
     @pytest.mark.parametrize("body, fragment", [
         (b"not json", "not valid JSON"),

@@ -422,7 +422,7 @@ class TestSocketRace:
             status1, _ = server.get("/healthz")
             status2, body = server.get("/metrics")
         assert (status1, status2) == (200, 200)
-        assert json.loads(body)["schema"] == 1
+        assert json.loads(body)["schema"] == 2
 
     def test_http_errors_carry_json_bodies(self, store):
         app = ServeApp(store=store, workers=1)

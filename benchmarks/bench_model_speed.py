@@ -433,21 +433,32 @@ def _measure_fig4_seeds_sweep():
 
 @contextlib.contextmanager
 def key_and_read_counts():
-    """Count ``point_key`` calls and store reads while the block runs.
+    """Count ``point_key`` calls, store reads and ``simulate_kernel`` calls.
 
     A read is an outermost ``ResultStore`` ``peek``, ``load`` or ``in``
-    (``load`` reads through ``peek``).
+    (``load`` reads through ``peek``).  The two functions are counted at
+    every ``repro`` module that bound their name, so a call is counted
+    whichever spelling made it.
     """
     from repro.sweep import ResultStore, engine
+    from repro.timing import simulator
 
-    counts = {"keys": 0, "reads": 0}
+    counts = {"keys": 0, "reads": 0, "simulate_kernel": 0}
     depth = [0]
-    point_key = engine.point_key
     reads = {name: getattr(ResultStore, name) for name in ("peek", "load", "__contains__")}
+    patches = []
 
-    def counted_key(point):
-        counts["keys"] += 1
-        return point_key(point)
+    def count_calls(original, name):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        patches.append((module, attr, original))
+                        setattr(module, attr, counted)
 
     def counting(read):
         def counted_read(*args, **kwargs):
@@ -460,15 +471,16 @@ def key_and_read_counts():
 
         return counted_read
 
-    engine.point_key = counted_key
+    count_calls(engine.point_key, "keys")
+    count_calls(simulator.simulate_kernel, "simulate_kernel")
     for name, read in reads.items():
+        patches.append((ResultStore, name, read))
         setattr(ResultStore, name, counting(read))
     try:
         yield counts
     finally:
-        engine.point_key = point_key
-        for name, read in reads.items():
-            setattr(ResultStore, name, read)
+        for owner, attr, original in reversed(patches):
+            setattr(owner, attr, original)
 
 
 def _measure_paper_warm(reps=3):
@@ -477,9 +489,11 @@ def _measure_paper_warm(reps=3):
     Fills a fresh store with one cold regeneration, then regenerates
     every artefact warm ``reps`` times, clearing the in-process memo
     before each pass as a new process would start: ``seconds`` is the
-    best pass, ``point_key_calls`` and ``store_reads`` its counts.  The
-    twelve grids share one set of kernel-timing records, so a warm pass
-    keys and reads each of them once.
+    best pass, ``point_key_calls``, ``store_reads`` and
+    ``simulate_kernel_calls`` its counts.  The twelve grids share one set
+    of kernel-timing records, so a warm pass keys and reads each of them
+    once, and every artefact reads its timings from its own sweep's
+    report, so it makes no ``simulate_kernel`` call.
     """
     from repro.experiments import ARTIFACT_DATA, artifact_json
     from repro.sweep import clear_memory_caches, emulation_count, simulation_count
@@ -501,6 +515,7 @@ def _measure_paper_warm(reps=3):
             "seconds": round(best, 3),
             "point_key_calls": counts["keys"],
             "store_reads": counts["reads"],
+            "simulate_kernel_calls": counts["simulate_kernel"],
         }
 
 

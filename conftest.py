@@ -1,5 +1,6 @@
 """Ensure `repro` is importable even without an installed package."""
 
+import importlib.util
 import os
 import sys
 
@@ -24,6 +25,22 @@ def _hermetic_result_store(tmp_path_factory):
     mp.setenv("REPRO_STORE", str(tmp_path_factory.mktemp("repro-store")))
     yield
     mp.undo()
+
+
+@pytest.fixture
+def counted():
+    """Counts of ``point_key`` calls, store reads and ``simulate_kernel``
+    calls while the test runs; zero them to start a count.
+
+    Counted as ``benchmarks/bench_model_speed.py`` counts its warm
+    paper pass.
+    """
+    path = os.path.join(os.path.dirname(__file__), "benchmarks", "bench_model_speed.py")
+    spec = importlib.util.spec_from_file_location("bench_model_speed", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    with bench.key_and_read_counts() as counts:
+        yield counts
 
 
 def pytest_addoption(parser):

@@ -18,7 +18,7 @@ two regions, exactly following its §IV-B/C analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -27,7 +27,13 @@ from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import CAT_CODE, FU_CODE, ColumnarTrace
 from repro.machines import get_machine
 from repro.machines.spec import core_config_to_dict
-from repro.timing.simulator import simulate_kernel, simulate_trace
+from repro.timing.simulator import KernelTiming, simulate_kernel, simulate_trace
+
+#: Where a composition reads one kernel timing, called with
+#: :func:`~repro.timing.simulator.simulate_kernel`'s ``(kernel, version,
+#: way, machine=...)``: that function by default, or a sweep report's
+#: lookup, which raises :class:`KeyError` for a point outside its grid.
+KernelLookup = Callable[..., KernelTiming]
 
 #: Size of the synthetic scalar trace used to estimate scalar-region IPC.
 SCALAR_TRACE_LEN = 24_000
@@ -217,12 +223,17 @@ def _resolve_version(isa: str, way: int):
     return spec.program, machine
 
 
-def app_timing(profile: AppProfile, isa: str, way: int) -> AppTiming:
-    """Price a profile on one machine (kernel sims are cached globally).
+def app_timing(
+    profile: AppProfile, isa: str, way: int, lookup: Optional[KernelLookup] = None
+) -> AppTiming:
+    """Price a profile on one machine.
 
     ``isa`` may be any registered machine name, including non-paper
-    entries like ``vmmx256`` and widths beyond the paper's table.
+    entries like ``vmmx256`` and widths beyond the paper's table.  Each
+    kernel's timing comes from ``lookup`` (default
+    :func:`~repro.timing.simulator.simulate_kernel`).
     """
+    lookup = simulate_kernel if lookup is None else lookup
     total = max(profile.scalar_instructions, 1)
     smem_pct = round(100.0 * profile.scalar.get("smem", 0) / total)
     sctrl_pct = round(100.0 * profile.scalar.get("sctrl", 0) / total)
@@ -232,7 +243,7 @@ def app_timing(profile: AppProfile, isa: str, way: int) -> AppTiming:
     kernel_scalar = 0.0
     kernel_vector = 0.0
     for kernel, items in profile.kernel_items.items():
-        timing = simulate_kernel(kernel, version, way, machine=machine)
+        timing = lookup(kernel, version, way, machine=machine)
         kernel_scalar += items * timing.result.scalar_cycles / timing.batch
         kernel_vector += items * timing.result.vector_cycles / timing.batch
     return AppTiming(
@@ -245,8 +256,15 @@ def app_timing(profile: AppProfile, isa: str, way: int) -> AppTiming:
     )
 
 
-def app_instruction_counts(profile: AppProfile, isa: str) -> Dict[str, float]:
-    """Dynamic instruction counts by category (Fig. 7 composition)."""
+def app_instruction_counts(
+    profile: AppProfile, isa: str, lookup: Optional[KernelLookup] = None
+) -> Dict[str, float]:
+    """Dynamic instruction counts by category (Fig. 7 composition).
+
+    Reads each kernel's 2-way timing from ``lookup`` (default
+    :func:`~repro.timing.simulator.simulate_kernel`).
+    """
+    lookup = simulate_kernel if lookup is None else lookup
     counts: Dict[str, float] = {
         "smem": float(profile.scalar.get("smem", 0)),
         "sarith": float(profile.scalar.get("sarith", 0)),
@@ -256,7 +274,7 @@ def app_instruction_counts(profile: AppProfile, isa: str) -> Dict[str, float]:
     }
     version, machine = _resolve_version(isa, 2)
     for kernel, items in profile.kernel_items.items():
-        timing = simulate_kernel(kernel, version, 2, machine=machine)
+        timing = lookup(kernel, version, 2, machine=machine)
         per_item = {
             cat: count / timing.batch
             for cat, count in timing.result.cat_instructions.items()

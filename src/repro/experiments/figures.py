@@ -5,10 +5,13 @@ Each ``figN_data`` function returns the numbers behind the paper's figure
 ``figN_render`` formats them next to the paper's reported values where
 the paper gives any.
 
-Each data function first *prefetches* its kernel-timing grid through the
-sweep engine -- ``jobs`` (default ``REPRO_JOBS``) kernel simulations run
-in parallel on a cold store, and a warm store answers every point from
-disk -- before composing the figure exactly as before.
+Each data function first sweeps its kernel-timing grid (the artefact's
+entry in ``ARTIFACT_POINTS``) through the sweep engine -- ``jobs``
+(default ``REPRO_JOBS``) kernel simulations run in parallel on a cold
+store, and a warm store answers every point from disk -- then composes
+the figure from that sweep's report alone: every timing is read as
+``report[SweepPoint(...)]``, and one outside the grid raises
+:class:`KeyError` rather than being computed mid-render.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
+from repro.apps.appmodel import KernelLookup
 from repro.experiments.report import render_table
 from repro.kernels.registry import FIG4_KERNELS
 from repro.sweep import (
     SweepPoint,
+    SweepReport,
     default_jobs,
     fig4_points,
     fig6_points,
@@ -28,7 +33,7 @@ from repro.sweep import (
 )
 from repro.sweep.points import app_points
 from repro.machines import ISAS, WAYS
-from repro.timing.simulator import simulate_kernel
+from repro.timing.simulator import KernelTiming
 
 #: Speed-ups the paper quotes in the Fig. 4 discussion (§IV-A).
 FIG4_PAPER = {
@@ -50,6 +55,18 @@ Column = Tuple[str, str, Optional[str], Optional[int]]
 ISA_COLUMNS: Tuple[Column, ...] = tuple((isa, isa, None, None) for isa in ISAS)
 
 
+def report_lookup(report: SweepReport) -> KernelLookup:
+    """An app composition's :data:`~repro.apps.appmodel.KernelLookup`
+    over ``report`` alone: a point outside its grid raises :class:`KeyError`."""
+
+    def lookup(
+        kernel: str, version: str, way: int, machine: Optional[str] = None
+    ) -> KernelTiming:
+        return report[SweepPoint(kernel=kernel, version=version, way=way, machine=machine)]
+
+    return lookup
+
+
 def kernel_speedups(
     points: Sequence[SweepPoint],
     columns: Sequence[Column],
@@ -59,17 +76,18 @@ def kernel_speedups(
     """Kernel speed-ups over the 2-way MMX64 baseline, one per column.
 
     The composition behind Fig. 4 and its extensions: ``points`` (every
-    timing the columns read, baseline included) are prefetched through
-    the sweep engine, then each column is timed at ``way``.
+    timing the columns read, baseline included) are swept, then each
+    column's timing at ``way`` is read from the sweep's report.
     """
-    sweep(points, jobs=jobs if jobs is not None else default_jobs())
+    report = sweep(points, jobs=jobs if jobs is not None else default_jobs())
     out: Dict[str, Dict[str, float]] = {}
     for kernel in FIG4_KERNELS + ("fdct",):
-        base = simulate_kernel(kernel, "mmx64", 2).result.cycles
+        base = report[SweepPoint(kernel=kernel, version="mmx64", way=2)].result.cycles
         out[kernel] = {
-            label: base / simulate_kernel(
-                kernel, version, way, machine=machine, vl=vl
-            ).result.cycles
+            label: base / report[
+                SweepPoint(kernel=kernel, version=version, way=way,
+                           machine=machine, vl=vl)
+            ].result.cycles
             for label, version, machine, vl in columns
         }
     return out
@@ -94,17 +112,17 @@ def app_speedups(
     The composition behind Fig. 5 and its extensions: every application
     on every machine of ``machines`` at every width of ``ways``.
     """
-    sweep(
+    lookup = report_lookup(sweep(
         app_points(APP_NAMES, machines, ways),
         jobs=jobs if jobs is not None else default_jobs(),
-    )
+    ))
     out: Dict[str, Dict[int, Dict[str, float]]] = {}
     for app in APP_NAMES:
         profile = run_app_profile(app)
-        base = app_timing(profile, "mmx64", 2).total_cycles
+        base = app_timing(profile, "mmx64", 2, lookup).total_cycles
         out[app] = {
             way: {
-                name: base / app_timing(profile, name, way).total_cycles
+                name: base / app_timing(profile, name, way, lookup).total_cycles
                 for name in machines
             }
             for way in ways
@@ -178,14 +196,16 @@ def fig6_data(
     app: str = "jpegdec", jobs: Optional[int] = None
 ) -> Dict[int, Dict[str, Dict[str, float]]]:
     """Scalar/vector cycle breakdown normalised to 2-way MMX64 = 100."""
-    sweep(fig6_points(app), jobs=jobs if jobs is not None else default_jobs())
+    lookup = report_lookup(
+        sweep(fig6_points(app), jobs=jobs if jobs is not None else default_jobs())
+    )
     profile = run_app_profile(app)
-    norm = app_timing(profile, "mmx64", 2).total_cycles / 100.0
+    norm = app_timing(profile, "mmx64", 2, lookup).total_cycles / 100.0
     out: Dict[int, Dict[str, Dict[str, float]]] = {}
     for way in WAYS:
         out[way] = {}
         for isa in ISAS:
-            timing = app_timing(profile, isa, way)
+            timing = app_timing(profile, isa, way, lookup)
             out[way][isa] = {
                 "scalar": timing.scalar_cycles / norm,
                 "vector": timing.vector_cycles / norm,
@@ -223,15 +243,17 @@ def fig6_render(app: str = "jpegdec") -> str:
 
 def fig7_data(jobs: Optional[int] = None) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Dynamic instruction counts by category, normalised to MMX64 = 100."""
-    sweep(fig7_points(), jobs=jobs if jobs is not None else default_jobs())
+    lookup = report_lookup(
+        sweep(fig7_points(), jobs=jobs if jobs is not None else default_jobs())
+    )
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for app in APP_NAMES:
         profile = run_app_profile(app)
-        base_counts = app_instruction_counts(profile, "mmx64")
+        base_counts = app_instruction_counts(profile, "mmx64", lookup)
         norm = sum(base_counts.values()) / 100.0
         out[app] = {}
         for isa in ISAS:
-            counts = app_instruction_counts(profile, isa)
+            counts = app_instruction_counts(profile, isa, lookup)
             out[app][isa] = {cat: val / norm for cat, val in counts.items()}
             out[app][isa]["total"] = sum(counts.values()) / norm
     return out

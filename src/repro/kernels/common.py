@@ -24,25 +24,37 @@ from repro.isa import subword as sw
 DCT_SHIFT = 7
 
 
-def dct_matrix() -> np.ndarray:
-    """The scaled 8-point DCT-II basis as int16: ``C[u,x]`` in [-64, 64].
-
-    ``C[u,x] = round(128 * 0.5 * c_u * cos((2x+1) u pi / 16))`` with
-    ``c_0 = 1/sqrt(2)`` and ``c_u = 1`` otherwise, i.e. the orthonormal
-    basis scaled by 2**DCT_SHIFT.
-    """
+def _dct_basis() -> np.ndarray:
     c = np.empty((8, 8), dtype=np.int16)
     for u in range(8):
         cu = 1.0 / math.sqrt(2.0) if u == 0 else 1.0
         for x in range(8):
             value = 128.0 * 0.5 * cu * math.cos((2 * x + 1) * u * math.pi / 16.0)
             c[u, x] = int(round(value))
+    c.setflags(write=False)
     return c
+
+
+_DCT = _dct_basis()
+#: The basis in the width the golden references multiply in.
+_DCT64 = _DCT.astype(np.int64)
+_DCT64.setflags(write=False)
+
+
+def dct_matrix() -> np.ndarray:
+    """The scaled 8-point DCT-II basis as int16: ``C[u,x]`` in [-64, 64].
+
+    ``C[u,x] = round(128 * 0.5 * c_u * cos((2x+1) u pi / 16))`` with
+    ``c_0 = 1/sqrt(2)`` and ``c_u = 1`` otherwise, i.e. the orthonormal
+    basis scaled by 2**DCT_SHIFT.  Built once at import and read-only:
+    every kernel version and golden reference shares this one array.
+    """
+    return _DCT
 
 
 def fdct_golden(block: np.ndarray) -> np.ndarray:
     """Forward DCT: ``Y = RS(C . RS(X . C^T))`` with exact 32-bit products."""
-    c = dct_matrix().astype(np.int64)
+    c = _DCT64
     x = block.astype(np.int64)
     t = sw.round_shift(x @ c.T, DCT_SHIFT, "s32").astype(np.int64)
     y = sw.round_shift(c @ t, DCT_SHIFT, "s32")
@@ -51,7 +63,7 @@ def fdct_golden(block: np.ndarray) -> np.ndarray:
 
 def idct_golden(block: np.ndarray) -> np.ndarray:
     """Inverse DCT: ``X = RS(C^T . RS(Y . C))`` with exact 32-bit products."""
-    c = dct_matrix().astype(np.int64)
+    c = _DCT64
     y = block.astype(np.int64)
     t = sw.round_shift(y @ c, DCT_SHIFT, "s32").astype(np.int64)
     x = sw.round_shift(c.T @ t, DCT_SHIFT, "s32")

@@ -43,6 +43,7 @@ from repro.sweep.store import (
     ResultStore,
     code_version,
     default_store,
+    kernel_timing_from_dict,
     memo_key,
     memoise,
     peek_payload,
@@ -118,8 +119,23 @@ def _artifact_points(name: str) -> Optional[List[SweepPoint]]:
 
 
 def _absent(store: ResultStore, points: List[SweepPoint]) -> List[SweepPoint]:
-    """The ``points`` without a sound kernel-timing record in ``store``."""
-    return [p for p in points if point_key(p) not in store]
+    """The ``points`` without a sound kernel-timing record in ``store``.
+
+    Each record is read with the test ``load`` uses, as ``in`` would,
+    and the timing memoised, so the render's sweep answers it without
+    keying or reading it again.
+    """
+    absent = []
+    for point in points:
+        payload = peek_payload(store, point_key(point))
+        if payload is None:
+            absent.append(point)
+        else:
+            memoise(
+                memo_key(store, "kernel-timing", point),
+                kernel_timing_from_dict(payload),
+            )
+    return absent
 
 
 def _refill(

@@ -15,9 +15,11 @@ every timing is deterministic and every result passes through the same
 JSON record form.
 
 The module also exposes :func:`run_point`, the store-aware single-point
-entry that :func:`repro.timing.simulator.simulate_kernel` routes
-through, and a simulation counter that tests (and the CLI summary) use
-to prove warm runs perform zero new simulations.
+entry the serving layer backfills a point query through, and a
+simulation counter that tests (and the CLI summary) use to prove warm
+runs perform zero new simulations.
+:func:`repro.timing.simulator.simulate_kernel` is a one-point
+:func:`sweep`.
 """
 
 from __future__ import annotations
@@ -380,9 +382,9 @@ def _emulate(
     (:func:`repro.kernels.base.execute_batch`), a single seed record at
     a time.  Every run passes the bit-exact golden verification before
     its trace is persisted.  A batch over data-independent control flow
-    returns one trace object for all its seeds: that trace is encoded
-    once and stamped once, and the same record saved under every seed's
-    key.  Returns each point's trace with the digest of its stored
+    returns one trace object for all its seeds: that trace is encoded,
+    stamped and serialised once, and the same record saved under every
+    seed's key.  Returns each point's trace with the digest of its stored
     payload (None without a store).
     """
     global _EMU_COUNT
@@ -394,8 +396,9 @@ def _emulate(
         runs = execute_batch(KERNELS[kernel], program, seeds)
     else:
         runs = [execute(KERNELS[kernel], program, seed=seeds[0])]
-    # Keyed by object identity: ``runs`` keeps every trace alive.
-    records: Dict[int, Dict[str, Any]] = {}
+    # Each distinct record with the keys it is saved under, keyed by
+    # object identity: ``runs`` keeps every trace alive.
+    records: Dict[int, Tuple[Dict[str, Any], List[str]]] = {}
     traces: List[_DigestedTrace] = []
     for (point, key), run in zip(missing, runs):
         if not run.correct:
@@ -406,12 +409,14 @@ def _emulate(
         cols = run.trace.columns()
         digest = None
         if key is not None:
-            record = records.get(id(cols))
-            if record is None:
-                record = records[id(cols)] = stamp("trace", trace_to_payload(cols))
-            store.save(key, record)
-            digest = record["payload"]["digest"]
+            shared = records.get(id(cols))
+            if shared is None:
+                shared = records[id(cols)] = (stamp("trace", trace_to_payload(cols)), [])
+            shared[1].append(key)
+            digest = shared[0]["payload"]["digest"]
         traces.append((memoise(trace_memo_key(store, point), cols), digest))
+    for record, keys in records.values():
+        store.save_all(keys, record)
     return traces
 
 
@@ -1018,10 +1023,10 @@ def _run_sweep(
             f"compute budget exhausted after {len(todo)} of "
             f"{len(misses)} cold points"
         )
-    # The experiment code that follows a prefetch sweep reads these
-    # timings through simulate_kernel: let it hit memory, not disk.
+    # Later sweeps over the same records -- the next artefact's grid, a
+    # simulate_kernel call -- answer these timings from memory, not disk.
     for point, timing in results.items():
-        if not point.core_overrides and not point.mem_overrides:
+        if point not in held and not point.core_overrides and not point.mem_overrides:
             memoise(memo_key(store, "kernel-timing", point), timing)
     return SweepReport(
         points=list(points),

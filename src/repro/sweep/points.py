@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.machines import find_geometry
+
 Overrides = Union[Mapping[str, Any], Sequence[Tuple[str, Any]], None]
 
 #: Override values must be hashable (points are dict keys) and
@@ -79,16 +81,18 @@ class SweepPoint:
     vl: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "core_overrides", _freeze_overrides(self.core_overrides)
-        )
-        object.__setattr__(
-            self, "mem_overrides", _freeze_overrides(self.mem_overrides)
-        )
+        # The empty tuple is already frozen; points are built by the
+        # thousand on the warm path, almost all without overrides.
+        if self.core_overrides != ():
+            object.__setattr__(
+                self, "core_overrides", _freeze_overrides(self.core_overrides)
+            )
+        if self.mem_overrides != ():
+            object.__setattr__(
+                self, "mem_overrides", _freeze_overrides(self.mem_overrides)
+            )
         if self.machine == self.version:
             object.__setattr__(self, "machine", None)
-        from repro.machines import find_geometry
-
         geometry = find_geometry(self.version)
         runtime_vl = geometry is not None and geometry.runtime_vl
         if self.vl is not None and not runtime_vl:

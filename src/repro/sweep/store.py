@@ -913,12 +913,22 @@ class ResultStore:
         loses no acknowledged record.  Persistence is an optimisation: an
         unwritable store must never take the simulation down with it.
         """
-        record = dict(record)
-        record["key"] = key
-        try:
-            self._root().append(key, json.dumps(record).encode("utf-8"))
-        except OSError:
-            return
+        self.save_all((key,), record)
+
+    def save_all(self, keys: Iterable[str], record: Dict[str, Any]) -> None:
+        """:meth:`save` of one ``record`` under each of ``keys``.
+
+        The record is serialised once: each frame is that JSON with the
+        frame's ``key`` field spliced in last, byte for byte what saving
+        it under that key alone writes.
+        """
+        fields = {name: value for name, value in record.items() if name != "key"}
+        head = (json.dumps(fields)[:-1] + (", " if fields else "") + '"key": ').encode("utf-8")
+        for key in keys:
+            try:
+                self._root().append(key, head + json.dumps(key).encode("utf-8") + b"}")
+            except OSError:
+                continue
 
     def __contains__(self, key: str) -> bool:
         """Whether :meth:`load` would return a record: a damaged one is absent."""
@@ -1356,23 +1366,33 @@ def store_from_root(root: Optional[Any]) -> Optional[ResultStore]:
     return ResultStore(os.path.expanduser(text))
 
 
-_DEFAULT_STORE: Optional[ResultStore] = None
+#: What :func:`default_store` last read -- :data:`STORE_ENV` and ``HOME``,
+#: which ``expanduser`` reads -- and the store it resolved them to.
+_DEFAULT_STORE: Tuple[Optional[str], Optional[str], Optional[ResultStore]] = (
+    None, None, None,
+)
 
 
 def default_store() -> Optional[ResultStore]:
     """The process-wide store selected by :data:`STORE_ENV`.
 
     Re-reads the environment on every call so tests (and the CLI's
-    ``--store`` flag, which sets the variable) can redirect it.
+    ``--store`` flag, which sets the variable) can redirect it; while
+    what it reads is unchanged it returns the store it resolved last.
     """
     global _DEFAULT_STORE
     env = os.environ.get(STORE_ENV)
+    home = os.environ.get("HOME")
+    last_env, last_home, store = _DEFAULT_STORE
+    if env == last_env and home == last_home and store is not None:
+        return store
     if env is not None and env.strip().lower() in ("", "0", "off", "none"):
         return None
     root = os.path.expanduser(env if env is not None else DEFAULT_STORE_ROOT)
-    if _DEFAULT_STORE is None or str(_DEFAULT_STORE.root) != root:
-        _DEFAULT_STORE = ResultStore(root)
-    return _DEFAULT_STORE
+    if store is None or str(store.root) != root:
+        store = ResultStore(root)
+    _DEFAULT_STORE = (env, home, store)
+    return store
 
 
 # ---------------------------------------------------------------------------

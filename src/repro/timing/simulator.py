@@ -1,11 +1,13 @@
 """High-level simulation drivers with result caching.
 
-``simulate_kernel`` is the workhorse of the experiment harness: it runs a
-kernel version through the emulation machine to obtain its dynamic trace,
-then times that trace on a processor configuration.  Results live in
-the content-addressed on-disk store of :mod:`repro.sweep.store`, so they
-survive the process and are shared with parallel sweeps, benchmarks and
-the CLI, behind the store's bounded in-process memo.
+``simulate_kernel`` is the one-kernel driver (``python -m repro kernel``,
+the examples): it runs a kernel version through the emulation machine to
+obtain its dynamic trace, then times that trace on a processor
+configuration.  Results live in the content-addressed on-disk store of
+:mod:`repro.sweep.store`, so they survive the process and are shared
+with parallel sweeps, benchmarks and the CLI, behind the store's bounded
+in-process memo.  The paper artefacts read their timings from their own
+sweep's report instead.
 """
 
 from __future__ import annotations
@@ -116,25 +118,20 @@ def simulate_kernel(
     program is ``version`` (e.g. ``machine="mmx256"`` with
     ``version="mmx128"``).  ``vl`` is the runtime vector length for
     runtime-VL program families (defaulted to the geometry maximum, and
-    rejected elsewhere).  Routed through the result store: a warm store
-    answers without re-simulating.
+    rejected elsewhere).  A one-point :func:`~repro.sweep.engine.sweep`
+    of the default store: a timing this process holds is answered from
+    memory only while the point's machine resolves to the spec it was
+    keyed on, and a warm store answers without re-simulating.
     """
     # Imported lazily: repro.sweep depends on this module for the
     # KernelTiming record type.
-    from repro.sweep.engine import run_point
+    from repro.sweep.engine import sweep
     from repro.sweep.points import SweepPoint
-    from repro.sweep.store import MEMO, default_store, memo_key, memoise
 
     # The point constructor owns the axis normalisation (machine ==
-    # version collapses to None, a runtime-VL version defaults vl), so
-    # the memo key matches what a sweep over the same point publishes.
+    # version collapses to None, a runtime-VL version defaults vl).
     point = SweepPoint(
         kernel=kernel, version=version, way=way, seed=seed,
         machine=machine, vl=vl,
     )
-    store = default_store()
-    key = memo_key(store, "kernel-timing", point)
-    hit = MEMO.get(key)
-    if hit is not None:
-        return hit
-    return memoise(key, run_point(point, store))
+    return sweep([point])[point]

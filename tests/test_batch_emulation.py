@@ -327,6 +327,35 @@ class TestAcquireTraces:
         assert all(record["payload"] == traces[0] for record in records)
         assert store.verify().ok
 
+    def test_a_shared_trace_record_is_serialised_once(self, monkeypatch):
+        """A cold 4-seed sweep of every kernel x paper ISA saves 176 trace
+        records, 56 of them distinct: each distinct one is serialised
+        once, and each frame is still that record's JSON with its key."""
+        from repro.machines import ISAS
+        from repro.sweep import default_store
+        from repro.sweep import store as storelib
+        from repro.sweep.points import grid
+
+        serialised = []
+        dumps = json.dumps
+
+        def counted(obj, *args, **kwargs):
+            if isinstance(obj, dict) and obj.get("kind") == "trace" and "payload" in obj:
+                serialised.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(storelib.json, "dumps", counted)
+        points = grid(tuple(KERNELS), ISAS, (2,), seeds=(0, 1, 2, 3))
+        assert engine.sweep(points).emulated == 176
+        assert len(serialised) == 56
+        store = default_store()
+        keys = {engine.trace_key(point) for point in points}
+        assert len(keys) == 176
+        for key in keys:
+            record = store.load(key)
+            assert record["key"] == key
+            assert store.record_bytes(key) == json.dumps(record).encode("utf-8")
+
     def test_single_missing_seed_left_to_acquire_trace(self):
         points = self._points(seeds=(5,))
         assert engine.acquire_traces(points) == 0

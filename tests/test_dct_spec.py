@@ -27,6 +27,12 @@ class TestDctMatrix:
         c = dct_matrix()
         assert len(set(c[0].tolist())) == 1
 
+    def test_is_built_once_and_read_only(self):
+        c = dct_matrix()
+        assert dct_matrix() is c
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 0
+
     def test_rows_nearly_orthogonal(self):
         c = dct_matrix().astype(np.float64) / 64.0
         gram = c @ c.T

@@ -18,7 +18,10 @@ from repro.experiments import (
     table3_data,
     table4_data,
 )
+from repro.apps import app_timing, run_app_profile
+from repro.experiments.figures import ISA_COLUMNS, kernel_speedups, report_lookup
 from repro.kernels.registry import FIG4_KERNELS
+from repro.sweep import SweepPoint, fig4_points, simulation_count, sweep
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,27 @@ class TestHarness:
 
     def test_table1_has_eight_rows(self):
         assert len(table1_data()) == 8
+
+
+class TestComposeFromTheReport:
+    """A figure reads its timings from its own sweep's report alone."""
+
+    def test_a_point_outside_the_grid_raises_key_error(self, fig4):
+        baseline = SweepPoint("idct", "mmx64", 2)
+        points = fig4_points()
+        assert baseline in points
+        sims = simulation_count()
+        with pytest.raises(KeyError):
+            kernel_speedups([p for p in points if p != baseline], ISA_COLUMNS, 2)
+        assert simulation_count() == sims
+
+    def test_an_app_kernel_outside_the_report_raises_key_error(self, fig4):
+        lookup = report_lookup(sweep([SweepPoint("h2v2", "mmx64", 2)]))
+        profile = run_app_profile("jpegdec")  # h2v2 and ycc
+        sims = simulation_count()
+        with pytest.raises(KeyError):
+            app_timing(profile, "mmx64", 2, lookup)
+        assert simulation_count() == sims
 
 
 class TestFig4Claims:

@@ -225,6 +225,26 @@ class TestArtifacts:
         assert list(store.iter_keys()) == []
         assert len(process) == 88
 
+    def test_warm_artifact_request_keys_and_reads_each_record_once(
+        self, store, monkeypatch, counted
+    ):
+        """The gate reads fig5v's kernel-timing records and memoises them,
+        so the render answers them without keying or reading them again."""
+        from repro.experiments import artifact_json
+        from repro.experiments.artifacts import ARTIFACT_POINTS
+
+        # As ``repro serve --store``: artefacts compose from the served store.
+        monkeypatch.setenv("REPRO_STORE", str(store.root))
+        expected = artifact_json("fig5v").encode("utf-8")
+        grid = ARTIFACT_POINTS["fig5v"]()
+        clear_memory_caches()  # as a server started on a full store
+        counted.update(keys=0, reads=0)
+        (response,) = drive(app_for(store), ("GET", "/v1/artifact/fig5v"))
+        assert response.status == 200 and response.body == expected
+        assert counted["keys"] == len(grid) == 275
+        # Each kernel timing once, then 6 app profiles and 20 scalar-IPC mixes.
+        assert counted["reads"] == len(grid) + 26
+
     def test_backfill_rewrites_records_removed_under_a_live_server(
         self, store, monkeypatch
     ):

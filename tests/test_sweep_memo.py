@@ -8,12 +8,11 @@ once.  These tests pin that count and the contract around it: a
 sharded sweep still keys and reads every point; overridden points and
 other stores' entries are never answered from the memo; a record
 damaged after this process read it is recomputed once the memo is
-cleared; and a re-registered machine's points are keyed again.
+cleared; and a re-registered machine's points are keyed again, by a
+sweep and by ``simulate_kernel``.
 """
 
 import dataclasses
-import importlib.util
-import pathlib
 
 import pytest
 
@@ -26,10 +25,12 @@ from repro.machines import (
     unregister_machine,
 )
 from repro.machines.registry import MMX_CORE_SCALING, PAPER_MEM_SCALING
+from repro.machines.scaling import ScalingCurve
 from repro.sweep import (
     ResultStore,
     SweepPoint,
     clear_memory_caches,
+    compute_points,
     dedupe,
     emulation_count,
     engine,
@@ -38,6 +39,7 @@ from repro.sweep import (
     sweep,
 )
 from repro.sweep.store import memo_key, memoise
+from repro.timing.simulator import simulate_kernel
 from store_faults import damage, drop
 
 GRID = grid(("comp",), ("mmx64", "vmmx64"), (2, 4))
@@ -52,21 +54,6 @@ def cold_memo(tmp_path, monkeypatch):
     clear_memory_caches()
 
 
-@pytest.fixture
-def counted():
-    """Counts of ``point_key`` calls and store reads; zero them to start.
-
-    Counted as ``benchmarks/bench_model_speed.py`` counts its warm
-    paper pass.
-    """
-    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_model_speed.py"
-    spec = importlib.util.spec_from_file_location("bench_model_speed", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    with bench.key_and_read_counts() as counts:
-        yield counts
-
-
 def test_warm_paper_pass_keys_and_reads_each_record_once(
     tmp_path, monkeypatch, counted
 ):
@@ -79,12 +66,14 @@ def test_warm_paper_pass_keys_and_reads_each_record_once(
     assert emulation_count() - emus == 44
 
     clear_memory_caches()
-    counted.update(keys=0, reads=0)
+    counted.update(keys=0, reads=0, simulate_kernel=0)
     sims, emus = simulation_count(), emulation_count()
     warm = {name: artifact_json(name) for name in ARTIFACT_DATA}
     assert counted["keys"] == len(distinct)
     # 363 kernel timings, 20 scalar-IPC mixes and 6 app profiles.
     assert counted["reads"] == 389
+    # Every artefact reads its timings from its own sweep's report.
+    assert counted["simulate_kernel"] == 0
     assert (simulation_count(), emulation_count()) == (sims, emus)
     assert warm == cold
 
@@ -94,7 +83,7 @@ def test_held_points_are_neither_keyed_nor_read(tmp_path, counted):
     sweep(GRID, store=store)
     counted.update(keys=0, reads=0)
     report = sweep(GRID, store=store)
-    assert counted == {"keys": 0, "reads": 0}
+    assert counted == {"keys": 0, "reads": 0, "simulate_kernel": 0}
     assert report.cached == len(GRID)
     assert set(report.sources) == {"store"}
 
@@ -109,7 +98,7 @@ def test_sharded_sweep_keys_and_reads_every_point(tmp_path, counted):
     drop(store, keys[0])
     counted.update(keys=0, reads=0)
     report = sweep(GRID, store=store, shard=(0, 1))
-    assert counted == {"keys": len(GRID), "reads": len(GRID)}
+    assert counted == {"keys": len(GRID), "reads": len(GRID), "simulate_kernel": 0}
     assert (report.cached, report.simulated) == (len(GRID) - 1, 1)
     assert store.missing(keys) == []
 
@@ -127,7 +116,7 @@ def test_overridden_points_are_never_answered_from_the_memo(tmp_path, counted):
         memoise(memo_key(store, "kernel-timing", point), "held")
     counted.update(keys=0, reads=0)
     again = [sweep([point], store=store)[point] for point in ablated]
-    assert counted == {"keys": len(ablated), "reads": len(ablated)}
+    assert counted == {"keys": len(ablated), "reads": len(ablated), "simulate_kernel": 0}
     assert again == first
 
 
@@ -183,3 +172,20 @@ def test_a_reregistered_machine_is_keyed_again(tmp_path, key_a_neighbour):
     finally:
         unregister_machine("mmx64-memo-test")
     assert again.simulated == 1
+
+
+def test_simulate_kernel_retimes_a_reregistered_machine():
+    """``simulate_kernel`` answers from memory only while the machine
+    resolves to the spec this process keyed the point on."""
+    point = SweepPoint("idct", "mmx64", 2, machine="mmx64-memo-test")
+    one = ScalingCurve.constant(1)
+    register_machine(_family())
+    try:
+        before = simulate_kernel("idct", "mmx64", 2, machine="mmx64-memo-test")
+        register_machine(_family(simd_issue=one, mem_ports=one), replace=True)
+        after = simulate_kernel("idct", "mmx64", 2, machine="mmx64-memo-test")
+        (fresh,) = compute_points([point])
+    finally:
+        unregister_machine("mmx64-memo-test")
+    assert (before.result.cycles, after.result.cycles) == (9200, 11384)
+    assert after.result == fresh.result

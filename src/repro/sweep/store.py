@@ -177,8 +177,8 @@ def stamp(kind: str, payload: Any) -> Dict[str, Any]:
     versions without re-deriving any address) and with a SHA-256 of the
     canonical payload JSON (so :meth:`ResultStore.verify` can detect
     bit-rot that still parses).  A payload saved under several keys is
-    stamped once and the record handed to :meth:`ResultStore.save` for
-    each.
+    stamped once and the record handed to :meth:`ResultStore.save_all`
+    with all of them.
     """
     return {
         "kind": kind,

@@ -14,8 +14,8 @@ Two ways to run:
   [--json PATH] [--check-floor benchmarks/perf_floor.json]`` -- the
   self-contained CLI used by the CI perf-smoke step: measures the
   rates below (and, with ``--budget full``, a cold + warm-trace Fig. 4
-  kernel sweep, a cold 4-seed one and a warm pass over the twelve paper
-  artefacts), writes them to the benchmark JSON
+  kernel sweep, a cold 4-seed one and a warm and a cold pass over the
+  twelve paper artefacts), writes them to the benchmark JSON
   so the perf trajectory is tracked over time, and fails when a rate
   drops below the checked-in floor (floors are set to roughly one-third
   of the rates measured when they were last raised, so slower CI
@@ -92,6 +92,7 @@ MAX_SECONDS_KEYS = {
     "fig4_warm_sweep_seconds_max": ("fig4_sweep", "warm_trace_seconds"),
     "fig4_seeds_sweep_seconds_max": ("fig4_seeds_sweep", "seconds"),
     "paper_warm_seconds_max": ("paper_warm", "seconds"),
+    "paper_cold_seconds_max": ("paper_cold", "seconds"),
 }
 
 #: Seeds per batched-emulation pass (the headline emulation rate).
@@ -264,6 +265,7 @@ def measure_model_speed(budget="ci"):
         results["fig4_sweep"] = _measure_fig4_sweep()
         results["fig4_seeds_sweep"] = _measure_fig4_seeds_sweep()
         results["paper_warm"] = _measure_paper_warm()
+        results["paper_cold"] = _measure_paper_cold()
     return results
 
 
@@ -433,17 +435,25 @@ def _measure_fig4_seeds_sweep():
 
 @contextlib.contextmanager
 def key_and_read_counts():
-    """Count ``point_key`` calls, store reads and ``simulate_kernel`` calls.
+    """Count keys, store reads and the work a pass repeats or computes.
 
-    A read is an outermost ``ResultStore`` ``peek``, ``load`` or ``in``
-    (``load`` reads through ``peek``).  The two functions are counted at
-    every ``repro`` module that bound their name, so a call is counted
+    ``keys`` counts ``point_key`` calls; ``reads`` outermost
+    ``ResultStore`` ``peek``, ``load`` or ``in`` calls (``load`` reads
+    through ``peek``); ``simulate_kernel`` its calls; ``decodes``
+    ``trace_from_payload`` calls; ``scalar_traces`` synthetic
+    scalar-region traces built (``make_scalar_trace``); and ``stacks``
+    ``simulate_trace_stack`` calls.  The functions are counted at every
+    ``repro`` module that bound their name, so a call is counted
     whichever spelling made it.
     """
-    from repro.sweep import ResultStore, engine
+    from repro.apps import appmodel
+    from repro.sweep import ResultStore, engine, store
     from repro.timing import simulator
 
-    counts = {"keys": 0, "reads": 0, "simulate_kernel": 0}
+    counts = {
+        "keys": 0, "reads": 0, "simulate_kernel": 0,
+        "decodes": 0, "scalar_traces": 0, "stacks": 0,
+    }
     depth = [0]
     reads = {name: getattr(ResultStore, name) for name in ("peek", "load", "__contains__")}
     patches = []
@@ -473,6 +483,9 @@ def key_and_read_counts():
 
     count_calls(engine.point_key, "keys")
     count_calls(simulator.simulate_kernel, "simulate_kernel")
+    count_calls(store.trace_from_payload, "decodes")
+    count_calls(appmodel.make_scalar_trace, "scalar_traces")
+    count_calls(simulator.simulate_trace_stack, "stacks")
     for name, read in reads.items():
         patches.append((ResultStore, name, read))
         setattr(ResultStore, name, counting(read))
@@ -517,6 +530,43 @@ def _measure_paper_warm(reps=3):
             "store_reads": counts["reads"],
             "simulate_kernel_calls": counts["simulate_kernel"],
         }
+
+
+def _measure_paper_cold(reps=3):
+    """The twelve paper artefacts into an empty store, best of ``reps``.
+
+    Each pass regenerates every artefact into a fresh store, in-process
+    memo cleared: ``seconds`` is the best pass, the counts are a pass's
+    work.  The artefacts past fig4 re-time fig4's traces, so a cold pass
+    decodes none of them (``trace_decodes``), keys each kernel timing
+    once (``point_key_calls``) and builds each scalar mix's synthetic
+    trace once per composition that first prices it (``scalar_traces``).
+    """
+    from repro.experiments import ARTIFACT_DATA, artifact_json
+    from repro.sweep import emulation_count, simulation_count
+
+    best = float("inf")
+    for _ in range(reps):
+        with _fresh_store():
+            computed = (simulation_count(), emulation_count())
+            with key_and_read_counts() as counts:
+                t0 = time.perf_counter()
+                for name in ARTIFACT_DATA:
+                    artifact_json(name)
+                best = min(best, time.perf_counter() - t0)
+            simulated = simulation_count() - computed[0]
+            emulated = emulation_count() - computed[1]
+    return {
+        "artifacts": len(ARTIFACT_DATA),
+        "seconds": round(best, 3),
+        "trace_decodes": counts["decodes"],
+        "point_key_calls": counts["keys"],
+        "store_reads": counts["reads"],
+        "scalar_traces": counts["scalar_traces"],
+        "stack_calls": counts["stacks"],
+        "emulations": emulated,
+        "simulations": simulated,
+    }
 
 
 def check_floor(results, floor_path):

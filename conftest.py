@@ -29,11 +29,12 @@ def _hermetic_result_store(tmp_path_factory):
 
 @pytest.fixture
 def counted():
-    """Counts of ``point_key`` calls, store reads and ``simulate_kernel``
-    calls while the test runs; zero them to start a count.
+    """Counts of ``point_key`` calls, store reads, ``simulate_kernel``
+    calls, trace decodes, synthetic scalar traces and timing stacks
+    while the test runs; zero them to start a count.
 
-    Counted as ``benchmarks/bench_model_speed.py`` counts its warm
-    paper pass.
+    Counted as ``benchmarks/bench_model_speed.py`` counts its paper
+    passes.
     """
     path = os.path.join(os.path.dirname(__file__), "benchmarks", "bench_model_speed.py")
     spec = importlib.util.spec_from_file_location("bench_model_speed", path)

@@ -18,7 +18,7 @@ two regions, exactly following its §IV-B/C analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import CAT_CODE, FU_CODE, ColumnarTrace
 from repro.machines import get_machine
 from repro.machines.spec import core_config_to_dict
-from repro.timing.simulator import KernelTiming, simulate_kernel, simulate_trace
+from repro.timing.core import default_mem_config
+from repro.timing.simulator import KernelTiming, simulate_kernel, simulate_trace_stack
 
 #: Where a composition reads one kernel timing, called with
 #: :func:`~repro.timing.simulator.simulate_kernel`'s ``(kernel, version,
@@ -139,8 +140,25 @@ def make_scalar_trace(
     )
 
 
-def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
+def scalar_mix(profile: AppProfile) -> Tuple[int, int]:
+    """The ``(smem, sctrl)`` percentages of a profile's scalar region:
+    the mix :func:`scalar_ipc` prices it with."""
+    total = max(profile.scalar_instructions, 1)
+    smem_pct = round(100.0 * profile.scalar.get("smem", 0) / total)
+    sctrl_pct = round(100.0 * profile.scalar.get("sctrl", 0) / total)
+    return smem_pct, sctrl_pct
+
+
+def scalar_ipc(
+    way: Union[int, Sequence[int]], smem_frac_pct: int, sctrl_frac_pct: int
+) -> Union[float, List[float]]:
     """IPC of the synthetic scalar mix on a ``way``-wide core.
+
+    ``way`` may also be a sequence of widths -- every width a
+    composition prices -- for a list of their IPCs in that order: the
+    mix's trace is then built at most once, and every width found in
+    neither the memo nor the store is timed in one
+    :func:`~repro.timing.simulator.simulate_trace_stack` pass.
 
     Memoised in process and persisted in the result store (keyed by the
     resolved core configuration and the simulator code digest), so warm
@@ -157,34 +175,48 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
         save_payload,
     )
 
+    several = isinstance(way, (list, tuple))
     store = default_store()
-    memo = memo_key(store, "scalar-ipc", (way, smem_frac_pct, sctrl_frac_pct))
-    hit = MEMO.get(memo)
-    if hit is not None:
-        return hit
-    # Scalar resources depend only on the width; resolve through the
-    # registry so non-paper ways (e.g. 16) derive from the curves.
-    config = get_machine("mmx64", way).core
-    key = None
-    if store is not None:
-        key = record_key(
-            "scalar-ipc",
-            {
-                "way": way,
-                "smem_pct": smem_frac_pct,
-                "sctrl_pct": sctrl_frac_pct,
-                "trace_len": SCALAR_TRACE_LEN,
-                "config": core_config_to_dict(config),
-            },
+    ipcs: Dict[int, float] = {}
+    # (width, memo key, record key, core config) of each width to time.
+    missing = []
+    for width in dict.fromkeys(way) if several else (way,):
+        memo = memo_key(store, "scalar-ipc", (width, smem_frac_pct, sctrl_frac_pct))
+        hit = MEMO.get(memo)
+        if hit is not None:
+            ipcs[width] = hit
+            continue
+        # Scalar resources depend only on the width; resolve through the
+        # registry so non-paper ways (e.g. 16) derive from the curves.
+        config = get_machine("mmx64", width).core
+        key = None
+        if store is not None:
+            key = record_key(
+                "scalar-ipc",
+                {
+                    "way": width,
+                    "smem_pct": smem_frac_pct,
+                    "sctrl_pct": sctrl_frac_pct,
+                    "trace_len": SCALAR_TRACE_LEN,
+                    "config": core_config_to_dict(config),
+                },
+            )
+            stored = load_payload(store, key)
+            if stored is not None:
+                ipcs[width] = memoise(memo, float(stored["ipc"]))
+                continue
+        missing.append((width, memo, key, config))
+    if missing:
+        trace = make_scalar_trace(smem_frac_pct / 100.0, sctrl_frac_pct / 100.0)
+        results = simulate_trace_stack(
+            trace,
+            [(config, default_mem_config(config)) for _, _, _, config in missing],
         )
-        stored = load_payload(store, key)
-        if stored is not None:
-            return memoise(memo, float(stored["ipc"]))
-    trace = make_scalar_trace(smem_frac_pct / 100.0, sctrl_frac_pct / 100.0)
-    result = simulate_trace(trace, config)
-    if key is not None:
-        save_payload(store, "scalar-ipc", key, {"ipc": result.ipc})
-    return memoise(memo, result.ipc)
+        for (width, memo, key, _), result in zip(missing, results):
+            if key is not None:
+                save_payload(store, "scalar-ipc", key, {"ipc": result.ipc})
+            ipcs[width] = memoise(memo, result.ipc)
+    return [ipcs[width] for width in way] if several else ipcs[way]
 
 
 @dataclass
@@ -234,10 +266,7 @@ def app_timing(
     :func:`~repro.timing.simulator.simulate_kernel`).
     """
     lookup = simulate_kernel if lookup is None else lookup
-    total = max(profile.scalar_instructions, 1)
-    smem_pct = round(100.0 * profile.scalar.get("smem", 0) / total)
-    sctrl_pct = round(100.0 * profile.scalar.get("sctrl", 0) / total)
-    ipc = scalar_ipc(way, smem_pct, sctrl_pct)
+    ipc = scalar_ipc(way, *scalar_mix(profile))
     scalar_region = profile.scalar_instructions / ipc
     version, machine = _resolve_version(isa, way)
     kernel_scalar = 0.0

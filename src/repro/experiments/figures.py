@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
-from repro.apps.appmodel import KernelLookup
+from repro.apps.appmodel import KernelLookup, scalar_ipc, scalar_mix
+from repro.apps.profile import AppProfile
 from repro.experiments.report import render_table
 from repro.kernels.registry import FIG4_KERNELS
 from repro.sweep import (
@@ -65,6 +66,12 @@ def report_lookup(report: SweepReport) -> KernelLookup:
         return report[SweepPoint(kernel=kernel, version=version, way=way, machine=machine)]
 
     return lookup
+
+
+def _price_scalar_mix(profile: AppProfile, ways: Sequence[int]) -> None:
+    """Time ``profile``'s scalar mix at 2-way and every width of ``ways``
+    at once, before a composition prices it width by width."""
+    scalar_ipc((2,) + tuple(ways), *scalar_mix(profile))
 
 
 def kernel_speedups(
@@ -119,6 +126,7 @@ def app_speedups(
     out: Dict[str, Dict[int, Dict[str, float]]] = {}
     for app in APP_NAMES:
         profile = run_app_profile(app)
+        _price_scalar_mix(profile, ways)
         base = app_timing(profile, "mmx64", 2, lookup).total_cycles
         out[app] = {
             way: {
@@ -200,6 +208,7 @@ def fig6_data(
         sweep(fig6_points(app), jobs=jobs if jobs is not None else default_jobs())
     )
     profile = run_app_profile(app)
+    _price_scalar_mix(profile, WAYS)
     norm = app_timing(profile, "mmx64", 2, lookup).total_cycles / 100.0
     out: Dict[int, Dict[str, Dict[str, float]]] = {}
     for way in WAYS:

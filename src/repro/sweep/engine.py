@@ -927,9 +927,10 @@ def _held(
     """The override-free points whose timings :data:`MEMO` holds for ``store``.
 
     A point counts only while its machine and width resolve to the spec
-    this process keyed them on; after a re-registration it is keyed
-    again.  Points with overrides are never answered here: the memo is
-    keyed by value, and ``lanes=4`` equals ``lanes=4.0``.
+    this process keyed them on (without a store: timed them on); after a
+    re-registration it is keyed again.  Points with overrides are never
+    answered here: the memo is keyed by value, and ``lanes=4`` equals
+    ``lanes=4.0``.
     """
     held: Dict[SweepPoint, KernelTiming] = {}
     for point in points:
@@ -953,9 +954,15 @@ def _run_sweep(
 ) -> SweepReport:
     """:func:`sweep` after store/shard/fault resolution (see there)."""
     total = len(points)
-    # What this process already holds for the store is answered unkeyed;
-    # a shard reads every point from its store.
-    held = _held(points, store) if store is not None and shard is None else {}
+    # What this process already holds for the store (or for no store) is
+    # answered unkeyed; a shard reads every point from its store.
+    held = _held(points, store) if shard is None else {}
+    if store is None:
+        # Nothing is keyed, but the timings are memoised: note the spec
+        # each is made on, as point_key does, for _held to check.
+        for point in points:
+            if point not in held and not point.core_overrides and not point.mem_overrides:
+                _fingerprint(point, *_resolve(point))
     keys = [
         None if store is None or point in held else point_key(point)
         for point in points

@@ -34,7 +34,8 @@ contract.
 In front of the store sits one bounded, thread-safe in-process memo,
 :data:`MEMO`, keyed by the store a result came from: an entry only ever
 answers for that store, so redirecting ``REPRO_STORE`` mid-process
-still reads -- and fills -- the new store.
+still reads -- and fills -- the new store.  Decoded traces and the
+other records fill separate byte budgets, so neither evicts the other.
 """
 
 from __future__ import annotations
@@ -1400,88 +1401,141 @@ def default_store() -> Optional[ResultStore]:
 # ---------------------------------------------------------------------------
 
 
+class _Budget:
+    """One byte budget of an :class:`LruCache`: its entries, oldest first."""
+
+    __slots__ = ("max_bytes", "bytes", "entries", "evictions", "rejected")
+
+    def __init__(self, max_bytes: int) -> None:
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
+        self.max_bytes = int(max_bytes)
+        self.bytes = 0
+        self.entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
+        self.evictions = 0
+        self.rejected = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
 class LruCache:
     """Byte-weighted LRU with hit/miss/eviction accounting.
 
     Thread-safe: one lock guards the entries and the counters, held only
     around the dict operations -- never while a caller reads the store or
-    computes a value.  ``put`` of an entry larger than the whole budget
+    computes a value.  ``put`` of an entry larger than its whole budget
     is refused (counted in ``rejected``) rather than flushing everything
-    else to make room for one oversized tenant.
+    else to make room for one oversized tenant.  A subclass may split
+    the entries over several budgets (:meth:`_budget` picks a key's);
+    each evicts only its own entries, and :meth:`stats` sums them.
     """
 
     def __init__(self, max_bytes: int, name: str = "cache") -> None:
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
         self.name = name
-        self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
+        self._budgets: Tuple[_Budget, ...] = (_Budget(max_bytes),)
         self._lock = threading.Lock()
-        self.bytes = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.rejected = 0
+
+    def _budget(self, key: Any) -> _Budget:
+        """The budget ``key``'s entry is weighed against."""
+        return self._budgets[0]
+
+    @property
+    def bytes(self) -> int:
+        return sum(budget.bytes for budget in self._budgets)
+
+    @property
+    def max_bytes(self) -> int:
+        return sum(budget.max_bytes for budget in self._budgets)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return sum(len(budget) for budget in self._budgets)
 
     def __contains__(self, key: Any) -> bool:
+        budget = self._budget(key)
         with self._lock:
-            return key in self._entries
+            return key in budget.entries
 
     def get(self, key: Any) -> Optional[Any]:
+        budget = self._budget(key)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = budget.entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            self._entries.move_to_end(key)
+            budget.entries.move_to_end(key)
             self.hits += 1
             return entry[0]
 
     def put(self, key: Any, value: Any, size: int) -> bool:
         """Insert ``value`` weighing ``size`` bytes; True if it stayed."""
         size = max(0, int(size))
+        budget = self._budget(key)
         with self._lock:
-            old = self._entries.pop(key, None)
+            old = budget.entries.pop(key, None)
             if old is not None:
-                self.bytes -= old[1]
-            if size > self.max_bytes:
-                self.rejected += 1
+                budget.bytes -= old[1]
+            if size > budget.max_bytes:
+                budget.rejected += 1
                 return False
-            self._entries[key] = (value, size)
-            self.bytes += size
-            while self.bytes > self.max_bytes:
-                _, (_, evicted_size) = self._entries.popitem(last=False)
-                self.bytes -= evicted_size
-                self.evictions += 1
+            budget.entries[key] = (value, size)
+            budget.bytes += size
+            while budget.bytes > budget.max_bytes:
+                _, (_, evicted_size) = budget.entries.popitem(last=False)
+                budget.bytes -= evicted_size
+                budget.evictions += 1
             return True
 
     def discard(self, key: Any) -> None:
         """Drop the entry under ``key``, if there is one."""
+        budget = self._budget(key)
         with self._lock:
-            old = self._entries.pop(key, None)
+            old = budget.entries.pop(key, None)
             if old is not None:
-                self.bytes -= old[1]
+                budget.bytes -= old[1]
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self.bytes = 0
+            for budget in self._budgets:
+                budget.entries.clear()
+                budget.bytes = 0
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
+            budgets = self._budgets
             return {
-                "entries": len(self._entries),
-                "bytes": self.bytes,
-                "max_bytes": self.max_bytes,
+                "entries": sum(len(budget) for budget in budgets),
+                "bytes": sum(budget.bytes for budget in budgets),
+                "max_bytes": sum(budget.max_bytes for budget in budgets),
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
-                "rejected": self.rejected,
+                "evictions": sum(budget.evictions for budget in budgets),
+                "rejected": sum(budget.rejected for budget in budgets),
             }
+
+
+class MemoCache(LruCache):
+    """:data:`MEMO`'s cache: traces and every other record budgeted apart.
+
+    Keys are :func:`memo_key` tuples.  A trace (kind ``"trace"``) is
+    weighed against ``trace_bytes``, anything else against
+    ``record_bytes``, so filling one budget never evicts the other's
+    entries: a run of freshly decoded traces cannot push out the kernel
+    timings a later sweep answers unkeyed, nor a run of timings the
+    traces a later artefact re-times.
+    """
+
+    def __init__(self, record_bytes: int, trace_bytes: int, name: str = "memo") -> None:
+        super().__init__(record_bytes, name)
+        self.records = self._budgets[0]
+        self.traces = _Budget(trace_bytes)
+        self._budgets = (self.records, self.traces)
+
+    def _budget(self, key: Any) -> _Budget:
+        return self.traces if key[1] == "trace" else self.records
 
 
 def trace_nbytes(cols: ColumnarTrace) -> int:
@@ -1494,11 +1548,17 @@ def trace_nbytes(cols: ColumnarTrace) -> int:
     return max(total, 1)
 
 
-#: Byte budget of :data:`MEMO`.  A trace hit saves about a millisecond
-#: of decoding, so a small budget costs little, while a larger one keeps
-#: trace columns alive that fragment the heap: a cold regeneration of
-#: the twelve artefacts peaked at 97 MB RSS with 16 MiB against 80 MB
-#: with 8 MiB (2-vCPU Linux box).
+#: Byte budget of :data:`MEMO`'s traces, weighed by their column bytes:
+#: one whole-paper pass, so no artefact decodes a trace an earlier one
+#: emulated (the 44 traces of a cold twelve-artefact pass weigh 14.8
+#: MiB).  A trace hit saves about a millisecond of decoding.  The pass
+#: peaked at 67 MB RSS with this budget against 63 MB with 8 MiB (2-vCPU
+#: Linux box, Python 3.11), which evicted 128 traces.
+MEMO_TRACE_BYTES = 16 * 1024 * 1024
+
+#: Byte budget of :data:`MEMO`'s other records, each weighing
+#: :data:`MEMO_ENTRY_BYTES`: room for 8,192, against the 389 a
+#: whole-paper pass reads.
 MEMO_BYTES = 8 * 1024 * 1024
 
 #: What every memo entry but a trace weighs: timings, scalar IPCs and
@@ -1508,7 +1568,7 @@ MEMO_ENTRY_BYTES = 1024
 #: The one in-process memo of store records: traces, kernel timings,
 #: scalar IPCs and application profiles, keyed by :func:`memo_key`.
 #: The store is the system of record, so eviction only costs a re-read.
-MEMO = LruCache(MEMO_BYTES, name="memo")
+MEMO = MemoCache(MEMO_BYTES, MEMO_TRACE_BYTES)
 
 
 def memo_key(

@@ -202,7 +202,8 @@ class TestLruCache:
                 gets = sum(pool.map(worker, range(threads), timeout=60))
         finally:
             sys.setswitchinterval(previous)
-        live = sum(size for _, size in cache._entries.values())
+        (budget,) = cache._budgets
+        live = sum(size for _, size in budget.entries.values())
         assert cache.bytes == live <= cache.max_bytes
         assert cache.hits + cache.misses == gets
 

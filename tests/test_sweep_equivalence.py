@@ -5,7 +5,8 @@ Pins the properties the refactor relies on:
 * ``jobs=4`` produces byte-identical records to ``jobs=1``;
 * both match the pre-existing serial ``simulate_kernel`` path;
 * a warm store answers without re-simulating (simulation-count hook);
-* the bounded in-process memo may evict freely without changing results;
+* the bounded in-process memo may evict freely without changing results,
+  and its trace and record budgets never evict each other's entries;
 * distinct seeds produce distinct records (no silent collision);
 * a sweep times each distinct (trace content, configuration) once and
   encodes each distinct trace once, with records byte-identical to a
@@ -31,8 +32,10 @@ from repro.sweep import engine
 from repro.sweep.store import (
     MEMO,
     MEMO_ENTRY_BYTES,
+    MemoCache,
     canonical_json,
     kernel_timing_to_dict,
+    memo_key,
     save_payload,
 )
 from repro.timing import simulator
@@ -161,14 +164,14 @@ class TestBoundedMemo:
             )
             for point in GRID
         }
-        monkeypatch.setattr(MEMO, "max_bytes", 2 * MEMO_ENTRY_BYTES)
+        monkeypatch.setattr(MEMO.records, "max_bytes", 2 * MEMO_ENTRY_BYTES)
         clear_memory_caches()
         for point in GRID:
             timing = simulator.simulate_kernel(
                 point.kernel, point.version, point.way
             )
             assert kernel_timing_to_dict(timing) == reference[point]
-            assert len(MEMO) <= 2
+            assert len(MEMO.records) <= 2
         # Revisit the first (long-evicted) point: still identical.
         first = GRID[0]
         timing = simulator.simulate_kernel(
@@ -177,11 +180,37 @@ class TestBoundedMemo:
         assert kernel_timing_to_dict(timing) == reference[first]
 
     def test_memo_respects_bound(self, isolated_store, monkeypatch):
-        monkeypatch.setattr(MEMO, "max_bytes", 3 * MEMO_ENTRY_BYTES)
+        monkeypatch.setattr(MEMO.records, "max_bytes", 3 * MEMO_ENTRY_BYTES)
         clear_memory_caches()
         for point in GRID:
             simulator.simulate_kernel(point.kernel, point.version, point.way)
-        assert len(MEMO) <= 3
+        assert len(MEMO.records) <= 3
+        assert MEMO.records.bytes <= MEMO.records.max_bytes
+
+    def test_filling_the_trace_budget_evicts_no_record(self):
+        memo = MemoCache(record_bytes=4 * MEMO_ENTRY_BYTES, trace_bytes=100)
+        records = [memo_key(None, "kernel-timing", i) for i in range(4)]
+        for key in records:
+            assert memo.put(key, "timing", MEMO_ENTRY_BYTES)
+        for seed in range(10):
+            assert memo.put(memo_key(None, "trace", ("ycc", "mmx64", seed)), seed, 40)
+        assert all(memo.get(key) == "timing" for key in records)
+        assert len(memo.traces) == 2 and memo.traces.evictions == 8
+        assert memo.records.evictions == 0
+        stats = memo.stats()
+        assert stats["entries"] == 6 and stats["evictions"] == 8
+        assert stats["bytes"] == 4 * MEMO_ENTRY_BYTES + 80
+        assert stats["max_bytes"] == 4 * MEMO_ENTRY_BYTES + 100
+
+    def test_a_trace_larger_than_its_budget_is_refused(self):
+        memo = MemoCache(record_bytes=4 * MEMO_ENTRY_BYTES, trace_bytes=100)
+        timing = memo_key(None, "kernel-timing", 0)
+        trace = memo_key(None, "trace", ("ycc", "mmx64", 0))
+        memo.put(timing, "timing", MEMO_ENTRY_BYTES)
+        assert not memo.put(trace, "columns", 101)
+        assert trace not in memo and memo.get(timing) == "timing"
+        assert memo.stats()["rejected"] == 1
+        assert memo.traces.bytes == 0
 
 
 class TestSeedSeparation:

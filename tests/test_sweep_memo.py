@@ -4,12 +4,16 @@
 whose timing the in-process memo holds for the sweep's store before it
 keys anything, so a warm pass over the twelve artefacts -- whose grids
 share one set of kernel-timing records -- keys and reads each record
-once.  These tests pin that count and the contract around it: a
-sharded sweep still keys and reads every point; overridden points and
-other stores' entries are never answered from the memo; a record
-damaged after this process read it is recomputed once the memo is
-cleared; and a re-registered machine's points are keyed again, by a
-sweep and by ``simulate_kernel``.
+once.  A cold pass does no work twice either: the traces fig4 emulates
+stay in the memo's trace budget for every later artefact to re-time,
+each kernel timing is keyed once, and each scalar mix's synthetic trace
+is built once per composition that first prices it.  These tests pin
+those counts and the contract around them: a sharded sweep still keys
+and reads every point; overridden points and other stores' entries are
+never answered from the memo; a record damaged after this process read
+it is recomputed once the memo is cleared; a sweep without a store
+answers the timings it holds too; and a re-registered machine's points
+are keyed again, by a sweep and by ``simulate_kernel``.
 """
 
 import dataclasses
@@ -54,6 +58,33 @@ def cold_memo(tmp_path, monkeypatch):
     clear_memory_caches()
 
 
+#: ``counted`` after a sweep that keys, reads and computes nothing.
+IDLE = {
+    "keys": 0, "reads": 0, "simulate_kernel": 0,
+    "decodes": 0, "scalar_traces": 0, "stacks": 0,
+}
+
+
+def test_cold_paper_pass_decodes_no_trace_and_keys_each_record_once(
+    tmp_path, monkeypatch, counted
+):
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "paper"))
+    sims, emus = simulation_count(), emulation_count()
+    for name in ARTIFACT_DATA:
+        artifact_json(name)
+    assert (simulation_count() - sims, emulation_count() - emus) == (363, 44)
+    # fig4 emulates 44 traces; every later artefact re-times them from
+    # the memo's trace budget.
+    assert counted["decodes"] == 0
+    assert counted["keys"] == 363
+    # Five scalar mixes, each built once by fig5 (2, 4 and 8-way, one
+    # stack) and once by fig5x (16-way); fig6 and fig5v find them held.
+    assert counted["scalar_traces"] == 10
+    # 209 kernel-timing stacks and the 10 scalar-mix stacks.
+    assert counted["stacks"] == 219
+    assert counted["simulate_kernel"] == 0
+
+
 def test_warm_paper_pass_keys_and_reads_each_record_once(
     tmp_path, monkeypatch, counted
 ):
@@ -66,7 +97,7 @@ def test_warm_paper_pass_keys_and_reads_each_record_once(
     assert emulation_count() - emus == 44
 
     clear_memory_caches()
-    counted.update(keys=0, reads=0, simulate_kernel=0)
+    counted.update(IDLE)
     sims, emus = simulation_count(), emulation_count()
     warm = {name: artifact_json(name) for name in ARTIFACT_DATA}
     assert counted["keys"] == len(distinct)
@@ -81,9 +112,9 @@ def test_warm_paper_pass_keys_and_reads_each_record_once(
 def test_held_points_are_neither_keyed_nor_read(tmp_path, counted):
     store = ResultStore(tmp_path)
     sweep(GRID, store=store)
-    counted.update(keys=0, reads=0)
+    counted.update(IDLE)
     report = sweep(GRID, store=store)
-    assert counted == {"keys": 0, "reads": 0, "simulate_kernel": 0}
+    assert counted == IDLE
     assert report.cached == len(GRID)
     assert set(report.sources) == {"store"}
 
@@ -96,9 +127,9 @@ def test_sharded_sweep_keys_and_reads_every_point(tmp_path, counted):
     sweep(GRID, store=store)
     keys = [engine.point_key(p) for p in GRID]
     drop(store, keys[0])
-    counted.update(keys=0, reads=0)
+    counted.update(IDLE)
     report = sweep(GRID, store=store, shard=(0, 1))
-    assert counted == {"keys": len(GRID), "reads": len(GRID), "simulate_kernel": 0}
+    assert counted == dict(IDLE, keys=len(GRID), reads=len(GRID), stacks=1)
     assert (report.cached, report.simulated) == (len(GRID) - 1, 1)
     assert store.missing(keys) == []
 
@@ -114,9 +145,9 @@ def test_overridden_points_are_never_answered_from_the_memo(tmp_path, counted):
     first = [sweep([point], store=store)[point] for point in ablated]
     for point in ablated:
         memoise(memo_key(store, "kernel-timing", point), "held")
-    counted.update(keys=0, reads=0)
+    counted.update(IDLE)
     again = [sweep([point], store=store)[point] for point in ablated]
-    assert counted == {"keys": len(ablated), "reads": len(ablated), "simulate_kernel": 0}
+    assert counted == dict(IDLE, keys=len(ablated), reads=len(ablated))
     assert again == first
 
 
@@ -189,3 +220,26 @@ def test_simulate_kernel_retimes_a_reregistered_machine():
         unregister_machine("mmx64-memo-test")
     assert (before.result.cycles, after.result.cycles) == (9200, 11384)
     assert after.result == fresh.result
+
+
+def test_a_storeless_sweep_answers_the_timings_it_holds(monkeypatch):
+    """Without a store nothing is keyed, but a held timing still answers
+    only while its machine resolves to the spec it was timed on."""
+    monkeypatch.setenv("REPRO_STORE", "off")
+    one = ScalingCurve.constant(1)
+    sims, emus = simulation_count(), emulation_count()
+    first = simulate_kernel("comp", "mmx64", 2)
+    assert simulate_kernel("comp", "mmx64", 2) == first
+    assert (simulation_count() - sims, emulation_count() - emus) == (1, 1)
+    register_machine(_family())
+    try:
+        before = simulate_kernel("idct", "mmx64", 2, machine="mmx64-memo-test")
+        sims = simulation_count()
+        simulate_kernel("idct", "mmx64", 2, machine="mmx64-memo-test")
+        assert simulation_count() == sims
+        register_machine(_family(simd_issue=one, mem_ports=one), replace=True)
+        after = simulate_kernel("idct", "mmx64", 2, machine="mmx64-memo-test")
+    finally:
+        unregister_machine("mmx64-memo-test")
+    assert simulation_count() - sims == 1
+    assert (before.result.cycles, after.result.cycles) == (9200, 11384)

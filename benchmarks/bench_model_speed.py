@@ -439,19 +439,19 @@ def key_and_read_counts():
 
     ``keys`` counts ``point_key`` calls; ``reads`` outermost
     ``ResultStore`` ``peek``, ``load`` or ``in`` calls (``load`` reads
-    through ``peek``); ``simulate_kernel`` its calls; ``decodes``
-    ``trace_from_payload`` calls; ``scalar_traces`` synthetic
-    scalar-region traces built (``make_scalar_trace``); and ``stacks``
-    ``simulate_trace_stack`` calls.  The functions are counted at every
-    ``repro`` module that bound their name, so a call is counted
-    whichever spelling made it.
+    through ``peek``); ``simulate_kernel`` and ``scalar_ipc`` their
+    calls; ``decodes`` ``trace_from_payload`` calls; ``scalar_traces``
+    synthetic scalar-region traces built (``make_scalar_trace``); and
+    ``stacks`` ``simulate_trace_stack`` calls.  The functions are
+    counted at every ``repro`` module that bound their name, so a call
+    is counted whichever spelling made it.
     """
     from repro.apps import appmodel
     from repro.sweep import ResultStore, engine, store
     from repro.timing import simulator
 
     counts = {
-        "keys": 0, "reads": 0, "simulate_kernel": 0,
+        "keys": 0, "reads": 0, "simulate_kernel": 0, "scalar_ipc": 0,
         "decodes": 0, "scalar_traces": 0, "stacks": 0,
     }
     depth = [0]
@@ -483,6 +483,7 @@ def key_and_read_counts():
 
     count_calls(engine.point_key, "keys")
     count_calls(simulator.simulate_kernel, "simulate_kernel")
+    count_calls(appmodel.scalar_ipc, "scalar_ipc")
     count_calls(store.trace_from_payload, "decodes")
     count_calls(appmodel.make_scalar_trace, "scalar_traces")
     count_calls(simulator.simulate_trace_stack, "stacks")

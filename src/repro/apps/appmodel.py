@@ -256,17 +256,24 @@ def _resolve_version(isa: str, way: int):
 
 
 def app_timing(
-    profile: AppProfile, isa: str, way: int, lookup: Optional[KernelLookup] = None
+    profile: AppProfile,
+    isa: str,
+    way: int,
+    lookup: Optional[KernelLookup] = None,
+    ipc: Optional[float] = None,
 ) -> AppTiming:
     """Price a profile on one machine.
 
     ``isa`` may be any registered machine name, including non-paper
     entries like ``vmmx256`` and widths beyond the paper's table.  Each
     kernel's timing comes from ``lookup`` (default
-    :func:`~repro.timing.simulator.simulate_kernel`).
+    :func:`~repro.timing.simulator.simulate_kernel`), and the scalar
+    region runs at ``ipc`` (default: :func:`scalar_ipc` of the profile's
+    :func:`scalar_mix` at ``way``).
     """
     lookup = simulate_kernel if lookup is None else lookup
-    ipc = scalar_ipc(way, *scalar_mix(profile))
+    if ipc is None:
+        ipc = scalar_ipc(way, *scalar_mix(profile))
     scalar_region = profile.scalar_instructions / ipc
     version, machine = _resolve_version(isa, way)
     kernel_scalar = 0.0

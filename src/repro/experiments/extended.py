@@ -73,13 +73,11 @@ def fig4x_points(
 
 
 def fig4x_data(
-    way: int = 2,
-    machines: Sequence[str] = EXTENDED_MACHINES,
-    jobs: Optional[int] = None,
+    way: int = 2, machines: Sequence[str] = EXTENDED_MACHINES
 ) -> Dict[str, Dict[str, float]]:
     """Kernel speed-ups over 2-way MMX64 across the machine registry."""
     return kernel_speedups(
-        fig4x_points(way, machines), _machine_columns(machines, way), way, jobs
+        fig4x_points(way, machines), _machine_columns(machines, way), way
     )
 
 
@@ -103,10 +101,9 @@ def fig5x_points(
 def fig5x_data(
     machines: Sequence[str] = EXTENDED_MACHINES,
     ways: Sequence[int] = EXTENDED_WAYS,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Full-application speed-ups across machines and extended widths."""
-    return app_speedups(machines, ways, jobs)
+    return app_speedups(machines, ways)
 
 
 def fig5x_render() -> str:
@@ -152,9 +149,7 @@ def fig4v_points(way: int = 2, seed: int = 0) -> List[SweepPoint]:
     return _column_points(_FIG4V_COLUMNS, way, seed)
 
 
-def fig4v_data(
-    way: int = 2, jobs: Optional[int] = None
-) -> Dict[str, Dict[str, float]]:
+def fig4v_data(way: int = 2) -> Dict[str, Dict[str, float]]:
     """Kernel speed-ups of the VLA and tile families over 2-way MMX64.
 
     The 1-D-vs-2-D comparison of Fig. 4 re-asked on the post-2005
@@ -162,7 +157,7 @@ def fig4v_data(
     runtime vector lengths, the tile column the deeper 2-D register
     file against VMMX128.
     """
-    return kernel_speedups(fig4v_points(way), _FIG4V_COLUMNS, way, jobs)
+    return kernel_speedups(fig4v_points(way), _FIG4V_COLUMNS, way)
 
 
 def fig4v_render(way: int = 2) -> str:
@@ -185,7 +180,6 @@ def fig5v_points(
 def fig5v_data(
     machines: Sequence[str] = FIG5V_MACHINES,
     ways: Sequence[int] = EXTENDED_WAYS,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Full-application speed-ups of the post-2005 families by width.
 
@@ -193,7 +187,7 @@ def fig5v_data(
     binary; the per-VL scaling is fig4v's axis), so the figure compares
     machine families width-for-width exactly like Fig. 5.
     """
-    return app_speedups(machines, ways, jobs)
+    return app_speedups(machines, ways)
 
 
 def fig5v_render() -> str:

@@ -6,12 +6,12 @@ Each ``figN_data`` function returns the numbers behind the paper's figure
 the paper gives any.
 
 Each data function first sweeps its kernel-timing grid (the artefact's
-entry in ``ARTIFACT_POINTS``) through the sweep engine -- ``jobs``
-(default ``REPRO_JOBS``) kernel simulations run in parallel on a cold
-store, and a warm store answers every point from disk -- then composes
-the figure from that sweep's report alone: every timing is read as
-``report[SweepPoint(...)]``, and one outside the grid raises
-:class:`KeyError` rather than being computed mid-render.
+entry in ``ARTIFACT_POINTS``) through the sweep engine -- ``REPRO_JOBS``
+kernel simulations run in parallel on a cold store, and a warm store
+answers every point from disk -- then composes the figure from that
+sweep's report alone: every timing is read as ``report[SweepPoint(...)]``,
+and one outside the grid raises :class:`KeyError` rather than being
+computed mid-render.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
 from repro.apps.appmodel import KernelLookup, scalar_ipc, scalar_mix
-from repro.apps.profile import AppProfile
 from repro.experiments.report import render_table
 from repro.kernels.registry import FIG4_KERNELS
 from repro.sweep import (
@@ -68,17 +67,8 @@ def report_lookup(report: SweepReport) -> KernelLookup:
     return lookup
 
 
-def _price_scalar_mix(profile: AppProfile, ways: Sequence[int]) -> None:
-    """Time ``profile``'s scalar mix at 2-way and every width of ``ways``
-    at once, before a composition prices it width by width."""
-    scalar_ipc((2,) + tuple(ways), *scalar_mix(profile))
-
-
 def kernel_speedups(
-    points: Sequence[SweepPoint],
-    columns: Sequence[Column],
-    way: int,
-    jobs: Optional[int] = None,
+    points: Sequence[SweepPoint], columns: Sequence[Column], way: int
 ) -> Dict[str, Dict[str, float]]:
     """Kernel speed-ups over the 2-way MMX64 baseline, one per column.
 
@@ -86,7 +76,7 @@ def kernel_speedups(
     timing the columns read, baseline included) are swept, then each
     column's timing at ``way`` is read from the sweep's report.
     """
-    report = sweep(points, jobs=jobs if jobs is not None else default_jobs())
+    report = sweep(points, jobs=default_jobs())
     out: Dict[str, Dict[str, float]] = {}
     for kernel in FIG4_KERNELS + ("fdct",):
         base = report[SweepPoint(kernel=kernel, version="mmx64", way=2)].result.cycles
@@ -112,25 +102,28 @@ def render_kernel_speedups(
 
 
 def app_speedups(
-    machines: Sequence[str], ways: Sequence[int], jobs: Optional[int] = None
+    machines: Sequence[str], ways: Sequence[int]
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Full-application speed-ups over 2-way MMX64, plus the 'average' panel.
 
     The composition behind Fig. 5 and its extensions: every application
-    on every machine of ``machines`` at every width of ``ways``.
+    on every machine of ``machines`` at every width of ``ways``.  Each
+    application's scalar IPCs are fetched for all widths at once.
     """
-    lookup = report_lookup(sweep(
-        app_points(APP_NAMES, machines, ways),
-        jobs=jobs if jobs is not None else default_jobs(),
-    ))
+    lookup = report_lookup(
+        sweep(app_points(APP_NAMES, machines, ways), jobs=default_jobs())
+    )
+    widths = (2,) + tuple(ways)
     out: Dict[str, Dict[int, Dict[str, float]]] = {}
     for app in APP_NAMES:
         profile = run_app_profile(app)
-        _price_scalar_mix(profile, ways)
-        base = app_timing(profile, "mmx64", 2, lookup).total_cycles
+        ipcs = dict(zip(widths, scalar_ipc(widths, *scalar_mix(profile))))
+        base = app_timing(profile, "mmx64", 2, lookup, ipc=ipcs[2]).total_cycles
         out[app] = {
             way: {
-                name: base / app_timing(profile, name, way, lookup).total_cycles
+                name: base / app_timing(
+                    profile, name, way, lookup, ipc=ipcs[way]
+                ).total_cycles
                 for name in machines
             }
             for way in ways
@@ -162,9 +155,9 @@ def render_app_speedups(
     )
 
 
-def fig4_data(way: int = 2, jobs: Optional[int] = None) -> Dict[str, Dict[str, float]]:
+def fig4_data(way: int = 2) -> Dict[str, Dict[str, float]]:
     """Kernel speed-ups over the 2-way MMX64 baseline (Fig. 4)."""
-    return kernel_speedups(fig4_points(way), ISA_COLUMNS, way, jobs)
+    return kernel_speedups(fig4_points(way), ISA_COLUMNS, way)
 
 
 def fig4_render() -> str:
@@ -188,9 +181,9 @@ def fig4_render() -> str:
     )
 
 
-def fig5_data(jobs: Optional[int] = None) -> Dict[str, Dict[int, Dict[str, float]]]:
+def fig5_data() -> Dict[str, Dict[int, Dict[str, float]]]:
     """Full-application speed-ups (Fig. 5), plus the 'average' panel."""
-    return app_speedups(ISAS, WAYS, jobs)
+    return app_speedups(ISAS, WAYS)
 
 
 def fig5_render() -> str:
@@ -200,21 +193,17 @@ def fig5_render() -> str:
     )
 
 
-def fig6_data(
-    app: str = "jpegdec", jobs: Optional[int] = None
-) -> Dict[int, Dict[str, Dict[str, float]]]:
+def fig6_data(app: str = "jpegdec") -> Dict[int, Dict[str, Dict[str, float]]]:
     """Scalar/vector cycle breakdown normalised to 2-way MMX64 = 100."""
-    lookup = report_lookup(
-        sweep(fig6_points(app), jobs=jobs if jobs is not None else default_jobs())
-    )
+    lookup = report_lookup(sweep(fig6_points(app), jobs=default_jobs()))
     profile = run_app_profile(app)
-    _price_scalar_mix(profile, WAYS)
-    norm = app_timing(profile, "mmx64", 2, lookup).total_cycles / 100.0
+    ipcs = dict(zip(WAYS, scalar_ipc(WAYS, *scalar_mix(profile))))
+    norm = app_timing(profile, "mmx64", 2, lookup, ipc=ipcs[2]).total_cycles / 100.0
     out: Dict[int, Dict[str, Dict[str, float]]] = {}
     for way in WAYS:
         out[way] = {}
         for isa in ISAS:
-            timing = app_timing(profile, isa, way, lookup)
+            timing = app_timing(profile, isa, way, lookup, ipc=ipcs[way])
             out[way][isa] = {
                 "scalar": timing.scalar_cycles / norm,
                 "vector": timing.vector_cycles / norm,
@@ -250,11 +239,9 @@ def fig6_render(app: str = "jpegdec") -> str:
     )
 
 
-def fig7_data(jobs: Optional[int] = None) -> Dict[str, Dict[str, Dict[str, float]]]:
+def fig7_data() -> Dict[str, Dict[str, Dict[str, float]]]:
     """Dynamic instruction counts by category, normalised to MMX64 = 100."""
-    lookup = report_lookup(
-        sweep(fig7_points(), jobs=jobs if jobs is not None else default_jobs())
-    )
+    lookup = report_lookup(sweep(fig7_points(), jobs=default_jobs()))
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for app in APP_NAMES:
         profile = run_app_profile(app)

@@ -93,6 +93,20 @@ class MachineFamily:
 _FAMILIES: Dict[str, MachineFamily] = {}
 _SPECS: Dict[Tuple[str, int], MachineSpec] = {}
 
+#: Registry changes this process has made: every :func:`register_machine`
+#: and :func:`unregister_machine` call adds one.
+_GENERATION = 0
+
+
+def registry_generation() -> int:
+    """How many times this process has changed the registry.
+
+    Every in-process result is filed under the generation it was made
+    in (:func:`repro.sweep.store.memo_key`), so registering, replacing
+    or removing a family retires all of them at once.
+    """
+    return _GENERATION
+
 
 def register_machine(family: MachineFamily, replace: bool = False) -> MachineFamily:
     """Add a machine family to the registry.
@@ -110,6 +124,7 @@ def register_machine(family: MachineFamily, replace: bool = False) -> MachineFam
     an existing name raises :class:`DuplicateMachineError` unless
     ``replace=True``.
     """
+    global _GENERATION
     if family.name in _FAMILIES and not replace:
         raise DuplicateMachineError(
             f"machine {family.name!r} is already registered; "
@@ -130,11 +145,13 @@ def register_machine(family: MachineFamily, replace: bool = False) -> MachineFam
     _FAMILIES[family.name] = family
     for key in [k for k in _SPECS if k[0] == family.name]:
         del _SPECS[key]
+    _GENERATION += 1
     return family
 
 
 def unregister_machine(name: str) -> None:
     """Remove one family (test helper; raises if unknown or depended on)."""
+    global _GENERATION
     if name not in _FAMILIES:
         raise UnknownMachineError(name, _FAMILIES)
     dependents = [
@@ -149,6 +166,7 @@ def unregister_machine(name: str) -> None:
     del _FAMILIES[name]
     for key in [k for k in _SPECS if k[0] == name]:
         del _SPECS[key]
+    _GENERATION += 1
 
 
 def machine_names() -> Tuple[str, ...]:
@@ -478,6 +496,7 @@ __all__ = [
     "program_of",
     "register_machine",
     "registered_machines",
+    "registry_generation",
     "trace_program",
     "unregister_machine",
 ]

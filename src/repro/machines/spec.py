@@ -16,6 +16,7 @@ its config dataclasses from here).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -133,7 +134,7 @@ class CoreConfig:
     """One column of Table III.
 
     The field set of this dataclass is part of the result-store contract:
-    :func:`repro.sweep.store.config_fingerprint` hashes
+    :func:`config_fingerprint` hashes
     :func:`core_config_to_dict` of it (every field, by name), so
     adding or renaming a field re-addresses every stored record.
     Capabilities that do not change the fingerprint belong in properties
@@ -232,6 +233,14 @@ def core_config_from_dict(data: Dict[str, Any]) -> CoreConfig:
     return CoreConfig(**{f.name: data[f.name] for f in dataclasses.fields(CoreConfig)})
 
 
+def config_fingerprint(config: CoreConfig, mem: MemHierConfig) -> str:
+    """Stable hash of one fully-resolved core and memory configuration:
+    the part of a result-store address that names the machine timed."""
+    return stable_hash(
+        {"core": core_config_to_dict(config), "mem": mem_config_to_dict(mem)}
+    )
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """One fully-resolved modeled machine.
@@ -309,25 +318,22 @@ class MachineSpec:
 
         The ``machines --validate`` manifest pins these per registered
         machine; the result store separately hashes the resolved
-        ``core``/``mem`` pair (see
-        :func:`repro.sweep.store.config_fingerprint`), which this hash
-        subsumes.
+        ``core``/``mem`` pair (:attr:`config_fingerprint`), which this
+        hash subsumes.
         """
         payload = self.to_dict()
         payload.pop("description")  # prose must not re-address records
         return stable_hash(payload)
 
+    @functools.cached_property
     def config_fingerprint(self) -> str:
-        """The core+mem hash the result store keys timings by.
+        """:func:`config_fingerprint` of ``core`` and ``mem``, computed once.
 
-        Byte-identical to
-        ``repro.sweep.store.config_fingerprint(spec.core, spec.mem)``
-        (pinned by a test), so legacy ``(isa, way)`` store addresses are
-        unchanged by the registry redesign.
+        The hash the result store keys timings without overrides by; the
+        spec is frozen, and the registry builds a new one when a family
+        is registered again.
         """
-        return stable_hash(
-            {"core": core_config_to_dict(self.core), "mem": mem_config_to_dict(self.mem)}
-        )
+        return config_fingerprint(self.core, self.mem)
 
 
 def json_roundtrip(spec: MachineSpec) -> MachineSpec:
@@ -342,6 +348,7 @@ __all__ = [
     "MemHierConfig",
     "SimdGeometry",
     "canonical_json",
+    "config_fingerprint",
     "core_config_from_dict",
     "core_config_to_dict",
     "json_roundtrip",

@@ -267,36 +267,6 @@ def _resolve(point: SweepPoint) -> Tuple[MachineSpec, CoreConfig, MemHierConfig]
     return spec, config, mem
 
 
-#: Per (machine, way): the registered spec this process last keyed
-#: points on, and the :func:`~repro.sweep.store.config_fingerprint` of
-#: its configuration without overrides.
-_KEYED: Dict[Tuple[str, int], Tuple[MachineSpec, str]] = {}
-
-
-def _fingerprint(
-    point: SweepPoint, spec: MachineSpec, config: CoreConfig, mem: MemHierConfig
-) -> str:
-    """``config_fingerprint(config, mem)``, once per override-free configuration.
-
-    ``spec, config, mem`` must be :func:`_resolve` of ``point``: without
-    overrides the configuration is a function of the spec.  A
-    re-registered machine resolves to a new spec object, which is
-    fingerprinted afresh and drops the in-process memo, whose timings
-    were made on the old one.  Points with overrides are fingerprinted
-    every time.
-    """
-    if point.core_overrides or point.mem_overrides:
-        return config_fingerprint(config, mem)
-    keyed = _KEYED.get((point.machine_name, point.way))
-    if keyed is None or keyed[0] is not spec:
-        if keyed is not None:
-            MEMO.clear()
-        keyed = _KEYED[point.machine_name, point.way] = (
-            spec, config_fingerprint(config, mem)
-        )
-    return keyed[1]
-
-
 def point_key(point: SweepPoint) -> str:
     """Content address of a point's record.
 
@@ -306,13 +276,16 @@ def point_key(point: SweepPoint) -> str:
     capability (the one timing input that lives in the registered
     geometry rather than the config dataclasses) and the simulator code
     digest.  Every call resolves the point, so it raises what
-    :func:`resolve_configs` raises; the fingerprint of a configuration
-    without overrides is computed once per process.
+    :func:`resolve_configs` raises; a configuration without overrides is
+    its registered spec's, whose fingerprint the spec computes once.
     """
     spec, config, mem = _resolve(point)
+    fingerprint = spec.config_fingerprint
+    if point.core_overrides or point.mem_overrides:
+        fingerprint = config_fingerprint(config, mem)
     identity: Dict[str, Any] = {
         "point": point.as_dict(),
-        "config": _fingerprint(point, spec, config, mem),
+        "config": fingerprint,
         "capabilities": {"vector_memory": spec.geometry.matrix},
     }
     return record_key("kernel-timing", identity)
@@ -469,39 +442,20 @@ def acquire_trace(point: SweepPoint, store: Any = _USE_DEFAULT) -> ColumnarTrace
 
 
 def acquire_traces(points: Sequence[SweepPoint], store: Any = _USE_DEFAULT) -> int:
-    """Batch-fill the memo and store with many points' traces in one pass.
+    """Fill the memo and store with many points' traces, timing nothing.
 
-    Groups the points' distinct :func:`trace_source` traces by kernel
-    program and emulates each group's missing seeds as one vectorised
-    batch (:func:`repro.kernels.base.execute_batch`), paying the
-    per-instruction interpretation cost once per kernel version rather
-    than once per seed -- a store pre-fill for re-timing later; sweeps
-    make their traces group by group as they time them.  Traces already
-    memoised or stored are skipped, and a group with a single missing
-    seed is left to :func:`acquire_trace` (there is nothing to batch).
-    Returns the number of traces emulated; the stored records are
-    byte-identical to what per-seed emulation would have written (the
-    differential suite pins the digest equality).
+    A store pre-fill for re-timing later (sweeps make their traces group
+    by group as they time them): each kernel program's traces come from
+    :func:`_program_traces`, which emulates a program's missing seeds in
+    one batch.  Returns the number of traces emulated.
     """
     if store is _USE_DEFAULT:
         store = default_store()
-    groups: Dict[Tuple[str, str], Dict[int, SweepPoint]] = {}
-    for point in points:
-        if trace_memo_key(store, point) in MEMO:
-            continue
-        kernel, program, seed = trace_source(point)
-        groups.setdefault((kernel, program), {})[seed] = point
-    filled = 0
-    for (kernel, program), by_seed in sorted(groups.items()):
-        missing = []
-        for _, point in sorted(by_seed.items()):
-            key = trace_key(point) if store is not None else None
-            if key is not None and key in store:
-                continue
-            missing.append((point, key))
-        if len(missing) >= 2:
-            filled += len(_emulate(kernel, program, missing, store))
-    return filled
+    emulations_before = _EMU_COUNT
+    for group in _trace_groups([(point, None) for point in points]):
+        kernel, program, _ = trace_source(group[0][0])
+        _program_traces(kernel, program, [point for point, _ in group], store)
+    return _EMU_COUNT - emulations_before
 
 
 def _kernel_timing(point: SweepPoint, result: SimResult) -> KernelTiming:
@@ -865,9 +819,8 @@ def sweep(
     for the store (the in-process memo) are answered before anything is
     keyed: no :func:`point_key` call, no store read.  So a record
     damaged or removed after this process read it keeps its in-memory
-    answer until :func:`~repro.sweep.clear_memory_caches`.  Keys are the
-    same as ever -- the per-process fingerprint cache behind
-    :func:`point_key` re-addresses nothing.
+    answer until :func:`~repro.sweep.clear_memory_caches`, or until the
+    machine registry changes.
 
     The store may be given three ways: ``store`` (a
     :class:`~repro.sweep.store.ResultStore` or ``None`` for no
@@ -926,18 +879,12 @@ def _held(
 ) -> Dict[SweepPoint, KernelTiming]:
     """The override-free points whose timings :data:`MEMO` holds for ``store``.
 
-    A point counts only while its machine and width resolve to the spec
-    this process keyed them on (without a store: timed them on); after a
-    re-registration it is keyed again.  Points with overrides are never
-    answered here: the memo is keyed by value, and ``lanes=4`` equals
-    ``lanes=4.0``.
+    Points with overrides are never answered here: the memo is keyed by
+    value, and ``lanes=4`` equals ``lanes=4.0``.
     """
     held: Dict[SweepPoint, KernelTiming] = {}
     for point in points:
         if point.core_overrides or point.mem_overrides:
-            continue
-        keyed = _KEYED.get((point.machine_name, point.way))
-        if keyed is None or keyed[0] is not get_machine(point.machine_name, point.way):
             continue
         timing = MEMO.get(memo_key(store, "kernel-timing", point))
         if timing is not None:
@@ -957,12 +904,6 @@ def _run_sweep(
     # What this process already holds for the store (or for no store) is
     # answered unkeyed; a shard reads every point from its store.
     held = _held(points, store) if shard is None else {}
-    if store is None:
-        # Nothing is keyed, but the timings are memoised: note the spec
-        # each is made on, as point_key does, for _held to check.
-        for point in points:
-            if point not in held and not point.core_overrides and not point.mem_overrides:
-                _fingerprint(point, *_resolve(point))
     keys = [
         None if store is None or point in held else point_key(point)
         for point in points

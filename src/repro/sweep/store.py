@@ -32,10 +32,12 @@ compacts).  ``docs/sweeping.md`` states the crash and corruption
 contract.
 
 In front of the store sits one bounded, thread-safe in-process memo,
-:data:`MEMO`, keyed by the store a result came from: an entry only ever
-answers for that store, so redirecting ``REPRO_STORE`` mid-process
-still reads -- and fills -- the new store.  Decoded traces and the
-other records fill separate byte budgets, so neither evicts the other.
+:data:`MEMO`, keyed by the store a result came from and the machine
+registry's generation: an entry only ever answers for that store, so
+redirecting ``REPRO_STORE`` mid-process still reads -- and fills -- the
+new store, and none answers after the registry changes.  Decoded traces
+and the other records fill separate byte budgets, so neither evicts the
+other.
 """
 
 from __future__ import annotations
@@ -62,13 +64,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.isa.trace import ColumnarTrace
-from repro.machines.spec import canonical_json, stable_hash
-from repro.machines.spec import (
-    CoreConfig,
-    MemHierConfig,
-    core_config_to_dict,
-    mem_config_to_dict,
-)
+from repro.machines.registry import registry_generation
+from repro.machines.spec import canonical_json, config_fingerprint, stable_hash
 from repro.timing.core import SimResult
 from repro.timing.simulator import KernelTiming
 
@@ -87,8 +84,9 @@ STORE_ENV = "REPRO_STORE"
 DEFAULT_STORE_ROOT = os.path.join("~", ".cache", "repro-sweep")
 
 
-# canonical_json / stable_hash are shared with repro.machines.spec (one
-# canonicalisation rule for store addresses and machine fingerprints).
+# canonical_json / stable_hash / config_fingerprint are shared with
+# repro.machines.spec (one canonicalisation rule for store addresses and
+# machine fingerprints).
 
 
 #: Subpackages whose sources can change simulation results.  "machines"
@@ -138,13 +136,6 @@ def code_version() -> str:
     import repro
 
     return code_digest(Path(repro.__file__).resolve().parent)
-
-
-def config_fingerprint(config: CoreConfig, mem: MemHierConfig) -> str:
-    """Stable hash of one fully-resolved machine description."""
-    return stable_hash(
-        {"core": core_config_to_dict(config), "mem": mem_config_to_dict(mem)}
-    )
 
 
 def record_key(kind: str, identity: Dict[str, Any]) -> str:
@@ -1574,8 +1565,13 @@ MEMO = MemoCache(MEMO_BYTES, MEMO_TRACE_BYTES)
 def memo_key(
     store: Optional[ResultStore], kind: str, identity: Any
 ) -> Tuple[Any, ...]:
-    """The :data:`MEMO` key of one record of ``store`` (None: no store)."""
-    return (None if store is None else str(store.root), kind, identity)
+    """The :data:`MEMO` key of one record of ``store`` (None: no store).
+
+    Ends in the machine registry's generation, so nothing memoised
+    before a family is registered, replaced or removed answers after.
+    """
+    root = None if store is None else str(store.root)
+    return (root, kind, identity, registry_generation())
 
 
 def memoise(key: Tuple[Any, ...], value: Any) -> Any:

@@ -356,10 +356,10 @@ class TestAcquireTraces:
             assert record["key"] == key
             assert store.record_bytes(key) == json.dumps(record).encode("utf-8")
 
-    def test_single_missing_seed_left_to_acquire_trace(self):
+    def test_a_single_missing_seed_is_filled(self):
         points = self._points(seeds=(5,))
-        assert engine.acquire_traces(points) == 0
-        assert engine.emulation_count() == 0
+        assert engine.acquire_traces(points) == 1
+        assert engine.emulation_count() == 1
         engine.acquire_trace(points[0])
         assert engine.emulation_count() == 1
 

@@ -14,8 +14,8 @@ moves every key and is regenerated with
 
     PYTHONPATH=src python -m pytest tests/test_key_stability.py --regen-goldens
 
-The other tests pin what the per-process configuration-fingerprint
-cache behind :func:`point_key` must never merge or skip.
+The other tests pin what the configuration fingerprint each registered
+spec caches for :func:`point_key` must never merge or skip.
 """
 
 import dataclasses

@@ -208,7 +208,7 @@ class TestSpecSerialisation:
         from repro.sweep.store import config_fingerprint
 
         for spec in registered_machines():
-            assert spec.config_fingerprint() == config_fingerprint(
+            assert spec.config_fingerprint == config_fingerprint(
                 spec.core, spec.mem
             )
 

@@ -12,19 +12,24 @@ those counts and the contract around them: a sharded sweep still keys
 and reads every point; overridden points and other stores' entries are
 never answered from the memo; a record damaged after this process read
 it is recomputed once the memo is cleared; a sweep without a store
-answers the timings it holds too; and a re-registered machine's points
-are keyed again, by a sweep and by ``simulate_kernel``.
+answers the timings it holds too; and after any change to the machine
+registry nothing memoised before answers -- a re-registered machine's
+points are keyed again, by a sweep and by ``simulate_kernel``, and
+scalar IPCs and compositions are made afresh.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.apps import app_timing, run_app_profile
+from repro.apps.appmodel import scalar_ipc
 from repro.experiments import ARTIFACT_DATA, artifact_json
 from repro.experiments.artifacts import ARTIFACT_POINTS
 from repro.machines import (
     MachineFamily,
     SimdGeometry,
+    get_family,
     register_machine,
     unregister_machine,
 )
@@ -60,7 +65,7 @@ def cold_memo(tmp_path, monkeypatch):
 
 #: ``counted`` after a sweep that keys, reads and computes nothing.
 IDLE = {
-    "keys": 0, "reads": 0, "simulate_kernel": 0,
+    "keys": 0, "reads": 0, "simulate_kernel": 0, "scalar_ipc": 0,
     "decodes": 0, "scalar_traces": 0, "stacks": 0,
 }
 
@@ -103,8 +108,12 @@ def test_warm_paper_pass_keys_and_reads_each_record_once(
     assert counted["keys"] == len(distinct)
     # 363 kernel timings, 20 scalar-IPC mixes and 6 app profiles.
     assert counted["reads"] == 389
-    # Every artefact reads its timings from its own sweep's report.
+    # Every artefact reads its timings from its own sweep's report, and
+    # each application composition fetches its mix's IPCs at every width
+    # in one call: 6 applications in each of fig5, fig5x and fig5v, and
+    # fig6's one.
     assert counted["simulate_kernel"] == 0
+    assert counted["scalar_ipc"] == 19
     assert (simulation_count(), emulation_count()) == (sims, emus)
     assert warm == cold
 
@@ -243,3 +252,30 @@ def test_a_storeless_sweep_answers_the_timings_it_holds(monkeypatch):
         unregister_machine("mmx64-memo-test")
     assert simulation_count() - sims == 1
     assert (before.result.cycles, after.result.cycles) == (9200, 11384)
+
+
+def test_a_registry_change_retires_every_memoised_result():
+    """Re-registering a family retires what the memo holds from before,
+    scalar IPCs included: an answer after the change is what a cleared
+    memo computes, and two identical compositions agree."""
+    profile = run_app_profile("gsmdec")
+    before = scalar_ipc(2, 25, 5)
+    app_timing(profile, "mmx64", 2)
+    original = get_family("mmx64")
+    core = dataclasses.replace(
+        original.core_scaling,
+        rob_size=ScalingCurve.constant(4),
+        mem_ports=ScalingCurve.constant(1),
+    )
+    register_machine(dataclasses.replace(original, core_scaling=core), replace=True)
+    try:
+        after = scalar_ipc(2, 25, 5)
+        first = app_timing(profile, "mmx64", 2)
+        second = app_timing(profile, "mmx64", 2)
+        clear_memory_caches()
+        fresh = scalar_ipc(2, 25, 5)
+    finally:
+        register_machine(original, replace=True)
+    assert after != before
+    assert after == fresh
+    assert first == second

@@ -542,24 +542,53 @@ def _measure_paper_cold(reps=3):
     decodes none of them (``trace_decodes``), keys each kernel timing
     once (``point_key_calls``) and builds each scalar mix's synthetic
     trace once per composition that first prices it (``scalar_traces``).
+    ``trace_bytes_per_instruction`` is what the traces the pass holds in
+    the memo weigh in memory, an instruction, and
+    ``trace_encode_seconds`` the best pass's time in encoding them for
+    the store.
     """
     from repro.experiments import ARTIFACT_DATA, artifact_json
-    from repro.sweep import emulation_count, simulation_count
+    from repro.sweep import emulation_count, engine, simulation_count
+    from repro.sweep.store import MEMO
+
+    encode = engine.trace_to_payload
+    encoding = [0.0]
+
+    def timed_encode(cols):
+        t0 = time.perf_counter()
+        try:
+            return encode(cols)
+        finally:
+            encoding[0] += time.perf_counter() - t0
 
     best = float("inf")
     for _ in range(reps):
         with _fresh_store():
             computed = (simulation_count(), emulation_count())
-            with key_and_read_counts() as counts:
-                t0 = time.perf_counter()
-                for name in ARTIFACT_DATA:
-                    artifact_json(name)
-                best = min(best, time.perf_counter() - t0)
+            encoding[0] = 0.0
+            engine.trace_to_payload = timed_encode
+            try:
+                with key_and_read_counts() as counts:
+                    t0 = time.perf_counter()
+                    for name in ARTIFACT_DATA:
+                        artifact_json(name)
+                    seconds = time.perf_counter() - t0
+            finally:
+                engine.trace_to_payload = encode
+            if seconds < best:
+                best, encode_seconds = seconds, encoding[0]
             simulated = simulation_count() - computed[0]
             emulated = emulation_count() - computed[1]
+            traces = {id(cols): cols for cols, _ in MEMO.traces.entries.values()}
+    instructions = sum(len(cols) for cols in traces.values())
     return {
         "artifacts": len(ARTIFACT_DATA),
         "seconds": round(best, 3),
+        "trace_instructions": instructions,
+        "trace_bytes_per_instruction": round(
+            sum(cols.nbytes for cols in traces.values()) / max(instructions, 1), 2
+        ),
+        "trace_encode_seconds": round(encode_seconds, 4),
         "trace_decodes": counts["decodes"],
         "point_key_calls": counts["keys"],
         "store_reads": counts["reads"],

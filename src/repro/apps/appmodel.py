@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.apps.profile import AppProfile
 from repro.isa.opcodes import Category, FUClass, Latency
-from repro.isa.trace import CAT_CODE, FU_CODE, ColumnarTrace
+from repro.isa.trace import ColumnarTrace
 from repro.machines import get_machine
 from repro.machines.spec import core_config_to_dict
 from repro.timing.core import default_mem_config
@@ -39,26 +39,16 @@ KernelLookup = Callable[..., KernelTiming]
 #: Size of the synthetic scalar trace used to estimate scalar-region IPC.
 SCALAR_TRACE_LEN = 24_000
 
-#: Per-kind column values of the synthetic scalar trace, indexed by the
-#: kind draw: 0 = load, 1 = branch, 2 = ALU operation.
-_KIND_NAMES = ("ld", "br", "alu")
-_KIND_CATEGORY = np.array(
-    [CAT_CODE[Category.SMEM], CAT_CODE[Category.SCTRL], CAT_CODE[Category.SARITH]],
-    dtype=np.uint8,
+#: The pool rows of the synthetic scalar trace, indexed by the kind
+#: draw: 0 = load, 1 = branch, 2 = ALU operation.
+_KIND_DESCRIPTORS = (
+    ("ld", Category.SMEM, FUClass.MEM, 0, False, False),
+    ("br", Category.SCTRL, FUClass.INT, Latency.BRANCH, False, True),
+    ("alu", Category.SARITH, FUClass.INT, Latency.INT_ALU, False, False),
 )
-_KIND_FU = np.array(
-    [FU_CODE[FUClass.MEM], FU_CODE[FUClass.INT], FU_CODE[FUClass.INT]],
-    dtype=np.uint8,
-)
-_KIND_LATENCY = np.array([0, Latency.BRANCH, Latency.INT_ALU], dtype=np.int32)
 
 #: How many of the latest produced values a source may reach back to.
 _DEP_WINDOW = 64
-
-
-def _offsets(mask: np.ndarray) -> np.ndarray:
-    """CSR offsets for one optional register id per record."""
-    return np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
 
 
 def make_scalar_trace(
@@ -112,30 +102,25 @@ def make_scalar_trace(
     stream = 4 * 1024 * 1024 + 128 * np.cumsum(is_ld & is_mem)
     addr = np.where(is_mem, stream, np.where(is_l2, addr_l2, addr_wave))
 
-    # The mnemonic pool in first-appearance order, as a builder interns it.
+    # The pool in first-appearance order, as a builder interns it.
     kinds_present, first = np.unique(kinds, return_index=True)
     pool_order = kinds_present[np.argsort(first)]
-    name_of_kind = np.zeros(len(_KIND_NAMES), dtype=np.uint32)
+    name_of_kind = np.zeros(len(_KIND_DESCRIPTORS), dtype=np.uint16)
     name_of_kind[pool_order] = np.arange(len(pool_order))
 
     return ColumnarTrace(
         f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}",
-        tuple(_KIND_NAMES[k] for k in pool_order),
+        [_KIND_DESCRIPTORS[k] for k in pool_order],
         name_id=name_of_kind[kinds],
-        category=_KIND_CATEGORY[kinds],
-        fu=_KIND_FU[kinds],
-        latency=_KIND_LATENCY[kinds],
         addr=np.where(is_ld, 64 + addr, -1),
-        row_bytes=np.where(is_ld, 4, 0).astype(np.int32),
-        rows=np.ones(length, dtype=np.int32),
-        stride=np.zeros(length, dtype=np.int64),
+        stride=np.zeros(length, dtype=np.int32),
         pc=np.where(is_br, sites, 0),
-        is_store=np.zeros(length, dtype=bool),
-        is_branch=is_br,
+        row_bytes=np.where(is_ld, 4, 0).astype(np.int16),
+        rows=np.ones(length, dtype=np.int16),
         taken=is_br & taken,
-        src_off=_offsets(has_src),
+        n_src=has_src.view(np.uint8),
+        n_dst=produces.view(np.uint8),
         src_ids=src_ids,
-        dst_off=_offsets(produces),
         dst_ids=ssa[produces],
     )
 

@@ -305,7 +305,12 @@ class _BatchMMXOps(_BatchScalarOps):
     """
 
     def _vreg(self, data: np.ndarray) -> BatchVReg:
-        if data.ndim != 2 or data.shape[0] != self.nseeds or not data.flags.c_contiguous:
+        """Wrap freshly computed ``(nseeds, lanes)`` lanes, uncopied.
+
+        As on the single-seed machine, every caller hands in a
+        contiguous array no one else can write.
+        """
+        if data.ndim != 2 or data.shape[0] != self.nseeds:
             data = np.ascontiguousarray(data).reshape(self.nseeds, -1)
         if data.nbytes != self.nseeds * self.width:
             raise ValueError(
@@ -352,7 +357,7 @@ class _BatchMMXOps(_BatchScalarOps):
 
     def const(self, values: np.ndarray, dtype: str = "s16") -> BatchVReg:
         data = np.array(values, dtype=sw.STORAGE[dtype])
-        data = np.broadcast_to(data, (self.nseeds,) + data.shape)
+        data = np.repeat(data[None], self.nseeds, axis=0)
         return self._vemit(op.PCONST, self._vreg(data))
 
     # -- pack / unpack (reference bodies index the lane axis) -------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.emu.handles import SReg, VReg
 from repro.emu.memory import Memory
-from repro.emu.scalar import Operand, ScalarMachine
+from repro.emu.scalar import Operand, ScalarMachine, rid
 from repro.isa import opcodes as op
 from repro.isa import subword as sw
 from repro.isa.trace import Trace
@@ -77,18 +77,19 @@ class MMXMachine(ScalarMachine):
     def _vreg(self, data: np.ndarray) -> VReg:
         """Wrap freshly computed lanes, uncopied, as a new register.
 
-        Every caller hands in an array no one else can write -- a
-        computed result or a :meth:`Memory.read` copy; :meth:`const`,
-        the one intrinsic given caller data, copies it first.
+        Every caller hands in a contiguous array no one else can write
+        -- a computed result, a prefix of one or a :meth:`Memory.read`
+        copy; :meth:`const`, the one intrinsic given caller data, copies
+        it first.
         """
-        if data.ndim != 1 or not data.flags.c_contiguous:
+        if data.ndim != 1:
             data = np.ascontiguousarray(data).reshape(-1)
         if data.nbytes != self.width:
             raise ValueError(f"register payload must be {self.width} bytes, got {data.nbytes}")
         return VReg(next(self._ids), data)
 
     def _vemit(self, opcode: int, dst: VReg, *srcs: VReg) -> VReg:
-        self._emit(opcode, (dst.rid,), tuple([s.rid for s in srcs]))
+        self._emit(opcode, (dst.rid,), tuple(map(rid, srcs)))
         return dst
 
     # -- SIMD memory -------------------------------------------------------

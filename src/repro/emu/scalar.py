@@ -13,6 +13,7 @@ per-instruction record object is constructed on the hot path.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -24,6 +25,10 @@ from repro.isa.trace import Trace
 
 #: Many intrinsics accept either a register handle or a Python immediate.
 Operand = Union[SReg, int]
+
+#: A handle's register id: ``tuple(map(rid, handles))`` collects a
+#: source list without building a Python list per instruction.
+rid = attrgetter("rid")
 
 
 def _mask64(value: int) -> int:
@@ -54,8 +59,11 @@ class ScalarMachine:
         return int(x.val) if isinstance(x, SReg) else int(x)
 
     @staticmethod
-    def _src_ids(*xs: Operand) -> Tuple[int, ...]:
-        return tuple([x.rid for x in xs if isinstance(x, SReg)])
+    def _src_ids(a: Operand = 0, b: Operand = 0) -> Tuple[int, ...]:
+        """The register ids of up to two operands (immediates have none)."""
+        if isinstance(a, SReg):
+            return (a.rid, b.rid) if isinstance(b, SReg) else (a.rid,)
+        return (b.rid,) if isinstance(b, SReg) else ()
 
     def _sreg(self, value: int) -> SReg:
         return SReg(next(self._ids), _mask64(value))
@@ -168,7 +176,8 @@ class ScalarMachine:
         """Conditional branch with its dynamic outcome.
 
         ``site`` identifies the static branch for the branch predictor; 0
-        is a shared bucket for ad-hoc data-dependent branches.
+        is a shared bucket for ad-hoc data-dependent branches.  A branch
+        reads at most two operands.
         """
         self._emit(op.BR, (), self._src_ids(*srcs), taken=taken, pc=site)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.emu.handles import AccReg, MAccReg, MReg, SReg
 from repro.emu.memory import Memory
-from repro.emu.scalar import Operand, ScalarMachine
+from repro.emu.scalar import Operand, ScalarMachine, rid
 from repro.isa import opcodes as op
 from repro.isa import subword as sw
 from repro.isa.trace import Trace
@@ -92,7 +92,7 @@ class VMMXMachine(ScalarMachine):
 
     def _vemit(self, opcode: int, dst_ids, *srcs, rows=None):
         self._emit(
-            opcode, tuple(dst_ids), tuple([s.rid for s in srcs]),
+            opcode, dst_ids, tuple(map(rid, srcs)),
             rows=(self.vl if rows is None else rows),
         )
 

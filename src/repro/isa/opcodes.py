@@ -15,8 +15,8 @@ Every opcode the emulation machines emit has one static descriptor in
 is_branch)`` -- and one module-level int naming its row (``PADD``,
 ``VLD_P``, ...).  A machine passes that int to
 :meth:`~repro.isa.trace.TraceBuilder.emit`, which records only the
-instruction's dynamic fields; the static ones are expanded from this
-table once per trace snapshot.
+instruction's dynamic fields; a trace snapshot keeps the rows of this
+table its instructions use once, as its descriptor pool.
 """
 
 from __future__ import annotations

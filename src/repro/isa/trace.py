@@ -13,74 +13,143 @@ the representation is *columnar*: parallel NumPy arrays, one per field
 
 * :class:`TraceBuilder` (aliased :class:`Trace`, the name every machine
   and kernel uses) is the append-oriented producer.  ``emit`` records
-  an opcode id and the fields that vary per execution -- registers,
-  address, footprint, branch outcome; the fields fixed per opcode
-  (mnemonic, category, FU, latency, ``is_store``, ``is_branch``) live
-  once in :data:`repro.isa.opcodes.DESCRIPTORS` and are expanded when
-  the builder is snapshotted.  No per-instruction object is ever
-  constructed on the hot path.
-* :class:`ColumnarTrace` is the frozen snapshot the timing core walks:
-  exact-length arrays plus packed CSR-style src/dst SSA-id columns.  It
-  serialises to a compact binary form (:meth:`ColumnarTrace.to_bytes`)
-  that the content-addressed result store caches, letting sweeps re-time
-  a stored trace without re-emulating the kernel.
+  one flat record per instruction -- an opcode id and the fields that
+  vary per execution -- plus its register ids; the fields fixed per
+  opcode (mnemonic, category, FU, latency, ``is_store``, ``is_branch``)
+  live once in :data:`repro.isa.opcodes.DESCRIPTORS`.  No
+  per-instruction object is ever constructed on the hot path.
+* :class:`ColumnarTrace` is the frozen snapshot the timing core walks.
+  It holds only what varies, each column in the narrowest exact fixed
+  type: a per-trace descriptor *pool* (one row per distinct opcode, in
+  first-appearance order) indexed by a ``uint16`` column, int32
+  addresses, strides and pcs, int16 row widths and row counts, the
+  branch outcome, uint8 source and destination counts, and the packed
+  int32 SSA ids those counts index.  It serialises to a compact binary
+  form (:meth:`ColumnarTrace.to_bytes`) that the content-addressed
+  result store caches, letting sweeps re-time a stored trace without
+  re-emulating the kernel.
 * :class:`TraceRecord` remains as the *record view*: a thin materialised
   row used by tests, the disassembler and the reference timing model.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.opcodes import DESCRIPTORS, Category, FUClass
+from repro.isa.opcodes import DESCRIPTORS, Category, Descriptor, FUClass
 
 #: Stable category/FU codes used by the columnar encoding.  Order is part
-#: of the serialised format -- append only.
+#: of the in-memory pool tables -- append only.
 CATEGORIES: Tuple[Category, ...] = tuple(Category)
 CAT_CODE = {cat: code for code, cat in enumerate(CATEGORIES)}
 FUNITS: Tuple[FUClass, ...] = tuple(FUClass)
 FU_CODE = {fu: code for code, fu in enumerate(FUNITS)}
 
-#: The static columns of :data:`repro.isa.opcodes.DESCRIPTORS`, indexed
-#: by opcode id: :meth:`TraceBuilder.columns` expands each with one
-#: take over the opcode column.
-OP_MNEMONIC: Tuple[str, ...] = tuple(d[0] for d in DESCRIPTORS)
-OP_CATEGORY = np.array([CAT_CODE[d[1]] for d in DESCRIPTORS], dtype=np.uint8)
-OP_FU = np.array([FU_CODE[d[2]] for d in DESCRIPTORS], dtype=np.uint8)
-OP_LATENCY = np.array([d[3] for d in DESCRIPTORS], dtype=np.int32)
-OP_IS_STORE = np.array([d[4] for d in DESCRIPTORS], dtype=bool)
-OP_IS_BRANCH = np.array([d[5] for d in DESCRIPTORS], dtype=bool)
-
 #: Magic + version prefix of the binary trace serialisation.
-TRACE_MAGIC = b"RPRTRC1\n"
+TRACE_MAGIC = b"RPRTRC2\n"
 
-#: (attribute, little-endian dtype) pairs, in serialisation order.  The
-#: offset columns precede their id columns so lengths are recoverable.
+#: Per-instruction columns: (attribute, little-endian dtype).
 _COLUMN_SPEC: Tuple[Tuple[str, str], ...] = (
-    ("name_id", "<u4"),
-    ("category", "u1"),
-    ("fu", "u1"),
-    ("latency", "<i4"),
-    ("addr", "<i8"),
-    ("row_bytes", "<i4"),
-    ("rows", "<i4"),
-    ("stride", "<i8"),
-    ("pc", "<i8"),
-    ("is_store", "u1"),
-    ("is_branch", "u1"),
-    ("taken", "u1"),
-    ("src_off", "<i8"),
-    ("src_ids", "<i8"),
-    ("dst_off", "<i8"),
-    ("dst_ids", "<i8"),
+    ("name_id", "<u2"),
+    ("addr", "<i4"),
+    ("stride", "<i4"),
+    ("pc", "<i4"),
+    ("row_bytes", "<i2"),
+    ("rows", "<i2"),
+    ("taken", "|b1"),
+    ("n_src", "u1"),
+    ("n_dst", "u1"),
 )
+#: The packed SSA-id columns, each with the count column indexing it.
+_ID_SPEC: Tuple[Tuple[str, str], ...] = (("src_ids", "n_src"), ("dst_ids", "n_dst"))
+_ID_DTYPE = "<i4"
+
+_DTYPES: Dict[str, np.dtype] = {
+    attr: np.dtype(dtype) for attr, dtype in _COLUMN_SPEC
+}
+_DTYPES.update((attr, np.dtype(_ID_DTYPE)) for attr, _ in _ID_SPEC)
+
+#: Serialisation order: widest columns first, so every column of an
+#: encoding whose first column is 4-byte aligned is aligned too.
+_SERIAL_ORDER: Tuple[str, ...] = tuple(
+    sorted(_DTYPES, key=lambda attr: -_DTYPES[attr].itemsize)
+)
+
+
+def _narrow(values: Any, dtype: np.dtype, what: str) -> np.ndarray:
+    """``values`` as a contiguous array of ``dtype``; never truncated.
+
+    An array already of ``dtype`` is taken as it is (copied only if it is
+    not contiguous).  Anything else must hold integers (or booleans)
+    that ``dtype`` represents exactly; otherwise :class:`ValueError`.
+    """
+    try:
+        arr = np.asarray(values)
+    except OverflowError:
+        raise ValueError(f"column {what} holds a value outside int64") from None
+    if arr.ndim != 1:
+        raise ValueError(f"column {what} must be one-dimensional")
+    if arr.dtype == dtype:
+        return np.ascontiguousarray(arr)
+    if arr.size == 0:
+        return np.zeros(0, dtype=dtype)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"column {what} must hold integers, not {arr.dtype}")
+    lo, hi = int(arr.min()), int(arr.max())
+    if dtype.kind == "b":
+        least, most = 0, 1
+    else:
+        info = np.iinfo(dtype)
+        least, most = int(info.min), int(info.max)
+    if lo < least or hi > most:
+        raise ValueError(
+            f"column {what} holds values in [{lo}, {hi}], outside {dtype.name}"
+        )
+    return arr.astype(dtype)
+
+
+def _descriptor(row: Sequence[Any]) -> Descriptor:
+    """One pool row, checked: ``(mnemonic, Category, FUClass, latency,
+    is_store, is_branch)``, the shape of the ``DESCRIPTORS`` rows."""
+    try:
+        mnemonic, category, fu, latency, is_store, is_branch = row
+    except (TypeError, ValueError):
+        raise ValueError(f"pool row {row!r} is not a 6-field descriptor") from None
+    if (
+        not isinstance(mnemonic, str)
+        or not isinstance(category, Category)
+        or not isinstance(fu, FUClass)
+        or not isinstance(latency, (int, np.integer))
+        or isinstance(latency, bool)
+        or not -(2**63) <= latency < 2**63
+    ):
+        raise ValueError(f"pool row {row!r} is not a valid descriptor")
+    return (mnemonic, category, fu, int(latency), bool(is_store), bool(is_branch))
+
+
+@functools.lru_cache(maxsize=256)
+def _pool_tables(pool: Tuple[Descriptor, ...]) -> Tuple[Any, ...]:
+    """The mnemonics and the read-only per-row tables of a checked pool:
+    category and unit codes, latency, ``is_store``, ``is_branch``.
+    Traces of one program share their pool, and so these tables."""
+    tables = (
+        np.array([CAT_CODE[row[1]] for row in pool], dtype=np.uint8),
+        np.array([FU_CODE[row[2]] for row in pool], dtype=np.uint8),
+        np.array([row[3] for row in pool], dtype=np.int64),
+        np.array([row[4] for row in pool], dtype=bool),
+        np.array([row[5] for row in pool], dtype=bool),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return (tuple(row[0] for row in pool),) + tables
 
 
 @dataclass(slots=True)
@@ -118,6 +187,14 @@ class TraceRecord:
         """Number of element-row operations this instruction performs."""
         return self.rows
 
+    @property
+    def descriptor(self) -> Descriptor:
+        """The static fields, as one pool row."""
+        return (
+            self.name, self.category, self.fu, self.latency,
+            self.is_store, self.is_branch,
+        )
+
 
 class _RecordSeq(Sequence):
     """Lazy sequence of :class:`TraceRecord` views over columnar storage."""
@@ -132,12 +209,14 @@ class _RecordSeq(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._cols.record(i) for i in range(*index.indices(len(self)))]
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return list(self._cols.iter_records(start, stop))
+            return [self._cols.record(i) for i in range(start, stop, step)]
         return self._cols.record(index)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        for i in range(len(self)):
-            yield self._cols.record(i)
+        return self._cols.iter_records()
 
 
 class _TraceView:
@@ -186,26 +265,132 @@ class _TraceView:
         return f"Trace({name}: {len(self)} instrs; {parts})"
 
 
+def _dense(*columns: np.ndarray) -> Tuple[int, int]:
+    """``(base, span)`` indexing every value of ``columns`` as ``value -
+    base`` into an array of ``span`` slots, or ``(0, -1)`` when that
+    array would be sparse (more than four slots a value, plus 1,024)."""
+    present = [column for column in columns if len(column)]
+    if not present:
+        return 0, 0
+    lo = min(int(column.min()) for column in present)
+    span = max(int(column.max()) for column in present) - lo + 1
+    count = sum(len(column) for column in present)
+    return (lo, span) if span <= 4 * count + 1024 else (0, -1)
+
+
 class ColumnarTrace(_TraceView):
     """Frozen structure-of-arrays snapshot of a dynamic trace.
 
-    All per-record columns have exactly ``len(self)`` entries; the packed
-    ``src_ids``/``dst_ids`` columns are indexed CSR-style through the
-    ``src_off``/``dst_off`` offset columns (record ``i`` reads slots
-    ``off[i]:off[i+1]``).  Mnemonics are pooled: ``name_id`` indexes the
-    ``mnemonics`` tuple.
+    ``pool`` holds one descriptor row ``(mnemonic, category, fu, latency,
+    is_store, is_branch)`` per distinct opcode, in first-appearance
+    order, every row used; ``name_id`` indexes it.  The other
+    per-instruction columns are the dynamic fields (see
+    :data:`_COLUMN_SPEC`).  ``src_ids``/``dst_ids`` pack every
+    instruction's SSA register ids in order; record ``i`` owns
+    ``n_src[i]``/``n_dst[i]`` of them.
+
+    The constructor narrows each column to its exact type (a value that
+    does not fit raises :class:`ValueError`, never truncates), checks
+    the structure -- every column has its declared length, each count
+    column sums to its id column's length, the pool is in
+    first-appearance order -- and makes every array read-only, so the
+    compiled timing kernel can index by the counts without checking
+    them.  The static columns (``category``, ``fu``, ``latency``,
+    ``is_store``, ``is_branch``) and the CSR offsets (``src_off``,
+    ``dst_off``) stay readable, computed on access.
     """
 
-    __slots__ = ("name", "mnemonics") + tuple(name for name, _ in _COLUMN_SPEC)
+    __slots__ = (
+        ("name", "pool", "mnemonics", "op_category", "op_fu", "op_latency",
+         "op_is_store", "op_is_branch", "_facts")
+        + tuple(_DTYPES)
+    )
 
-    def __init__(self, name: str, mnemonics: Tuple[str, ...], **columns) -> None:
+    def __init__(self, name: str, pool: Sequence[Sequence[Any]], **columns) -> None:
         self.name = name
-        self.mnemonics = tuple(mnemonics)
+        self.pool = tuple(_descriptor(row) for row in pool)
+        (self.mnemonics, self.op_category, self.op_fu, self.op_latency,
+         self.op_is_store, self.op_is_branch) = _pool_tables(self.pool)
+        for attr, dtype in _DTYPES.items():
+            if attr not in columns:
+                raise ValueError(f"missing column {attr}")
+            setattr(self, attr, _narrow(columns[attr], dtype, attr))
+        self._check()
+        for attr in _DTYPES:
+            getattr(self, attr).flags.writeable = False
+        self._facts: Dict[str, Any] = {}
+
+    def _check(self) -> None:
+        n = len(self.name_id)
         for attr, _ in _COLUMN_SPEC:
-            setattr(self, attr, columns[attr])
+            if len(getattr(self, attr)) != n:
+                raise ValueError(
+                    f"column {attr} has {len(getattr(self, attr))} entries, not {n}"
+                )
+        for ids, counts in _ID_SPEC:
+            total = int(getattr(self, counts).sum(dtype=np.int64))
+            if total != len(getattr(self, ids)):
+                raise ValueError(
+                    f"{counts} sums to {total}, but {ids} holds "
+                    f"{len(getattr(self, ids))} ids"
+                )
+        if n == 0:
+            if self.pool:
+                raise ValueError("an empty trace has an empty pool")
+            return
+        seen = np.maximum.accumulate(self.name_id)
+        if (
+            self.name_id[0] != 0
+            or int(seen[-1]) != len(self.pool) - 1
+            or (n > 1 and int((seen[1:] - seen[:-1]).max()) > 1)
+        ):
+            raise ValueError(
+                "the pool must list its rows in first-appearance order, "
+                "each used by some instruction"
+            )
 
     def __len__(self) -> int:
-        return len(self.category)
+        return len(self.name_id)
+
+    # -- static columns, looked up through the pool -------------------------
+
+    @property
+    def category(self) -> np.ndarray:
+        return self.op_category[self.name_id]
+
+    @property
+    def fu(self) -> np.ndarray:
+        return self.op_fu[self.name_id]
+
+    @property
+    def latency(self) -> np.ndarray:
+        return self.op_latency[self.name_id]
+
+    @property
+    def is_store(self) -> np.ndarray:
+        return self.op_is_store[self.name_id]
+
+    @property
+    def is_branch(self) -> np.ndarray:
+        return self.op_is_branch[self.name_id]
+
+    @property
+    def src_off(self) -> np.ndarray:
+        """CSR offsets of ``src_ids``: record ``i`` reads ``off[i]:off[i+1]``."""
+        return np.concatenate(([0], np.cumsum(self.n_src, dtype=np.int64)))
+
+    @property
+    def dst_off(self) -> np.ndarray:
+        """CSR offsets of ``dst_ids``."""
+        return np.concatenate(([0], np.cumsum(self.n_dst, dtype=np.int64)))
+
+    @property
+    def nbytes(self) -> int:
+        """In-memory footprint: the columns and the pool tables."""
+        total = sum(getattr(self, attr).nbytes for attr in _DTYPES)
+        tables = (self.op_category, self.op_fu, self.op_latency,
+                  self.op_is_store, self.op_is_branch)
+        return total + sum(table.nbytes for table in tables)
 
     def category_codes(self) -> np.ndarray:
         return self.category
@@ -213,6 +398,69 @@ class ColumnarTrace(_TraceView):
     def columns(self) -> "ColumnarTrace":
         """Uniform access point shared with :class:`TraceBuilder`."""
         return self
+
+    # -- facts of the frozen trace, computed once ----------------------------
+
+    def _fact(self, name: str, compute):
+        facts = self._facts
+        if name not in facts:
+            facts[name] = compute()
+        return facts[name]
+
+    def category_instructions(self) -> Dict[str, int]:
+        """Instructions per category value, in first-occurrence order.
+
+        That is the order of the pool's categories, as each pool row
+        first appears after the rows before it.  Shared: do not mutate.
+        """
+        def compute():
+            counts = np.bincount(self.name_id, minlength=len(self.pool)).tolist()
+            tally: Dict[str, int] = {}
+            for row, count in zip(self.pool, counts):
+                tally[row[1].value] = tally.get(row[1].value, 0) + count
+            return tally
+        return self._fact("category_instructions", compute)
+
+    def register_ids(self) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """``(src_ids, dst_ids, base, n_regs)`` for a flat scoreboard.
+
+        Every id satisfies ``0 <= id - base < n_regs``.  Emulated traces
+        number their ids densely, and synthetic ones from a negative
+        start, so these are the id columns themselves; sparse
+        (hand-built) ids are renumbered densely from zero once.
+        Dependences only ever compare ids for equality.
+        """
+        def compute():
+            base, span = _dense(self.src_ids, self.dst_ids)
+            if span >= 0:
+                return self.src_ids, self.dst_ids, base, span
+            unique, dense = np.unique(
+                np.concatenate([self.src_ids, self.dst_ids]), return_inverse=True
+            )
+            dense = dense.astype(np.int32)
+            n_src = len(self.src_ids)
+            return dense[:n_src], dense[n_src:], 0, len(unique)
+        return self._fact("register_ids", compute)
+
+    def branch_sites(self) -> Tuple[np.ndarray, int, int]:
+        """``(site, base, n_sites)`` for a flat branch-predictor table.
+
+        Every branch ``i`` satisfies ``0 <= site[i] - base < n_sites``,
+        and two branches share a slot exactly when they share a pc.
+        ``site`` is the pc column itself unless the pcs are sparse
+        (hand-built traces), which are numbered densely once.
+        """
+        def compute():
+            branches = self.is_branch
+            pcs = self.pc[branches]
+            base, span = _dense(pcs)
+            if span >= 0:
+                return self.pc, base, span
+            unique, dense = np.unique(pcs, return_inverse=True)
+            site = np.zeros(len(self), dtype=np.int32)
+            site[branches] = dense
+            return site, 0, len(unique)
+        return self._fact("branch_sites", compute)
 
     # -- record views ------------------------------------------------------
 
@@ -224,24 +472,33 @@ class ColumnarTrace(_TraceView):
             i += n
         if not 0 <= i < n:
             raise IndexError(f"trace index {original} out of range")
-        so, se = int(self.src_off[i]), int(self.src_off[i + 1])
-        do, de = int(self.dst_off[i]), int(self.dst_off[i + 1])
-        return TraceRecord(
-            name=self.mnemonics[self.name_id[i]],
-            category=CATEGORIES[self.category[i]],
-            fu=FUNITS[self.fu[i]],
-            latency=int(self.latency[i]),
-            dsts=tuple(int(x) for x in self.dst_ids[do:de]),
-            srcs=tuple(int(x) for x in self.src_ids[so:se]),
-            addr=int(self.addr[i]),
-            row_bytes=int(self.row_bytes[i]),
-            rows=int(self.rows[i]),
-            stride=int(self.stride[i]),
-            is_store=bool(self.is_store[i]),
-            is_branch=bool(self.is_branch[i]),
-            taken=bool(self.taken[i]),
-            pc=int(self.pc[i]),
-        )
+        return next(self.iter_records(i, i + 1))
+
+    def iter_records(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TraceRecord]:
+        """Record views of instructions ``start:stop``, in order."""
+        stop = len(self) if stop is None else stop
+        s = int(self.n_src[:start].sum(dtype=np.int64))
+        d = int(self.n_dst[:start].sum(dtype=np.int64))
+        window = slice(start, stop)
+        src = self.src_ids[s: s + int(self.n_src[window].sum(dtype=np.int64))].tolist()
+        dst = self.dst_ids[d: d + int(self.n_dst[window].sum(dtype=np.int64))].tolist()
+        pool = self.pool
+        s = d = 0
+        for op, addr, row_bytes, rows, stride, taken, pc, ns, nd in zip(
+            self.name_id[window].tolist(), self.addr[window].tolist(),
+            self.row_bytes[window].tolist(), self.rows[window].tolist(),
+            self.stride[window].tolist(), self.taken[window].tolist(),
+            self.pc[window].tolist(), self.n_src[window].tolist(),
+            self.n_dst[window].tolist(),
+        ):
+            name, category, fu, latency, is_store, is_branch = pool[op]
+            yield TraceRecord(
+                name, category, fu, latency, tuple(dst[d: d + nd]),
+                tuple(src[s: s + ns]), addr, row_bytes, rows, stride,
+                is_store, is_branch, taken, pc,
+            )
+            s += ns
+            d += nd
 
     @property
     def records(self) -> _RecordSeq:
@@ -249,21 +506,21 @@ class ColumnarTrace(_TraceView):
         return _RecordSeq(self)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return self.iter_records()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColumnarTrace):
             return NotImplemented
         return (
             self.name == other.name
-            and self.mnemonics == other.mnemonics
+            and self.pool == other.pool
             and all(
                 np.array_equal(getattr(self, attr), getattr(other, attr))
-                for attr, _ in _COLUMN_SPEC
+                for attr in _DTYPES
             )
         )
 
-    #: Structurally comparable but backed by mutable arrays: explicitly
+    #: Structurally comparable but backed by arrays: explicitly
     #: unhashable (key memos by (kernel, version, seed) or ``digest()``).
     __hash__ = None
 
@@ -272,29 +529,41 @@ class ColumnarTrace(_TraceView):
     def to_bytes(self) -> bytes:
         """Compact deterministic binary form (little-endian columns).
 
-        Layout: magic, 4-byte header length, canonical-JSON header
-        (name, mnemonic pool, column lengths), then each column's raw
-        little-endian bytes in :data:`_COLUMN_SPEC` order.  The encoding
-        is byte-stable across processes and platforms, so its digest can
-        address the content store.
+        Layout: magic, 4-byte header length, canonical-JSON header (name,
+        descriptor pool with categories and units by value, instruction
+        and id counts) padded with spaces so the columns start 8-byte
+        aligned, then each column's raw little-endian bytes, widest
+        first (:data:`_SERIAL_ORDER`).  The encoding is byte-stable
+        across processes and platforms, so its digest can address the
+        content store.
         """
+        return self._encode(self.name)
+
+    def _encode(self, name: str) -> bytes:
         header = {
-            "name": self.name,
-            "mnemonics": list(self.mnemonics),
+            "name": name,
+            "pool": [
+                [mnemonic, category.value, fu.value, latency, is_store, is_branch]
+                for mnemonic, category, fu, latency, is_store, is_branch in self.pool
+            ],
             "n": len(self),
-            "n_src": int(len(self.src_ids)),
-            "n_dst": int(len(self.dst_ids)),
+            "n_src": len(self.src_ids),
+            "n_dst": len(self.dst_ids),
         }
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        blob += b" " * (-(len(TRACE_MAGIC) + 4 + len(blob)) % 8)
         parts = [TRACE_MAGIC, struct.pack("<I", len(blob)), blob]
-        for attr, dtype in _COLUMN_SPEC:
-            arr = np.ascontiguousarray(getattr(self, attr))
-            parts.append(arr.astype(dtype, copy=False).tobytes())
+        parts.extend(getattr(self, attr).tobytes() for attr in _SERIAL_ORDER)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ColumnarTrace":
-        """Inverse of :meth:`to_bytes` (raises ``ValueError`` on garbage)."""
+        """Inverse of :meth:`to_bytes` (raises ``ValueError`` on garbage).
+
+        The columns are read-only views of ``data``, not copies.  The
+        constructor's checks run on them, so a payload whose counts do
+        not match its id columns is refused like any other garbage.
+        """
         if not data.startswith(TRACE_MAGIC):
             raise ValueError("not a serialised columnar trace")
         pos = len(TRACE_MAGIC)
@@ -306,28 +575,31 @@ class ColumnarTrace(_TraceView):
             raise ValueError("truncated columnar trace")
         header = json.loads(data[pos: pos + hlen].decode("utf-8"))
         pos += hlen
-        n = int(header["n"])
-        lengths = {
-            "src_off": n + 1,
-            "dst_off": n + 1,
-            "src_ids": int(header["n_src"]),
-            "dst_ids": int(header["n_dst"]),
-        }
+        try:
+            name = header["name"]
+            n = int(header["n"])
+            lengths = {"src_ids": int(header["n_src"]), "dst_ids": int(header["n_dst"])}
+            pool = [
+                (mnemonic, Category(category), FUClass(fu), latency, is_store, is_branch)
+                for mnemonic, category, fu, latency, is_store, is_branch in header["pool"]
+            ]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed columnar trace header: {exc!r}") from None
+        if min(n, *lengths.values()) < 0:
+            raise ValueError("negative length in columnar trace header")
         columns = {}
-        for attr, dtype in _COLUMN_SPEC:
+        for attr in _SERIAL_ORDER:
+            dtype = _DTYPES[attr]
             count = lengths.get(attr, n)
-            dt = np.dtype(dtype)
-            nbytes = count * dt.itemsize
+            nbytes = count * dtype.itemsize
             if pos + nbytes > len(data):
                 raise ValueError("truncated columnar trace")
-            raw = np.frombuffer(data, dtype=dt, count=count, offset=pos).copy()
+            column = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+            columns[attr] = column if column.flags.aligned else column.copy()
             pos += nbytes
-            if attr in ("is_store", "is_branch", "taken"):
-                raw = raw.astype(bool)
-            columns[attr] = raw
         if pos != len(data):
             raise ValueError("trailing bytes after columnar trace")
-        return cls(header["name"], tuple(header["mnemonics"]), **columns)
+        return cls(name, pool, **columns)
 
     def digest(self) -> str:
         """SHA-256 of the serialised form (stable across processes)."""
@@ -342,50 +614,51 @@ class ColumnarTrace(_TraceView):
         identical content compare equal.  The differential suites use it
         to pin e.g. the VLA-at-VL-8 stream against MMX64's.
         """
-        stripped = ColumnarTrace(
-            "", self.mnemonics,
-            **{attr: getattr(self, attr) for attr, _ in _COLUMN_SPEC},
-        )
-        return stripped.digest()
+        return hashlib.sha256(self._encode("")).hexdigest()
+
+
+def _first_appearance(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` (unsigned, at most 16 bits) in the order
+    they first appear: a stable (radix) sort ranks them, and each
+    value's first index orders the distinct ones."""
+    if not len(values):
+        return values
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    return ranked[first][np.argsort(order[first])]
+
+
+#: Fields of one :meth:`TraceBuilder.emit` record, in order: opcode,
+#: addr, row_bytes, rows, stride, pc, taken, number of sources, number of
+#: destinations.
+_RECORD_FIELDS = ("op", "addr", "row_bytes", "rows", "stride", "pc", "taken", "n_src", "n_dst")
+_WIDTH = len(_RECORD_FIELDS)
 
 
 class TraceBuilder(_TraceView):
     """Append-oriented columnar trace producer.
 
-    ``emit`` is the hot path: it appends an opcode id (an index into
-    :data:`repro.isa.opcodes.DESCRIPTORS`) and the instruction's dynamic
-    fields onto Python list columns.  :meth:`columns` converts them to
-    exact-length NumPy arrays, expands the static columns (category,
-    FU, latency, ``is_store``, ``is_branch``) from the opcode column and
-    pools the mnemonics in first-appearance order; the snapshot is
+    ``emit`` is the hot path: it extends one flat list by the
+    instruction's record -- its opcode id (an index into
+    :data:`repro.isa.opcodes.DESCRIPTORS`) and dynamic fields -- and two
+    more by its source and destination ids.  :meth:`columns` reshapes
+    the records once, pools the opcodes that occur in first-appearance
+    order and narrows every column to its exact type; the snapshot is
     memoised until the next ``emit``.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._ops: List[int] = []
-        self._addr: List[int] = []
-        self._rowb: List[int] = []
-        self._rows: List[int] = []
-        self._stride: List[int] = []
-        self._pc: List[int] = []
-        self._taken: List[bool] = []
-        self._src_off: List[int] = [0]
+        self._records: List[int] = []
         self._src_ids: List[int] = []
-        self._dst_off: List[int] = [0]
         self._dst_ids: List[int] = []
         self._snapshot: Optional[ColumnarTrace] = None
-        # Bound append methods: one attribute lookup per *builder*, not
+        # Bound extend methods: one attribute lookup per *builder*, not
         # per emitted instruction.
-        self._ops_append = self._ops.append
-        self._addr_append = self._addr.append
-        self._rowb_append = self._rowb.append
-        self._rows_append = self._rows.append
-        self._stride_append = self._stride.append
-        self._pc_append = self._pc.append
-        self._taken_append = self._taken.append
-        self._src_off_append = self._src_off.append
-        self._dst_off_append = self._dst_off.append
+        self._records_extend = self._records.extend
+        self._src_extend = self._src_ids.extend
+        self._dst_extend = self._dst_ids.extend
 
     def emit(
         self,
@@ -400,57 +673,49 @@ class TraceBuilder(_TraceView):
         pc: int = 0,
     ) -> None:
         """Append one dynamic instruction: opcode id plus dynamic fields."""
-        self._ops_append(op)
-        self._addr_append(addr)
-        self._rowb_append(row_bytes)
-        self._rows_append(rows)
-        self._stride_append(stride)
-        self._pc_append(pc)
-        self._taken_append(taken)
-        if srcs:
-            self._src_ids.extend(srcs)
-        self._src_off_append(len(self._src_ids))
-        if dsts:
-            self._dst_ids.extend(dsts)
-        self._dst_off_append(len(self._dst_ids))
+        self._records_extend(
+            (op, addr, row_bytes, rows, stride, pc, taken, len(srcs), len(dsts))
+        )
+        self._src_extend(srcs)
+        self._dst_extend(dsts)
 
     def columns(self) -> ColumnarTrace:
-        """The current contents as exact-length NumPy columns (memoised)."""
-        n = len(self._ops)
+        """The current contents as a narrow :class:`ColumnarTrace` (memoised).
+
+        Raises :class:`ValueError` if a field does not fit its column.
+        """
+        n = len(self)
         if self._snapshot is not None and len(self._snapshot) == n:
             return self._snapshot
-        ops = np.asarray(self._ops, dtype=np.intp)
-        # The pool holds the mnemonics in first-appearance order, which
+        try:
+            # Field-major, so each field's range check and narrowing
+            # reads one contiguous row.
+            fields = np.array(self._records, dtype=np.int64).reshape(n, _WIDTH).T.copy()
+            ids = {
+                attr: np.array(values, dtype=np.int64)
+                for attr, values in (("src_ids", self._src_ids), ("dst_ids", self._dst_ids))
+            }
+        except OverflowError:
+            raise ValueError("an emitted field holds a value outside int64") from None
+        columns = {attr: _narrow(values, _DTYPES[attr], attr) for attr, values in ids.items()}
+        for attr, field in zip(_RECORD_FIELDS[1:], fields[1:]):
+            columns[attr] = _narrow(field, _DTYPES[attr], attr)
+        # The pool holds the opcodes in first-appearance order, which
         # keeps ``to_bytes()`` independent of the opcode numbering.
-        pooled = list(dict.fromkeys(self._ops))
-        name_of_op = np.zeros(len(OP_MNEMONIC), dtype=np.uint32)
-        name_of_op[pooled] = np.arange(len(pooled), dtype=np.uint32)
+        ops = fields[0].astype(np.uint16)
+        pooled = _first_appearance(ops)
+        name_of_op = np.zeros(len(DESCRIPTORS), dtype=np.uint16)
+        name_of_op[pooled] = np.arange(len(pooled), dtype=np.uint16)
+        columns["name_id"] = name_of_op[ops]
         self._snapshot = ColumnarTrace(
-            self.name,
-            tuple(OP_MNEMONIC[op] for op in pooled),
-            name_id=name_of_op[ops],
-            category=OP_CATEGORY[ops],
-            fu=OP_FU[ops],
-            latency=OP_LATENCY[ops],
-            addr=np.asarray(self._addr, dtype=np.int64),
-            row_bytes=np.asarray(self._rowb, dtype=np.int32),
-            rows=np.asarray(self._rows, dtype=np.int32),
-            stride=np.asarray(self._stride, dtype=np.int64),
-            pc=np.asarray(self._pc, dtype=np.int64),
-            is_store=OP_IS_STORE[ops],
-            is_branch=OP_IS_BRANCH[ops],
-            taken=np.asarray(self._taken, dtype=bool),
-            src_off=np.asarray(self._src_off, dtype=np.int64),
-            src_ids=np.asarray(self._src_ids, dtype=np.int64),
-            dst_off=np.asarray(self._dst_off, dtype=np.int64),
-            dst_ids=np.asarray(self._dst_ids, dtype=np.int64),
+            self.name, [DESCRIPTORS[op] for op in pooled.tolist()], **columns
         )
         return self._snapshot
 
     # -- stream API --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._records) // _WIDTH
 
     def category_codes(self) -> np.ndarray:
         return self.columns().category

@@ -274,7 +274,9 @@ def kernel_timing_from_dict(data: Dict[str, Any]) -> KernelTiming:
 
 
 #: Payload format tag of serialised columnar traces (bump on change).
-TRACE_PAYLOAD_FORMAT = "columnar-trace/1"
+#: Format 2 holds the narrow columns: a descriptor pool, int32/int16
+#: dynamic fields and per-instruction source and destination counts.
+TRACE_PAYLOAD_FORMAT = "columnar-trace/2"
 
 
 def trace_to_payload(cols: ColumnarTrace) -> Dict[str, Any]:
@@ -300,7 +302,14 @@ def trace_to_payload(cols: ColumnarTrace) -> Dict[str, Any]:
 
 
 def trace_from_payload(payload: Any) -> Optional[ColumnarTrace]:
-    """Decode a stored trace payload; None on any mismatch or corruption."""
+    """Decode a stored trace payload; None on any mismatch or corruption.
+
+    A payload whose digest matches but whose structure does not -- a
+    count column that does not sum to its id column's length, a column
+    shorter or longer than declared -- is refused by
+    :meth:`ColumnarTrace.from_bytes` and reads as a miss too, so the
+    timing kernel never indexes past a column.
+    """
     try:
         if not isinstance(payload, dict) or payload.get("format") != TRACE_PAYLOAD_FORMAT:
             return None
@@ -1393,11 +1402,17 @@ def default_store() -> Optional[ResultStore]:
 
 
 class _Budget:
-    """One byte budget of an :class:`LruCache`: its entries, oldest first."""
+    """One byte budget of an :class:`LruCache`: its entries, oldest first.
 
-    __slots__ = ("max_bytes", "bytes", "entries", "evictions", "rejected")
+    With ``per_object`` an object held under several keys weighs its
+    bytes once, for as long as any of them holds it (``holders`` counts
+    the keys of each held object, by identity); otherwise every entry
+    weighs its own bytes.
+    """
 
-    def __init__(self, max_bytes: int) -> None:
+    __slots__ = ("max_bytes", "bytes", "entries", "evictions", "rejected", "holders")
+
+    def __init__(self, max_bytes: int, per_object: bool = False) -> None:
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
         self.max_bytes = int(max_bytes)
@@ -1405,9 +1420,39 @@ class _Budget:
         self.entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
         self.evictions = 0
         self.rejected = 0
+        self.holders: Optional[Dict[int, List[int]]] = {} if per_object else None
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def hold(self, value: Any, size: int) -> None:
+        """Charge a new entry holding ``value``."""
+        if self.holders is None:
+            self.bytes += size
+            return
+        held = self.holders.get(id(value))
+        if held is None:
+            self.holders[id(value)] = [1, size]
+            self.bytes += size
+        else:
+            held[0] += 1
+
+    def release(self, value: Any, size: int) -> None:
+        """Refund an entry holding ``value`` that left the budget."""
+        if self.holders is None:
+            self.bytes -= size
+            return
+        held = self.holders[id(value)]
+        held[0] -= 1
+        if not held[0]:
+            del self.holders[id(value)]
+            self.bytes -= held[1]
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.bytes = 0
+        if self.holders is not None:
+            self.holders.clear()
 
 
 class LruCache:
@@ -1468,15 +1513,15 @@ class LruCache:
         with self._lock:
             old = budget.entries.pop(key, None)
             if old is not None:
-                budget.bytes -= old[1]
+                budget.release(*old)
             if size > budget.max_bytes:
                 budget.rejected += 1
                 return False
             budget.entries[key] = (value, size)
-            budget.bytes += size
+            budget.hold(value, size)
             while budget.bytes > budget.max_bytes:
-                _, (_, evicted_size) = budget.entries.popitem(last=False)
-                budget.bytes -= evicted_size
+                _, evicted = budget.entries.popitem(last=False)
+                budget.release(*evicted)
                 budget.evictions += 1
             return True
 
@@ -1486,13 +1531,12 @@ class LruCache:
         with self._lock:
             old = budget.entries.pop(key, None)
             if old is not None:
-                budget.bytes -= old[1]
+                budget.release(*old)
 
     def clear(self) -> None:
         with self._lock:
             for budget in self._budgets:
-                budget.entries.clear()
-                budget.bytes = 0
+                budget.clear()
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -1516,13 +1560,15 @@ class MemoCache(LruCache):
     ``record_bytes``, so filling one budget never evicts the other's
     entries: a run of freshly decoded traces cannot push out the kernel
     timings a later sweep answers unkeyed, nor a run of timings the
-    traces a later artefact re-times.
+    traces a later artefact re-times.  A trace object filed under
+    several keys -- one batch trace shared by every seed of a
+    multi-seed sweep -- weighs its bytes once.
     """
 
     def __init__(self, record_bytes: int, trace_bytes: int, name: str = "memo") -> None:
         super().__init__(record_bytes, name)
         self.records = self._budgets[0]
-        self.traces = _Budget(trace_bytes)
+        self.traces = _Budget(trace_bytes, per_object=True)
         self._budgets = (self.records, self.traces)
 
     def _budget(self, key: Any) -> _Budget:
@@ -1531,20 +1577,16 @@ class MemoCache(LruCache):
 
 def trace_nbytes(cols: ColumnarTrace) -> int:
     """In-memory footprint of one columnar trace: its column bytes."""
-    total = 0
-    for attr in type(cols).__slots__:
-        nbytes = getattr(getattr(cols, attr, None), "nbytes", None)
-        if nbytes is not None:
-            total += int(nbytes)
-    return max(total, 1)
+    return max(cols.nbytes, 1)
 
 
-#: Byte budget of :data:`MEMO`'s traces, weighed by their column bytes:
-#: one whole-paper pass, so no artefact decodes a trace an earlier one
-#: emulated (the 44 traces of a cold twelve-artefact pass weigh 14.8
-#: MiB).  A trace hit saves about a millisecond of decoding.  The pass
-#: peaked at 67 MB RSS with this budget against 63 MB with 8 MiB (2-vCPU
-#: Linux box, Python 3.11), which evicted 128 traces.
+#: Byte budget of :data:`MEMO`'s traces, weighed by their column bytes,
+#: each distinct trace object once: one whole-paper pass, so no artefact
+#: decodes a trace an earlier one emulated (the 44 traces of a cold
+#: twelve-artefact pass weigh 5.7 MiB), and every distinct trace of a
+#: 4-seed sweep of every kernel x paper ISA (56 traces), so its
+#: ablations decode none.  A trace hit saves about a millisecond of
+#: decoding.
 MEMO_TRACE_BYTES = 16 * 1024 * 1024
 
 #: Byte budget of :data:`MEMO`'s other records, each weighing

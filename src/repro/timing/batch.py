@@ -5,33 +5,40 @@ per (kernel, version, seed), re-timed across many machine widths and
 resource ablations.  :class:`BatchCoreModel` times a whole *stack* of P
 configurations sharing one trace in a single pass, mirroring
 :mod:`repro.emu.batch`'s seed axis on the timing side; a single
-configuration is simply a stack of one.  The work splits three ways:
+configuration is simply a stack of one.  A small C kernel
+(``kernel.c``) reads the trace's narrow columns and its descriptor
+pool's per-row tables in place -- no column is copied or widened per
+stack -- and the work splits two ways:
 
 * the configuration-independent trace-order walks -- the cache warm,
   the L1/L2 resolution of every memory access and the bimodal
-  branch-predictor walk -- run once per stack sharing cache geometry, in
-  the ``prepass`` entry point of a small C kernel (``kernel.c``);
-* the per-point SIMD and port occupancies and the Fig. 6/7 category
-  tallies are NumPy expressions over the columns (the helpers in
-  :mod:`repro.timing.core`), widened by a leading point axis -- SoA
-  ``(P, n)`` arrays;
+  branch-predictor walk -- run once per stack sharing cache geometry,
+  in the kernel's ``prepass`` entry point;
 * the genuinely order-dependent scoreboard walk (dependences, issue
-  slots, FU pools, ports, ROB, commit) runs in the kernel's
-  ``run_stack``, over per-point scoreboard state in flat arrays reset
-  between points.
+  slots, FU pools, ports, ROB, commit) runs per point in the kernel's
+  ``run_stack``, which derives the point's SIMD and port occupancies
+  from its parameters as it goes and tallies the cycles committed per
+  pool row, from which the Fig. 6/7 category tallies are summed.
 
-The kernel is compiled on first use with the system C compiler, cached
-by source digest and driven through :mod:`ctypes`, so neither walk pays
-Python interpreter cost per instruction.  Every configuration passes
-:func:`~repro.timing.core.check_config` first: the kernel itself never
-checks for a zero-sized pool or cache.
+What the kernel needs from the trace alone -- the span of its SSA ids,
+its branch sites, its category order -- is computed once per trace
+(:meth:`~repro.isa.trace.ColumnarTrace.register_ids`,
+:meth:`~repro.isa.trace.ColumnarTrace.branch_sites`,
+:meth:`~repro.isa.trace.ColumnarTrace.category_instructions`), not per
+stack.  The kernel is compiled on first use with the system C compiler,
+cached by source digest and driven through :mod:`ctypes`, so neither
+walk pays Python interpreter cost per instruction.  Every configuration
+passes :func:`~repro.timing.core.check_config` first: the kernel itself
+never checks for a zero-sized pool or cache.
 
 Stacks whose configurations disagree on cache-state geometry are split
 into sub-stacks internally (masked/pivoted updates would change results,
 not just cost, so sharing is only ever exact).  The engine raises
-:class:`BatchTimingDivergence` for exactly two reasons --
-``REPRO_TIMING_REFERENCE=1`` is set, or no timing kernel can be loaded
--- and :func:`~repro.timing.simulator.simulate_trace_stack` then times
+:class:`BatchTimingDivergence` for exactly three reasons --
+``REPRO_TIMING_REFERENCE=1`` is set, no timing kernel can be loaded, or
+a configuration holds a count the kernel cannot time exactly (a
+non-integral width, ring, pool, lane count, start-up or port width) --
+and :func:`~repro.timing.simulator.simulate_trace_stack` then times
 each point through the record-at-a-time
 :class:`~repro.timing.core.CoreModel`, the oracle, with its
 :class:`~repro.timing.caches.MemoryHierarchy` and
@@ -62,10 +69,8 @@ from repro.timing.core import (
     _INT_CODE,
     _MEM_CODE,
     _SIMD_CODE,
-    category_tallies,
+    _VMEM_CODE,
     check_config,
-    simd_occupancies,
-    vector_access_mask,
 )
 
 #: Overrides the directory the compiled kernel is cached in.
@@ -81,8 +86,9 @@ class BatchTimingDivergence(Exception):
     """The compiled engine may not or cannot time the stack.
 
     Raised when ``REPRO_TIMING_REFERENCE=1`` forces the record-at-a-time
-    reference, or when no C compiler / loadable kernel is available.
-    The caller falls back to timing each point through the reference
+    reference, when no C compiler / loadable kernel is available, or
+    when a configuration holds a non-integral count.  The caller falls
+    back to timing each point through the reference
     :class:`~repro.timing.core.CoreModel`.
     """
 
@@ -91,8 +97,12 @@ class BatchTimingDivergence(Exception):
 # Compiled kernel: build on first use, cache by source digest.
 # ---------------------------------------------------------------------------
 
-_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+def _array(dtype) -> type:
+    return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+
+_I64, _I32, _I16 = _array(np.int64), _array(np.int32), _array(np.int16)
+_U16, _U8, _F64 = _array(np.uint16), _array(np.uint8), _array(np.float64)
 
 _lib: Optional[ctypes.CDLL] = None
 _lib_error: Optional[BaseException] = None
@@ -136,9 +146,9 @@ def _compile_and_load() -> ctypes.CDLL:
     lib.prepass.restype = ctypes.c_int64
     lib.prepass.argtypes = [
         ctypes.c_int64,                       # n
-        _U8, _U8,                             # fu, use_vec
-        _I64, _I64, _I64, _I64,               # addr, row_bytes, rows, stride
-        _U8, _U8, _I64, ctypes.c_int64,       # is_branch, taken, site, n_sites
+        _U16, _U8, _U8, _U8,                  # op; pool fu, vec, branch
+        _I32, _I16, _I16, _I32,               # addr, row_bytes, rows, stride
+        _U8, _I32, ctypes.c_int64, ctypes.c_int64,  # taken, site, base, n_sites
         _I64,                                 # cache geometry and latencies
         ctypes.c_int64, ctypes.c_int64,       # warm, mem code
         _I64, _U8, _I64,                      # mem_lat, mispredict, stats out
@@ -146,14 +156,15 @@ def _compile_and_load() -> ctypes.CDLL:
     lib.run_stack.restype = ctypes.c_int64
     lib.run_stack.argtypes = [
         ctypes.c_int64,                       # n
-        _U8, _U8, _U8,                        # fu, use_vec, mispredict
-        _I64,                                 # lat
-        _I64, _I64, _I64, _I64,               # src_off/src_ids/dst_off/dst_ids
-        ctypes.c_int64, ctypes.c_int64,       # n_regs, P
-        _I64, _I64, _I64, _I64,               # params, occ, mem_lat, mem_occ
+        _U16, _U8, _I64, _U8, ctypes.c_int64,  # op; pool fu, lat, vec, size
+        _I16, _I16, _I32,                     # row_bytes, rows, stride
+        _U8, _I32, _U8, _I32,                 # n_src, src_ids, n_dst, dst_ids
+        ctypes.c_int64, ctypes.c_int64,       # reg base, n_regs
+        _U8, _I64,                            # mispredict, mem_lat
+        ctypes.c_int64, _I64, _F64,           # P, params, strided rates
         ctypes.c_int64,                       # cap
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # fu codes
-        _I64,                                 # commits out
+        _I64, _I64,                           # row_cycles, cycles out
     ]
     return lib
 
@@ -219,8 +230,8 @@ class BatchCoreModel:
         """Time ``trace`` on every configuration of the stack.
 
         Raises :class:`BatchTimingDivergence` when the engine may not
-        (``REPRO_TIMING_REFERENCE=1``) or cannot (no loadable kernel)
-        run, and :class:`ValueError` (from
+        (``REPRO_TIMING_REFERENCE=1``) or cannot (no loadable kernel, a
+        non-integral count) run, and :class:`ValueError` (from
         :func:`~repro.timing.core.check_config`) for a configuration the
         model cannot time.
         """
@@ -256,41 +267,19 @@ class BatchCoreModel:
     ) -> List[SimResult]:
         n = len(cols)
         core0, mem0 = specs[0]
-
-        fu8 = np.ascontiguousarray(cols.fu, dtype=np.uint8)
-        lat = np.ascontiguousarray(cols.latency, dtype=np.int64)
-        src_off = np.ascontiguousarray(cols.src_off, dtype=np.int64)
-        src_ids = np.ascontiguousarray(cols.src_ids, dtype=np.int64)
-        dst_off = np.ascontiguousarray(cols.dst_off, dtype=np.int64)
-        dst_ids = np.ascontiguousarray(cols.dst_ids, dtype=np.int64)
-        # The kernel scoreboards register readiness in a flat array
-        # indexed by SSA id.  Emulated traces number their ids densely
-        # from zero; hand-built and synthetic ones may not (sparse ids,
-        # or negative ones), so those are renumbered densely from zero
-        # (dependences only ever compare ids for equality).
-        id_cols = [ids for ids in (src_ids, dst_ids) if len(ids)]
-        n_regs = max((int(ids.max()) + 1 for ids in id_cols), default=0)
-        lowest = min((int(ids.min()) for ids in id_cols), default=0)
-        n_src = len(src_ids)
-        if lowest < 0 or n_regs > 4 * (n_src + len(dst_ids)) + 1024:
-            unique_ids, dense = np.unique(
-                np.concatenate([src_ids, dst_ids]), return_inverse=True
-            )
-            src_ids = np.ascontiguousarray(dense[:n_src], dtype=np.int64)
-            dst_ids = np.ascontiguousarray(dense[n_src:], dtype=np.int64)
-            n_regs = len(unique_ids)
+        params = np.array([_params(core, mem) for core, mem in specs], dtype=np.int64)
+        rates = np.array(
+            [mem.strided_rows_per_cycle for _core, mem in specs], dtype=np.float64
+        )
+        # The kernel reads the trace's columns as they are; the facts
+        # below are the trace's own, computed once per trace.
+        src_ids, dst_ids, reg_base, n_regs = cols.register_ids()
+        site, site_base, n_sites = cols.branch_sites()
+        pool_vec = cols.op_fu == _MEM_CODE
+        pool_vec &= cols.op_category == _VMEM_CODE
+        pool_vec &= core0.vector_memory
 
         # --- shared pre-pass, in C: warm, cache resolution, predictor --
-        use_vec = vector_access_mask(cols, core0.vector_memory)
-        use_vec8 = use_vec.view(np.uint8)
-        addr = np.ascontiguousarray(cols.addr, dtype=np.int64)
-        rows64 = cols.rows.astype(np.int64)
-        rowb64 = cols.row_bytes.astype(np.int64)
-        stride64 = np.ascontiguousarray(cols.stride, dtype=np.int64)
-        is_branch = np.ascontiguousarray(cols.is_branch)
-        sites, site_of = np.unique(cols.pc[is_branch], return_inverse=True)
-        site = np.zeros(n, dtype=np.int64)
-        site[is_branch] = site_of
         l1, l2 = mem0.l1, mem0.l2
         geometry = np.array(
             [l1.size // (l1.line * l1.assoc), l1.assoc, l1.line, l1.latency,
@@ -302,58 +291,30 @@ class BatchCoreModel:
         mis8 = np.empty(n, dtype=np.uint8)
         stats = np.zeros(6, dtype=np.int64)
         if lib.prepass(
-            n, fu8, use_vec8, addr, rowb64, rows64, stride64,
-            is_branch.view(np.uint8),
-            np.ascontiguousarray(cols.taken).view(np.uint8),
-            site, len(sites), geometry, int(warm), _MEM_CODE,
+            n, cols.name_id, cols.op_fu, pool_vec.view(np.uint8),
+            cols.op_is_branch.view(np.uint8), cols.addr, cols.row_bytes,
+            cols.rows, cols.stride, cols.taken.view(np.uint8), site,
+            site_base, n_sites, geometry, int(warm), _MEM_CODE,
             mem_lat, mis8, stats,
         ):
             raise MemoryError("timing kernel allocation failed")
         (l1_accesses, l1_misses, l2_accesses, l2_misses,
          branch_lookups, branch_mispredicts) = stats.tolist()
 
-        # --- per-point derivations, widened by the point axis ----------
-        P = len(specs)
-        scalar_bytes = np.maximum(rowb64, 1)
-        unit_stride = stride64 == rowb64
-        elements = rows64 * np.maximum(1, -(-rowb64 // 8))
-        occ = np.empty((P, n), dtype=np.int64)
-        mem_occ = np.empty((P, n), dtype=np.int64)
-        params = np.empty((P, 11), dtype=np.int64)
-        for p, (core, mem) in enumerate(specs):
-            occ[p] = simd_occupancies(cols, core)
-            # Port occupancies, mirroring the oracle's scalar_access and
-            # vector_access: scalar/MMX accesses move l1.port_bytes per
-            # cycle; unit-stride vector accesses move l2.port_bytes per
-            # cycle; other strides move strided_rows_per_cycle element
-            # rows.
-            occ_scalar = np.maximum(1, -(-scalar_bytes // mem.l1.port_bytes))
-            if use_vec.any():
-                occ_unit = np.maximum(1, -(-(rows64 * rowb64) // mem.l2.port_bytes))
-                occ_str = np.maximum(
-                    1, (elements / mem.strided_rows_per_cycle).astype(np.int64)
-                )
-                mem_occ[p] = np.where(
-                    use_vec, np.where(unit_stride, occ_unit, occ_str), occ_scalar
-                )
-            else:
-                mem_occ[p] = occ_scalar
-            params[p] = (
-                core.fetch_width, core.rob_size, core.commit_width,
-                core.branch_penalty, core.int_fus, core.fp_fus,
-                core.simd_issue, core.simd_fu_groups, core.mem_ports,
-                mem.l2.ports, core.simd_inflight,
-            )
-
         # --- the constraint loops, in C --------------------------------
-        commits = np.zeros((P, max(n, 1)), dtype=np.int64)
+        P = len(specs)
+        n_pool = len(cols.pool)
+        row_cycles = np.zeros((P, n_pool), dtype=np.int64)
+        cycles = np.zeros(P, dtype=np.int64)
         if n:
             cap = 4 * n + 2048
             while True:
                 rc = lib.run_stack(
-                    n, fu8, use_vec8, mis8, lat, src_off, src_ids, dst_off,
-                    dst_ids, n_regs, P, params, occ, mem_lat, mem_occ, cap,
-                    _MEM_CODE, _SIMD_CODE, _INT_CODE, commits,
+                    n, cols.name_id, cols.op_fu, cols.op_latency,
+                    pool_vec.view(np.uint8), n_pool, cols.row_bytes, cols.rows,
+                    cols.stride, cols.n_src, src_ids, cols.n_dst, dst_ids,
+                    reg_base, n_regs, mis8, mem_lat, P, params, rates, cap,
+                    _MEM_CODE, _SIMD_CODE, _INT_CODE, row_cycles, cycles,
                 )
                 if rc == 0:
                     break
@@ -366,16 +327,23 @@ class BatchCoreModel:
                 raise MemoryError("timing kernel allocation failed")
 
         # --- per-point results -----------------------------------------
+        # Each category's cycles are its pool rows' cycles; categories
+        # keep the first-occurrence order of the pool.
+        cat_instrs = cols.category_instructions()
+        row_category = [category.value for _, category, *_ in cols.pool]
         results = []
-        for p, (core, _mem) in enumerate(specs):
-            point_commits = commits[p, :n]
-            cat_instrs, cat_cycles = category_tallies(cols.category, point_commits)
+        for (core, _mem), point_cycles, point_rows in zip(
+            specs, cycles.tolist(), row_cycles.tolist()
+        ):
+            cat_cycles = dict.fromkeys(cat_instrs, 0)
+            for category, spent in zip(row_category, point_rows):
+                cat_cycles[category] += spent
             results.append(
                 SimResult(
                     config_name=core.name,
-                    cycles=int(point_commits[-1]) if n else 0,
+                    cycles=point_cycles,
                     instructions=n,
-                    cat_instructions=cat_instrs,
+                    cat_instructions=dict(cat_instrs),
                     cat_cycles=cat_cycles,
                     branch_lookups=branch_lookups,
                     branch_mispredicts=branch_mispredicts,
@@ -386,6 +354,32 @@ class BatchCoreModel:
                 )
             )
         return results
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int; the kernel times integral parameters only,
+    so any other value sends the stack to the reference model."""
+    as_int = int(value)
+    if as_int != value:
+        raise BatchTimingDivergence(
+            f"{name}={value!r} is not integral; the reference model times it"
+        )
+    return as_int
+
+
+def _params(core: CoreConfig, mem: MemHierConfig) -> List[int]:
+    """One point's row of the kernel's ``params`` (``NPARAMS`` in kernel.c)."""
+    fields = (
+        ("fetch_width", core.fetch_width), ("rob_size", core.rob_size),
+        ("commit_width", core.commit_width),
+        ("branch_penalty", core.branch_penalty), ("int_fus", core.int_fus),
+        ("fp_fus", core.fp_fus), ("simd_issue", core.simd_issue),
+        ("simd_fu_groups", core.simd_fu_groups), ("mem_ports", core.mem_ports),
+        ("l2.ports", mem.l2.ports), ("simd_inflight", core.simd_inflight),
+        ("lanes", core.lanes), ("vector_startup", core.vector_startup),
+        ("l1.port_bytes", mem.l1.port_bytes), ("l2.port_bytes", mem.l2.port_bytes),
+    )
+    return [_integral(name, value) for name, value in fields]
 
 
 __all__ = [

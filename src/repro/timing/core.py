@@ -19,15 +19,15 @@ of the Table III machines in O(1) amortised time:
 The model has one production engine and one oracle:
 
 * the compiled engine, :class:`~repro.timing.batch.BatchCoreModel`,
-  runs the configuration-independent trace-order walks -- the cache
-  warm, the L1/L2 resolution of every access and the branch-predictor
-  walk -- once per cache-compatible stack in its C kernel's pre-pass,
-  computes the per-point SIMD and port occupancies and the Fig. 6/7
-  category tallies as NumPy expressions over the columnar trace IR
-  (:mod:`repro.isa.trace`) with the helpers below, and resolves the
-  genuinely order-dependent resources (dependences, issue slots, ports,
-  ROB, commit) in the kernel's constraint walk.  The split is legal
-  because cache and predictor state evolve in *trace order*,
+  reads the narrow columns of the columnar trace IR
+  (:mod:`repro.isa.trace`) in place.  Its C kernel's pre-pass runs the
+  configuration-independent trace-order walks -- the cache warm, the
+  L1/L2 resolution of every access and the branch-predictor walk --
+  once per cache-compatible stack; its constraint walk derives each
+  point's SIMD and port occupancies, resolves the genuinely
+  order-dependent resources (dependences, issue slots, ports, ROB,
+  commit) and tallies the Fig. 6 cycles per pool row.  The split is
+  legal because cache and predictor state evolve in *trace order*,
   independent of the issue cycles the constraint walk assigns;
 * :class:`CoreModel` walks every constraint one record at a time.  It
   is the executable specification the engine is differentially tested
@@ -46,10 +46,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.isa.opcodes import Category, FUClass
-from repro.isa.trace import CAT_CODE, CATEGORIES, FU_CODE
+from repro.isa.trace import CAT_CODE, FU_CODE
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.caches import BimodalPredictor, MemoryHierarchy
 
@@ -62,56 +60,6 @@ _MEM_CODE = FU_CODE[FUClass.MEM]
 _SIMD_CODE = FU_CODE[FUClass.SIMD]
 _INT_CODE = FU_CODE[FUClass.INT]
 _VMEM_CODE = CAT_CODE[Category.VMEM]
-
-
-# ---------------------------------------------------------------------------
-# Per-instruction derivations over the columns.
-#
-# Everything here is a function of the trace and the configuration alone
-# -- independent of the issue cycles the constraint walk later assigns --
-# so the compiled engine (:mod:`repro.timing.batch`) computes it in NumPy
-# ahead of the kernel.
-# ---------------------------------------------------------------------------
-
-
-def simd_occupancies(cols, config: CoreConfig) -> np.ndarray:
-    """Per-instruction SIMD functional-unit occupancy, vectorised.
-
-    ``ceil(rows / lanes)`` lane-limited cycles plus the vector start-up
-    charge for multi-row instructions (the vector-lane model of Fig. 2).
-    """
-    rows64 = cols.rows.astype(np.int64)
-    occ = np.maximum(1, -(-rows64 // config.lanes))
-    return occ + np.where(rows64 > 1, config.vector_startup, 0)
-
-
-def vector_access_mask(cols, vector_memory: bool) -> np.ndarray:
-    """Boolean mask of accesses served by the L2 vector-cache port."""
-    if vector_memory:
-        return (cols.fu == _MEM_CODE) & (cols.category == _VMEM_CODE)
-    return np.zeros(len(cols), dtype=bool)
-
-
-def category_tallies(cat: np.ndarray, commits: np.ndarray):
-    """Fig. 6/7 per-category instruction and cycle tallies, vectorised.
-
-    Keys appear in first-occurrence order, exactly as the reference
-    implementation's dicts populate -- the golden JSON artefacts compare
-    byte-for-byte, so ordering is part of the contract.
-    """
-    diffs = np.diff(commits, prepend=0)
-    n_cats = len(CATEGORIES)
-    instr_counts = np.bincount(cat, minlength=n_cats)
-    cycle_sums = np.bincount(cat, weights=diffs, minlength=n_cats)
-    present, first_idx = np.unique(cat, return_index=True)
-    ordered = present[np.argsort(first_idx)]
-    cat_instrs = {
-        CATEGORIES[int(code)].value: int(instr_counts[code]) for code in ordered
-    }
-    cat_cycles = {
-        CATEGORIES[int(code)].value: int(cycle_sums[code]) for code in ordered
-    }
-    return cat_instrs, cat_cycles
 
 
 @dataclass

@@ -1,6 +1,16 @@
 /* The compiled timing engine behind repro.timing.batch.BatchCoreModel:
  * one trace against a stack of P configurations, in two entry points.
  *
+ * Both read the trace's narrow columns in place (repro.isa.trace.
+ * ColumnarTrace): the uint16 pool index `op` of each instruction, the
+ * int32 addr/stride, int16 row_bytes/rows, the taken flags, the uint8
+ * source and destination counts and the packed int32 SSA ids they
+ * index.  Static fields come from per-pool-row tables (FU code,
+ * latency, branch and vector-access flags) indexed by `op`.  The
+ * trace's constructor has checked every column's length, that `op`
+ * indexes the pool, and that each count column sums to its id
+ * column's length, so nothing here re-checks them.
+ *
  * prepass() runs the configuration-independent, trace-order walks of a
  * cache-compatible sub-stack: the cache warm, the L1/L2 resolution of
  * every memory access (latency and access/miss counters), and the
@@ -13,10 +23,13 @@
  * run_stack() is the sequential constraint walk.  It applies every
  * binding constraint of the record-at-a-time oracle, CoreModel.run, in
  * the same order and with the same tie-breaking (first minimal pool
- * slot), over per-instruction arrays: the pre-pass outputs above plus
- * per-point occupancies computed in NumPy.  Per-cycle issue counters
- * live in a window of `cap` cycles; an issue cycle beyond it returns -1
- * and the caller re-runs with a wider window.
+ * slot), over the columns, the pre-pass outputs above and each point's
+ * parameters, from which it derives the SIMD-unit and port occupancies
+ * as the oracle does.  It returns each point's cycles and, per pool
+ * row, the cycles its instructions committed (the Fig. 6 tallies).
+ * Per-cycle issue counters live in a window of `cap` cycles; an issue
+ * cycle beyond it returns -1 and the caller re-runs with a wider
+ * window.
  *
  * Both return -2 when an allocation fails.  Neither checks its
  * configuration: repro.timing.core.check_config refuses every value
@@ -100,20 +113,22 @@ static int64_t cache_access(cache_t *c, int64_t addr, int64_t nbytes)
 }
 
 /* geom: l1 (n_sets, assoc, line, latency), l2 (the same), main latency.
- * site[i] is branch i's dense site index in [0, n_sites).
+ * Branch i's predictor slot is site[i] - site_base, in [0, n_sites).
  * stats out: l1 accesses, l1 misses, l2 accesses, l2 misses, branch
  * lookups, branch mispredicts. */
 int64_t prepass(
     int64_t n,
-    const uint8_t *fu,
-    const uint8_t *use_vec,
-    const int64_t *addr,
-    const int64_t *row_bytes,
-    const int64_t *rows,
-    const int64_t *stride,
-    const uint8_t *is_branch,
+    const uint16_t *op,
+    const uint8_t *pool_fu,
+    const uint8_t *pool_vec,
+    const uint8_t *pool_branch,
+    const int32_t *addr,
+    const int16_t *row_bytes,
+    const int16_t *rows,
+    const int32_t *stride,
     const uint8_t *taken,
-    const int64_t *site,
+    const int32_t *site,
+    int64_t site_base,
     int64_t n_sites,
     const int64_t *geom,
     int64_t warm,
@@ -136,18 +151,18 @@ int64_t prepass(
     /* warm: every record with an address; counters discarded */
     if (warm) {
         for (int64_t i = 0; i < n; i++) {
-            const int64_t base = addr[i];
+            const int64_t base = addr[i], nbytes = row_bytes[i];
             if (base < 0)
                 continue;
             if (rows[i] > 1) {
-                const int64_t step = stride[i] ? stride[i] : row_bytes[i];
+                const int64_t step = stride[i] ? (int64_t)stride[i] : nbytes;
                 for (int64_t r = 0; r < rows[i]; r++) {
-                    cache_access(&l1, base + r * step, row_bytes[i]);
-                    cache_access(&l2, base + r * step, row_bytes[i]);
+                    cache_access(&l1, base + r * step, nbytes);
+                    cache_access(&l2, base + r * step, nbytes);
                 }
             } else {
-                cache_access(&l1, base, row_bytes[i]);
-                cache_access(&l2, base, row_bytes[i]);
+                cache_access(&l1, base, nbytes);
+                cache_access(&l2, base, nbytes);
             }
         }
         l1.accesses = l1.misses = l2.accesses = l2.misses = 0;
@@ -155,20 +170,21 @@ int64_t prepass(
 
     /* resolution: every memory record, in trace order */
     for (int64_t i = 0; i < n; i++) {
-        if (fu[i] != mem_code) {
+        const int64_t k = op[i];
+        if (pool_fu[k] != mem_code) {
             mem_lat[i] = 0;
             continue;
         }
-        const int64_t base = addr[i], nbytes = row_bytes[i];
-        if (use_vec[i]) {
+        const int64_t base = addr[i], nbytes = row_bytes[i], step = stride[i];
+        if (pool_vec[k]) {
             /* the L2 vector cache, bypassing L1 */
             const int64_t n_rows = rows[i] > 1 ? rows[i] : 1;
             int64_t missed = 0;
-            if (stride[i] == nbytes) {
+            if (step == nbytes) {
                 missed = cache_access(&l2, base, n_rows * nbytes);
             } else {
                 for (int64_t r = 0; r < n_rows; r++)
-                    missed += cache_access(&l2, base + r * stride[i], nbytes);
+                    missed += cache_access(&l2, base + r * step, nbytes);
             }
             mem_lat[i] = l2_lat + (missed ? main_lat : 0);
         } else if (cache_access(&l1, base, nbytes)) {
@@ -183,9 +199,9 @@ int64_t prepass(
     int64_t lookups = 0, mispredicts = 0;
     for (int64_t i = 0; i < n; i++) {
         mispredict[i] = 0;
-        if (!is_branch[i])
+        if (!pool_branch[op[i]])
             continue;
-        uint8_t *counter = counters + site[i];
+        uint8_t *counter = counters + (site[i] - site_base);
         const int predicted = *counter >= 2;
         if (taken[i]) {
             if (*counter < 3)
@@ -215,41 +231,66 @@ done:
 
 /* ---- constraint walk ------------------------------------------------ */
 
-#define FW(p)      params[(p) * 11 + 0]
-#define ROB(p)     params[(p) * 11 + 1]
-#define CW(p)      params[(p) * 11 + 2]
-#define BP(p)      params[(p) * 11 + 3]
-#define INTFU(p)   params[(p) * 11 + 4]
-#define FPFU(p)    params[(p) * 11 + 5]
-#define SIMDISS(p) params[(p) * 11 + 6]
-#define NSIMD(p)   params[(p) * 11 + 7]
-#define NL1(p)     params[(p) * 11 + 8]
-#define NL2(p)     params[(p) * 11 + 9]
-#define INFL(p)    params[(p) * 11 + 10]
+/* One point's parameters: the core's counts, then the occupancy
+ * divisors (lanes, vector start-up, L1 and L2 port bytes). */
+#define NPARAMS 15
+#define FW(p)      params[(p) * NPARAMS + 0]
+#define ROB(p)     params[(p) * NPARAMS + 1]
+#define CW(p)      params[(p) * NPARAMS + 2]
+#define BP(p)      params[(p) * NPARAMS + 3]
+#define INTFU(p)   params[(p) * NPARAMS + 4]
+#define FPFU(p)    params[(p) * NPARAMS + 5]
+#define SIMDISS(p) params[(p) * NPARAMS + 6]
+#define NSIMD(p)   params[(p) * NPARAMS + 7]
+#define NL1(p)     params[(p) * NPARAMS + 8]
+#define NL2(p)     params[(p) * NPARAMS + 9]
+#define INFL(p)    params[(p) * NPARAMS + 10]
+#define LANES(p)   params[(p) * NPARAMS + 11]
+#define STARTUP(p) params[(p) * NPARAMS + 12]
+#define L1PB(p)    params[(p) * NPARAMS + 13]
+#define L2PB(p)    params[(p) * NPARAMS + 14]
+
+/* ceil(a / b) with Python's floor division, as NumPy computes it. */
+static int64_t ceil_div(int64_t a, int64_t b)
+{
+    return -floor_div(-a, b);
+}
+
+static int64_t at_least_1(int64_t v)
+{
+    return v > 1 ? v : 1;
+}
 
 /* fu codes are fixed by repro.isa.trace.FU_CODE and passed in so the
- * kernel never hardcodes the enum order. */
+ * kernel never hardcodes the enum order.  SSA id x lives in
+ * reg_ready[x - reg_base], in [0, n_regs). */
 int64_t run_stack(
     int64_t n,
-    const uint8_t *fu,
-    const uint8_t *use_vec,
-    const uint8_t *mispredict,
-    const int64_t *lat,
-    const int64_t *src_off,
-    const int64_t *src_ids,
-    const int64_t *dst_off,
-    const int64_t *dst_ids,
+    const uint16_t *op,
+    const uint8_t *pool_fu,
+    const int64_t *pool_lat,
+    const uint8_t *pool_vec,
+    int64_t n_pool,
+    const int16_t *row_bytes,
+    const int16_t *rows,
+    const int32_t *stride,
+    const uint8_t *n_src,
+    const int32_t *src_ids,
+    const uint8_t *n_dst,
+    const int32_t *dst_ids,
+    int64_t reg_base,
     int64_t n_regs,
+    const uint8_t *mispredict,
+    const int64_t *mem_lat,      /* n : shared within a cache subgroup */
     int64_t P,
-    const int64_t *params,
-    const int64_t *occ,      /* P x n : SIMD unit occupancy per point */
-    const int64_t *mem_lat,  /* n     : shared within a cache subgroup */
-    const int64_t *mem_occ,  /* P x n : port occupancy per point */
-    int64_t cap,             /* issue-counter cycle capacity */
+    const int64_t *params,       /* P x NPARAMS */
+    const double *strided_rate,  /* P : strided vector rows per cycle */
+    int64_t cap,                 /* issue-counter cycle capacity */
     int64_t mem_code,
     int64_t simd_code,
     int64_t int_code,
-    int64_t *commits         /* P x n out */
+    int64_t *row_cycles,         /* P x n_pool out */
+    int64_t *cycles              /* P out */
 ) {
     int64_t *issue_total = calloc((size_t)cap, sizeof(int64_t));
     int64_t *class_int = calloc((size_t)cap, sizeof(int64_t));
@@ -270,9 +311,10 @@ int64_t run_stack(
         const int64_t simd_issue = SIMDISS(p);
         const int64_t n_simd = NSIMD(p), n_l1 = NL1(p), n_l2 = NL2(p);
         const int64_t simd_inflight = INFL(p);
-        const int64_t *occ_p = occ + p * n;
-        const int64_t *mem_occ_p = mem_occ + p * n;
-        int64_t *commits_p = commits + p * n;
+        const int64_t lanes = LANES(p), startup = STARTUP(p);
+        const int64_t l1_port_bytes = L1PB(p), l2_port_bytes = L2PB(p);
+        const double rate = strided_rate[p];
+        int64_t *row_cycles_p = row_cycles + p * n_pool;
 
         if (p > 0) {
             memset(issue_total, 0, (size_t)cap * sizeof(int64_t));
@@ -282,6 +324,7 @@ int64_t run_stack(
             memset(reg_ready, 0,
                    (size_t)(n_regs > 0 ? n_regs : 1) * sizeof(int64_t));
         }
+        memset(row_cycles_p, 0, (size_t)n_pool * sizeof(int64_t));
         int64_t *commit_ring = calloc((size_t)rob_size, sizeof(int64_t));
         int64_t *simd_ring = calloc((size_t)simd_inflight, sizeof(int64_t));
         int64_t *simd_units = calloc((size_t)n_simd, sizeof(int64_t));
@@ -296,8 +339,13 @@ int64_t run_stack(
         int64_t simd_writes = 0;
         int64_t fetch_cycle = 1, fetched = 0, fetch_barrier = 0;
         int64_t last_commit = 0;
+        const int32_t *src = src_ids, *dst = dst_ids;
 
         for (int64_t i = 0; i < n; i++) {
+            const int64_t k = op[i];
+            const int64_t fui = pool_fu[k];
+            const int64_t srcs = n_src[i], dsts = n_dst[i];
+
             /* fetch / dispatch */
             if (fetch_cycle < fetch_barrier) {
                 fetch_cycle = fetch_barrier;
@@ -316,9 +364,7 @@ int64_t run_stack(
                     fetched = 0;
                 }
             }
-            const int64_t fui = fu[i];
-            const int64_t d0 = dst_off[i], d1 = dst_off[i + 1];
-            const int is_simd_writer = (fui == simd_code && d1 > d0);
+            const int is_simd_writer = (fui == simd_code && dsts > 0);
             if (is_simd_writer && simd_writes >= simd_inflight) {
                 int64_t free_at = simd_ring[simd_writes % simd_inflight] + 1;
                 if (free_at > fetch_cycle) {
@@ -331,18 +377,35 @@ int64_t run_stack(
 
             /* operand ready */
             int64_t ready = dispatch;
-            for (int64_t s = src_off[i]; s < src_off[i + 1]; s++) {
-                int64_t when = reg_ready[src_ids[s]];
+            for (int64_t s = 0; s < srcs; s++) {
+                int64_t when = reg_ready[src[s] - reg_base];
                 if (when > ready)
                     ready = when;
             }
+            src += srcs;
 
             /* issue: total width, class slots, unit occupancy */
             int64_t t = ready;
             int64_t complete;
             if (fui == mem_code) {
-                int64_t *ports = use_vec[i] ? l2_ports : l1_ports;
-                int64_t n_ports = use_vec[i] ? n_l2 : n_l1;
+                /* port occupancy, as the oracle's scalar_access and
+                 * vector_access: scalar/MMX accesses move l1 port bytes
+                 * per cycle; unit-stride vector accesses move l2 port
+                 * bytes per cycle; other strides move strided_rate
+                 * element rows per cycle */
+                const int64_t nbytes = row_bytes[i];
+                const int vec = pool_vec[k];
+                int64_t occupancy;
+                if (!vec) {
+                    occupancy = at_least_1(ceil_div(at_least_1(nbytes), l1_port_bytes));
+                } else if (stride[i] == nbytes) {
+                    occupancy = at_least_1(ceil_div(rows[i] * nbytes, l2_port_bytes));
+                } else {
+                    const int64_t elements = rows[i] * at_least_1(ceil_div(nbytes, 8));
+                    occupancy = at_least_1((int64_t)((double)elements / rate));
+                }
+                int64_t *ports = vec ? l2_ports : l1_ports;
+                int64_t n_ports = vec ? n_l2 : n_l1;
                 int64_t port = 0;
                 for (;;) {
                     if (t >= cap) { rc = -1; goto overflow; }
@@ -355,10 +418,14 @@ int64_t run_stack(
                     if (free_at > t) { t = free_at; continue; }
                     break;
                 }
-                ports[port] = t + mem_occ_p[i];
-                complete = t + mem_lat[i] + mem_occ_p[i] - 1;
+                ports[port] = t + occupancy;
+                complete = t + mem_lat[i] + occupancy - 1;
             } else if (fui == simd_code) {
-                const int64_t occupancy = occ_p[i];
+                /* ceil(rows / lanes) lane-limited cycles, plus the
+                 * vector start-up for multi-row instructions */
+                int64_t occupancy = at_least_1(ceil_div(rows[i], lanes));
+                if (rows[i] > 1)
+                    occupancy += startup;
                 int64_t unit = 0;
                 for (;;) {
                     if (t >= cap) { rc = -1; goto overflow; }
@@ -377,7 +444,7 @@ int64_t run_stack(
                 }
                 class_simd[t] += 1;
                 simd_units[unit] = t + occupancy;
-                complete = t + lat[i] + occupancy - 1;
+                complete = t + pool_lat[k] + occupancy - 1;
             } else {
                 int64_t *fu_class = (fui == int_code) ? class_int : class_fp;
                 const int64_t fu_cap = (fui == int_code) ? int_fus : fp_fus;
@@ -388,7 +455,7 @@ int64_t run_stack(
                     break;
                 }
                 fu_class[t] += 1;
-                complete = t + lat[i];
+                complete = t + pool_lat[k];
             }
             issue_total[t] += 1;
 
@@ -400,8 +467,9 @@ int64_t run_stack(
             }
 
             /* writeback */
-            for (int64_t d = d0; d < d1; d++)
-                reg_ready[dst_ids[d]] = complete;
+            for (int64_t d = 0; d < dsts; d++)
+                reg_ready[dst[d] - reg_base] = complete;
+            dst += dsts;
 
             /* in-order commit */
             int64_t commit = complete;
@@ -417,9 +485,10 @@ int64_t run_stack(
                 simd_ring[simd_writes % simd_inflight] = commit;
                 simd_writes += 1;
             }
-            commits_p[i] = commit;
+            row_cycles_p[k] += commit - last_commit;
             last_commit = commit;
         }
+        cycles[p] = last_commit;
     overflow:
         free(commit_ring); free(simd_ring); free(simd_units);
         free(l1_ports); free(l2_ports);

@@ -14,10 +14,12 @@ the batch engine: ``sll``/``sra`` accepting register shift counts,
 and the sweep engine's batched ``acquire_traces`` store fill.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -44,8 +46,45 @@ ALL_CASES = [
 TRACE_GOLDENS = pathlib.Path(__file__).parent / "goldens" / "traces.json"
 
 
+#: The same digests as trace format 1 serialised them: the sha256 of
+#: each trace in the 16-column layout of :func:`_format1_bytes`, pinned
+#: before the narrow format 2 replaced it.
+FORMAT1_GOLDENS = pathlib.Path(__file__).parent / "goldens" / "traces_format1.json"
+
+
 def _digest(run):
     return run.trace.columns().digest()
+
+
+def _format1_bytes(cols):
+    """``cols`` re-expanded to trace format 1's ``to_bytes()`` layout.
+
+    Format 1 stored every static field per instruction and widened the
+    dynamic ones: a ``u4`` mnemonic index, category, unit, ``i4``
+    latency, ``i8`` addresses, strides and pcs, ``i4`` row widths and
+    counts, three flag bytes and ``i8`` CSR offsets and SSA ids.  Equal
+    bytes show that the narrow columns lose nothing.
+    """
+    header = {
+        "name": cols.name, "mnemonics": list(cols.mnemonics), "n": len(cols),
+        "n_src": len(cols.src_ids), "n_dst": len(cols.dst_ids),
+    }
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    columns = (
+        (cols.name_id, "<u4"), (cols.category, "u1"), (cols.fu, "u1"),
+        (cols.latency, "<i4"), (cols.addr, "<i8"), (cols.row_bytes, "<i4"),
+        (cols.rows, "<i4"), (cols.stride, "<i8"), (cols.pc, "<i8"),
+        (cols.is_store, "u1"), (cols.is_branch, "u1"), (cols.taken, "u1"),
+        (cols.src_off, "<i8"), (cols.src_ids, "<i8"), (cols.dst_off, "<i8"),
+        (cols.dst_ids, "<i8"),
+    )
+    parts = [b"RPRTRC1\n", struct.pack("<I", len(blob)), blob]
+    parts.extend(column.astype(dtype).tobytes() for column, dtype in columns)
+    return b"".join(parts)
+
+
+def _format1_pins():
+    return json.loads(FORMAT1_GOLDENS.read_text())
 
 
 def _check_trace_goldens(request, digests):
@@ -88,6 +127,8 @@ class TestDifferential:
             assert outputs_equal(run.output, ref.output)
             assert _digest(run) == _digest(ref), (kernel, version, seed)
             digests[f"{kernel}/{version}/{seed}"] = _digest(ref)
+            format1 = hashlib.sha256(_format1_bytes(ref.trace.columns())).hexdigest()
+            assert format1 == _format1_pins()[f"{kernel}/{version}/{seed}"]
         _check_trace_goldens(request, digests)
 
     def test_batched_runs_share_one_trace(self, monkeypatch):
@@ -306,6 +347,9 @@ class TestAcquireTraces:
         from repro.sweep import store as storelib
         from repro.sweep.points import grid
 
+        # Only the batch path shares one trace object between seeds.
+        monkeypatch.delenv(REFERENCE_ENV, raising=False)
+
         hashed = []
         payload_sha256 = storelib.payload_sha256
 
@@ -335,6 +379,8 @@ class TestAcquireTraces:
         from repro.sweep import default_store
         from repro.sweep import store as storelib
         from repro.sweep.points import grid
+
+        monkeypatch.delenv(REFERENCE_ENV, raising=False)
 
         serialised = []
         dumps = json.dumps

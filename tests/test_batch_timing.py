@@ -311,6 +311,24 @@ class TestDivergenceFallback:
         assert len(record) == 1
         assert_results_identical(got, reference_results(cols, specs))
 
+    def test_non_integral_counts_time_on_the_reference(self, monkeypatch):
+        """The kernel times integral parameters only: ``lanes=4.0`` times
+        as 4 on it, and ``lanes=2.5`` is handed to the reference."""
+        monkeypatch.delenv(REFERENCE_ENV, raising=False)
+        cols = trace_of("addblock", "vmmx64")
+        (core, mem), = paper_stack()[:1]
+        integral = [(dataclasses.replace(core, lanes=4.0), mem)]
+        assert_results_identical(
+            run_batch(integral, cols),
+            run_batch([(dataclasses.replace(core, lanes=4), mem)], cols),
+        )
+        fractional = [(dataclasses.replace(core, lanes=2.5), mem)]
+        with pytest.raises(BatchTimingDivergence, match="lanes=2.5"):
+            BatchCoreModel(fractional).run(cols)
+        assert_results_identical(
+            simulate_trace_stack(cols, fractional), reference_results(cols, fractional)
+        )
+
 
 class TestReferenceGate:
     def test_reference_env_refuses_batch_and_matches(self, monkeypatch):

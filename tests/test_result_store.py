@@ -354,6 +354,33 @@ class TestTraceRecords:
         payload["digest"] = "0" * 64
         assert trace_from_payload(payload) is None
 
+    @pytest.mark.parametrize("attr, index, delta", [
+        ("n_src", slice(5, None), 1),   # counts overrun the ids
+        ("n_dst", slice(5, 6), 7),
+        ("name_id", slice(5, 6), 60),   # past the pool
+    ])
+    def test_a_self_consistent_malformed_payload_is_a_miss(self, attr, index, delta):
+        """A payload whose digest matches its bytes, but whose structure
+        would send the timing kernel past a column, decodes as a miss
+        (and is recomputed) rather than reaching ``run_stack``."""
+        from repro.isa.trace import ColumnarTrace
+        from repro.kernels.base import execute
+        from repro.kernels.registry import KERNELS
+        from repro.sweep.store import trace_from_payload, trace_to_payload
+
+        cols = execute(KERNELS["addblock"], "mmx64", seed=0).trace.columns()
+        column = getattr(cols, attr).copy()
+        column[index] += delta
+        crafted = object.__new__(ColumnarTrace)
+        for slot in ColumnarTrace.__slots__:
+            setattr(crafted, slot, getattr(cols, slot))
+        setattr(crafted, attr, column)
+        payload = trace_to_payload(crafted)
+        assert payload["digest"] != trace_to_payload(cols)["digest"]
+        assert trace_from_payload(payload) is None
+        with pytest.raises(ValueError):
+            ColumnarTrace.from_bytes(crafted.to_bytes())
+
     def test_warm_trace_store_skips_emulation(self, tmp_path, monkeypatch):
         """Re-timing on new configurations reuses the stored trace."""
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))

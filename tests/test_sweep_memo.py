@@ -47,7 +47,7 @@ from repro.sweep import (
     simulation_count,
     sweep,
 )
-from repro.sweep.store import memo_key, memoise
+from repro.sweep.store import MEMO, MEMO_ENTRY_BYTES, memo_key, memoise, trace_nbytes
 from repro.timing.simulator import simulate_kernel
 from store_faults import damage, drop
 
@@ -88,6 +88,27 @@ def test_cold_paper_pass_decodes_no_trace_and_keys_each_record_once(
     # 209 kernel-timing stacks and the 10 scalar-mix stacks.
     assert counted["stacks"] == 219
     assert counted["simulate_kernel"] == 0
+    # The 44 seed-0 paper traces, held in the memo, weigh at most 32
+    # bytes an instruction (81 in trace format 1).
+    traces = {id(cols): cols for cols, _ in MEMO.traces.entries.values()}
+    assert len(traces) == 44
+    instructions = sum(len(cols) for cols in traces.values())
+    assert sum(cols.nbytes for cols in traces.values()) <= 32 * instructions
+
+
+def test_a_trace_shared_by_several_seeds_weighs_its_bytes_once():
+    """A batch over data-independent control flow files one trace object
+    under every seed's key; the memo charges its bytes once."""
+    sweep(grid(("comp", "addblock"), ("mmx64", "vmmx64"), (2,), seeds=(0, 1, 2)))
+    entries = [cols for cols, _ in MEMO.traces.entries.values()]
+    distinct = {id(cols): cols for cols in entries}
+    assert len(entries) == 12 and len(distinct) == 4
+    weight = sum(trace_nbytes(cols) for cols in distinct.values())
+    assert MEMO.traces.bytes == weight
+    assert MEMO.stats()["bytes"] == weight + len(MEMO.records) * MEMO_ENTRY_BYTES
+    for key in list(MEMO.traces.entries)[:-1]:
+        MEMO.discard(key)
+    assert MEMO.traces.bytes == trace_nbytes(entries[-1])
 
 
 def test_warm_paper_pass_keys_and_reads_each_record_once(

@@ -122,14 +122,14 @@ def cache_walk_trace(draw, max_len=60):
     and strides equal to and different from ``row_bytes``, memory records
     below address zero, non-memory records that carry an address (the
     warm touches them too), and branch sites that are sparse, negative
-    or beyond 2**40.
+    or far apart across the whole int32 pc column.
     """
     n = draw(st.integers(1, max_len))
     sites = draw(
         st.lists(
             st.one_of(
-                st.integers(-(2**62), 2**62),
-                st.integers(2**40, 2**40 + 3),
+                st.integers(-(2**31), 2**31 - 1),
+                st.integers(2**31 - 4, 2**31 - 1),
                 st.integers(-3, 3),
             ),
             min_size=1,

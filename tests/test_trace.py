@@ -210,3 +210,110 @@ class TestSerialisation:
         assert back == cols
         assert back.digest() == cols.digest()
 
+
+
+# ---------------------------------------------------------------------------
+# The narrow format: exact types, checked structure, store round trip.
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.sweep.store import trace_from_payload, trace_to_payload  # noqa: E402
+
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+_INT16 = st.integers(-(2**15), 2**15 - 1)
+
+
+@st.composite
+def narrow_records(draw):
+    """Record views whose every field fits its column: negative SSA ids
+    (the synthetic scalar stream opens with 0, -1, ...), sparse ones,
+    up to 255 sources or destinations, and repeated mnemonics with
+    different descriptors."""
+    ids = st.one_of(st.integers(-3, 40), _INT32)
+    return TraceRecord(
+        name=draw(st.sampled_from(["ld", "add", "vld"])),
+        category=draw(st.sampled_from(list(Category))),
+        fu=draw(st.sampled_from(list(FUClass))),
+        latency=draw(st.integers(0, 5)),
+        dsts=tuple(draw(st.lists(ids, max_size=3))),
+        srcs=tuple(draw(st.lists(ids, max_size=3))),
+        addr=draw(st.one_of(st.just(-1), _INT32)),
+        row_bytes=draw(_INT16),
+        rows=draw(_INT16),
+        stride=draw(_INT32),
+        is_store=draw(st.booleans()),
+        is_branch=draw(st.booleans()),
+        taken=draw(st.booleans()),
+        pc=draw(_INT32),
+    )
+
+
+class TestNarrowFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(narrow_records(), max_size=12), name=st.text(max_size=8))
+    def test_store_payload_roundtrip(self, records, name):
+        cols = trace_from_records(records, name)
+        back = trace_from_payload(trace_to_payload(cols))
+        assert back == cols
+        assert list(back) == records
+        assert back.digest() == cols.digest()
+
+    def test_empty_trace_roundtrips_through_the_store(self):
+        cols = trace_from_records([])
+        assert len(cols.pool) == 0 and cols.nbytes == 0
+        assert trace_from_payload(trace_to_payload(cols)) == cols
+
+    def test_columns_hold_the_narrowest_exact_types(self):
+        cols = demo_builder().columns()
+        dtypes = {attr: getattr(cols, attr).dtype.str for attr in (
+            "name_id", "addr", "stride", "pc", "row_bytes", "rows", "taken",
+            "n_src", "n_dst", "src_ids", "dst_ids",
+        )}
+        assert dtypes == {
+            "name_id": "<u2", "addr": "<i4", "stride": "<i4", "pc": "<i4",
+            "row_bytes": "<i2", "rows": "<i2", "taken": "|b1", "n_src": "|u1",
+            "n_dst": "|u1", "src_ids": "<i4", "dst_ids": "<i4",
+        }
+        assert not cols.addr.flags.writeable
+
+    @pytest.mark.parametrize("field, value", [
+        ("addr", 2**31), ("addr", -(2**31) - 1), ("stride", 2**31), ("pc", -(2**40)),
+        ("row_bytes", 2**15), ("rows", -(2**15) - 1), ("dsts", (2**31,)),
+        ("srcs", (-(2**31) - 1,)), ("srcs", tuple(range(256))), ("addr", 2**70),
+    ])
+    def test_a_value_that_does_not_fit_raises(self, field, value):
+        with pytest.raises(ValueError):
+            trace_from_records([rec(**{field: value})])
+        builder = Trace()
+        builder.emit(op.LDL, **{field: value})
+        with pytest.raises(ValueError):
+            builder.columns()
+
+    def test_the_pool_keeps_one_row_per_distinct_descriptor(self):
+        cols = trace_from_records([rec(latency=1), rec(latency=3), rec(latency=1)])
+        assert cols.mnemonics == ("op", "op")
+        assert cols.name_id.tolist() == [0, 1, 0]
+        assert cols.latency.tolist() == [1, 3, 1]
+
+    @pytest.mark.parametrize("columns, pool", [
+        ({"n_src": [1, 1]}, None),                     # sums past its ids
+        ({"src_ids": [1, 2]}, None),                   # ids past its counts
+        ({"rows": [1]}, None),                         # a short column
+        ({"name_id": [1, 0]}, None),                   # pool out of order
+        ({"name_id": [0, 2]}, None),                   # past the pool
+        ({}, [DESCRIPTORS[op.LI]]),                    # a row no one uses
+    ])
+    def test_a_malformed_structure_is_refused(self, columns, pool):
+        ok = trace_from_records([rec(dsts=(1,)), rec(name="add", srcs=(1,))])
+        fields = {attr: getattr(ok, attr) for attr in (
+            "name_id", "addr", "stride", "pc", "row_bytes", "rows", "taken",
+            "n_src", "n_dst", "src_ids", "dst_ids",
+        )}
+        fields.update(columns)
+        rows = list(ok.pool) + (pool or [])
+        with pytest.raises(ValueError):
+            ColumnarTrace("bad", rows, **fields)

@@ -46,9 +46,11 @@ ALL_CASES = [
 TRACE_GOLDENS = pathlib.Path(__file__).parent / "goldens" / "traces.json"
 
 
-#: The same digests as trace format 1 serialised them: the sha256 of
-#: each trace in the 16-column layout of :func:`_format1_bytes`, pinned
-#: before the narrow format 2 replaced it.
+#: The same traces as trace format 1 serialised them: the sha256 of
+#: each in the 16-column layout of :func:`_format1_bytes`, first pinned
+#: from format 1 itself before the narrow format 2 replaced it, and
+#: regenerated with :data:`TRACE_GOLDENS` after an intentional change to
+#: an instruction stream.
 FORMAT1_GOLDENS = pathlib.Path(__file__).parent / "goldens" / "traces_format1.json"
 
 
@@ -83,24 +85,20 @@ def _format1_bytes(cols):
     return b"".join(parts)
 
 
-def _format1_pins():
-    return json.loads(FORMAT1_GOLDENS.read_text())
-
-
-def _check_trace_goldens(request, digests):
-    """Assert ``digests`` against :data:`TRACE_GOLDENS`.
+def _check_trace_goldens(request, digests, golden=TRACE_GOLDENS):
+    """Assert ``digests`` against ``golden`` (:data:`TRACE_GOLDENS`).
 
     With ``--regen-goldens`` the entries are written into the file
     instead, as the artefact fixtures are.
     """
-    pinned = json.loads(TRACE_GOLDENS.read_text()) if TRACE_GOLDENS.is_file() else {}
+    pinned = json.loads(golden.read_text()) if golden.is_file() else {}
     if request.config.getoption("--regen-goldens"):
         pinned.update(digests)
-        TRACE_GOLDENS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+        golden.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
         return
     for key, digest in digests.items():
         assert pinned.get(key) == digest, (
-            f"trace {key} deviates from tests/goldens/traces.json; if the "
+            f"trace {key} deviates from tests/goldens/{golden.name}; if the "
             "change is intentional, rerun with --regen-goldens"
         )
 
@@ -119,16 +117,17 @@ class TestDifferential:
         seeds = [0, 1]
         runs = execute_batch(spec, version, seeds)
         assert len(runs) == len(seeds)
-        digests = {}
+        digests, format1 = {}, {}
         for seed, run in zip(seeds, runs):
             ref = execute(spec, version, seed)
             assert run.correct, (kernel, version, seed)
             assert ref.correct, (kernel, version, seed)
             assert outputs_equal(run.output, ref.output)
             assert _digest(run) == _digest(ref), (kernel, version, seed)
-            digests[f"{kernel}/{version}/{seed}"] = _digest(ref)
-            format1 = hashlib.sha256(_format1_bytes(ref.trace.columns())).hexdigest()
-            assert format1 == _format1_pins()[f"{kernel}/{version}/{seed}"]
+            key = f"{kernel}/{version}/{seed}"
+            digests[key] = _digest(ref)
+            format1[key] = hashlib.sha256(_format1_bytes(ref.trace.columns())).hexdigest()
+        _check_trace_goldens(request, format1, FORMAT1_GOLDENS)
         _check_trace_goldens(request, digests)
 
     def test_batched_runs_share_one_trace(self, monkeypatch):

@@ -45,6 +45,14 @@ synthetic scalar-region trace the application figures price their
 scalar code with: one paper mix at ``SCALAR_TRACE_LEN`` instructions
 from :func:`~repro.apps.appmodel.make_scalar_trace`, best of the reps.
 
+``emulation_frames`` holds two counts, not rates: the Python frames
+emulation enters in ``repro/emu/`` and ``repro/isa/trace.py`` per
+emitted instruction, ``single`` over the 44 seed-0 paper programs through
+``execute`` and ``batch`` over the batchable ones through
+``execute_batch`` at seeds 1-4 (:func:`emulation_frames`).  A count
+repeats exactly from run to run, where a best-of-N rate on a shared
+box can read a 1.45x emulation change as 0.99x; tier-1 gates both.
+
 ``store_records_per_sec`` is the result store's write rate: records
 saved per second through ``save_payload`` into a fresh store on the
 working disk (not ``/tmp``, which may be memory-backed), in a
@@ -100,6 +108,9 @@ BATCH_SEEDS = 16
 
 #: Seeds of the cold multi-seed Fig. 4 sweep.
 SWEEP_SEEDS = (0, 1, 2, 3)
+
+#: Seeds of the batched frame count (``emulation_frames``).
+FRAME_BATCH_SEEDS = (1, 2, 3, 4)
 
 #: (kernel-timing, trace) records per store-write pass: what one cold
 #: 4-seed every-kernel x paper-ISA x way sweep saves (1,584 : 176).
@@ -193,6 +204,60 @@ def _best_rate(work, instructions, reps):
     return instructions / best
 
 
+def emulation_frames():
+    """Python frames entered in ``repro/emu/`` and ``repro/isa/trace.py``
+    per emitted instruction, counted with :func:`sys.setprofile`.
+
+    ``single`` runs the seed-0 program of every kernel on every paper ISA
+    through ``execute``; ``batch`` runs each through ``execute_batch`` at
+    :data:`FRAME_BATCH_SEEDS` and counts the programs whose seeds share
+    one instruction stream (ltppar's diverge), per instruction of that
+    stream.  ``programs`` gives how many each count covers.
+    """
+    import repro
+    from repro.machines import ISAS
+
+    root = os.path.dirname(repro.__file__)
+    emu_dir = os.path.join(root, "emu") + os.sep
+    trace_file = os.path.join(root, "isa", "trace.py")
+    frames = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            if path.startswith(emu_dir) or path == trace_file:
+                frames[0] += 1
+
+    def counted(run):
+        frames[0] = 0
+        sys.setprofile(profile)
+        try:
+            runs = run()
+        finally:
+            sys.setprofile(None)
+        return frames[0], runs
+
+    counts = {}
+    for name, run in (
+        ("single", lambda spec, isa: [execute(spec, isa, seed=0)]),
+        ("batch", lambda spec, isa: execute_batch(spec, isa, FRAME_BATCH_SEEDS)),
+    ):
+        total = instructions = programs = 0
+        for spec in KERNELS.values():
+            for isa in ISAS:
+                entered, runs = counted(lambda: run(spec, isa))
+                if all(r.trace is runs[0].trace for r in runs):
+                    total += entered
+                    instructions += len(runs[0].trace)
+                    programs += 1
+        counts[name] = {
+            "programs": programs,
+            "instructions": instructions,
+            "frames_per_instruction": round(total / instructions, 3),
+        }
+    return counts
+
+
 def measure_model_speed(budget="ci"):
     """Measure trace generation and re-timing rates separately."""
     reps = 2 if budget == "ci" else 5
@@ -260,6 +325,7 @@ def measure_model_speed(budget="ci"):
         "reference_retimed_instructions_per_sec": round(reference_retime_rate),
         "scalar_trace_instructions_per_sec": round(scalar_trace_rate),
         "store_records_per_sec": round(store_rate),
+        "emulation_frames": emulation_frames(),
     }
     if budget == "full":
         results["fig4_sweep"] = _measure_fig4_sweep()

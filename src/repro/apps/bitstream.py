@@ -7,51 +7,74 @@ from typing import Dict, Hashable, Iterable, List, Tuple
 
 
 class BitWriter:
-    """MSB-first bit accumulator."""
+    """MSB-first bit accumulator: whole bytes in a buffer, and the
+    fewer than eight bits after them in an int."""
 
     def __init__(self) -> None:
-        self._bits: List[int] = []
+        self._bytes = bytearray()
+        self._pending = 0  # the last ``_npending`` bits written
+        self._npending = 0
 
     def write(self, value: int, nbits: int) -> None:
         if nbits < 0 or (nbits and value >> nbits):
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        for i in range(nbits - 1, -1, -1):
-            self._bits.append((value >> i) & 1)
+        bits = (self._pending << nbits) | (value & ((1 << nbits) - 1))
+        npending = self._npending + nbits
+        if npending >= 8:
+            spill = npending & 7
+            self._bytes += (bits >> spill).to_bytes(npending >> 3, "big")
+            bits &= (1 << spill) - 1
+            npending = spill
+        self._pending, self._npending = bits, npending
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return 8 * len(self._bytes) + self._npending
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        bits = self._bits
-        for i in range(0, len(bits), 8):
-            chunk = bits[i : i + 8]
-            chunk += [0] * (8 - len(chunk))
-            byte = 0
-            for b in chunk:
-                byte = (byte << 1) | b
-            out.append(byte)
-        return bytes(out)
+        """The bits written, the last byte zero-padded."""
+        if not self._npending:
+            return bytes(self._bytes)
+        return bytes(self._bytes) + bytes((self._pending << (8 - self._npending),))
 
 
 class BitReader:
-    """MSB-first bit consumer over a bytes object."""
+    """MSB-first bit consumer over a bytes object.
+
+    A read past the end raises :class:`IndexError` having consumed the
+    bits that remained.
+    """
 
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.pos = 0
 
     def read(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            byte = self.data[self.pos >> 3]
-            bit = (byte >> (7 - (self.pos & 7))) & 1
-            value = (value << 1) | bit
-            self.pos += 1
-        return value
+        """The next ``nbits`` bits as an unsigned int."""
+        pos = self.pos
+        end = pos + nbits
+        if end > 8 * len(self.data):
+            self.pos = 8 * len(self.data)
+            raise IndexError("read past the end of the bitstream")
+        self.pos = end
+        chunk = int.from_bytes(self.data[pos >> 3 : (end + 7) >> 3], "big")
+        return (chunk >> (-end & 7)) & ((1 << nbits) - 1)
 
     def read_bit(self) -> int:
-        return self.read(1)
+        pos = self.pos
+        bit = (self.data[pos >> 3] >> (~pos & 7)) & 1
+        self.pos = pos + 1
+        return bit
+
+    def peek(self, nbits: int) -> Tuple[int, int]:
+        """``(bits, available)``: the next ``nbits`` bits, zero-filled past
+        the end, and how many of them the stream holds; consumes none."""
+        pos = self.pos
+        end = pos + nbits
+        chunk = int.from_bytes(self.data[pos >> 3 : (end + 7) >> 3], "big")
+        have = 8 * len(self.data) - pos
+        if have < nbits:
+            chunk <<= (((end + 7) >> 3) - len(self.data)) * 8
+        return (chunk >> (-end & 7)) & ((1 << nbits) - 1), have
 
     @property
     def bits_left(self) -> int:
@@ -64,15 +87,19 @@ class HuffmanCode:
     def __init__(self, frequencies: Dict[Hashable, float]) -> None:
         self.lengths = _huffman_lengths(frequencies)
         self.encode_table: Dict[Hashable, Tuple[int, int]] = {}
-        self.decode_table: Dict[Tuple[int, int], Hashable] = {}
+        #: Per code length, ascending: ``(length, first code, symbols)``;
+        #: a canonical code's codes of one length are consecutive ints.
+        self._by_length: List[Tuple[int, int, List[Hashable]]] = []
         code = 0
         last_len = 0
         ordered = sorted(self.lengths.items(), key=lambda kv: (kv[1], repr(kv[0])))
         for symbol, length in ordered:
             code <<= length - last_len
+            if length != last_len:
+                self._by_length.append((length, code, []))
             last_len = length
             self.encode_table[symbol] = (code, length)
-            self.decode_table[(length, code)] = symbol
+            self._by_length[-1][2].append(symbol)
             code += 1
         self.max_length = last_len
 
@@ -83,14 +110,29 @@ class HuffmanCode:
         return length
 
     def read(self, reader: BitReader) -> Hashable:
-        """Decode one symbol bit-by-bit (canonical prefix walk)."""
-        code = 0
-        for length in range(1, self.max_length + 1):
-            code = (code << 1) | reader.read_bit()
-            symbol = self.decode_table.get((length, code))
-            if symbol is not None:
-                return symbol
-        raise ValueError("invalid Huffman code in bitstream")
+        """Decode one symbol by canonical-code lookup.
+
+        The next ``max_length`` bits hold exactly one code as a prefix:
+        the shortest length whose code range holds the bits' prefix of
+        that length.  A code running past the end raises
+        :class:`IndexError`, bits that match no code :class:`ValueError`,
+        each having consumed what a bit-by-bit walk would have.
+        """
+        longest = self.max_length
+        window, available = reader.peek(longest)
+        for length, first, symbols in self._by_length:
+            index = (window >> (longest - length)) - first
+            if 0 <= index < len(symbols):
+                if length > available:
+                    break
+                reader.pos += length
+                return symbols[index]
+        else:
+            if longest <= available:
+                reader.pos += longest
+                raise ValueError("invalid Huffman code in bitstream")
+        reader.pos += available
+        raise IndexError("read past the end of the bitstream")
 
 
 def _huffman_lengths(frequencies: Dict[Hashable, float]) -> Dict[Hashable, int]:

@@ -35,9 +35,11 @@ class VReg:
     produced them -- 1-D, contiguous, ``nbytes`` equal to the owning
     machine's :attr:`~repro.machines.SimdGeometry.row_bytes` (8 for
     MMX64, 16 for MMX128, wider for registered custom geometries).
-    Consumers read it through :meth:`view` only, so no intrinsic
-    depends on which dtype its producer chose.  A register is never
-    written after it is created, so two registers may share one buffer.
+    Consumers read it as lanes of the type they need -- :meth:`view`,
+    or the same identity test inline in a hot intrinsic -- so no
+    intrinsic depends on which dtype its producer chose.  A register is
+    never written after it is created, so two registers may share one
+    buffer.
     """
 
     rid: int

@@ -31,7 +31,62 @@ def zeroed_plane(nbytes: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype=np.uint8)
 
 
-class Memory:
+class AddressSpace:
+    """Bounds-checked byte access to ``buf``, whose last axis is the
+    address: a flat space, or one row per seed of a batch, read and
+    written at one address in every row (:mod:`repro.emu.batch`)."""
+
+    size: int
+    buf: np.ndarray
+
+    def _check(self, addr: int, nbytes: int) -> None:
+        if addr < 0 or addr + nbytes > self.size:
+            raise MemoryError_(f"access [{addr}, {addr + nbytes}) out of range")
+
+    def read(self, addr: int, nbytes: int) -> np.ndarray:
+        """Read ``nbytes`` as a uint8 copy."""
+        self._check(addr, nbytes)
+        return self.buf[..., addr : addr + nbytes].copy()
+
+    def write(self, addr: int, data: np.ndarray) -> None:
+        """Write an array (any integer dtype) as raw bytes."""
+        flat = np.ascontiguousarray(data).view(np.uint8)
+        flat = flat.reshape(self.buf.shape[:-1] + (-1,))
+        self._check(addr, flat.shape[-1])
+        self.buf[..., addr : addr + flat.shape[-1]] = flat
+
+    def _rows(self, addr: int, rows: int, row_bytes: int, stride: int) -> np.ndarray:
+        """A view of ``rows`` rows of ``row_bytes`` bytes ``stride`` apart
+        from ``addr`` (behind any leading axes of ``buf``), every row
+        bounds-checked: the rows are evenly spaced, so the first and the
+        last bound them all, and a row outside raises as :meth:`read`."""
+        last = addr + stride * (rows - 1)
+        if rows and (min(addr, last) < 0 or max(addr, last) + row_bytes > self.size):
+            for r in range(rows):
+                self._check(addr + r * stride, row_bytes)
+        buf = self.buf
+        return np.ndarray(
+            buf.shape[:-1] + (rows, row_bytes), np.uint8, buf, addr,
+            buf.strides[:-1] + (stride, 1),
+        )
+
+    def read_rows(self, addr: int, rows: int, row_bytes: int, stride: int) -> np.ndarray:
+        """Read a (rows, row_bytes) matrix whose rows are ``stride`` apart."""
+        return self._rows(addr, rows, row_bytes, stride).copy()
+
+    def write_rows(self, addr: int, data: np.ndarray, stride: int) -> None:
+        """Write a (rows, row_bytes) matrix with ``stride`` bytes between rows."""
+        rows, row_bytes = data.shape[-2:]
+        view = self._rows(addr, rows, row_bytes, stride)
+        if rows > 1 and abs(stride) < row_bytes:
+            # Overlapping rows: each row lands after the one before.
+            for r in range(rows):
+                view[..., r, :] = data[..., r, :]
+        else:
+            view[...] = data
+
+
+class Memory(AddressSpace):
     """A flat little-endian address space backed by a numpy byte buffer."""
 
     def __init__(self, size: int = 1 << 24) -> None:
@@ -54,43 +109,11 @@ class Memory:
         self.buf[addr : addr + flat.nbytes] = flat
         return addr
 
-    def _check(self, addr: int, nbytes: int) -> None:
-        if addr < 0 or addr + nbytes > self.size:
-            raise MemoryError_(f"access [{addr}, {addr + nbytes}) out of range")
-
-    def read(self, addr: int, nbytes: int) -> np.ndarray:
-        """Read ``nbytes`` as a uint8 copy."""
-        self._check(addr, nbytes)
-        return self.buf[addr : addr + nbytes].copy()
-
-    def write(self, addr: int, data: np.ndarray) -> None:
-        """Write an array (any integer dtype) as raw bytes."""
-        flat = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        self._check(addr, flat.nbytes)
-        self.buf[addr : addr + flat.nbytes] = flat
-
     def read_as(self, addr: int, dtype: str, count: int) -> np.ndarray:
         """Read ``count`` elements of numpy dtype string (e.g. ``'<i2'``)."""
         dt = np.dtype(dtype)
         raw = self.read(addr, dt.itemsize * count)
         return raw.view(dt).copy()
-
-    def read_rows(self, addr: int, rows: int, row_bytes: int, stride: int) -> np.ndarray:
-        """Read a (rows, row_bytes) matrix whose rows are ``stride`` apart."""
-        out = np.empty((rows, row_bytes), dtype=np.uint8)
-        for r in range(rows):
-            base = addr + r * stride
-            self._check(base, row_bytes)
-            out[r] = self.buf[base : base + row_bytes]
-        return out
-
-    def write_rows(self, addr: int, data: np.ndarray, stride: int) -> None:
-        """Write a (rows, row_bytes) matrix with ``stride`` bytes between rows."""
-        rows, row_bytes = data.shape
-        for r in range(rows):
-            base = addr + r * stride
-            self._check(base, row_bytes)
-            self.buf[base : base + row_bytes] = data[r]
 
     # Convenience scalar accessors (little-endian) -------------------------
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.emu.handles import AccReg, MAccReg, MReg, SReg
 from repro.emu.memory import Memory
-from repro.emu.scalar import Operand, ScalarMachine, rid
+from repro.emu.scalar import _MAX64, _MIN64, _MOD64, Operand, ScalarMachine, rid
 from repro.isa import opcodes as op
 from repro.isa import subword as sw
 from repro.isa.trace import Trace
@@ -36,6 +36,24 @@ _SHIFTS = {
 }
 
 
+def _rowwise(opcode: int, wrap, sat_opcode: int, saturate):
+    """``vadd``/``vsub``: ``wrap`` (or, with ``sat``, ``saturate``) of both
+    registers' active rows as lanes of subword type ``dtype``."""
+
+    def intrinsic(self, a: MReg, b: MReg, dtype: str = "s16", sat: bool = False) -> MReg:
+        lane, vl = sw.STORAGE[dtype], self.vl
+        x = a.data[..., :vl, :].view(lane)
+        y = b.data[..., :vl, :].view(lane)
+        data = np.zeros(self._mshape, dtype=np.uint8)
+        data[..., :vl, :] = (saturate(x, y, dtype) if sat else wrap(x, y, dtype)).view(np.uint8)
+        dst = self._new_id()
+        self._put((sat_opcode if sat else opcode, -1, 0, vl, 0, 0, False, 2, 1))
+        self._put_ids((a.rid, b.rid, dst))
+        return self._MReg(dst, data)
+
+    return intrinsic
+
+
 class VMMXMachine(ScalarMachine):
     """A superscalar core with a MOM-style 2-D matrix extension.
 
@@ -47,6 +65,9 @@ class VMMXMachine(ScalarMachine):
 
     #: Default rows per matrix register (the paper's MAX_VL).
     MAX_VL = 16
+
+    #: The handle classes of a matrix register and the two accumulators.
+    _MReg, _AccReg, _MAccReg = MReg, AccReg, MAccReg
 
     def __init__(
         self,
@@ -77,6 +98,8 @@ class VMMXMachine(ScalarMachine):
         self.row_bytes = geometry.row_bytes
         self.max_vl = geometry.max_vl
         self.vl = self.max_vl
+        # A matrix register's bytes, leading (seed) axes included.
+        self._mshape = self._lead + (self.max_vl, self.row_bytes)
 
     @property
     def isa_name(self) -> str:
@@ -85,67 +108,75 @@ class VMMXMachine(ScalarMachine):
     # -- plumbing ----------------------------------------------------------
 
     def _mreg(self, rows: np.ndarray) -> MReg:
-        data = np.zeros((self.max_vl, self.row_bytes), dtype=np.uint8)
-        rows = np.ascontiguousarray(rows).view(np.uint8).reshape(-1, self.row_bytes)
-        data[: rows.shape[0]] = rows
-        return MReg(next(self._ids), data)
+        data = np.zeros(self._mshape, dtype=np.uint8)
+        rows = np.ascontiguousarray(rows).view(np.uint8)
+        rows = rows.reshape(self._lead + (-1, self.row_bytes))
+        data[..., : rows.shape[-2], :] = rows
+        return self._MReg(self._new_id(), data)
 
     def _vemit(self, opcode: int, dst_ids, *srcs, rows=None):
-        self._emit(
-            opcode, dst_ids, tuple(map(rid, srcs)),
-            rows=(self.vl if rows is None else rows),
-        )
+        self._put((
+            opcode, -1, 0, self.vl if rows is None else rows, 0, 0, False,
+            len(srcs), len(dst_ids),
+        ))
+        self._put_ids(tuple(map(rid, srcs)) + dst_ids)
 
     def _cols(self, dtype: str) -> int:
         return self.row_bytes // sw.WIDTH[dtype]
 
     def _active(self, m: MReg, dtype: str) -> np.ndarray:
         """View of the active (vl rows) part of a matrix register."""
-        return m.data[: self.vl].view(sw.STORAGE[dtype])
+        return m.data[..., : self.vl, :].view(sw.STORAGE[dtype])
 
     def _pad_rows(self, rows: np.ndarray) -> np.ndarray:
         """Zero-pad per-row payload narrower than the register row width."""
         raw = np.ascontiguousarray(rows)
-        nbytes = raw.view(np.uint8).reshape(raw.shape[0], -1)
-        if nbytes.shape[1] == self.row_bytes:
+        nbytes = raw.view(np.uint8)
+        if nbytes.shape[-1] == self.row_bytes:
             return raw
-        out = np.zeros((raw.shape[0], self.row_bytes), dtype=np.uint8)
-        out[:, : nbytes.shape[1]] = nbytes
+        out = np.zeros(nbytes.shape[:-1] + (self.row_bytes,), dtype=np.uint8)
+        out[..., : nbytes.shape[-1]] = nbytes
         return out
 
     # -- vector control ----------------------------------------------------
 
     def setvl(self, length: Union[int, SReg]) -> None:
         """Set the vector length (rows processed by subsequent instructions)."""
-        value = self._val(length)
+        value, srcs = self._operand(length, 0, what="setvl length")
         if not 1 <= value <= self.max_vl:
             raise ValueError(f"vector length {value} outside [1, {self.max_vl}]")
         self.vl = value
-        self._emit(op.SETVL, (), self._src_ids(length))
+        self._put((op.SETVL, -1, 0, 1, 0, 0, False, len(srcs), 0))
+        self._put_ids(srcs)
 
     # -- vector memory -----------------------------------------------------
 
+    def _access(self, addr: Operand, stride, unit: int, offset: int, srcs=()):
+        """``(ea, stride, ids)`` of a vector access: uniform ints, the
+        stride ``unit`` when omitted, ``srcs`` then the address and stride
+        registers' ids."""
+        ea, srcs = self._operand(addr, offset, srcs)
+        if stride is None:
+            return ea, unit, srcs
+        step, srcs = self._operand(stride, 0, srcs, "vector stride")
+        return ea, step, srcs
+
     def vload(self, addr: Operand, stride: Optional[Union[int, SReg]] = None, offset: int = 0) -> MReg:
         """Strided vector load of ``vl`` rows (unit stride when omitted)."""
-        ea = self._val(addr) + offset
-        stride_v = self.row_bytes if stride is None else self._val(stride)
-        rows = self.mem.read_rows(ea, self.vl, self.row_bytes, stride_v)
-        dst = self._mreg(rows)
-        self._emit(
-            op.VLD, (dst.rid,), self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
-            addr=ea, row_bytes=self.row_bytes, rows=self.vl, stride=stride_v,
-        )
-        return dst
+        ea, step, srcs = self._access(addr, stride, self.row_bytes, offset)
+        data = np.zeros(self._mshape, dtype=np.uint8)
+        data[..., : self.vl, :] = self.mem.read_rows(ea, self.vl, self.row_bytes, step)
+        dst = self._new_id()
+        self._put((op.VLD, ea, self.row_bytes, self.vl, step, 0, False, len(srcs), 1))
+        self._put_ids(srcs + (dst,))
+        return self._MReg(dst, data)
 
     def vstore(self, m: MReg, addr: Operand, stride: Optional[Union[int, SReg]] = None, offset: int = 0) -> None:
         """Strided vector store of ``vl`` rows (unit stride when omitted)."""
-        ea = self._val(addr) + offset
-        stride_v = self.row_bytes if stride is None else self._val(stride)
-        self.mem.write_rows(ea, m.data[: self.vl], stride_v)
-        self._emit(
-            op.VST, (), (m.rid,) + self._src_ids(addr, stride if isinstance(stride, SReg) else 0),
-            addr=ea, row_bytes=self.row_bytes, rows=self.vl, stride=stride_v,
-        )
+        ea, step, srcs = self._access(addr, stride, self.row_bytes, offset, (m.rid,))
+        self.mem.write_rows(ea, m.data[..., : self.vl, :], step)
+        self._put((op.VST, ea, self.row_bytes, self.vl, step, 0, False, len(srcs), 0))
+        self._put_ids(srcs)
 
     def vload_part(self, addr: Operand, nbytes: int, stride: Optional[Union[int, SReg]] = None, offset: int = 0) -> MReg:
         """Partial-row vector load (new VMMX128 instruction, §II-B).
@@ -154,59 +185,44 @@ class VMMXMachine(ScalarMachine):
         used by kernels whose data patterns do not fill a full 128-bit row
         (e.g. ``comp`` with 8-pixel rows in a 16-byte-row machine).
         """
-        ea = self._val(addr) + offset
-        stride_v = nbytes if stride is None else self._val(stride)
-        rows = np.zeros((self.vl, self.row_bytes), dtype=np.uint8)
-        rows[:, :nbytes] = self.mem.read_rows(ea, self.vl, nbytes, stride_v)
-        dst = self._mreg(rows)
-        self._emit(
-            op.VLD_P, (dst.rid,), self._src_ids(addr), addr=ea, row_bytes=nbytes,
-            rows=self.vl, stride=stride_v,
-        )
-        return dst
+        ea, srcs = self._operand(addr, offset)
+        step = nbytes if stride is None else self._operand(stride, 0, (), "vector stride")[0]
+        data = np.zeros(self._mshape, dtype=np.uint8)
+        data[..., : self.vl, :nbytes] = self.mem.read_rows(ea, self.vl, nbytes, step)
+        dst = self._new_id()
+        self._put((op.VLD_P, ea, nbytes, self.vl, step, 0, False, len(srcs), 1))
+        self._put_ids(srcs + (dst,))
+        return self._MReg(dst, data)
 
     def vstore_part(self, m: MReg, addr: Operand, nbytes: int, stride: Optional[Union[int, SReg]] = None, offset: int = 0) -> None:
         """Partial-row vector store (new VMMX128 instruction, §II-B)."""
-        ea = self._val(addr) + offset
-        stride_v = nbytes if stride is None else self._val(stride)
-        self.mem.write_rows(ea, m.data[: self.vl, :nbytes], stride_v)
-        self._emit(
-            op.VST_P, (), (m.rid,) + self._src_ids(addr), addr=ea, row_bytes=nbytes,
-            rows=self.vl, stride=stride_v,
-        )
+        ea, srcs = self._operand(addr, offset, (m.rid,))
+        step = nbytes if stride is None else self._operand(stride, 0, (), "vector stride")[0]
+        self.mem.write_rows(ea, m.data[..., : self.vl, :nbytes], step)
+        self._put((op.VST_P, ea, nbytes, self.vl, step, 0, False, len(srcs), 0))
+        self._put_ids(srcs)
 
     # -- element-wise matrix arithmetic -------------------------------------
 
-    def _binary(self, opcode: int, a: MReg, b: MReg, fn, dtype: str) -> MReg:
-        out_rows = fn(self._active(a, dtype), self._active(b, dtype), dtype)
-        dst = self._mreg(out_rows)
-        self._vemit(opcode, (dst.rid,), a, b)
-        return dst
-
     def vzero(self) -> MReg:
-        dst = self._mreg(np.zeros((self.vl, self.row_bytes), dtype=np.uint8))
+        dst = self._MReg(self._new_id(), np.zeros(self._mshape, dtype=np.uint8))
         self._vemit(op.VXOR, (dst.rid,))
         return dst
 
     def vconst_rows(self, rows: np.ndarray, dtype: str = "s16") -> MReg:
         """Materialise a constant matrix (charged as one vector ALU op)."""
         data = np.asarray(rows, dtype=sw.STORAGE[dtype])
-        dst = self._mreg(data)
+        dst = self._mreg(np.broadcast_to(data, self._lead + data.shape))
         self._vemit(op.VCONST, (dst.rid,))
         return dst
 
-    def vadd(self, a: MReg, b: MReg, dtype: str = "s16", sat: bool = False) -> MReg:
-        if sat:
-            return self._binary(op.VADDS, a, b, sw.add_sat, dtype)
-        return self._binary(op.VADD, a, b, sw.add_wrap, dtype)
-
-    def vsub(self, a: MReg, b: MReg, dtype: str = "s16", sat: bool = False) -> MReg:
-        if sat:
-            return self._binary(op.VSUBS, a, b, sw.sub_sat, dtype)
-        return self._binary(op.VSUB, a, b, sw.sub_wrap, dtype)
+    vadd = _rowwise(op.VADD, sw.add_wrap, op.VADDS, sw.add_sat)
+    vsub = _rowwise(op.VSUB, sw.sub_wrap, op.VSUBS, sw.sub_sat)
 
     def vmul_lo(self, a: MReg, b: MReg, dtype: str = "s16") -> MReg:
-        return self._binary(op.VMULLW, a, b, sw.mul_lo, dtype)
+        dst = self._mreg(sw.mul_lo(self._active(a, dtype), self._active(b, dtype), dtype))
+        self._vemit(op.VMULLW, (dst.rid,), a, b)
+        return dst
 
     def vavg_u8(self, a: MReg, b: MReg) -> MReg:
         out = sw.avg_round_u8(self._active(a, "u8"), self._active(b, "u8"))
@@ -226,33 +242,24 @@ class VMMXMachine(ScalarMachine):
         ``coeff`` is a scalar broadcast across all lanes (vector-scalar op).
         """
         lanes = self._active(a, "s16").astype(np.int64)
-        product = (lanes * self._val(coeff) + (1 << 14)) >> 15
-        out = sw.saturate(product, "s16")
+        scale = np.asarray(self.value(coeff), dtype=np.int64)[..., None, None]
+        out = sw.saturate((lanes * scale + (1 << 14)) >> 15, "s16")
         dst = self._mreg(out)
         self._vemit(op.VMULR_VS, (dst.rid,), a, coeff if isinstance(coeff, SReg) else a)
         return dst
 
     def vmadd_s16(self, a: MReg, b: MReg) -> MReg:
         """Row-wise ``PMADDWD``: adjacent s16 pairs multiplied and summed to s32."""
-        a_rows = self._active(a, "s16").reshape(self.vl, -1).astype(np.int64)
-        b_rows = b.data.view(np.int16).reshape(self.max_vl, -1)[: self.vl].astype(np.int64)
-        prod = a_rows * b_rows
-        pairs = prod.reshape(self.vl, -1, 2).sum(axis=2)
-        out = sw.wrap(pairs, "s32")
-        dst = self._mreg(out)
+        prod = self._active(a, "s16").astype(np.int64) * self._active(b, "s16")
+        pairs = prod.reshape(prod.shape[:-1] + (-1, 2)).sum(axis=-1)
+        dst = self._mreg(sw.wrap(pairs, "s32"))
         self._vemit(op.VMADDWD, (dst.rid,), a, b)
         return dst
 
     def vinterleave(self, a: MReg, b: MReg, dtype: str = "u16", half: str = "lo") -> MReg:
         """Row-wise ``PUNPCKL/H``: interleave lane halves of each row pair."""
-        a_rows = self._active(a, dtype).reshape(self.vl, -1)
-        b_rows = b.data.view(sw.STORAGE[dtype]).reshape(self.max_vl, -1)[: self.vl]
-        lanes = a_rows.shape[1]
-        sel = slice(0, lanes // 2) if half == "lo" else slice(lanes // 2, lanes)
-        out = np.empty_like(a_rows)
-        out[:, 0::2] = a_rows[:, sel]
-        out[:, 1::2] = b_rows[:, sel]
-        dst = self._mreg(out)
+        interleave = sw.interleave_lo if half == "lo" else sw.interleave_hi
+        dst = self._mreg(interleave(self._active(a, dtype), self._active(b, dtype)))
         self._vemit(op.VUNPCK_LO if half == "lo" else op.VUNPCK_HI, (dst.rid,), a, b)
         return dst
 
@@ -262,80 +269,73 @@ class VMMXMachine(ScalarMachine):
         With a single source the packed lanes land in the low half of each
         row and the high half is zeroed (rows never change width).
         """
-        a_rows = self._active(a, "s32").reshape(self.vl, -1)
-        if b is not None:
-            b_rows = b.data.view(np.int32).reshape(self.max_vl, -1)[: self.vl]
-            merged = np.concatenate([a_rows, b_rows], axis=1)
-        else:
-            merged = a_rows
-        out = self._pad_rows(sw.saturate(merged, "s16"))
-        dst = self._mreg(out)
         srcs = (a, b) if b is not None else (a,)
+        merged = np.concatenate([self._active(m, "s32") for m in srcs], axis=-1)
+        dst = self._mreg(self._pad_rows(sw.saturate(merged, "s16")))
         self._vemit(op.VPACKSSDW, (dst.rid,), *srcs)
         return dst
 
     def vunpack_u8_to_u16(self, a: MReg, half: str = "lo") -> MReg:
         """Widen u8 row halves to u16 lanes (per-row punpck with zero)."""
-        rows = self._active(a, "u8").reshape(self.vl, self.row_bytes)
+        rows = self._active(a, "u8")
         cols = self.row_bytes // 2
-        sel = rows[:, :cols] if half == "lo" else rows[:, cols:]
-        out = sel.astype(np.uint16)
-        dst = self._mreg(out)
+        sel = rows[..., :cols] if half == "lo" else rows[..., cols:]
+        dst = self._mreg(sel.astype(np.uint16))
         self._vemit(op.VUNPCKLO if half == "lo" else op.VUNPCKHI, (dst.rid,), a)
         return dst
 
     def vpack_u16_to_u8(self, a: MReg, b: Optional[MReg] = None, sat: bool = True) -> MReg:
         """Per-row ``PACKUSWB``: saturate signed 16-bit lanes to unsigned 8-bit."""
-        a_rows = self._active(a, "s16").reshape(self.vl, -1)
-        if b is not None:
-            b_rows = self._active(b, "s16").reshape(self.vl, -1)
-            merged = np.concatenate([a_rows, b_rows], axis=1)
-        else:
-            merged = a_rows
+        srcs = (a, b) if b is not None else (a,)
+        merged = np.concatenate([self._active(m, "s16") for m in srcs], axis=-1)
         out = self._pad_rows(sw.saturate(merged, "u8") if sat else sw.wrap(merged, "u8"))
         dst = self._mreg(out)
-        srcs = (a, b) if b is not None else (a,)
         self._vemit(op.VPACKUS, (dst.rid,), *srcs)
         return dst
 
     # -- packed reduction accumulators ---------------------------------------
 
     def acc_zero(self) -> AccReg:
-        acc = AccReg(next(self._ids), 0)
+        acc = self._AccReg(self._new_id(), 0)
         self._vemit(op.VACC_CLR, (acc.rid,), rows=1)
         return acc
+
+    def _accumulate(self, opcode: int, acc: AccReg, a: MReg, b: MReg, total) -> AccReg:
+        out = self._AccReg(self._new_id(), acc.total + total)
+        self._vemit(opcode, (out.rid,), acc, a, b)
+        return out
 
     def vsad_acc(self, acc: AccReg, a: MReg, b: MReg) -> AccReg:
         """``ACC += Sum(|a - b|)`` over all active rows (packed accumulator)."""
         total = sw.abs_diff_sum_u8(self._active(a, "u8"), self._active(b, "u8"))
-        out = AccReg(next(self._ids), acc.total + total)
-        self._vemit(op.VSAD_ACC, (out.rid,), acc, a, b)
-        return out
+        return self._accumulate(op.VSAD_ACC, acc, a, b, total)
 
     def vsqd_acc(self, acc: AccReg, a: MReg, b: MReg) -> AccReg:
         """``ACC += Sum((a - b)^2)`` over all active rows."""
         total = sw.sq_diff_sum_u8(self._active(a, "u8"), self._active(b, "u8"))
-        out = AccReg(next(self._ids), acc.total + total)
-        self._vemit(op.VSQD_ACC, (out.rid,), acc, a, b)
-        return out
+        return self._accumulate(op.VSQD_ACC, acc, a, b, total)
 
     def vdot_acc(self, acc: AccReg, a: MReg, b: MReg, dtype: str = "s16") -> AccReg:
         """``ACC += Sum(a * b)`` over all active rows (packed MAC)."""
-        prod = self._active(a, dtype).astype(np.int64) * self._active(b, dtype).astype(np.int64)
-        out = AccReg(next(self._ids), acc.total + int(prod.sum()))
-        self._vemit(op.VDOT_ACC, (out.rid,), acc, a, b)
-        return out
+        prod = self._active(a, dtype).astype(np.int64) * self._active(b, dtype)
+        total = self._to_value(prod.sum(axis=(-2, -1)))
+        return self._accumulate(op.VDOT_ACC, acc, a, b, total)
 
     def acc_read(self, acc: AccReg) -> SReg:
         """Final cross-lane reduction of an accumulator into a scalar."""
-        dst = self._sreg(acc.total)
-        self._emit(op.VRED, (dst.rid,), (acc.rid,))
-        return dst
+        value = acc.total
+        if type(value) is int and not _MIN64 <= value <= _MAX64:
+            value = (value - _MIN64) % _MOD64 + _MIN64
+        dst = self._new_id()
+        self._put((op.VRED, -1, 0, 1, 0, 0, False, 1, 1))
+        self._put_ids((acc.rid, dst))
+        return self._SReg(dst, value)
 
     # -- matrix multiply-accumulate ------------------------------------------
 
     def macc_zero(self, dtype: str = "s16") -> MAccReg:
-        macc = MAccReg(next(self._ids), np.zeros((self.max_vl, self._cols(dtype)), dtype=np.int64))
+        parts = np.zeros(self._lead + (self.max_vl, self._cols(dtype)), dtype=np.int64)
+        macc = self._MAccReg(self._new_id(), parts)
         self._vemit(op.VMACC_CLR, (macc.rid,), rows=1)
         return macc
 
@@ -348,27 +348,25 @@ class VMMXMachine(ScalarMachine):
         idct "performs a multiply-accumulate operation between matrix
         registers").
         """
-        a_lanes = self._active(a, dtype).reshape(self.vl, -1).astype(np.int64)
-        b_lanes = b.data.view(sw.STORAGE[dtype]).reshape(self.max_vl, -1).astype(np.int64)
+        a_col = self._active(a, dtype)[..., col, None].astype(np.int64)
+        b_row = b.data.view(sw.STORAGE[dtype])[..., row, None, :].astype(np.int64)
         parts = macc.parts.copy()
-        parts[: self.vl] += np.outer(a_lanes[:, col], b_lanes[row])
-        out = MAccReg(next(self._ids), parts)
+        parts[..., : self.vl, :] += a_col * b_row
+        out = self._MAccReg(self._new_id(), parts)
         self._vemit(op.VMAC_B, (out.rid,), macc, a, b)
         return out
 
     def vmac_elem(self, macc: MAccReg, a: MReg, b: MReg, dtype: str = "s16") -> MAccReg:
         """``macc[r, c] += a[r, c] * b[r, c]`` element-wise widening MAC."""
-        a_lanes = self._active(a, dtype).reshape(self.vl, -1).astype(np.int64)
-        b_lanes = self._active(b, dtype).reshape(self.vl, -1).astype(np.int64)
         parts = macc.parts.copy()
-        parts[: self.vl] += a_lanes * b_lanes
-        out = MAccReg(next(self._ids), parts)
+        parts[..., : self.vl, :] += self._active(a, dtype).astype(np.int64) * self._active(b, dtype)
+        out = self._MAccReg(self._new_id(), parts)
         self._vemit(op.VMAC_E, (out.rid,), macc, a, b)
         return out
 
     def macc_pack_rs(self, macc: MAccReg, shift: int, dtype: str = "s16", sat: bool = True) -> MReg:
         """Round-shift accumulator lanes and pack into a matrix register."""
-        shifted = sw.round_shift(macc.parts[: self.vl], shift, "s32").astype(np.int64)
+        shifted = sw.round_shift(macc.parts[..., : self.vl, :], shift, "s32").astype(np.int64)
         packed = sw.saturate(shifted, dtype) if sat else sw.wrap(shifted, dtype)
         dst = self._mreg(packed)
         self._vemit(op.VMACC_PACK, (dst.rid,), macc)
@@ -378,7 +376,8 @@ class VMMXMachine(ScalarMachine):
 
     def vextract_row(self, m: MReg, row: int, dtype: str = "s16", lane: int = 0) -> SReg:
         """Move one lane of one row to the scalar register file."""
-        value = int(m.data.view(sw.STORAGE[dtype]).reshape(self.max_vl, -1)[row, lane])
-        dst = self._sreg(value)
-        self._emit(op.VEXT, (dst.rid,), (m.rid,))
-        return dst
+        value = self._to_value(m.data.view(sw.STORAGE[dtype])[..., row, lane])
+        dst = self._new_id()
+        self._put((op.VEXT, -1, 0, 1, 0, 0, False, 1, 1))
+        self._put_ids((m.rid, dst))
+        return self._SReg(dst, value)

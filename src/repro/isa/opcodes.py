@@ -13,10 +13,10 @@ hierarchy model in :mod:`repro.timing.caches`.
 Every opcode the emulation machines emit has one static descriptor in
 :data:`DESCRIPTORS` -- ``(mnemonic, category, fu, latency, is_store,
 is_branch)`` -- and one module-level int naming its row (``PADD``,
-``VLD_P``, ...).  A machine passes that int to
-:meth:`~repro.isa.trace.TraceBuilder.emit`, which records only the
-instruction's dynamic fields; a trace snapshot keeps the rows of this
-table its instructions use once, as its descriptor pool.
+``VLD_P``, ...).  A machine records that int with only the
+instruction's dynamic fields (:class:`~repro.isa.trace.TraceBuilder`);
+a trace snapshot keeps the rows of this table its instructions use
+once, as its descriptor pool.
 """
 
 from __future__ import annotations

@@ -203,20 +203,22 @@ def pack_sat(a: np.ndarray, b: np.ndarray, dtype: str) -> np.ndarray:
 
 
 def interleave_lo(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``PUNPCKL*``: interleave the low halves of two lane arrays."""
-    half = len(a) // 2
-    out = np.empty(len(a), dtype=a.dtype)
-    out[0::2] = a[:half]
-    out[1::2] = b[:half]
+    """``PUNPCKL*``: interleave the low halves of two lane arrays (along
+    the last axis, so a batch or a matrix interleaves row by row)."""
+    half = a.shape[-1] // 2
+    out = np.empty_like(a)
+    out[..., 0::2] = a[..., :half]
+    out[..., 1::2] = b[..., :half]
     return out
 
 
 def interleave_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``PUNPCKH*``: interleave the high halves of two lane arrays."""
-    half = len(a) // 2
-    out = np.empty(len(a), dtype=a.dtype)
-    out[0::2] = a[half:]
-    out[1::2] = b[half:]
+    """``PUNPCKH*``: interleave the high halves of two lane arrays (along
+    the last axis)."""
+    half = a.shape[-1] // 2
+    out = np.empty_like(a)
+    out[..., 0::2] = a[..., half:]
+    out[..., 1::2] = b[..., half:]
     return out
 
 

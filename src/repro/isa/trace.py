@@ -12,12 +12,14 @@ the representation is *columnar*: parallel NumPy arrays, one per field
 (structure of arrays), rather than one Python object per instruction.
 
 * :class:`TraceBuilder` (aliased :class:`Trace`, the name every machine
-  and kernel uses) is the append-oriented producer.  ``emit`` records
-  one flat record per instruction -- an opcode id and the fields that
-  vary per execution -- plus its register ids; the fields fixed per
-  opcode (mnemonic, category, FU, latency, ``is_store``, ``is_branch``)
-  live once in :data:`repro.isa.opcodes.DESCRIPTORS`.  No
-  per-instruction object is ever constructed on the hot path.
+  and kernel uses) is the append-oriented producer.  It holds one
+  record per instruction -- an opcode id and the fields that vary per
+  execution -- plus its register ids, which the machines append through
+  its bound appenders (``emit`` is the keyword front end); the fields
+  fixed per opcode (mnemonic, category, FU, latency, ``is_store``,
+  ``is_branch``) live once in :data:`repro.isa.opcodes.DESCRIPTORS`.
+  An instruction whose fields are fixed appends a record tuple built
+  once per opcode.
 * :class:`ColumnarTrace` is the frozen snapshot the timing core walks.
   It holds only what varies, each column in the narrowest exact fixed
   type: a per-trace descriptor *pool* (one row per distinct opcode, in
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import struct
 from collections import Counter
@@ -462,6 +465,27 @@ class ColumnarTrace(_TraceView):
             return site, 0, len(unique)
         return self._fact("branch_sites", compute)
 
+    def pointers(self) -> Dict[str, int]:
+        """The data address of every column, pool table and id or site
+        array the compiled timing kernel reads in place, taken once.
+
+        The constructor checked, narrowed and froze each column, and the
+        trace holds every array these point into (``src_ids``,
+        ``dst_ids`` and ``site`` are :meth:`register_ids` and
+        :meth:`branch_sites`), so a holder of the trace may pass them
+        as raw pointers.
+        """
+        def compute():
+            src_ids, dst_ids, _, _ = self.register_ids()
+            arrays = {attr: getattr(self, attr) for attr in _DTYPES}
+            arrays.update(
+                src_ids=src_ids, dst_ids=dst_ids, site=self.branch_sites()[0],
+                op_fu=self.op_fu, op_latency=self.op_latency,
+                op_is_branch=self.op_is_branch,
+            )
+            return {name: array.ctypes.data for name, array in arrays.items()}
+        return self._fact("pointers", compute)
+
     # -- record views ------------------------------------------------------
 
     def record(self, i: int) -> TraceRecord:
@@ -629,36 +653,50 @@ def _first_appearance(values: np.ndarray) -> np.ndarray:
     return ranked[first][np.argsort(order[first])]
 
 
-#: Fields of one :meth:`TraceBuilder.emit` record, in order: opcode,
+#: The builder's one record layout, a tuple per instruction: opcode,
 #: addr, row_bytes, rows, stride, pc, taken, number of sources, number of
-#: destinations.
+#: destinations.  The instruction's register ids, its sources and then
+#: its destinations, go to a second list.
 _RECORD_FIELDS = ("op", "addr", "row_bytes", "rows", "stride", "pc", "taken", "n_src", "n_dst")
 _WIDTH = len(_RECORD_FIELDS)
+
+
+def record(op: int, n_src: int, n_dst: int) -> Tuple[int, ...]:
+    """The record of an instruction whose every field but the opcode and
+    its operand counts takes its default (no memory access, one row, not
+    a branch), in :class:`TraceBuilder`'s layout.  A machine builds it
+    once per opcode and appends it as it is."""
+    return (op, -1, 0, 1, 0, 0, False, n_src, n_dst)
 
 
 class TraceBuilder(_TraceView):
     """Append-oriented columnar trace producer.
 
-    ``emit`` is the hot path: it extends one flat list by the
-    instruction's record -- its opcode id (an index into
-    :data:`repro.isa.opcodes.DESCRIPTORS`) and dynamic fields -- and two
-    more by its source and destination ids.  :meth:`columns` reshapes
-    the records once, pools the opcodes that occur in first-appearance
-    order and narrows every column to its exact type; the snapshot is
-    memoised until the next ``emit``.
+    It holds one record per instruction (a tuple of the
+    :data:`_RECORD_FIELDS`, its opcode id indexing
+    :data:`repro.isa.opcodes.DESCRIPTORS`) in one list and the
+    instructions' register ids in another.  :meth:`appenders` hands out
+    the two lists' bound ``append`` and ``extend``: the emulation
+    machines append each instruction through them from the intrinsic's
+    own frame, most as a :func:`record` built once per opcode.
+    :meth:`emit` is the keyword front end to the same layout, for tests
+    and hand-built traces.  :meth:`columns` converts the records once,
+    pools the opcodes that occur in first-appearance order and narrows
+    every column to its exact type; the snapshot is memoised until the
+    next record.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._records: List[int] = []
-        self._src_ids: List[int] = []
-        self._dst_ids: List[int] = []
+        self._records: List[Tuple[Any, ...]] = []
+        self._ids: List[int] = []
         self._snapshot: Optional[ColumnarTrace] = None
-        # Bound extend methods: one attribute lookup per *builder*, not
-        # per emitted instruction.
-        self._records_extend = self._records.extend
-        self._src_extend = self._src_ids.extend
-        self._dst_extend = self._dst_ids.extend
+
+    def appenders(self) -> Tuple[Any, Any]:
+        """``(put, put_ids)``: ``put(record)`` appends one instruction's
+        record, ``put_ids(ids)`` its source ids and then its destination
+        ids, as many as the record counts."""
+        return self._records.append, self._ids.extend
 
     def emit(
         self,
@@ -673,11 +711,11 @@ class TraceBuilder(_TraceView):
         pc: int = 0,
     ) -> None:
         """Append one dynamic instruction: opcode id plus dynamic fields."""
-        self._records_extend(
+        self._records.append(
             (op, addr, row_bytes, rows, stride, pc, taken, len(srcs), len(dsts))
         )
-        self._src_extend(srcs)
-        self._dst_extend(dsts)
+        self._ids.extend(srcs)
+        self._ids.extend(dsts)
 
     def columns(self) -> ColumnarTrace:
         """The current contents as a narrow :class:`ColumnarTrace` (memoised).
@@ -687,17 +725,32 @@ class TraceBuilder(_TraceView):
         n = len(self)
         if self._snapshot is not None and len(self._snapshot) == n:
             return self._snapshot
+        records = self._records
         try:
-            # Field-major, so each field's range check and narrowing
-            # reads one contiguous row.
-            fields = np.array(self._records, dtype=np.int64).reshape(n, _WIDTH).T.copy()
-            ids = {
-                attr: np.array(values, dtype=np.int64)
-                for attr, values in (("src_ids", self._src_ids), ("dst_ids", self._dst_ids))
-            }
+            # Most records are a machine's prebuilt tuples, shared by
+            # identity: convert each distinct record object once, then
+            # lay the fields out field-major, so each field's range check
+            # and narrowing reads one contiguous row.
+            _, first, which = np.unique(
+                np.fromiter(map(id, records), np.int64, n),
+                return_index=True, return_inverse=True,
+            )
+            distinct = np.fromiter(
+                itertools.chain.from_iterable(map(records.__getitem__, first.tolist())),
+                np.int64, len(first) * _WIDTH,
+            ).reshape(-1, _WIDTH)
+            fields = distinct[which.reshape(-1)].T.copy()
+            ids = np.array(self._ids, dtype=np.int64)
         except OverflowError:
             raise ValueError("an emitted field holds a value outside int64") from None
-        columns = {attr: _narrow(values, _DTYPES[attr], attr) for attr, values in ids.items()}
+        # Each record's ids are its sources, then its destinations.
+        n_src, per_record = fields[-2], fields[-2] + fields[-1]
+        starts = np.repeat(np.cumsum(per_record) - per_record, per_record)
+        is_src = np.arange(len(ids)) - starts < np.repeat(n_src, per_record)
+        columns = {
+            "src_ids": _narrow(ids[is_src], _DTYPES["src_ids"], "src_ids"),
+            "dst_ids": _narrow(ids[~is_src], _DTYPES["dst_ids"], "dst_ids"),
+        }
         for attr, field in zip(_RECORD_FIELDS[1:], fields[1:]):
             columns[attr] = _narrow(field, _DTYPES[attr], attr)
         # The pool holds the opcodes in first-appearance order, which
@@ -715,7 +768,7 @@ class TraceBuilder(_TraceView):
     # -- stream API --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records) // _WIDTH
+        return len(self._records)
 
     def category_codes(self) -> np.ndarray:
         return self.columns().category

@@ -101,8 +101,11 @@ def _array(dtype) -> type:
     return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
 
-_I64, _I32, _I16 = _array(np.int64), _array(np.int32), _array(np.int16)
-_U16, _U8, _F64 = _array(np.uint16), _array(np.uint8), _array(np.float64)
+#: The per-stack arrays pass through the checked conversion; a trace's
+#: columns pass as the raw pointers the trace took once
+#: (:meth:`~repro.isa.trace.ColumnarTrace.pointers`).
+_I64, _U8, _F64 = _array(np.int64), _array(np.uint8), _array(np.float64)
+_PTR = ctypes.c_void_p
 
 _lib: Optional[ctypes.CDLL] = None
 _lib_error: Optional[BaseException] = None
@@ -146,9 +149,9 @@ def _compile_and_load() -> ctypes.CDLL:
     lib.prepass.restype = ctypes.c_int64
     lib.prepass.argtypes = [
         ctypes.c_int64,                       # n
-        _U16, _U8, _U8, _U8,                  # op; pool fu, vec, branch
-        _I32, _I16, _I16, _I32,               # addr, row_bytes, rows, stride
-        _U8, _I32, ctypes.c_int64, ctypes.c_int64,  # taken, site, base, n_sites
+        _PTR, _PTR, _U8, _PTR,                # op; pool fu, vec, branch
+        _PTR, _PTR, _PTR, _PTR,               # addr, row_bytes, rows, stride
+        _PTR, _PTR, ctypes.c_int64, ctypes.c_int64,  # taken, site, base, n_sites
         _I64,                                 # cache geometry and latencies
         ctypes.c_int64, ctypes.c_int64,       # warm, mem code
         _I64, _U8, _I64,                      # mem_lat, mispredict, stats out
@@ -156,9 +159,9 @@ def _compile_and_load() -> ctypes.CDLL:
     lib.run_stack.restype = ctypes.c_int64
     lib.run_stack.argtypes = [
         ctypes.c_int64,                       # n
-        _U16, _U8, _I64, _U8, ctypes.c_int64,  # op; pool fu, lat, vec, size
-        _I16, _I16, _I32,                     # row_bytes, rows, stride
-        _U8, _I32, _U8, _I32,                 # n_src, src_ids, n_dst, dst_ids
+        _PTR, _PTR, _PTR, _U8, ctypes.c_int64,  # op; pool fu, lat, vec, size
+        _PTR, _PTR, _PTR,                     # row_bytes, rows, stride
+        _PTR, _PTR, _PTR, _PTR,               # n_src, src_ids, n_dst, dst_ids
         ctypes.c_int64, ctypes.c_int64,       # reg base, n_regs
         _U8, _I64,                            # mispredict, mem_lat
         ctypes.c_int64, _I64, _F64,           # P, params, strided rates
@@ -271,10 +274,12 @@ class BatchCoreModel:
         rates = np.array(
             [mem.strided_rows_per_cycle for _core, mem in specs], dtype=np.float64
         )
-        # The kernel reads the trace's columns as they are; the facts
-        # below are the trace's own, computed once per trace.
-        src_ids, dst_ids, reg_base, n_regs = cols.register_ids()
-        site, site_base, n_sites = cols.branch_sites()
+        # The kernel reads the trace's columns as they are, through the
+        # pointers the trace took once; the facts below are the trace's
+        # own, computed once per trace.
+        ptr = cols.pointers()
+        _, _, reg_base, n_regs = cols.register_ids()
+        _, site_base, n_sites = cols.branch_sites()
         pool_vec = cols.op_fu == _MEM_CODE
         pool_vec &= cols.op_category == _VMEM_CODE
         pool_vec &= core0.vector_memory
@@ -291,9 +296,9 @@ class BatchCoreModel:
         mis8 = np.empty(n, dtype=np.uint8)
         stats = np.zeros(6, dtype=np.int64)
         if lib.prepass(
-            n, cols.name_id, cols.op_fu, pool_vec.view(np.uint8),
-            cols.op_is_branch.view(np.uint8), cols.addr, cols.row_bytes,
-            cols.rows, cols.stride, cols.taken.view(np.uint8), site,
+            n, ptr["name_id"], ptr["op_fu"], pool_vec.view(np.uint8),
+            ptr["op_is_branch"], ptr["addr"], ptr["row_bytes"], ptr["rows"],
+            ptr["stride"], ptr["taken"], ptr["site"],
             site_base, n_sites, geometry, int(warm), _MEM_CODE,
             mem_lat, mis8, stats,
         ):
@@ -310,9 +315,10 @@ class BatchCoreModel:
             cap = 4 * n + 2048
             while True:
                 rc = lib.run_stack(
-                    n, cols.name_id, cols.op_fu, cols.op_latency,
-                    pool_vec.view(np.uint8), n_pool, cols.row_bytes, cols.rows,
-                    cols.stride, cols.n_src, src_ids, cols.n_dst, dst_ids,
+                    n, ptr["name_id"], ptr["op_fu"], ptr["op_latency"],
+                    pool_vec.view(np.uint8), n_pool, ptr["row_bytes"], ptr["rows"],
+                    ptr["stride"], ptr["n_src"], ptr["src_ids"], ptr["n_dst"],
+                    ptr["dst_ids"],
                     reg_base, n_regs, mis8, mem_lat, P, params, rates, cap,
                     _MEM_CODE, _SIMD_CODE, _INT_CODE, row_cycles, cycles,
                 )

@@ -166,3 +166,137 @@ class TestZigzag:
 
     def test_ends_at_highest_frequency(self):
         assert ZIGZAG[-1] == 63
+
+
+class OracleWriter:
+    """The bit-at-a-time writer the field-wise one replaced: one list
+    item per bit."""
+
+    def __init__(self):
+        self.bits = []
+
+    def write(self, value, nbits):
+        if nbits < 0 or (nbits and value >> nbits):
+            raise ValueError(f"value {value} does not fit in {nbits} bits")
+        for i in range(nbits - 1, -1, -1):
+            self.bits.append((value >> i) & 1)
+
+    def to_bytes(self):
+        out = bytearray()
+        for i in range(0, len(self.bits), 8):
+            chunk = self.bits[i : i + 8]
+            chunk += [0] * (8 - len(chunk))
+            byte = 0
+            for b in chunk:
+                byte = (byte << 1) | b
+            out.append(byte)
+        return bytes(out)
+
+
+class OracleReader:
+    """The bit-at-a-time reader the field-wise one replaced."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def read(self, nbits):
+        value = 0
+        for _ in range(nbits):
+            byte = self.data[self.pos >> 3]
+            value = (value << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
+            self.pos += 1
+        return value
+
+    def read_bit(self):
+        return self.read(1)
+
+
+def oracle_huffman_read(code, reader):
+    """The canonical prefix walk, one ``read_bit`` at a time."""
+    decode = {(length, bits): symbol for symbol, (bits, length) in code.encode_table.items()}
+    bits = 0
+    for length in range(1, code.max_length + 1):
+        bits = (bits << 1) | reader.read_bit()
+        if (length, bits) in decode:
+            return decode[(length, bits)]
+    raise ValueError("invalid Huffman code in bitstream")
+
+
+def outcome(call):
+    """A call's value, or the type of what it raised."""
+    try:
+        return call()
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+#: A field width to read, or ``None`` for one ``read_bit``.
+READS = st.lists(st.one_of(st.none(), st.integers(0, 30)), max_size=40)
+
+
+class TestFieldwiseAgainstBitAtATime:
+    """The field-wise writer, reader and Huffman decoder produce and
+    consume what the bit-at-a-time ones did, reads past the end and
+    invalid codes included."""
+
+    @given(
+        fields=st.lists(
+            st.tuples(st.integers(-4, 2**30), st.integers(-1, 30)), max_size=60
+        ),
+        reads=READS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_writer_then_reader(self, fields, reads):
+        new, old = BitWriter(), OracleWriter()
+        for value, nbits in fields:
+            assert outcome(lambda: new.write(value, nbits)) == outcome(
+                lambda: old.write(value, nbits)
+            )
+            assert len(new) == len(old.bits)
+        data = new.to_bytes()
+        assert data == old.to_bytes()
+        fast, slow = BitReader(data), OracleReader(data)
+        for nbits in reads:
+            if nbits is None:
+                assert outcome(fast.read_bit) == outcome(slow.read_bit)
+            else:
+                assert outcome(lambda: fast.read(nbits)) == outcome(lambda: slow.read(nbits))
+            assert fast.pos == slow.pos
+            assert fast.bits_left == 8 * len(data) - slow.pos
+
+    @given(
+        weights=st.lists(st.integers(1, 1000), min_size=1, max_size=40),
+        data=st.binary(max_size=24),
+        start=st.integers(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_huffman_reads(self, weights, data, start):
+        code = HuffmanCode({i: float(w) for i, w in enumerate(weights)})
+        fast, slow = BitReader(data), OracleReader(data)
+        if 8 * len(data) >= start:
+            fast.pos = slow.pos = start
+        while True:
+            got = outcome(lambda: code.read(fast))
+            assert got == outcome(lambda: oracle_huffman_read(code, slow))
+            assert fast.pos == slow.pos
+            if got in (IndexError, ValueError):
+                break
+
+    def test_an_unassigned_code_raises_after_max_length_bits(self):
+        code = HuffmanCode({"only": 1.0})
+        reader = BitReader(b"\x80")
+        with pytest.raises(ValueError):
+            code.read(reader)
+        assert reader.pos == 1
+        assert code.read(reader) == "only"
+
+    def test_a_code_past_the_end_raises_index_error(self):
+        # Lengths 1..11 (two of 11): all ones is the longest code, and
+        # the five ones after it begin a 6-bit code.
+        code = HuffmanCode({i: 2.0 ** (-i) for i in range(12)})
+        reader = BitReader(b"\xff\xff")
+        assert code.read(reader) == 11 and reader.pos == 11
+        with pytest.raises(IndexError):
+            code.read(reader)
+        assert reader.pos == 16

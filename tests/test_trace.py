@@ -9,7 +9,7 @@ from record_traces import trace_from_records
 
 from repro.isa import opcodes as op
 from repro.isa.opcodes import DESCRIPTORS, Category, FUClass
-from repro.isa.trace import ColumnarTrace, Trace, TraceBuilder, TraceRecord
+from repro.isa.trace import ColumnarTrace, Trace, TraceBuilder, TraceRecord, record
 
 
 def rec(category=Category.SARITH, **kw):
@@ -317,3 +317,46 @@ class TestNarrowFormat:
         rows = list(ok.pool) + (pool or [])
         with pytest.raises(ValueError):
             ColumnarTrace("bad", rows, **fields)
+
+
+@st.composite
+def emitted(draw):
+    """One instruction's :meth:`TraceBuilder.emit` arguments: any opcode,
+    negative and sparse SSA ids, up to three sources and one
+    destination, and either every other field at its default (what a
+    machine's prebuilt :func:`record` holds) or each drawn."""
+    ids = st.one_of(st.integers(-3, 40), _INT32)
+    fields = dict(
+        op=draw(st.integers(0, len(DESCRIPTORS) - 1)),
+        srcs=tuple(draw(st.lists(ids, max_size=3))),
+        dsts=tuple(draw(st.lists(ids, max_size=1))),
+    )
+    if draw(st.booleans()):
+        fields.update(
+            addr=draw(st.one_of(st.just(-1), _INT32)), row_bytes=draw(_INT16),
+            rows=draw(_INT16), stride=draw(_INT32), taken=draw(st.booleans()),
+            pc=draw(_INT32),
+        )
+    return fields
+
+
+class TestAppenders:
+    @settings(max_examples=80, deadline=None)
+    @given(instructions=st.lists(emitted(), max_size=20), name=st.text(max_size=8))
+    def test_appenders_and_emit_build_the_same_trace(self, instructions, name):
+        by_emit, by_appenders = Trace(name), Trace(name)
+        put, put_ids = by_appenders.appenders()
+        for fields in instructions:
+            by_emit.emit(**fields)
+            srcs, dsts = fields["srcs"], fields["dsts"]
+            if "addr" in fields:
+                put((
+                    fields["op"], fields["addr"], fields["row_bytes"], fields["rows"],
+                    fields["stride"], fields["pc"], fields["taken"], len(srcs), len(dsts),
+                ))
+            else:
+                put(record(fields["op"], len(srcs), len(dsts)))
+            put_ids(srcs + dsts)
+        assert len(by_appenders) == len(by_emit) == len(instructions)
+        assert by_appenders.columns().to_bytes() == by_emit.columns().to_bytes()
+        assert list(by_appenders.records) == list(by_emit.records)
